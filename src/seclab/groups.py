@@ -120,17 +120,25 @@ def group_from_table(
 ) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a :class:`FiniteGroup`.
 
-    Checks, in order: entry range, a two-sided identity, associativity on
-    every triple, and a two-sided inverse for every element.
+    Checks, in order: shape (a list of lists of ints), entry range, a
+    two-sided identity, associativity on every triple, and a two-sided
+    inverse for every element.
     """
+    if not isinstance(table, (list, tuple)):
+        raise ValidationError(f"table must be a list of rows, not {table!r}")
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table has no identity element")
+    for a, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise ValidationError(f"row {a} must be a list of entries, not {row!r}")
     rows = tuple(tuple(row) for row in table)
     for a, row in enumerate(rows):
         if len(row) != n:
             raise ValidationError(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
+            if type(v) is not int:
+                raise ValidationError(f"entry table[{a}][{b}] = {v!r} is not an integer")
             if not (0 <= v < n):
                 raise ValidationError(f"entry table[{a}][{b}] = {v} outside 0..{n - 1}")
     identity = None
@@ -396,6 +404,9 @@ def hom_from_generator_images(
         raise NotAHomomorphism(
             f"expected {len(gens)} generator images for generators {gens}, got {len(images)}"
         )
+    for y in images:
+        if not 0 <= y < tgt.order:
+            raise ValidationError(f"generator image {y} outside 0..{tgt.order - 1}")
     m = _map_from_generator_images(src, tgt, list(images))
     if m is None:
         raise NotAHomomorphism(
@@ -408,16 +419,16 @@ def hom_from_generator_images(
 def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
     """Every homomorphism src -> tgt, sorted lexicographically by image tuple.
 
-    Candidates are generator-image assignments; each surviving assignment is
-    verified on all pairs.
+    Candidates are generator-image assignments in which each image's order
+    divides its generator's; each is verified on all pairs.
     """
     gens = generating_set(src)
-    gen_orders = [element_order(src, g) for g in gens]
+    choices = []
+    for g in gens:
+        k = element_order(src, g)
+        choices.append([y for y in tgt.elements if _power(tgt, y, k) == tgt.identity])
     found = []
-    for images in itertools.product(range(tgt.order), repeat=len(gens)):
-        # image order must divide generator order
-        if any(_power(tgt, images[i], gen_orders[i]) != tgt.identity for i in range(len(gens))):
-            continue
+    for images in itertools.product(*choices):
         m = _map_from_generator_images(src, tgt, images)
         if m is not None:
             found.append(m)

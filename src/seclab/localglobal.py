@@ -12,7 +12,7 @@ are canonical: first witnesses are enumeration-least.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
@@ -20,9 +20,9 @@ from .cohomology import (
     cohomologous,
     constant_coefficients,
     h1,
-    pullback_class,
+    pullback_class_coefficients,
     pullback_coefficients,
-    restrict_class,
+    restrict_into,
 )
 from .errors import IncompatibleTower, NotASection, ValidationError
 from .extensions import Extension, enumerate_sections
@@ -184,12 +184,14 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
-    target = [restrict_class(theta, alpha) for theta in family.thetas]
+    thetas = family.thetas
+    local = [pullback_coefficients(theta, coeff) for theta in thetas]
+    target = [restrict_into(theta, alpha, local[i]) for i, theta in enumerate(thetas)]
     out = []
     for beta in h1(coeff).representatives:
         if all(
-            cohomologous(restrict_class(theta, beta), target[i]) is not None
-            for i, theta in enumerate(family.thetas)
+            cohomologous(restrict_into(theta, beta, local[i]), target[i]) is not None
+            for i, theta in enumerate(thetas)
         ):
             out.append(beta)
     return tuple(out)
@@ -347,25 +349,36 @@ def _diagonal_failure(
     coeff: GammaGroup,
     class_filter: Optional[Callable[[Cocycle], bool]] = None,
 ) -> Tuple[Optional[Cocycle], int]:
-    """First class over the middle group missing from the diagonal image."""
+    """First class over the middle group missing from the diagonal image.
+
+    Every coefficient system is pulled back once: along the projection,
+    each local map and each local section.  A class over the base is
+    restricted along a local map only when a comparison first needs it.
+    """
     ext = ls.ext
+    thetas = ls.family.thetas
     coeff_e = pullback_coefficients(ext.pi, coeff)
+    local = [pullback_coefficients(theta, coeff) for theta in thetas]
+    lifted = [pullback_class_coefficients(s, coeff_e, ext) for s in ls.sections]
     downstairs = h1(coeff).representatives
+    restricted: List[List[Optional[Cocycle]]] = [[None] * len(thetas) for _ in downstairs]
+
+    def matches(j: int, pulls: List[Cocycle]) -> bool:
+        row = restricted[j]
+        for i, theta in enumerate(thetas):
+            if row[i] is None:
+                row[i] = restrict_into(theta, downstairs[j], local[i])
+            if cohomologous(row[i], pulls[i]) is None:
+                return False
+        return True
+
     checked = 0
     for alpha in h1(coeff_e).representatives:
         if class_filter is not None and not class_filter(alpha):
             continue
         checked += 1
-        pulls = [pullback_class(s, alpha, ext) for s in ls.sections]
-        hit = False
-        for beta in downstairs:
-            if all(
-                cohomologous(restrict_class(theta, beta), pulls[i]) is not None
-                for i, theta in enumerate(ls.family.thetas)
-            ):
-                hit = True
-                break
-        if not hit:
+        pulls = [restrict_into(s, alpha, lifted[i]) for i, s in enumerate(ls.sections)]
+        if not any(matches(j, pulls) for j in range(len(downstairs))):
             return alpha, checked
     return None, checked
 
@@ -468,8 +481,21 @@ def verify_equivalences(
     """
     density = check_density(ls.family)
     split = bool(enumerate_sections(ls.ext).sections)
-    a = decide_a(ls, standard_corpus(ls, extra))
+    corpus = standard_corpus(ls, extra).entries
     a_prime = decide_a_prime(ls)
+    # The constant quotients open the standard corpus, so (a) reuses the
+    # outcome of (a') over them and runs only the entries after them.
+    if a_prime.holds:
+        n = sum(entry.provenance == CONSTANT_QUOTIENT for entry in corpus)
+        rest = decide_a(ls, CoefficientCorpus(corpus[n:]))
+        a = DescentCheck(
+            rest.holds,
+            rest.failing_entry,
+            rest.failing_class,
+            a_prime.classes_checked + rest.classes_checked,
+        )
+    else:
+        a = a_prime
     a_double = decide_a_doubleprime(ls)
     b = decide_b(ls)
     c = decide_c(ls)

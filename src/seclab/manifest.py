@@ -365,13 +365,20 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
 # running
 
 
-def _int_list(value: str, line_no: int, what: str) -> List[int]:
+def _element_list(
+    value: Optional[str], line_no: int, what: str, group: FiniteGroup
+) -> List[int]:
+    """A comma-separated list of elements of ``group``, range-checked."""
     if not value:
         return []
     try:
-        return [int(v) for v in value.split(",")]
+        elements = [int(v) for v in value.split(",")]
     except ValueError:
         raise _fail(line_no, f"bad {what} list {value!r}") from None
+    for v in elements:
+        if not 0 <= v < group.order:
+            raise _fail(line_no, f"{what} {v} outside 0..{group.order - 1}")
+    return elements
 
 
 def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
@@ -393,7 +400,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
         }
     if job.command == "pushout":
         ext = _lookup(program.extensions, job.target, job.line, "extension")
-        gens = _int_list(job.option("gens") or "", job.line, "generator")
+        gens = _element_list(job.option("gens"), job.line, "generator", ext.A)
         sub = subgroup_generated(ext.A, gens)
         smaller, _ = pushout(ext, sub)
         return {
@@ -438,13 +445,13 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
     if job.command == "fibre":
         fam = _lookup(program.families, job.target, job.line, "family")
         coeff = _lookup(program.coeffs, job.option("coeff") or "", job.line, "coeff")
-        values = _int_list(job.option("alpha") or "", job.line, "cocycle value")
+        values = _element_list(job.option("alpha"), job.line, "cocycle value", coeff.M)
         alpha = Cocycle(coeff, tuple(values))
         fib = diagonal_fibre(alpha, fam)
         return {"size": len(fib), "classes": [list(b.values) for b in fib]}
     if job.command == "jordan":
         grp = _lookup(program.groups, job.target, job.line, "group")
-        gens = _int_list(job.option("gens") or "", job.line, "generator")
+        gens = _element_list(job.option("gens"), job.line, "generator", grp)
         cover = union_of_conjugates(grp, subgroup_generated(grp, gens))
         return {
             "subgroup_order": len(subgroup_generated(grp, gens).elements),

@@ -5,11 +5,22 @@ from __future__ import annotations
 import pytest
 
 from oracles import oracle_density, oracle_interpolating_homs
-from seclab.cohomology import Cocycle, constant_coefficients
+from seclab.catalog import seeded_instances
+from seclab.cohomology import (
+    Cocycle,
+    GammaGroup,
+    cohomologous,
+    constant_coefficients,
+    h1,
+    pullback_class,
+    pullback_coefficients,
+    restrict_class,
+)
 from seclab.errors import IncompatibleTower, NotASection, ValidationError
 from seclab.extensions import enumerate_sections, make_extension
 from seclab.groups import (
     GroupHom,
+    all_normal_subgroups,
     cyclic_group,
     direct_product,
     full_subgroup,
@@ -28,6 +39,7 @@ from seclab.localglobal import (
     USER_SUPPLIED,
     CoefficientCorpus,
     CorpusEntry,
+    DescentCheck,
     LocalFamily,
     LocalSections,
     check_density,
@@ -433,3 +445,120 @@ def test_tower_rejects_foreign_local_sections():
     levels, maps = pushout_tower(ls.ext, [full_subgroup(C3)])
     with pytest.raises(IncompatibleTower):
         tower_limit_sections(levels[1:], (), ls)
+
+
+# ---------------------------------------------------------------------------
+# the descent deciders against a per-class-pair reference
+
+
+def _reference_failure(ls, coeff, class_filter=None):
+    """The diagonal test as first written: every pullback rebuilt per pair."""
+    coeff_e = pullback_coefficients(ls.ext.pi, coeff)
+    checked = 0
+    for alpha in h1(coeff_e).representatives:
+        if class_filter is not None and not class_filter(alpha):
+            continue
+        checked += 1
+        pulls = [pullback_class(s, alpha, ls.ext) for s in ls.sections]
+        if not any(
+            all(
+                cohomologous(restrict_class(theta, beta), pulls[i]) is not None
+                for i, theta in enumerate(ls.family.thetas)
+            )
+            for beta in h1(coeff).representatives
+        ):
+            return alpha, checked
+    return None, checked
+
+
+def _reference_check(ls, entries, class_filter=None):
+    total = 0
+    for entry in entries:
+        bad, checked = _reference_failure(ls, entry.coeff, class_filter)
+        total += checked
+        if bad is not None:
+            return DescentCheck(False, entry, bad, total)
+    return DescentCheck(True, None, None, total)
+
+
+def _reference_fibre(alpha, family):
+    target = [restrict_class(theta, alpha) for theta in family.thetas]
+    return tuple(
+        beta
+        for beta in h1(alpha.parent).representatives
+        if all(
+            cohomologous(restrict_class(theta, beta), target[i]) is not None
+            for i, theta in enumerate(family.thetas)
+        )
+    )
+
+
+def _assert_same_check(got, want):
+    assert (got.holds, got.failing_entry, got.failing_class, got.classes_checked) == (
+        want.holds,
+        want.failing_entry,
+        want.failing_class,
+        want.classes_checked,
+    )
+
+
+#: A slice of the acceptance-seed instances: the first twenty, plus five
+#: on which (a), (a') and (a'') all fail.
+REFERENCE_SLICE = tuple(range(20)) + (52, 53, 84, 101, 113)
+
+
+@pytest.fixture(scope="module")
+def acceptance_instances():
+    return seeded_instances(20260822, 120, 16)
+
+
+def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
+    failed = {"a": 0, "a'": 0, "a''": 0}
+    for k in REFERENCE_SLICE:
+        ls = acceptance_instances[k]
+        corpus = standard_corpus(ls).entries
+        constant = tuple(e for e in corpus if e.provenance == CONSTANT_QUOTIENT)
+        kernel_entries = tuple(e for e in corpus if e.provenance == A_QUOTIENT_SECTION)
+        kernel_image = image(ls.ext.iota).elements
+
+        def on_kernel(alpha):
+            return len({alpha.values[e] for e in kernel_image}) == alpha.parent.M.order
+
+        split = bool(enumerate_sections(ls.ext).sections)
+        want = {
+            "a": _reference_check(ls, corpus),
+            "a'": _reference_check(ls, constant),
+            "a''": _reference_check(ls, kernel_entries if split else constant, on_kernel),
+        }
+        got = {
+            "a": decide_a(ls, CoefficientCorpus(corpus)),
+            "a'": decide_a_prime(ls),
+            "a''": decide_a_doubleprime(ls),
+        }
+        report = verify_equivalences(ls)
+        reported = {"a": report.a, "a'": report.a_prime, "a''": report.a_doubleprime}
+        for name, check in reported.items():
+            _assert_same_check(got[name], want[name])
+            _assert_same_check(check, want[name])
+            failed[name] += not want[name].holds
+        for entry in corpus:
+            for alpha in h1(entry.coeff).representatives:
+                assert diagonal_fibre(alpha, ls.family) == _reference_fibre(alpha, ls.family)
+    assert all(failed.values()), failed
+
+
+def test_descent_builds_each_pulled_system_once_per_entry(acceptance_instances, monkeypatch):
+    ls = acceptance_instances[74]
+    original = GammaGroup.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GammaGroup, "__post_init__", counting)
+    check = decide_a_prime(ls)
+    monkeypatch.undo()
+    per_entry = 2 + len(ls.family.thetas) + len(ls.sections)
+    assert check.holds and check.classes_checked > 100
+    assert len(built) <= len(all_normal_subgroups(ls.ext.E)) * per_entry

@@ -211,3 +211,51 @@ def test_timing_key_presence_follows_flag():
     without, _ = run_program(program, timing=False)
     assert "elapsed" in with_timing[0]
     assert "elapsed" not in without[0]
+
+
+FIBRE_BASE = """
+group C2 table [[0,1],[1,0]]
+group A aut C2
+hom act C2 A [0]
+coeff M C2 act
+hom id C2 C2 [1]
+family F C2 {
+  local C2 id
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line, needle",
+    [
+        ('group G table [["a"]]\n', 1, "not an integer"),
+        ("group G table 5\n", 1, "list of rows"),
+        ('group G table [[0,1],"ab"]\n', 1, "row 1"),
+        ("group G table [[0,1],[1,0]]\njob jordan G gens=7\n", 2, "generator 7"),
+        ("group G table [[0,1],[1,0]]\njob jordan G gens=0,-1\n", 2, "generator -1"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [5]\n", 2, "generator image 5"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [-1]\n", 2, "generator image -1"),
+        (V4_OVER_C2 + "job pushout ext gens=5\n", 17, "generator 5"),
+        (FIBRE_BASE + "job fibre F coeff=M alpha=0,5\n", 10, "cocycle value 5"),
+    ],
+    ids=[
+        "string-entry",
+        "int-table",
+        "string-row",
+        "jordan",
+        "jordan-negative",
+        "hom-image",
+        "hom-image-negative",
+        "pushout",
+        "fibre",
+    ],
+)
+def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
+    from seclab.cli import main
+
+    path = tmp_path / "bad.man"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert needle in err
