@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from .cohomology import GammaGroup, constant_coefficients
-from .errors import BoundExceeded, UnknownName, ValidationError
+from .cohomology import GammaGroup
+from .errors import BoundExceeded, InvariantViolation, UnknownName, ValidationError
 from .extensions import Extension, enumerate_sections, make_extension
 from .groups import (
     FiniteGroup,
@@ -291,6 +291,15 @@ def seeded_instances(
     return tuple(out)
 
 
+def _class_representative_family(gamma: FiniteGroup) -> LocalFamily:
+    """One cyclic local per conjugacy class, generated by its least member."""
+    thetas = []
+    for cls in conjugacy_classes(gamma):
+        g_i, inc = subgroup_as_group(subgroup_generated(gamma, [cls[0]]))
+        thetas.append(GroupHom(g_i, gamma, inc.map))
+    return LocalFamily(gamma, tuple(thetas))
+
+
 def seeded_transport_pairs(
     seed: int, count: int, max_order: int = 12
 ) -> Tuple[Tuple[LocalFamily, Subgroup], ...]:
@@ -304,13 +313,8 @@ def seeded_transport_pairs(
     out: List[Tuple[LocalFamily, Subgroup]] = []
     for _ in range(count):
         gamma = rng.choice(pool)
-        thetas = []
-        for cls in conjugacy_classes(gamma):
-            sub = subgroup_generated(gamma, [cls[0]])
-            g_i, inc = subgroup_as_group(sub)
-            thetas.append(GroupHom(g_i, gamma, inc.map))
-        fam = LocalFamily(gamma, tuple(thetas))
+        fam = _class_representative_family(gamma)
         if not check_density(fam):
-            raise AssertionError(f"class-representative family failed to cover {gamma.label}")
+            raise InvariantViolation(f"class-representative family failed to cover {gamma.label}")
         out.append((fam, rng.choice(all_subgroups(gamma))))
     return tuple(out)

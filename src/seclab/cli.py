@@ -7,7 +7,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .manifest import generate_corpus, parse_manifest, run_program
 
 
@@ -66,7 +66,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gen_p.add_argument("--seed", type=int, default=0, metavar="N")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except InvariantViolation as err:
+        print(f"error: internal invariant broken: {err}", file=sys.stderr)
+        return 3
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         sys.stdout.write(generate_corpus(args.max_order, args.seed))
         return 0

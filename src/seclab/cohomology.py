@@ -8,13 +8,13 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .errors import (
     ActionMismatch,
+    InvariantViolation,
     NotACocycle,
     NotACocycleForThisAction,
     NotAnAction,
@@ -26,9 +26,11 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _derivation,
+    _coset_representatives,
+    _derivation_search,
+    _identity_rows,
+    _orbit_partition,
     enumerate_homs,
-    generating_set,
     image,
     kernel,
     partition_by_conjugation,
@@ -115,8 +117,7 @@ class GammaGroup:
 
 def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
     """M with the trivial action; cocycles are then plain homomorphisms."""
-    ident = tuple(m.elements)
-    return GammaGroup(gamma, m, (ident,) * gamma.order)
+    return GammaGroup(gamma, m, _identity_rows(gamma, m))
 
 
 def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
@@ -197,30 +198,7 @@ def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     Candidates are generator assignments propagated along a fixed derivation
     of gamma, then verified on all pairs.
     """
-    g, m, act = coeff.gamma, coeff.M, coeff.action
-    order, parent = _derivation(g)
-    gens = generating_set(g)
-    found = []
-    for imgs in itertools.product(range(m.order), repeat=len(gens)):
-        v = [-1] * g.order
-        v[g.identity] = m.identity
-        for x in order[1:]:
-            prev, gi = parent[x]
-            v[x] = m.mul(v[prev], act[prev][imgs[gi]])
-        ok = True
-        for s in g.elements:
-            vs = v[s]
-            arow = act[s]
-            grow = g.table[s]
-            for t in g.elements:
-                if v[grow[t]] != m.mul(vs, arow[v[t]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(v))
-    found.sort()
+    found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
     return tuple(Cocycle(coeff, v) for v in found)
 
 
@@ -262,23 +240,18 @@ class H1Classes:
         for i, cls in enumerate(self.classes):
             if pos in cls:
                 return i
-        raise AssertionError("partition does not cover the cocycle set")
+        raise InvariantViolation("partition does not cover the cocycle set")
 
 
 @lru_cache(maxsize=None)
 def h1(coeff: GammaGroup) -> H1Classes:
     """Cocycles modulo twisting, with lexicographically least representatives."""
     cocycles = enumerate_cocycles(coeff)
-    index = {co.values: i for i, co in enumerate(cocycles)}
-    seen = set()
-    classes = []
-    for i, co in enumerate(cocycles):
-        if i in seen:
-            continue
-        members = {index[_twist_values(coeff, co.values, c)] for c in coeff.M.elements}
-        seen |= members
-        classes.append(tuple(sorted(members)))
-    return H1Classes(coeff, cocycles, tuple(classes))
+    classes = _orbit_partition(
+        [co.values for co in cocycles],
+        lambda v: (_twist_values(coeff, v, c) for c in coeff.M.elements),
+    )
+    return H1Classes(coeff, cocycles, classes)
 
 
 def inner_pullback(a: Cocycle, g: int) -> Cocycle:
@@ -296,7 +269,7 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
     out = Cocycle(coeff, values)
     c = m.inv(coeff.action[gi][a.values[g]])
     if _twist_values(coeff, a.values, c) != values:
-        raise AssertionError(
+        raise InvariantViolation(
             f"conjugation pullback by {g} is not the expected coboundary twist"
         )
     return out
@@ -389,15 +362,13 @@ def descend_class(
             raise NotTrivialOnKernel(f"value at kernel element {k} is {a.values[k]}")
         if a.parent.action[k] != ident:
             raise NotTrivialOnKernel(f"kernel element {k} acts nontrivially")
-    reps: Dict[int, int] = {}
-    for x in q.source.elements:
-        reps.setdefault(q.map[x], x)
-    rows = tuple(a.parent.action[reps[y]] for y in q.target.elements)
+    reps = _coset_representatives(q)
+    rows = tuple(a.parent.action[r] for r in reps)
     coeff = GammaGroup(q.target, m, rows, embed=a.parent.embed)
-    out = Cocycle(coeff, tuple(a.values[reps[y]] for y in q.target.elements))
+    out = Cocycle(coeff, tuple(a.values[r] for r in reps))
     for x in q.source.elements:
         if out.values[q.map[x]] != a.values[x]:
-            raise AssertionError("descended cocycle fails to match upstairs values")
+            raise InvariantViolation("descended cocycle fails to match upstairs values")
     return out
 
 
@@ -428,7 +399,7 @@ def twist_coefficients(
     if sorted(c.values for c in mapping.values()) != sorted(
         c.values for c in enumerate_cocycles(twisted)
     ):
-        raise AssertionError("twisting did not biject the two cocycle sets")
+        raise InvariantViolation("twisting did not biject the two cocycle sets")
     return twisted, mapping
 
 
@@ -483,7 +454,7 @@ def lifts_up_to_conjugacy(ext: "Extension", phibar: GroupHom) -> Tuple[Tuple[Gro
     if lifts:
         coeff = conjugation_coefficients(image(ext.iota), lifts[0])
         if len(classes) != h1(coeff).class_count:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"{len(classes)} lift classes but {h1(coeff).class_count} cocycle classes"
             )
     return classes

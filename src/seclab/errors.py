@@ -32,6 +32,7 @@ __all__ = [
     "BoundExceeded",
     "ManifestSyntaxError",
     "UnknownName",
+    "InvariantViolation",
 ]
 
 
@@ -133,3 +134,12 @@ class ManifestSyntaxError(ValidationError):
 
 class UnknownName(ValidationError):
     """A manifest line references a name that was never defined."""
+
+
+class InvariantViolation(AssertionError):
+    """A theorem or internal invariant checked at run time failed.
+
+    Not a :class:`ValidationError`: the input was accepted, and the library
+    then contradicted itself.  Subclasses ``AssertionError`` so checks that
+    expect one keep catching it.
+    """

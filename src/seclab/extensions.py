@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple
 from .cohomology import Cocycle, conjugation_coefficients
 from .errors import (
     DifferenceEscapesA,
+    InvariantViolation,
     NotAnAction,
     NotALift,
     NotExact,
@@ -26,14 +27,14 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _coset_representatives,
+    _normality_witness,
     compose,
     enumerate_homs,
     group_from_table,
-    identity_hom,
     image,
     is_bijective,
     is_injective,
-    is_normal,
     kernel,
     partition_by_conjugation,
     quotient,
@@ -142,13 +143,6 @@ def splits(ext: Extension) -> bool:
     return bool(enumerate_sections(ext).sections)
 
 
-def _coset_representatives(proj: GroupHom) -> Tuple[int, ...]:
-    reps = {}
-    for x in proj.source.elements:
-        reps.setdefault(proj.map[x], x)
-    return tuple(reps[y] for y in proj.target.elements)
-
-
 def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     """Quotient an extension by a subgroup of its kernel group.
 
@@ -159,13 +153,8 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     if sub.parent != ext.A:
         raise ValidationError("pushout subgroup must live in the kernel group")
     embedded = subgroup(ext.E, (ext.iota.map[x] for x in sub.elements))
-    if not is_normal(ext.E, embedded):
-        bad = next(
-            (g, h)
-            for g in ext.E.elements
-            for h in embedded.elements
-            if ext.E.conj(g, h) not in embedded.elements
-        )
+    bad = _normality_witness(ext.E, embedded)
+    if bad is not None:
         raise NotNormalInE(
             f"conjugating {bad[1]} by {bad[0]} escapes the embedded subgroup"
         )
@@ -178,9 +167,9 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     e_reps = _coset_representatives(q_e)
     pi_new = GroupHom(e_quot, ext.Gamma, tuple(ext.pi.map[r] for r in e_reps))
     if compose(pi_new, q_e).map != ext.pi.map:
-        raise AssertionError("pushout projection does not factor the original one")
+        raise InvariantViolation("pushout projection does not factor the original one")
     if compose(q_e, ext.iota).map != compose(iota_new, q_a).map:
-        raise AssertionError("pushout square does not commute")
+        raise InvariantViolation("pushout square does not commute")
     return make_extension(iota_new, pi_new), q_e
 
 
@@ -225,7 +214,7 @@ def semidirect(
     section = GroupHom(gamma, middle, tuple(a.identity * n + g for g in gamma.elements))
     ext = make_extension(iota, pi)
     if not ext.is_section(section):
-        raise AssertionError("canonical section of a semidirect product failed")
+        raise InvariantViolation("canonical section of a semidirect product failed")
     return ext, section
 
 

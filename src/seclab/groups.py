@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     ClosureBoundExceeded,
@@ -255,13 +255,6 @@ def element_order(group: FiniteGroup, g: int) -> int:
     return k
 
 
-def _power(group: FiniteGroup, g: int, k: int) -> int:
-    x = group.identity
-    for _ in range(k):
-        x = group.mul(x, g)
-    return x
-
-
 def _close_elements(group: FiniteGroup, seed: Iterable[int]) -> frozenset:
     """Closure of a seed set (plus identity) under multiplication."""
     elems = set(seed)
@@ -375,24 +368,58 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return GroupHom(inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
 
 
-def _map_from_generator_images(
-    src: FiniteGroup, tgt: FiniteGroup, images: Sequence[int]
+def _propagate(
+    gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]], images: Sequence[int]
 ) -> Optional[Tuple[int, ...]]:
-    """Propagate generator images along the derivation; None if not a hom."""
-    order, parent = _derivation(src)
-    m = [-1] * src.order
-    m[src.identity] = tgt.identity
+    """Extend generator values along the derivation by ``a_{xg} = a_x * x(a_g)``.
+
+    ``rows[x]`` is the image tuple of x acting on m.  Returns the value
+    tuple when ``a_{st} = a_s * s(a_t)`` holds on all pairs, else None.
+    """
+    order, parent = _derivation(gamma)
+    mt = m.table
+    v = [-1] * gamma.order
+    v[gamma.identity] = m.identity
     for x in order[1:]:
         prev, gi = parent[x]
-        m[x] = tgt.mul(m[prev], images[gi])
-    for a in src.elements:
-        ma = m[a]
-        row_a = src.table[a]
-        trow = tgt.table[ma]
-        for b in src.elements:
-            if m[row_a[b]] != trow[m[b]]:
+        v[x] = mt[v[prev]][rows[prev][images[gi]]]
+    for s in gamma.elements:
+        srow = mt[v[s]]
+        arow = rows[s]
+        grow = gamma.table[s]
+        for t in gamma.elements:
+            if v[grow[t]] != srow[arow[v[t]]]:
                 return None
-    return tuple(m)
+    return tuple(v)
+
+
+def _derivation_search(
+    gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Every value tuple ``a`` with ``a_{st} = a_s * s(a_t)``, sorted.
+
+    A homomorphism is the case of identity rows.  A generator g of order
+    k may take the value c only when the twisted norm
+    ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which for identity
+    rows says that the order of c divides k.  Every candidate is then
+    verified on all pairs.
+    """
+    choices = []
+    for g in generating_set(gamma):
+        powers = [gamma.identity]
+        for _ in range(element_order(gamma, g) - 1):
+            powers.append(gamma.mul(powers[-1], g))
+        choices.append([
+            c
+            for c in m.elements
+            if reduce(m.mul, (rows[p][c] for p in powers), m.identity) == m.identity
+        ])
+    found = (_propagate(gamma, m, rows, images) for images in itertools.product(*choices))
+    return tuple(sorted(v for v in found if v is not None))
+
+
+def _identity_rows(gamma: FiniteGroup, m: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    return (tuple(m.elements),) * gamma.order
 
 
 def hom_from_generator_images(
@@ -407,7 +434,7 @@ def hom_from_generator_images(
     for y in images:
         if not 0 <= y < tgt.order:
             raise ValidationError(f"generator image {y} outside 0..{tgt.order - 1}")
-    m = _map_from_generator_images(src, tgt, list(images))
+    m = _propagate(src, tgt, _identity_rows(src, tgt), images)
     if m is None:
         raise NotAHomomorphism(
             f"generator images {tuple(images)} do not extend to a homomorphism"
@@ -419,20 +446,10 @@ def hom_from_generator_images(
 def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
     """Every homomorphism src -> tgt, sorted lexicographically by image tuple.
 
-    Candidates are generator-image assignments in which each image's order
-    divides its generator's; each is verified on all pairs.
+    A homomorphism is a derivation for the trivial action, so this is the
+    cocycle search with identity rows.
     """
-    gens = generating_set(src)
-    choices = []
-    for g in gens:
-        k = element_order(src, g)
-        choices.append([y for y in tgt.elements if _power(tgt, y, k) == tgt.identity])
-    found = []
-    for images in itertools.product(*choices):
-        m = _map_from_generator_images(src, tgt, images)
-        if m is not None:
-            found.append(m)
-    found.sort()
+    found = _derivation_search(src, tgt, _identity_rows(src, tgt))
     return tuple(GroupHom(src, tgt, m) for m in found)
 
 
@@ -658,6 +675,14 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     return quot, proj
 
 
+def _coset_representatives(proj: GroupHom) -> Tuple[int, ...]:
+    """The least preimage of each target element under a surjection."""
+    reps = {}
+    for x in proj.source.elements:
+        reps.setdefault(proj.map[x], x)
+    return tuple(reps[y] for y in proj.target.elements)
+
+
 def _subgroup_lattice(group: FiniteGroup, allowed: frozenset) -> Tuple[Tuple[int, ...], ...]:
     """All subgroups whose elements stay inside ``allowed``, as element tuples."""
     found = {frozenset([group.identity])}
@@ -720,6 +745,30 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
     return group_from_table(table, label=label), auts
 
 
+def _orbit_partition(
+    points: Sequence[Tuple[int, ...]],
+    moves: Callable[[Tuple[int, ...]], Iterable[Tuple[int, ...]]],
+) -> Tuple[Tuple[int, ...], ...]:
+    """Partition points by the images ``moves`` gives for each point.
+
+    Images that are not points are ignored.  The moves must come from a
+    group action for this to be an equivalence; classes are returned as
+    sorted index tuples, ordered by least member.
+    """
+    index = {p: i for i, p in enumerate(points)}
+    seen = set()
+    classes = []
+    for i, p in enumerate(points):
+        if i in seen:
+            continue
+        # an image that is not a point falls back to i, a member anyway
+        members = {index.get(q, i) for q in moves(p)}
+        members.add(i)
+        seen |= members
+        classes.append(tuple(sorted(members)))
+    return tuple(classes)
+
+
 def partition_by_conjugation(
     homs: Sequence[GroupHom], conjugators: Iterable[int]
 ) -> Tuple[Tuple[int, ...], ...]:
@@ -732,20 +781,8 @@ def partition_by_conjugation(
     if not homs:
         return ()
     tgt = homs[0].target
-    index = {h.map: i for i, h in enumerate(homs)}
     conjs = tuple(conjugators)
-    seen = set()
-    classes = []
-    for i, h in enumerate(homs):
-        if i in seen:
-            continue
-        members = set()
-        for c in conjs:
-            moved = tuple(tgt.conj(c, v) for v in h.map)
-            j = index.get(moved)
-            if j is not None:
-                members.add(j)
-        members.add(i)
-        seen |= members
-        classes.append(tuple(sorted(members)))
-    return tuple(classes)
+    return _orbit_partition(
+        [h.map for h in homs],
+        lambda m: (tuple(tgt.conj(c, v) for v in m) for c in conjs),
+    )

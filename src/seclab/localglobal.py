@@ -24,12 +24,13 @@ from .cohomology import (
     pullback_coefficients,
     restrict_into,
 )
-from .errors import IncompatibleTower, NotASection, ValidationError
+from .errors import IncompatibleTower, InvariantViolation, NotASection, ValidationError
 from .extensions import Extension, enumerate_sections
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _coset_representatives,
     all_normal_subgroups,
     all_normal_subgroups_between,
     compose,
@@ -171,7 +172,7 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
             thetas.append(GroupHom(gi, gprime, new_map))
     out = LocalFamily(gprime, tuple(thetas))
     if check_density(family) and not check_density(out):
-        raise AssertionError("transport lost density; the covering argument is broken")
+        raise InvariantViolation("transport lost density; the covering argument is broken")
     return out
 
 
@@ -201,6 +202,19 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
 # properties (b) and (c)
 
 
+def _conjugator(
+    u: GroupHom, theta: GroupHom, t: GroupHom, ambient: FiniteGroup, pool: Iterable[int]
+) -> Optional[int]:
+    """The first e in ``pool`` with ``u(theta(x)) = e t(x) e^-1`` for all x."""
+    for e in pool:
+        if all(
+            u.map[theta.map[x]] == ambient.conj(e, t.map[x])
+            for x in theta.source.elements
+        ):
+            return e
+    return None
+
+
 def _interpolates(
     u: GroupHom,
     thetas: Sequence[GroupHom],
@@ -209,18 +223,10 @@ def _interpolates(
     conjugators: Optional[Sequence[int]] = None,
 ) -> bool:
     pool = ambient.elements if conjugators is None else conjugators
-    for theta, t in zip(thetas, locs):
-        hit = False
-        for e in pool:
-            if all(
-                u.map[theta.map[x]] == ambient.conj(e, t.map[x])
-                for x in theta.source.elements
-            ):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    return all(
+        _conjugator(u, theta, t, ambient, pool) is not None
+        for theta, t in zip(thetas, locs)
+    )
 
 
 def interpolating_homs(ls: LocalSections) -> Iterator[GroupHom]:
@@ -296,18 +302,12 @@ def _kernel_quotient_entries(ext: Extension, s0: GroupHom) -> Tuple[CorpusEntry,
     for v in all_normal_subgroups_between(a_sub, ext.E):
         v_in_a = subgroup(a_grp, (back[e] for e in v.elements))
         quot, qmap = quotient(a_grp, v_in_a)
-        reps = {}
-        for x in a_grp.elements:
-            reps.setdefault(qmap.map[x], x)
-        rows = []
-        for g in ext.Gamma.elements:
-            cg = s0.map[g]
-            row = tuple(
-                qmap.map[back[ext.E.conj(cg, incl.map[reps[y]])]]
-                for y in quot.elements
-            )
-            rows.append(row)
-        coeff = GammaGroup(ext.Gamma, quot, tuple(rows))
+        reps = _coset_representatives(qmap)
+        rows = tuple(
+            tuple(qmap.map[back[ext.E.conj(s0.map[g], incl.map[r])]] for r in reps)
+            for g in ext.Gamma.elements
+        )
+        coeff = GammaGroup(ext.Gamma, quot, rows)
         if coeff in seen:
             continue
         seen.add(coeff)
@@ -538,31 +538,24 @@ def interpolating_section_from_hom(
     phi_inv = inverse_hom(phi)
     s = compose(u, phi_inv)
     if not ext.is_section(s):
-        raise AssertionError("constructed map is not a section")
+        raise InvariantViolation("constructed map is not a section")
     gam, mid = ext.Gamma, ext.E
     kernel_elements = set(ext.iota.map)
     conjugators = []
     for theta, t in zip(ls.family.thetas, ls.sections):
-        gamma_i = None
-        for e in mid.elements:
-            if all(
-                u.map[theta.map[x]] == mid.conj(e, t.map[x])
-                for x in theta.source.elements
-            ):
-                gamma_i = e
-                break
+        gamma_i = _conjugator(u, theta, t, mid, mid.elements)
         if gamma_i is None:
             raise ValidationError("the homomorphism does not interpolate a local section")
         sigma_i = ext.pi.map[gamma_i]
         tau_i = phi_inv.map[gam.inv(sigma_i)]
         c_i = mid.mul(u.map[tau_i], gamma_i)
         if c_i not in kernel_elements:
-            raise AssertionError(f"conjugator {c_i} escapes the embedded kernel")
+            raise InvariantViolation(f"conjugator {c_i} escapes the embedded kernel")
         if any(
             s.map[theta.map[x]] != mid.conj(c_i, t.map[x])
             for x in theta.source.elements
         ):
-            raise AssertionError("re-validation of the constructed conjugator failed")
+            raise InvariantViolation("re-validation of the constructed conjugator failed")
         conjugators.append(c_i)
     return s, tuple(conjugators)
 
@@ -597,23 +590,10 @@ def pushout_tower(
         smaller, q = pushout(ext, sub)
         levels.append(smaller)
         quots.append(q)
-    maps = []
-    for i in range(len(levels) - 1):
-        upper = quots[i - 1] if i > 0 else None
-        lower = quots[i]
-        if upper is None:
-            maps.append(lower)
-        else:
-            reps = {}
-            for x in upper.source.elements:
-                reps.setdefault(upper.map[x], x)
-            maps.append(
-                GroupHom(
-                    upper.target,
-                    lower.target,
-                    tuple(lower.map[reps[y]] for y in upper.target.elements),
-                )
-            )
+    maps = quots[:1]
+    for upper, lower in zip(quots, quots[1:]):
+        reps = _coset_representatives(upper)
+        maps.append(GroupHom(upper.target, lower.target, tuple(lower.map[r] for r in reps)))
     return tuple(levels), tuple(maps)
 
 
@@ -667,7 +647,7 @@ def tower_limit_sections(
     for j, q in enumerate(maps):
         nxt = compose(q, chain[-1])
         if nxt.map not in {w.map for w in witness_sets[j + 1]}:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"pushed witness fell outside level {j + 1}'s witness set"
             )
         chain.append(nxt)

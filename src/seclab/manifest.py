@@ -357,6 +357,8 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
         key, value = tok.split("=", 1)
         if key not in _JOB_OPTIONS[command]:
             raise _fail(line_no, f"job {command!r} takes no option {key!r}")
+        if any(k == key for k, _ in options):
+            raise _fail(line_no, f"option {key!r} given twice")
         options.append((key, value))
     return Job(line_no, command, variant, target, tuple(options))
 
@@ -689,6 +691,7 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
     the preset catalog and seeded generators.
     """
     from .catalog import (
+        _class_representative_family,
         preset_groups,
         seeded_instances,
         seeded_transport_pairs,
@@ -731,7 +734,7 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
             b.add_job("h1", cname)
         coeff2 = constant_coefficients(s3, cyclic_group(2))
         reps = h1(coeff2).representatives
-        fam = _class_family(s3, b)
+        fam = b.add_family(_class_representative_family(s3))
         alpha = reps[-1]
         b.add_job(
             "fibre",
@@ -761,14 +764,3 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
         b.add_job("pushout", b.add_extension(ext), gens="1")
 
     return b.text()
-
-
-def _class_family(gamma: FiniteGroup, b: ManifestBuilder) -> str:
-    from .groups import conjugacy_classes, subgroup_as_group, subgroup_generated
-
-    thetas = []
-    for cls in conjugacy_classes(gamma):
-        sub = subgroup_generated(gamma, [cls[0]])
-        g_i, inc = subgroup_as_group(sub)
-        thetas.append(GroupHom(g_i, gamma, inc.map))
-    return b.add_family(LocalFamily(gamma, tuple(thetas)))

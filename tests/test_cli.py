@@ -84,3 +84,12 @@ def test_stdin_manifest(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(SMALL))
     assert main(["run", "-", "--no-timing"]) == 0
     assert "sections: 2" in capsys.readouterr().out
+
+
+def test_broken_invariant_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("seclab.catalog.check_density", lambda family: False)
+    assert main(["gen", "--max-order=8", "--seed=2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal invariant broken: ")
+    assert "failed to cover" in captured.err

@@ -237,6 +237,11 @@ family F C2 {
         ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [-1]\n", 2, "generator image -1"),
         (V4_OVER_C2 + "job pushout ext gens=5\n", 17, "generator 5"),
         (FIBRE_BASE + "job fibre F coeff=M alpha=0,5\n", 10, "cocycle value 5"),
+        (
+            "group G table [[0,1],[1,0]]\njob jordan G gens=0 gens=1\n",
+            2,
+            "option 'gens' given twice",
+        ),
     ],
     ids=[
         "string-entry",
@@ -248,6 +253,7 @@ family F C2 {
         "hom-image-negative",
         "pushout",
         "fibre",
+        "repeated-option",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
