@@ -30,7 +30,10 @@ from .groups import (
     _derivation_search,
     _identity_rows,
     _orbit_partition,
+    _product_failure,
+    _trusted,
     enumerate_homs,
+    generating_set,
     image,
     kernel,
     partition_by_conjugation,
@@ -70,6 +73,11 @@ class GammaGroup:
     ``action[g]`` is the image tuple of the automorphism attached to g.  An
     optional ``embed`` records how M sits inside an ambient group when the
     coefficients came from a subgroup by conjugation; twisting lifts needs it.
+
+    Every row must be a permutation.  The rows of gamma's generators must be
+    automorphisms, and ``action[x*g]`` must be ``action[x]`` after
+    ``action[g]`` for every x and generator g.  Those laws make every other
+    row a composite of generator rows, and so an automorphism too.
     """
 
     gamma: FiniteGroup
@@ -82,26 +90,25 @@ class GammaGroup:
             raise NotAnAction(
                 f"action has {len(self.action)} rows for a group of order {self.gamma.order}"
             )
-        m = self.M
-        for g, row in enumerate(self.action):
+        m, action = self.M, self.action
+        for g, row in enumerate(action):
             if len(row) != m.order or sorted(row) != list(range(m.order)):
                 raise NotAnAction(f"row for {g} is not a permutation of the coefficients")
-            for a in m.elements:
-                for b in m.elements:
-                    if row[m.mul(a, b)] != m.mul(row[a], row[b]):
-                        raise NotAnAction(
-                            f"element {g} does not act by an automorphism: "
-                            f"breaks at {a}*{b}"
-                        )
-        ident = tuple(m.elements)
-        if self.action[self.gamma.identity] != ident:
+        gens = generating_set(self.gamma)
+        for g in gens:
+            broken = _product_failure(m, m, action[g])
+            if broken is not None:
+                raise NotAnAction(
+                    f"element {g} does not act by an automorphism: "
+                    f"breaks at {broken[0]}*{broken[1]}"
+                )
+        if action[self.gamma.identity] != tuple(m.elements):
             raise NotAnAction("identity of gamma must act trivially")
-        for g in self.gamma.elements:
-            for h in self.gamma.elements:
-                gh = self.gamma.mul(g, h)
-                composed = tuple(self.action[g][self.action[h][x]] for x in m.elements)
-                if self.action[gh] != composed:
-                    raise NotAnAction(f"action rows for {g}*{h} do not compose")
+        for g in gens:
+            grow = action[g]
+            for x, xrow in enumerate(action):
+                if action[self.gamma.mul(x, g)] != tuple(map(xrow.__getitem__, grow)):
+                    raise NotAnAction(f"action rows for {x}*{g} do not compose")
         if self.embed is not None and self.embed.source != m:
             raise ValidationError("embed must have the coefficient group as source")
 
@@ -186,9 +193,9 @@ def trivial_cocycle(coeff: GammaGroup) -> Cocycle:
 
 def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int) -> Tuple[int, ...]:
     """b_s = c^-1 * a_s * s(c)."""
-    m, act = coeff.M, coeff.action
-    ci = m.inv(c)
-    return tuple(m.mul(ci, m.mul(values[s], act[s][c])) for s in coeff.gamma.elements)
+    mt = coeff.M.table
+    left = mt[coeff.M.inverse[c]]
+    return tuple(left[mt[v][row[c]]] for v, row in zip(values, coeff.action))
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +203,10 @@ def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     """Every cocycle, sorted lexicographically by value tuple.
 
     Candidates are generator assignments propagated along a fixed derivation
-    of gamma, then verified on all pairs.
+    of gamma, then verified on all pairs; the search's check is the only one.
     """
     found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
-    return tuple(Cocycle(coeff, v) for v in found)
+    return tuple(_trusted(Cocycle, coeff, v) for v in found)
 
 
 def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:

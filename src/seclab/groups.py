@@ -2,15 +2,21 @@
 
 Elements of a group of order n are the integers 0..n-1; the whole structure
 is the n-by-n table.  Permutation input is converted to a table at the
-boundary.  Constructors validate exhaustively and raise the errors from
-:mod:`seclab.errors` with explicit witnesses; speed is second to that.
+boundary.  Constructors validate their input completely and raise the
+errors from :mod:`seclab.errors` with explicit witnesses, but they check a
+law on generators wherever that decides it: a table's associativity by
+Light's test, a homomorphism's products, a subgroup's closure.  The
+elements that pass such a check are closed under products, so the
+generators decide it.  Search output is verified by the search itself and
+not checked a second time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -121,8 +127,13 @@ def group_from_table(
     """Validate a multiplication table and wrap it as a :class:`FiniteGroup`.
 
     Checks, in order: shape (a list of lists of ints), entry range, a
-    two-sided identity, associativity on every triple, and a two-sided
-    inverse for every element.
+    two-sided identity, associativity, and a two-sided inverse for every
+    element.  Associativity is Light's test (Clifford & Preston, vol. 1,
+    §1.2): ``(a*b)*c = a*(b*c)`` for every a and c but only for b in a
+    set S that generates the table.  The b that pass for all a and c are
+    closed under products and include the identity, so they are every
+    element once they include S.  S comes from :func:`_greedy_generators`,
+    so the test costs O(n²·|S|) with |S| <= log2(n) for a group.
     """
     if not isinstance(table, (list, tuple)):
         raise ValidationError(f"table must be a list of rows, not {table!r}")
@@ -148,25 +159,75 @@ def group_from_table(
             break
     if identity is None:
         raise NoIdentity(f"no two-sided identity among {n} elements")
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise NotAssociative(
-                        f"({a}*{b})*{c} = {rows[ab][c]} but {a}*({b}*{c}) = {rows[a][rows[b][c]]}"
-                    )
+    gens, _ = _greedy_generators(rows, identity, range(n))
+    for b in gens:
+        rb = rows[b]
+        right = itemgetter(*rb)  # right(ra)[c] is a*(b*c); n > 1 here, so a tuple
+        for a in range(n):
+            ra = rows[a]
+            left = rows[ra[b]]
+            if left != right(ra):
+                c = next(c for c in range(n) if left[c] != ra[rb[c]])
+                raise NotAssociative(
+                    f"({a}*{b})*{c} = {left[c]} but {a}*({b}*{c}) = {ra[rb[c]]}"
+                )
     inverse = []
     for g in range(n):
-        inv = None
-        for h in range(n):
-            if rows[g][h] == identity and rows[h][g] == identity:
-                inv = h
-                break
-        if inv is None:
+        # in a finite monoid a one-sided inverse is two-sided and unique
+        inv = rows[g].index(identity) if identity in rows[g] else None
+        if inv is None or rows[inv][g] != identity:
             raise NoInverse(f"element {g} has no two-sided inverse")
         inverse.append(inv)
     return FiniteGroup(rows, identity, tuple(inverse), label)
+
+
+def _close_elements(
+    table: Sequence[Sequence[int]], identity: int, seed: Iterable[int]
+) -> frozenset:
+    """Everything reached from the identity by right multiplication with
+    seed elements: for a group, the subgroup the seed generates.
+
+    Costs O(|closure|·|seed|).  Only products are taken, so it also serves
+    tables not yet known to be groups.
+    """
+    gens = tuple(seed)
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                z = row[g]
+                if z not in elems:
+                    elems.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def _greedy_generators(
+    table: Sequence[Sequence[int]],
+    identity: int,
+    elements: Iterable[int],
+    within: Optional[frozenset] = None,
+) -> Tuple[list, frozenset]:
+    """Generators taken from ``elements`` in order, each one that is not yet
+    in the span of those before it; returned with their span.
+
+    For a group each one at least doubles the span, so there are at most
+    log2(order) of them.  Given ``within``, stops as soon as the span
+    leaves it.
+    """
+    gens: list[int] = []
+    span = frozenset([identity])
+    for x in elements:
+        if x not in span:
+            gens.append(x)
+            span = _close_elements(table, identity, gens)
+            if within is not None and not span <= within:
+                break
+    return gens, span
 
 
 def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -193,6 +254,8 @@ def group_from_permutations(
     (a tuple indexed by element).  Elements are sorted lexicographically as
     permutation tuples, which places the identity at index 0.
     """
+    if degree < 0:
+        raise ValidationError(f"degree {degree} is negative")
     idp = tuple(range(degree))
     gens = [_check_permutation(p, degree) for p in generators]
     seen = {idp}
@@ -255,23 +318,6 @@ def element_order(group: FiniteGroup, g: int) -> int:
     return k
 
 
-def _close_elements(group: FiniteGroup, seed: Iterable[int]) -> frozenset:
-    """Closure of a seed set (plus identity) under multiplication."""
-    elems = set(seed)
-    elems.add(group.identity)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(elems):
-                for z in (group.mul(x, y), group.mul(y, x)):
-                    if z not in elems:
-                        elems.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return frozenset(elems)
-
-
 @lru_cache(maxsize=None)
 def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
     """A small generating set, chosen greedily for maximal span growth.
@@ -285,7 +331,7 @@ def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
         for g in group.elements:
             if g in span:
                 continue
-            cand = _close_elements(group, span | {g})
+            cand = _close_elements(group.table, group.identity, (*gens, g))
             if best_span is None or len(cand) > len(best_span):
                 best_g, best_span = g, cand
         gens.append(best_g)
@@ -318,7 +364,9 @@ class GroupHom:
     """A homomorphism stored as the full image tuple ``map[x]``.
 
     Validated on construction: identity goes to identity and every product
-    is preserved.
+    is preserved.  Products are checked as ``f(a*g) = f(a)*f(g)`` for every
+    a and each generator g of the source; the b with ``f(a*b) = f(a)*f(b)``
+    for all a are closed under products, so that decides every pair.
     """
 
     source: FiniteGroup
@@ -338,19 +386,50 @@ class GroupHom:
             raise NotAHomomorphism(
                 f"identity {self.source.identity} maps to {m[self.source.identity]}, not the identity"
             )
-        for a in self.source.elements:
-            for b in self.source.elements:
-                if m[self.source.mul(a, b)] != self.target.mul(m[a], m[b]):
-                    raise NotAHomomorphism(
-                        f"f({a}*{b}) = {m[self.source.mul(a, b)]} but f({a})*f({b}) = "
-                        f"{self.target.mul(m[a], m[b])}"
-                    )
+        broken = _product_failure(self.source, self.target, m)
+        if broken is not None:
+            a, g = broken
+            raise NotAHomomorphism(
+                f"f({a}*{g}) = {m[self.source.mul(a, g)]} but f({a})*f({g}) = "
+                f"{self.target.mul(m[a], m[g])}"
+            )
 
     def __call__(self, x: int) -> int:
         return self.map[x]
 
     def __repr__(self) -> str:
         return f"<hom {self.source.label or '?'} -> {self.target.label or '?'}: {self.map}>"
+
+
+def _product_failure(
+    src: FiniteGroup, tgt: FiniteGroup, m: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """A pair ``(a, g)``, g a generator of src, with ``m[a*g] != m[a]*m[g]``.
+
+    None means m preserves every product: the b with ``m[a*b] = m[a]*m[b]``
+    for all a are closed under products, so once they include the
+    generators they are all of src.  (They then include the identity, so m
+    fixes it, except when src is trivial and has no generators to try.)
+    """
+    tt = tgt.table
+    for g in generating_set(src):
+        mg = m[g]
+        for a, row in enumerate(src.table):
+            if m[row[g]] != tt[m[a]][mg]:
+                return a, g
+    return None
+
+
+def _trusted(cls: type, *values: object):
+    """An instance of a validated dataclass built without its check.
+
+    Only for values a search has already verified in full, such as the
+    output of :func:`_propagate`.
+    """
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
@@ -374,7 +453,9 @@ def _propagate(
     """Extend generator values along the derivation by ``a_{xg} = a_x * x(a_g)``.
 
     ``rows[x]`` is the image tuple of x acting on m.  Returns the value
-    tuple when ``a_{st} = a_s * s(a_t)`` holds on all pairs, else None.
+    tuple when ``a_{st} = a_s * s(a_t)`` holds on all pairs, else None.  A
+    returned tuple has the identity at the identity and every value drawn
+    from m, so it needs no further check (see :func:`_trusted`).
     """
     order, parent = _derivation(gamma)
     mt = m.table
@@ -439,7 +520,7 @@ def hom_from_generator_images(
         raise NotAHomomorphism(
             f"generator images {tuple(images)} do not extend to a homomorphism"
         )
-    return GroupHom(src, tgt, m)
+    return _trusted(GroupHom, src, tgt, m)
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +531,7 @@ def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
     cocycle search with identity rows.
     """
     found = _derivation_search(src, tgt, _identity_rows(src, tgt))
-    return tuple(GroupHom(src, tgt, m) for m in found)
+    return tuple(_trusted(GroupHom, src, tgt, m) for m in found)
 
 
 def kernel(hom: GroupHom) -> "Subgroup":
@@ -489,7 +570,13 @@ def inverse_hom(hom: GroupHom) -> GroupHom:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup: a sorted element tuple inside a parent group."""
+    """A validated subgroup: a sorted element tuple inside a parent group.
+
+    Closure is checked on generators: the span of greedy generators
+    (:func:`_greedy_generators`) must stay inside the element set.  A
+    finite set with the identity that is closed under products holds every
+    inverse too.
+    """
 
     parent: FiniteGroup
     elements: Tuple[int, ...]
@@ -498,18 +585,20 @@ class Subgroup:
         elems = self.elements
         if tuple(sorted(set(elems))) != elems:
             raise NotASubgroup(f"element list {elems} is not sorted and duplicate-free")
-        eset = set(elems)
+        eset = frozenset(elems)
         for g in elems:
             if not (0 <= g < self.parent.order):
                 raise NotASubgroup(f"element {g} outside parent of order {self.parent.order}")
-        if self.parent.identity not in eset:
-            raise NotASubgroup(f"identity {self.parent.identity} missing from {elems}")
-        for a in elems:
-            if self.parent.inverse[a] not in eset:
-                raise NotASubgroup(f"inverse of {a} missing from {elems}")
-            for b in elems:
-                if self.parent.mul(a, b) not in eset:
-                    raise NotASubgroup(f"product {a}*{b} = {self.parent.mul(a, b)} escapes {elems}")
+        e, table = self.parent.identity, self.parent.table
+        if e not in eset:
+            raise NotASubgroup(f"identity {e} missing from {elems}")
+        gens, span = _greedy_generators(table, e, elems, within=eset)
+        if not span <= eset:
+            # the span is reached from e by steps a -> a*g, so one step leaves
+            a, g = next(
+                (a, g) for a in sorted(span & eset) for g in gens if table[a][g] not in eset
+            )
+            raise NotASubgroup(f"product {a}*{g} = {table[a][g]} escapes {elems}")
 
     @property
     def order(self) -> int:
@@ -527,7 +616,11 @@ def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 
 def subgroup_generated(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    return Subgroup(parent, tuple(sorted(_close_elements(parent, gens))))
+    gens = tuple(gens)
+    for g in gens:
+        if not (0 <= g < parent.order):
+            raise NotASubgroup(f"element {g} outside parent of order {parent.order}")
+    return Subgroup(parent, tuple(sorted(_close_elements(parent.table, parent.identity, gens))))
 
 
 def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
@@ -684,17 +777,22 @@ def _coset_representatives(proj: GroupHom) -> Tuple[int, ...]:
 
 
 def _subgroup_lattice(group: FiniteGroup, allowed: frozenset) -> Tuple[Tuple[int, ...], ...]:
-    """All subgroups whose elements stay inside ``allowed``, as element tuples."""
-    found = {frozenset([group.identity])}
-    frontier = [frozenset([group.identity])]
+    """All subgroups whose elements stay inside ``allowed``, as element tuples.
+
+    Each subgroup found is kept with the generators that reached it, and
+    grows by closing those generators plus one more element.
+    """
+    trivial = frozenset([group.identity])
+    found = {trivial}
+    frontier = [((), trivial)]
     while frontier:
         nxt = []
-        for base in frontier:
+        for gens, base in frontier:
             for g in sorted(allowed - base):
-                grown = _close_elements(group, base | {g})
+                grown = _close_elements(group.table, group.identity, (*gens, g))
                 if grown <= allowed and grown not in found:
                     found.add(grown)
-                    nxt.append(grown)
+                    nxt.append(((*gens, g), grown))
         frontier = nxt
     return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 

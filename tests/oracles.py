@@ -161,3 +161,64 @@ def oracle_interpolating_homs(gamma_table, e_table, theta_maps, section_maps):
             continue
         out.append(u)
     return out
+
+
+def oracle_is_group(table):
+    """Square table of in-range ints with an identity, associative on every
+    triple, and a two-sided inverse for every element."""
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return False
+    if any(type(v) is not int or not 0 <= v < n for row in table for v in row):
+        return False
+    ids = [e for e in range(n) if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+    if not ids:
+        return False
+    e = ids[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return False
+    return all(any(table[g][h] == e and table[h][g] == e for h in range(n)) for g in range(n))
+
+
+def oracle_is_hom(src, tgt, f):
+    """f preserves every product (which forces identity to identity)."""
+    n, m = len(src), len(tgt)
+    if len(f) != n or any(not 0 <= v < m for v in f):
+        return False
+    return all(f[src[a][b]] == tgt[f[a]][f[b]] for a in range(n) for b in range(n))
+
+
+def oracle_is_action(gamma, m_table, action):
+    """Every row an automorphism, the identity acting trivially, and rows
+    composing on every pair."""
+    n, m = len(gamma), len(m_table)
+    if len(action) != n:
+        return False
+    for row in action:
+        if sorted(row) != list(range(m)) or not oracle_is_hom(m_table, m_table, row):
+            return False
+    if tuple(action[oracle_identity(gamma)]) != tuple(range(m)):
+        return False
+    return all(
+        tuple(action[gamma[g][h]]) == tuple(action[g][action[h][x]] for x in range(m))
+        for g in range(n)
+        for h in range(n)
+    )
+
+
+def oracle_is_subgroup(table, elements):
+    """A sorted, duplicate-free, in-range set holding the identity, every
+    product of two members and every inverse."""
+    n = len(table)
+    elems = set(elements)
+    if list(elements) != sorted(elems) or any(not 0 <= g < n for g in elems):
+        return False
+    e = oracle_identity(table)
+    if e not in elems:
+        return False
+    if any(table[a][b] not in elems for a in elems for b in elems):
+        return False
+    return all(any(table[g][h] == e for h in elems) for g in elems)

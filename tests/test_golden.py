@@ -7,6 +7,7 @@ shows up here.  Regenerate them only for a deliberate behaviour change.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,17 @@ def test_generated_corpus_and_reports_match_golden(seed, capsys):
     for fmt, suffix in (("text", ".text"), ("structured", ".json")):
         assert main(["run", str(manifest), "--no-timing", "--format", fmt]) == 0
         assert capsys.readouterr().out == stem.with_suffix(suffix).read_text(), (seed, fmt)
+
+
+def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
+    """Tables up to order 64, validated by Light's test.  The 400 KB
+    manifest is kept only as its SHA-256; its structured report in full."""
+    stem = GOLDEN / "gen-max64-seed20260823"
+    assert main(["gen", "--max-order", "64", "--seed", "20260823"]) == 0
+    text = capsys.readouterr().out
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == stem.with_suffix(".manifest.sha256").read_text().split()[0]
+    manifest = tmp_path / "corpus.manifest"
+    manifest.write_text(text)
+    assert main(["run", str(manifest), "--no-timing", "--format", "structured"]) == 0
+    assert capsys.readouterr().out == stem.with_suffix(".json").read_text()

@@ -212,6 +212,9 @@ def test_subgroup_generated():
     assert subgroup_generated(grp, [3]).elements == (0, 3, 4)
     assert subgroup_generated(grp, [1, 3]).order == 6
     assert subgroup_generated(grp, []).elements == (0,)
+    for bad in (-1, 6):
+        with pytest.raises(NotASubgroup, match=f"element {bad} outside"):
+            subgroup_generated(grp, [bad])
 
 
 def test_subgroup_as_group_roundtrip():

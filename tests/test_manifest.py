@@ -242,6 +242,7 @@ family F C2 {
             2,
             "option 'gens' given twice",
         ),
+        ("group G perm -2 ()\n", 1, "degree -2 is negative"),
     ],
     ids=[
         "string-entry",
@@ -254,6 +255,7 @@ family F C2 {
         "pushout",
         "fibre",
         "repeated-option",
+        "perm-negative-degree",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_cocycles, oracle_h1_class_count, oracle_homs
+from oracles import (
+    oracle_cocycles,
+    oracle_h1_class_count,
+    oracle_homs,
+    oracle_identity,
+    oracle_is_action,
+    oracle_is_group,
+    oracle_is_hom,
+    oracle_is_subgroup,
+)
 from seclab.catalog import (
     coefficient_catalog,
     preset_extensions,
@@ -17,14 +27,24 @@ from seclab.catalog import (
     preset_names,
     seeded_instances,
 )
-from seclab.cohomology import cohomologous, enumerate_cocycles, h1
-from seclab.errors import NotAHomomorphism
+from seclab.cohomology import Cocycle, GammaGroup, cohomologous, enumerate_cocycles, h1
+from seclab.errors import (
+    NoIdentity,
+    NoInverse,
+    NotAHomomorphism,
+    NotAnAction,
+    NotASubgroup,
+    NotAssociative,
+)
 from seclab.extensions import enumerate_sections
 from seclab.groups import (
+    GroupHom,
+    Subgroup,
     all_subgroups,
     element_order,
     enumerate_homs,
     generating_set,
+    group_from_table,
     hom_from_generator_images,
     union_of_conjugates,
 )
@@ -215,3 +235,244 @@ def test_generator_images_extend_exactly_for_homs(pair):
         else:
             with pytest.raises(NotAHomomorphism):
                 hom_from_generator_images(src, tgt, images)
+
+
+# --- generator-local validators against all-pairs oracles -------------------
+#
+# Each validator checks a law on generators only.  Here it must accept
+# exactly the inputs its brute-force oracle accepts, and every rejection
+# must name a pair or triple on which the law really fails.
+
+Groups16 = st.sampled_from(preset_groups(16))
+#: Validator inputs need no total enumeration, so these pools are wider
+#: than the oracle-budgeted ones above.
+VALIDATOR_PAIRS = [(src, tgt) for src in preset_groups(12) for tgt in preset_groups(8)]
+ACTIONS = [coeff for gamma in preset_groups(12) for coeff in coefficient_catalog(gamma, 4)]
+
+
+def _draw_element(data, group):
+    """An element, drawn from the canonical generators half of the time:
+    the cases a check that skipped some generators would get wrong."""
+    gens = generating_set(group)
+    if gens and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(gens))
+    return data.draw(st.integers(0, group.order - 1))
+
+
+def _ints(pattern, err):
+    found = re.search(pattern, str(err))
+    assert found, f"no witness in {err}"
+    return [int(x) for x in found.groups()]
+
+
+def _check_table_rejection(table, err):
+    n = len(table)
+    if isinstance(err, NotAssociative):
+        a, b, c = _ints(r"\((\d+)\*(\d+)\)\*(\d+) = ", err)
+        assert table[table[a][b]][c] != table[a][table[b][c]], err
+    elif isinstance(err, NoIdentity):
+        assert not any(
+            all(table[e][g] == g and table[g][e] == g for g in range(n)) for e in range(n)
+        ), err
+    else:
+        assert isinstance(err, NoInverse), err
+        (g,) = _ints(r"element (\d+) has no", err)
+        e = oracle_identity(table)
+        assert not any(table[g][h] == e and table[h][g] == e for h in range(n)), err
+
+
+def _validate_table(table):
+    try:
+        group_from_table(table)
+    except (NoIdentity, NotAssociative, NoInverse) as err:
+        _check_table_rejection(table, err)
+        return False
+    return True
+
+
+@given(Groups16, st.data())
+@settings(deadline=None)
+def test_light_test_matches_the_all_triples_oracle(group, data):
+    """
+    A preset table, relabelled, is accepted; a copy with one entry changed
+    is judged as the all-triples oracle judges it.
+    """
+    n = group.order
+    perm = data.draw(st.permutations(range(n)))
+    back = {p: i for i, p in enumerate(perm)}
+    relabelled = [[back[group.table[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
+    assert oracle_is_group(relabelled) and _validate_table(relabelled)
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    changed = [list(row) for row in relabelled]
+    changed[a][b] = data.draw(st.integers(0, n - 1))
+    assert _validate_table(changed) == oracle_is_group(changed)
+
+
+@st.composite
+def _small_magmas(draw):
+    """Tables of order 1-4 with identity 0 and free entries elsewhere:
+    groups, monoids that are not groups, and non-associative tables."""
+    n = draw(st.integers(1, 4))
+    table = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
+    for a in range(1, n):
+        for b in range(1, n):
+            table[a][b] = draw(st.integers(0, n - 1))
+    return table
+
+
+@given(_small_magmas())
+@settings(deadline=None, max_examples=300)
+def test_light_test_matches_the_oracle_on_small_magmas(table):
+    """
+    On tables with an identity, Light's test decides associativity and
+    the inverse check groups, exactly as total enumeration does.
+    """
+    assert _validate_table(table) == oracle_is_group(table)
+
+
+def _validate_hom(src, tgt, f):
+    try:
+        GroupHom(src, tgt, tuple(f))
+    except NotAHomomorphism as err:
+        if "not the identity" in str(err):
+            assert f[src.identity] != tgt.identity, err
+        else:
+            a, b = _ints(r"f\((\d+)\*(\d+)\) = ", err)
+            assert f[src.mul(a, b)] != tgt.mul(f[a], f[b]), err
+        return False
+    return True
+
+
+def _cyclic_coset(group, x, g):
+    """The left coset x<g>."""
+    coset, power = [], group.identity
+    while True:
+        coset.append(group.mul(x, power))
+        power = group.mul(power, g)
+        if power == group.identity:
+            return coset
+
+
+@given(st.sampled_from(VALIDATOR_PAIRS), st.data())
+@settings(deadline=None, max_examples=300)
+def test_hom_validator_matches_the_all_pairs_oracle(pair, data):
+    """
+    An enumerated hom is accepted.  A copy with one image changed, or with
+    the images on one left coset x<g> multiplied by one target element, is
+    judged as the all-pairs oracle judges it.  The coset copy keeps
+    ``f(a*g) = f(a)*f(g)`` for every a, so a check that tried only some
+    generators could pass it.
+    """
+    src, tgt = pair
+    f = list(data.draw(st.sampled_from(enumerate_homs(src, tgt))).map)
+    assert _validate_hom(src, tgt, f)
+    n, m = src.order, tgt.order
+    if data.draw(st.booleans()):
+        f[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, m - 1))
+    else:
+        x, g, t = data.draw(st.integers(0, n - 1)), _draw_element(data, src), data.draw(
+            st.integers(0, m - 1)
+        )
+        for y in _cyclic_coset(src, x, g):
+            f[y] = tgt.mul(t, f[y])
+    assert _validate_hom(src, tgt, f) == oracle_is_hom(src.table, tgt.table, f)
+
+
+def _validate_action(gamma, m, action):
+    try:
+        GammaGroup(gamma, m, action)
+    except NotAnAction as err:
+        text = str(err)
+        if "not a permutation" in text:
+            (g,) = _ints(r"row for (\d+) ", err)
+            assert sorted(action[g]) != list(m.elements), err
+        elif "automorphism" in text:
+            g, a, b = _ints(r"element (\d+) does not .* breaks at (\d+)\*(\d+)", err)
+            row = action[g]
+            assert row[m.mul(a, b)] != m.mul(row[a], row[b]), err
+        elif "trivially" in text:
+            assert action[gamma.identity] != tuple(m.elements), err
+        else:
+            x, g = _ints(r"rows for (\d+)\*(\d+) do not compose", err)
+            composed = tuple(action[x][action[g][y]] for y in m.elements)
+            assert action[gamma.mul(x, g)] != composed, err
+        return False
+    return True
+
+
+@given(st.sampled_from(ACTIONS), st.data())
+@settings(deadline=None, max_examples=300)
+def test_action_validator_matches_the_all_pairs_oracle(coeff, data):
+    """
+    A catalog action is accepted.  A copy with two entries of one row
+    swapped, one row replaced by another row, or the rows on one left
+    coset x<g> composed after another row, is judged as the oracle judges
+    it.  The coset copy still composes with g.
+    """
+    gamma, m = coeff.gamma, coeff.M
+    assert _validate_action(gamma, m, coeff.action)
+    rows = [list(row) for row in coeff.action]
+    n = gamma.order
+    g = _draw_element(data, gamma)
+    how = data.draw(st.sampled_from(("swap", "row", "coset")))
+    if how == "swap":
+        i, j = data.draw(st.integers(0, m.order - 1)), data.draw(st.integers(0, m.order - 1))
+        rows[g][i], rows[g][j] = rows[g][j], rows[g][i]
+    elif how == "row":
+        rows[g] = list(coeff.action[data.draw(st.integers(0, n - 1))])
+    else:
+        x, z = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for y in _cyclic_coset(gamma, x, g):
+            rows[y] = [coeff.action[z][v] for v in coeff.action[y]]
+    action = tuple(tuple(row) for row in rows)
+    assert _validate_action(gamma, m, action) == oracle_is_action(gamma.table, m.table, action)
+
+
+def _validate_subgroup(group, elems):
+    try:
+        Subgroup(group, elems)
+    except NotASubgroup as err:
+        if "missing" in str(err):
+            assert group.identity not in elems, err
+        else:
+            a, b, p = _ints(r"product (\d+)\*(\d+) = (\d+) escapes", err)
+            assert a in elems and b in elems and p == group.mul(a, b) and p not in elems, err
+        return False
+    return True
+
+
+@given(Groups16, st.data())
+@settings(deadline=None)
+def test_subgroup_validator_matches_the_oracle(group, data):
+    """
+    A subgroup from the lattice is accepted; a copy with one element added
+    or removed is judged as the oracle judges it.
+    """
+    sub = data.draw(st.sampled_from(all_subgroups(group))).elements
+    assert _validate_subgroup(group, sub)
+    elems = tuple(sorted(set(sub) ^ {data.draw(st.integers(0, group.order - 1))}))
+    assert _validate_subgroup(group, elems) == oracle_is_subgroup(group.table, elems)
+
+
+@given(st.sampled_from(HOM_PAIRS))
+@settings(deadline=None)
+def test_search_output_equals_validated_homs(pair):
+    """
+    Homs built by the search, unchecked, equal and hash like the same maps
+    built through the validating constructor.
+    """
+    for h in enumerate_homs(*pair):
+        checked = GroupHom(h.source, h.target, h.map)
+        assert h == checked and hash(h) == hash(checked)
+
+
+@given(st.one_of(st.sampled_from(TWISTED_SYSTEMS), st.sampled_from(SYSTEMS)))
+@settings(deadline=None)
+def test_search_output_equals_validated_cocycles(coeff):
+    """
+    Cocycles built by the search, unchecked, equal and hash like the same
+    values built through the validating constructor.
+    """
+    for a in enumerate_cocycles(coeff):
+        checked = Cocycle(coeff, a.values)
+        assert a == checked and hash(a) == hash(checked)
