@@ -282,7 +282,8 @@ def seeded_instances(
                 lifts = _lifts(theta, ext)
                 if not lifts:
                     continue
-                lift = rng.choice(lifts)
+                # cached lifts keep the source label of their first caller
+                lift = GroupHom(theta.source, ext.E, rng.choice(lifts).map)
             thetas.append(theta)
             sections.append(lift)
         out.append(

@@ -8,7 +8,7 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -55,9 +55,7 @@ __all__ = [
     "cohomologous",
     "h1",
     "inner_pullback",
-    "restrict_into",
     "restrict_class",
-    "pullback_class_coefficients",
     "pullback_class",
     "descend_class",
     "twist_coefficients",
@@ -225,12 +223,22 @@ class H1Classes:
     """The class partition of all cocycles of one coefficient system.
 
     ``classes`` holds sorted index tuples into ``cocycles``; each class is
-    represented by its lexicographically least member.
+    represented by its lexicographically least member.  ``class_by_values``
+    maps each cocycle's value tuple to its class number.
     """
 
     parent: GammaGroup
     cocycles: Tuple[Cocycle, ...]
     classes: Tuple[Tuple[int, ...], ...]
+    class_by_values: Dict[Tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        index = {
+            self.cocycles[j].values: i for i, cls in enumerate(self.classes) for j in cls
+        }
+        object.__setattr__(self, "class_by_values", index)
 
     @property
     def class_count(self) -> int:
@@ -243,11 +251,9 @@ class H1Classes:
     def class_of(self, a: Cocycle) -> int:
         if a.parent != self.parent:
             raise ValidationError("cocycle belongs to a different coefficient system")
-        pos = {co.values: i for i, co in enumerate(self.cocycles)}[a.values]
-        for i, cls in enumerate(self.classes):
-            if pos in cls:
-                return i
-        raise InvariantViolation("partition does not cover the cocycle set")
+        if a.values not in self.class_by_values:
+            raise InvariantViolation("partition does not cover the cocycle set")
+        return self.class_by_values[a.values]
 
 
 @lru_cache(maxsize=None)
@@ -282,66 +288,35 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
     return out
 
 
-def restrict_into(theta: GroupHom, a: Cocycle, pulled: GammaGroup) -> Cocycle:
-    """Restrict a cocycle along a map into gamma, given its coefficients
-    already pulled back along that map.
-
-    ``pulled`` must be ``pullback_coefficients(theta, a.parent)``; this is
-    checked by comparing action rows, so one pulled system serves every
-    cocycle restricted along the same map.
-    """
-    coeff = a.parent
-    if theta.target != coeff.gamma:
-        raise ValidationError("restriction map must land in the acting group")
-    if (
-        pulled.gamma != theta.source
-        or pulled.M != coeff.M
-        or pulled.embed != coeff.embed
-        or pulled.action != tuple(coeff.action[y] for y in theta.map)
-    ):
-        raise ValidationError("coefficients are not pulled back along the restriction map")
-    return Cocycle(pulled, tuple(a.values[y] for y in theta.map))
-
-
 def restrict_class(theta: GroupHom, a: Cocycle) -> Cocycle:
     """Pull a cocycle back along a map into gamma (coefficients pulled too)."""
     if theta.target != a.parent.gamma:
         raise ValidationError("restriction map must land in the acting group")
-    return restrict_into(theta, a, pullback_coefficients(theta, a.parent))
-
-
-def pullback_class_coefficients(
-    s: GroupHom, coeff: GammaGroup, ext: Optional["Extension"] = None
-) -> GammaGroup:
-    """The coefficients :func:`pullback_class` pulls back along ``s``.
-
-    When ``ext`` is supplied, the action is required to factor through the
-    projection, i.e. the kernel's image must act trivially; this is what
-    makes a pulled class independent of conjugating ``s`` by kernel elements.
-    """
-    if s.target != coeff.gamma:
-        raise ValidationError("pullback map must land in the acting group")
-    if ext is not None:
-        if coeff.gamma != ext.E:
-            raise ValidationError("cocycle does not live over the extension's middle group")
-        ident = tuple(coeff.M.elements)
-        for x in ext.A.elements:
-            e = ext.iota.map[x]
-            if coeff.action[e] != ident:
-                raise ActionMismatch(
-                    f"kernel element {e} acts nontrivially; the action does not "
-                    "factor through the projection"
-                )
-    return pullback_coefficients(s, coeff)
+    coeff = pullback_coefficients(theta, a.parent)
+    return Cocycle(coeff, tuple(a.values[y] for y in theta.map))
 
 
 def pullback_class(s: GroupHom, a: Cocycle, ext: Optional["Extension"] = None) -> Cocycle:
     """Pull a cocycle over the middle group of an extension back along a map.
 
     When ``ext`` is supplied, the action is required to factor through the
-    projection (see :func:`pullback_class_coefficients`).
+    projection, i.e. the kernel's image must act trivially; this is what
+    makes the result independent of conjugating ``s`` by kernel elements.
     """
-    return restrict_into(s, a, pullback_class_coefficients(s, a.parent, ext))
+    if s.target != a.parent.gamma:
+        raise ValidationError("pullback map must land in the acting group")
+    if ext is not None:
+        if a.parent.gamma != ext.E:
+            raise ValidationError("cocycle does not live over the extension's middle group")
+        ident = tuple(a.parent.M.elements)
+        for x in ext.A.elements:
+            e = ext.iota.map[x]
+            if a.parent.action[e] != ident:
+                raise ActionMismatch(
+                    f"kernel element {e} acts nontrivially; the action does not "
+                    "factor through the projection"
+                )
+    return restrict_class(s, a)
 
 
 def descend_class(

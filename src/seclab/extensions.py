@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .cohomology import Cocycle, conjugation_coefficients
+from .cohomology import Cocycle, GammaGroup, conjugation_coefficients
 from .errors import (
     DifferenceEscapesA,
     InvariantViolation,
@@ -33,9 +33,7 @@ from .groups import (
     enumerate_homs,
     group_from_table,
     image,
-    is_bijective,
     is_injective,
-    kernel,
     partition_by_conjugation,
     quotient,
     subgroup,
@@ -179,22 +177,14 @@ def semidirect(
     """The split extension for an action of gamma on a by automorphisms.
 
     ``action[g]`` must be an automorphism of ``a``, the identity must act
-    trivially, and rows must compose; pairs are encoded as ``x*|gamma| + g``
+    trivially, and rows must compose, as for any coefficient system; pairs are encoded as ``x*|gamma| + g``
     with multiplication ``(x,g)(y,h) = (x * g(y), gh)``.  Returns the
     extension together with its canonical section ``g -> (e, g)``.
     """
-    if len(action) != gamma.order:
-        raise NotAnAction(f"{len(action)} automorphisms for a group of order {gamma.order}")
     for g, phi in enumerate(action):
-        if phi.source != a or phi.target != a or not is_bijective(phi):
-            raise NotAnAction(f"entry for {g} is not an automorphism of the fibre group")
-    if action[gamma.identity].map != tuple(a.elements):
-        raise NotAnAction("identity of gamma must act trivially")
-    for g in gamma.elements:
-        for h in gamma.elements:
-            composed = tuple(action[g].map[action[h].map[x]] for x in a.elements)
-            if action[gamma.mul(g, h)].map != composed:
-                raise NotAnAction(f"action rows for {g}*{h} do not compose")
+        if phi.source != a or phi.target != a:
+            raise NotAnAction(f"entry for {g} does not map the fibre group to itself")
+    GammaGroup(gamma, a, tuple(phi.map for phi in action))
     n = gamma.order
     size = a.order * n
     table = []

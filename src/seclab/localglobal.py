@@ -5,24 +5,25 @@ sections lift those maps to the middle group.  The deciders answer, by
 exhaustive search, whether the family of local sections survives every
 coefficient test (a), every constant-coefficient test (a'), the
 kernel-quotient tests (a''), and whether a global homomorphism (b) or a
-global section with kernel conjugators (c) interpolates them.  All searches
-are canonical: first witnesses are enumeration-least.
+global section with kernel conjugators (c) interpolates them.  The descent
+properties compare H^1 class labels: a class is labelled by its classes
+along the local maps (over the base) or the local sections (over the
+middle group).  All searches are canonical: first witnesses are
+enumeration-least.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
     GammaGroup,
-    cohomologous,
+    H1Classes,
     constant_coefficients,
     h1,
-    pullback_class_coefficients,
     pullback_coefficients,
-    restrict_into,
 )
 from .errors import IncompatibleTower, InvariantViolation, NotASection, ValidationError
 from .extensions import Extension, enumerate_sections
@@ -176,6 +177,20 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     return out
 
 
+def _label(
+    a: Cocycle, maps: Sequence[GroupHom], local: Sequence[H1Classes]
+) -> Tuple[int, ...]:
+    """The class, in each local H^1, of a's values read along each map.
+
+    Each map must pull a's coefficients back to that local system, so the
+    values read along it form one of its cocycles.
+    """
+    return tuple(
+        classes.class_by_values[tuple(map(a.values.__getitem__, f.map))]
+        for f, classes in zip(maps, local)
+    )
+
+
 def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     """All classes over the base whose local restrictions match alpha's.
 
@@ -185,17 +200,13 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
-    thetas = family.thetas
-    local = [pullback_coefficients(theta, coeff) for theta in thetas]
-    target = [restrict_into(theta, alpha, local[i]) for i, theta in enumerate(thetas)]
-    out = []
-    for beta in h1(coeff).representatives:
-        if all(
-            cohomologous(restrict_into(theta, beta, local[i]), target[i]) is not None
-            for i, theta in enumerate(thetas)
-        ):
-            out.append(beta)
-    return tuple(out)
+    local = [h1(pullback_coefficients(theta, coeff)) for theta in family.thetas]
+    want = _label(alpha, family.thetas, local)
+    return tuple(
+        beta
+        for beta in h1(coeff).representatives
+        if _label(beta, family.thetas, local) == want
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +253,19 @@ def decide_b(ls: LocalSections) -> Optional[GroupHom]:
     return next(interpolating_homs(ls), None)
 
 
-def decide_c(ls: LocalSections) -> Optional[GroupHom]:
-    """The least section interpolating with conjugators from the kernel."""
+def _kernel_interpolating(
+    ls: LocalSections, sections: Sequence[GroupHom]
+) -> Optional[GroupHom]:
     kernel_elements = ls.ext.iota.map
-    for s in enumerate_sections(ls.ext).sections:
+    for s in sections:
         if _interpolates(s, ls.family.thetas, ls.sections, ls.ext.E, kernel_elements):
             return s
     return None
+
+
+def decide_c(ls: LocalSections) -> Optional[GroupHom]:
+    """The least section interpolating with conjugators from the kernel."""
+    return _kernel_interpolating(ls, enumerate_sections(ls.ext).sections)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +308,14 @@ def _constant_quotient_entries(
     return tuple(out)
 
 
-def _kernel_quotient_entries(ext: Extension, s0: GroupHom) -> Tuple[CorpusEntry, ...]:
+def _kernel_quotient_entries(
+    ext: Extension, sections: Sequence[GroupHom]
+) -> Tuple[CorpusEntry, ...]:
     """Quotients of the embedded kernel by normal-in-E subgroups, with the
-    base acting by conjugation through a chosen section."""
+    base acting by conjugation through the first section; none without one."""
+    if not sections:
+        return ()
+    s0 = sections[0]
     a_sub = image(ext.iota)
     a_grp, incl = subgroup_as_group(a_sub)
     back = {e: i for i, e in enumerate(a_sub.elements)}
@@ -315,19 +337,21 @@ def _kernel_quotient_entries(ext: Extension, s0: GroupHom) -> Tuple[CorpusEntry,
     return tuple(out)
 
 
+def _user_entries(extra: Iterable[GammaGroup]) -> Tuple[CorpusEntry, ...]:
+    return tuple(CorpusEntry(coeff, USER_SUPPLIED) for coeff in extra)
+
+
 def standard_corpus(
     ls: LocalSections, extra: Iterable[GammaGroup] = ()
 ) -> CoefficientCorpus:
     """The proof-sufficient corpus: all constant quotients of the middle
     group, the kernel quotients with section action when a section exists,
     and any user-supplied systems."""
-    entries = list(_constant_quotient_entries(ls.ext))
-    report = enumerate_sections(ls.ext)
-    if report.sections:
-        entries.extend(_kernel_quotient_entries(ls.ext, report.sections[0]))
-    for coeff in extra:
-        entries.append(CorpusEntry(coeff, USER_SUPPLIED))
-    return CoefficientCorpus(tuple(entries))
+    return CoefficientCorpus(
+        _constant_quotient_entries(ls.ext)
+        + _kernel_quotient_entries(ls.ext, enumerate_sections(ls.ext).sections)
+        + _user_entries(extra)
+    )
 
 
 @dataclass(frozen=True)
@@ -351,34 +375,21 @@ def _diagonal_failure(
 ) -> Tuple[Optional[Cocycle], int]:
     """First class over the middle group missing from the diagonal image.
 
-    Every coefficient system is pulled back once: along the projection,
-    each local map and each local section.  A class over the base is
-    restricted along a local map only when a comparison first needs it.
+    A class over the base is labelled by its classes along the local maps,
+    a class over the middle group by its classes along the local sections.
+    Since each section projects to its local map, both read into the same
+    local systems, and a class is in the diagonal image exactly when its
+    label is the label of some class over the base.
     """
-    ext = ls.ext
     thetas = ls.family.thetas
-    coeff_e = pullback_coefficients(ext.pi, coeff)
-    local = [pullback_coefficients(theta, coeff) for theta in thetas]
-    lifted = [pullback_class_coefficients(s, coeff_e, ext) for s in ls.sections]
-    downstairs = h1(coeff).representatives
-    restricted: List[List[Optional[Cocycle]]] = [[None] * len(thetas) for _ in downstairs]
-
-    def matches(j: int, pulls: List[Cocycle]) -> bool:
-        row = restricted[j]
-        for i, theta in enumerate(thetas):
-            if row[i] is None:
-                row[i] = restrict_into(theta, downstairs[j], local[i])
-            if cohomologous(row[i], pulls[i]) is None:
-                return False
-        return True
-
+    local = [h1(pullback_coefficients(theta, coeff)) for theta in thetas]
+    image_labels = {_label(beta, thetas, local) for beta in h1(coeff).representatives}
     checked = 0
-    for alpha in h1(coeff_e).representatives:
+    for alpha in h1(pullback_coefficients(ls.ext.pi, coeff)).representatives:
         if class_filter is not None and not class_filter(alpha):
             continue
         checked += 1
-        pulls = [restrict_into(s, alpha, lifted[i]) for i, s in enumerate(ls.sections)]
-        if not any(matches(j, pulls) for j in range(len(downstairs))):
+        if _label(alpha, ls.sections, local) not in image_labels:
             return alpha, checked
     return None, checked
 
@@ -387,16 +398,17 @@ def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
     class_filter: Optional[Callable[[Cocycle], bool]] = None,
+    checked: int = 0,
 ) -> DescentCheck:
-    total = 0
+    """Check each entry in order; ``checked`` counts classes examined before."""
     for entry in entries:
         if entry.coeff.gamma != ls.ext.Gamma:
             raise ValidationError("corpus entry does not act through the base group")
-        bad, checked = _diagonal_failure(ls, entry.coeff, class_filter)
-        total += checked
+        bad, count = _diagonal_failure(ls, entry.coeff, class_filter)
+        checked += count
         if bad is not None:
-            return DescentCheck(False, entry, bad, total)
-    return DescentCheck(True, None, None, total)
+            return DescentCheck(False, entry, bad, checked)
+    return DescentCheck(True, None, None, checked)
 
 
 def decide_a(ls: LocalSections, corpus: CoefficientCorpus) -> DescentCheck:
@@ -431,11 +443,14 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     check falls back to constant quotients, still restricted to classes
     surjective on the kernel's image.
     """
-    report = enumerate_sections(ls.ext)
-    if report.sections:
-        entries = _kernel_quotient_entries(ls.ext, report.sections[0])
-    else:
-        entries = _constant_quotient_entries(ls.ext)
+    sections = enumerate_sections(ls.ext).sections
+    return _doubleprime(ls, _kernel_quotient_entries(ls.ext, sections))
+
+
+def _doubleprime(ls: LocalSections, kernel_entries: Sequence[CorpusEntry]) -> DescentCheck:
+    # a section always brings the kernel's quotient by itself, so there are
+    # no kernel entries exactly when there is no section
+    entries = kernel_entries or _constant_quotient_entries(ls.ext)
     return _run_corpus(ls, entries, _surjective_on_kernel(ls.ext))
 
 
@@ -480,25 +495,20 @@ def verify_equivalences(
     (a), (a'), (b), (c) to a single truth value.
     """
     density = check_density(ls.family)
-    split = bool(enumerate_sections(ls.ext).sections)
-    corpus = standard_corpus(ls, extra).entries
+    sections = enumerate_sections(ls.ext).sections
+    split = bool(sections)
+    kernel_entries = _kernel_quotient_entries(ls.ext, sections)
+    user_entries = _user_entries(extra)
+    # The standard corpus is the constant quotients, which are (a'), then
+    # the kernel quotients and the user's systems.
     a_prime = decide_a_prime(ls)
-    # The constant quotients open the standard corpus, so (a) reuses the
-    # outcome of (a') over them and runs only the entries after them.
     if a_prime.holds:
-        n = sum(entry.provenance == CONSTANT_QUOTIENT for entry in corpus)
-        rest = decide_a(ls, CoefficientCorpus(corpus[n:]))
-        a = DescentCheck(
-            rest.holds,
-            rest.failing_entry,
-            rest.failing_class,
-            a_prime.classes_checked + rest.classes_checked,
-        )
+        a = _run_corpus(ls, kernel_entries + user_entries, checked=a_prime.classes_checked)
     else:
         a = a_prime
-    a_double = decide_a_doubleprime(ls)
+    a_double = _doubleprime(ls, kernel_entries)
     b = decide_b(ls)
-    c = decide_c(ls)
+    c = _kernel_interpolating(ls, sections)
     hb, hc = b is not None, c is not None
     implications = (
         ("c=>a", (not hc) or a.holds),
@@ -626,17 +636,13 @@ def tower_limit_sections(
             raise IncompatibleTower(
                 f"connecting map {j} does not commute with the projections"
             )
-    gam = ls.ext.Gamma
     proj = identity_hom(levels[0].E)
     witness_sets = []
     for j, ext in enumerate(levels):
-        pushed = [compose(proj, s) for s in ls.sections]
-        witnesses = tuple(
-            u
-            for u in enumerate_homs(gam, ext.E)
-            if _interpolates(u, ls.family.thetas, pushed, ext.E)
+        pushed = tuple(compose(proj, s) for s in ls.sections)
+        witness_sets.append(
+            tuple(interpolating_homs(LocalSections(ext, ls.family, pushed)))
         )
-        witness_sets.append(witnesses)
         if j < len(maps):
             proj = compose(maps[j], proj)
     sizes = tuple(len(w) for w in witness_sets)

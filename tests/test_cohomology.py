@@ -25,10 +25,8 @@ from seclab.cohomology import (
     inner_pullback,
     lifts_up_to_conjugacy,
     pullback_class,
-    pullback_class_coefficients,
     pullback_coefficients,
     restrict_class,
-    restrict_into,
     trivial_cocycle,
     twist_coefficients,
     twist_lift,
@@ -219,26 +217,6 @@ def test_restrict_class_through_inclusion():
     assert pulled.values == (0,) * 6
 
 
-def test_restrict_into_a_shared_pulled_system_matches_restrict_class():
-    grp = s3()
-    sign = enumerate_homs(grp, C2)[1]
-    pulled = pullback_coefficients(sign, INVERSION_ON_C3)
-    for a in enumerate_cocycles(INVERSION_ON_C3):
-        assert restrict_into(sign, a, pulled) == restrict_class(sign, a)
-
-
-def test_restrict_into_rejects_a_system_pulled_along_another_map():
-    grp = s3()
-    trivial, sign = enumerate_homs(grp, C2)
-    a = trivial_cocycle(INVERSION_ON_C3)
-    with pytest.raises(ValidationError, match="not pulled back"):
-        restrict_into(sign, a, pullback_coefficients(trivial, INVERSION_ON_C3))
-    with pytest.raises(ValidationError, match="not pulled back"):
-        restrict_into(sign, a, pullback_coefficients(identity_hom(C2), INVERSION_ON_C3))
-    with pytest.raises(ValidationError, match="must land"):
-        restrict_into(identity_hom(grp), a, pullback_coefficients(sign, INVERSION_ON_C3))
-
-
 def test_pullback_class_requires_action_through_projection():
     # nonabelian kernel acting on itself by conjugation does not factor
     grp = s3()
@@ -251,8 +229,6 @@ def test_pullback_class_requires_action_through_projection():
     section = GroupHom(C2, ext_mid, (0, 1))
     with pytest.raises(ActionMismatch):
         pullback_class(section, a, ext)
-    with pytest.raises(ActionMismatch):
-        pullback_class_coefficients(section, coeff, ext)
     # without the extension the pullback itself is still legal
     assert pullback_class(section, a).values == (0, 0)
 

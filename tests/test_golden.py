@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from seclab.catalog import preset_extensions
 from seclab.cli import main
+from seclab.extensions import enumerate_sections
+from seclab.manifest import generate_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (20260822, 7)
@@ -27,6 +30,16 @@ def test_generated_corpus_and_reports_match_golden(seed, capsys):
     for fmt, suffix in (("text", ".text"), ("structured", ".json")):
         assert main(["run", str(manifest), "--no-timing", "--format", fmt]) == 0
         assert capsys.readouterr().out == stem.with_suffix(suffix).read_text(), (seed, fmt)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generated_corpus_does_not_depend_on_warm_caches(seed):
+    """Cached searches hand back the objects, labels included, of whoever
+    called them first; the corpus must not pick those labels up."""
+    for _, ext in preset_extensions(12):
+        enumerate_sections(ext)
+    manifest = GOLDEN / f"gen-max12-seed{seed}.manifest"
+    assert generate_corpus(12, seed) == manifest.read_text()
 
 
 def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from oracles import oracle_density, oracle_interpolating_homs
-from seclab.catalog import seeded_instances
+from seclab.catalog import coefficient_catalog, seeded_instances
 from seclab.cohomology import (
     Cocycle,
     GammaGroup,
@@ -512,11 +512,28 @@ def acceptance_instances():
     return seeded_instances(20260822, 120, 16)
 
 
+def _twisted_system(gamma):
+    """The first catalog system over gamma with a nontrivial action, if any."""
+    return next(
+        (
+            coeff
+            for coeff in coefficient_catalog(gamma)
+            if any(row != tuple(coeff.M.elements) for row in coeff.action)
+        ),
+        None,
+    )
+
+
 def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
     failed = {"a": 0, "a'": 0, "a''": 0}
+    twisted = 0
     for k in REFERENCE_SLICE:
         ls = acceptance_instances[k]
+        user = _twisted_system(ls.ext.Gamma)
+        extra = () if user is None else (user,)
+        twisted += bool(extra)
         corpus = standard_corpus(ls).entries
+        with_extra = standard_corpus(ls, extra).entries
         constant = tuple(e for e in corpus if e.provenance == CONSTANT_QUOTIENT)
         kernel_entries = tuple(e for e in corpus if e.provenance == A_QUOTIENT_SECTION)
         kernel_image = image(ls.ext.iota).elements
@@ -541,10 +558,17 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
             _assert_same_check(got[name], want[name])
             _assert_same_check(check, want[name])
             failed[name] += not want[name].holds
-        for entry in corpus:
+        want_extra = _reference_check(ls, with_extra)
+        _assert_same_check(decide_a(ls, CoefficientCorpus(with_extra)), want_extra)
+        report = verify_equivalences(ls, extra)
+        _assert_same_check(report.a, want_extra)
+        _assert_same_check(report.a_prime, want["a'"])
+        _assert_same_check(report.a_doubleprime, want["a''"])
+        for entry in with_extra:
             for alpha in h1(entry.coeff).representatives:
                 assert diagonal_fibre(alpha, ls.family) == _reference_fibre(alpha, ls.family)
     assert all(failed.values()), failed
+    assert twisted >= len(REFERENCE_SLICE) // 2, twisted
 
 
 def test_descent_builds_each_pulled_system_once_per_entry(acceptance_instances, monkeypatch):
@@ -562,3 +586,17 @@ def test_descent_builds_each_pulled_system_once_per_entry(acceptance_instances, 
     per_entry = 2 + len(ls.family.thetas) + len(ls.sections)
     assert check.holds and check.classes_checked > 100
     assert len(built) <= len(all_normal_subgroups(ls.ext.E)) * per_entry
+
+
+def test_verify_enumerates_sections_once(acceptance_instances, monkeypatch):
+    calls = []
+
+    def counting(ext):
+        calls.append(ext)
+        return enumerate_sections(ext)
+
+    monkeypatch.setattr("seclab.localglobal.enumerate_sections", counting)
+    for ls in acceptance_instances[:20]:
+        calls.clear()
+        verify_equivalences(ls)
+        assert calls == [ls.ext]

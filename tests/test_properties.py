@@ -131,6 +131,20 @@ def test_class_representatives_are_canonical(name, data):
             assert cohomologous(rep, other) is None
 
 
+@given(st.sampled_from(SYSTEMS), st.data())
+@settings(deadline=None)
+def test_class_numbers_agree_with_twisting(coeff, data):
+    """
+    Two cocycles get the same class number exactly when one twists into the
+    other.
+    """
+    classes = h1(coeff)
+    a = data.draw(st.sampled_from(classes.cocycles))
+    for b in classes.cocycles:
+        same = classes.class_of(a) == classes.class_of(b)
+        assert same == (cohomologous(a, b) is not None), (a, b)
+
+
 @given(Extensions)
 @settings(deadline=None)
 def test_enumerated_sections_are_sections(ext):
