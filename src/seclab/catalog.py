@@ -19,10 +19,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _lifts_through,
     all_normal_subgroups,
     all_subgroups,
     automorphism_group,
-    compose,
     conjugacy_classes,
     cyclic_group,
     direct_product,
@@ -225,11 +225,7 @@ def coefficient_catalog(
 
 @lru_cache(maxsize=None)
 def _lifts(theta: GroupHom, ext: Extension) -> Tuple[GroupHom, ...]:
-    return tuple(
-        t
-        for t in enumerate_homs(theta.source, ext.E)
-        if compose(ext.pi, t).map == theta.map
-    )
+    return _lifts_through(ext.pi, theta)
 
 
 def _instance_pool(max_middle: int) -> Tuple[Extension, ...]:

@@ -27,12 +27,12 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_representatives,
+    _derivation_failure,
     _derivation_search,
     _identity_rows,
+    _lifts_through,
     _orbit_partition,
-    _product_failure,
     _trusted,
-    enumerate_homs,
     generating_set,
     image,
     kernel,
@@ -93,8 +93,9 @@ class GammaGroup:
             if len(row) != m.order or sorted(row) != list(range(m.order)):
                 raise NotAnAction(f"row for {g} is not a permutation of the coefficients")
         gens = generating_set(self.gamma)
+        ident, m_gens = _identity_rows(m, m), generating_set(m)
         for g in gens:
-            broken = _product_failure(m, m, action[g])
+            broken = _derivation_failure(m, m, ident, action[g], m_gens)
             if broken is not None:
                 raise NotAnAction(
                     f"element {g} does not act by an automorphism: "
@@ -170,16 +171,20 @@ class Cocycle:
         v = self.values
         if len(v) != g.order:
             raise NotACocycle(f"{len(v)} values for a group of order {g.order}")
+        for x in v:
+            if not (0 <= x < m.order):
+                raise NotACocycle(f"value {x} outside coefficients of order {m.order}")
         if v[g.identity] != m.identity:
             raise NotACocycle(f"value at the identity is {v[g.identity]}, not the identity")
         act = self.parent.action
-        for s in g.elements:
-            for t in g.elements:
-                want = m.mul(v[s], act[s][v[t]])
-                if v[g.mul(s, t)] != want:
-                    raise NotACocycle(
-                        f"a_({s}*{t}) = {v[g.mul(s, t)]} but a_{s} * {s}(a_{t}) = {want}"
-                    )
+        # every pair, not generators only, until ROADMAP item 1 bounds the benchmark's records
+        broken = _derivation_failure(g, m, act, v, g.elements)
+        if broken is not None:
+            s, t = broken
+            raise NotACocycle(
+                f"a_({s}*{t}) = {v[g.mul(s, t)]} but a_{s} * {s}(a_{t}) = "
+                f"{m.mul(v[s], act[s][v[t]])}"
+            )
 
     def __repr__(self) -> str:
         return f"<cocycle {self.values}>"
@@ -424,12 +429,7 @@ def lifts_up_to_conjugacy(ext: "Extension", phibar: GroupHom) -> Tuple[Tuple[Gro
     """
     if phibar.target != ext.Gamma:
         raise ValidationError("the map must land in the extension's base group")
-    src = phibar.source
-    lifts = [
-        h
-        for h in enumerate_homs(src, ext.E)
-        if tuple(ext.pi.map[v] for v in h.map) == phibar.map
-    ]
+    lifts = _lifts_through(ext.pi, phibar)
     conjugators = [ext.iota.map[x] for x in ext.A.elements]
     partition = partition_by_conjugation(lifts, conjugators)
     classes = tuple(tuple(lifts[j] for j in cls) for cls in partition)

@@ -28,10 +28,11 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_representatives,
+    _lifts_through,
     _normality_witness,
     compose,
-    enumerate_homs,
     group_from_table,
+    identity_hom,
     image,
     is_injective,
     partition_by_conjugation,
@@ -127,11 +128,7 @@ class SectionReport:
 
 def enumerate_sections(ext: Extension) -> SectionReport:
     """Every homomorphic section of the projection, canonically ordered."""
-    sections = tuple(
-        h
-        for h in enumerate_homs(ext.Gamma, ext.E)
-        if all(ext.pi.map[h.map[g]] == g for g in ext.Gamma.elements)
-    )
+    sections = _lifts_through(ext.pi, identity_hom(ext.Gamma))
     mod_a = partition_by_conjugation(sections, ext.iota.map)
     mod_e = partition_by_conjugation(sections, ext.E.elements)
     return SectionReport(sections, mod_a, mod_e)

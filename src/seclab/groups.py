@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     ClosureBoundExceeded,
@@ -62,7 +62,6 @@ __all__ = [
     "is_normal",
     "conjugacy_classes",
     "class_index",
-    "are_conjugate",
     "union_of_conjugates",
     "is_class_preserving",
     "quotient",
@@ -365,8 +364,7 @@ class GroupHom:
 
     Validated on construction: identity goes to identity and every product
     is preserved.  Products are checked as ``f(a*g) = f(a)*f(g)`` for every
-    a and each generator g of the source; the b with ``f(a*b) = f(a)*f(b)``
-    for all a are closed under products, so that decides every pair.
+    a and each generator g of the source (see :func:`_derivation_failure`).
     """
 
     source: FiniteGroup
@@ -386,7 +384,8 @@ class GroupHom:
             raise NotAHomomorphism(
                 f"identity {self.source.identity} maps to {m[self.source.identity]}, not the identity"
             )
-        broken = _product_failure(self.source, self.target, m)
+        src, tgt = self.source, self.target
+        broken = _derivation_failure(src, tgt, _identity_rows(src, tgt), m, generating_set(src))
         if broken is not None:
             a, g = broken
             raise NotAHomomorphism(
@@ -401,22 +400,30 @@ class GroupHom:
         return f"<hom {self.source.label or '?'} -> {self.target.label or '?'}: {self.map}>"
 
 
-def _product_failure(
-    src: FiniteGroup, tgt: FiniteGroup, m: Sequence[int]
+def _derivation_failure(
+    gamma: FiniteGroup,
+    m: FiniteGroup,
+    rows: Sequence[Sequence[int]],
+    v: Sequence[int],
+    ts: Iterable[int],
 ) -> Optional[Tuple[int, int]]:
-    """A pair ``(a, g)``, g a generator of src, with ``m[a*g] != m[a]*m[g]``.
+    """The first pair ``(s, t)``, t in ``ts``, with ``v[s*t] != v[s] * s(v[t])``.
 
-    None means m preserves every product: the b with ``m[a*b] = m[a]*m[b]``
-    for all a are closed under products, so once they include the
-    generators they are all of src.  (They then include the identity, so m
-    fixes it, except when src is trivial and has no generators to try.)
+    ``rows[s]`` is the image tuple of s acting on m; with identity rows the
+    law says that v is a homomorphism.  None means the law holds for every
+    s and every t in ``ts``.  When ``rows`` is an action by automorphisms,
+    the t that pass for every s are closed under products, since
+    ``v[s*t*u] = v[s*t] * st(v[u]) = v[s] * s(v[t] * t(v[u])) = v[s] * s(v[t*u])``.
+    So once ``ts`` generates gamma the law holds on all pairs, and then
+    v sends the identity to the identity too, except when gamma is trivial
+    and has no generators to try.
     """
-    tt = tgt.table
-    for g in generating_set(src):
-        mg = m[g]
-        for a, row in enumerate(src.table):
-            if m[row[g]] != tt[m[a]][mg]:
-                return a, g
+    gt, mt = gamma.table, m.table
+    for t in ts:
+        vt = v[t]
+        for s, (grow, vs, row) in enumerate(zip(gt, v, rows)):
+            if v[grow[t]] != mt[vs][row[vt]]:
+                return s, t
     return None
 
 
@@ -452,10 +459,12 @@ def _propagate(
 ) -> Optional[Tuple[int, ...]]:
     """Extend generator values along the derivation by ``a_{xg} = a_x * x(a_g)``.
 
-    ``rows[x]`` is the image tuple of x acting on m.  Returns the value
-    tuple when ``a_{st} = a_s * s(a_t)`` holds on all pairs, else None.  A
-    returned tuple has the identity at the identity and every value drawn
-    from m, so it needs no further check (see :func:`_trusted`).
+    ``rows[x]`` is the image tuple of x acting on m, an action by
+    automorphisms.  Returns the value tuple when ``a_{st} = a_s * s(a_t)``
+    holds for every s and each generator t, which decides all pairs (see
+    :func:`_derivation_failure`), else None.  A returned tuple has the
+    identity at the identity and every value drawn from m, so it needs no
+    further check (see :func:`_trusted`).
     """
     order, parent = _derivation(gamma)
     mt = m.table
@@ -464,13 +473,8 @@ def _propagate(
     for x in order[1:]:
         prev, gi = parent[x]
         v[x] = mt[v[prev]][rows[prev][images[gi]]]
-    for s in gamma.elements:
-        srow = mt[v[s]]
-        arow = rows[s]
-        grow = gamma.table[s]
-        for t in gamma.elements:
-            if v[grow[t]] != srow[arow[v[t]]]:
-                return None
+    if _derivation_failure(gamma, m, rows, v, generating_set(gamma)) is not None:
+        return None
     return tuple(v)
 
 
@@ -483,7 +487,7 @@ def _derivation_search(
     k may take the value c only when the twisted norm
     ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which for identity
     rows says that the order of c divides k.  Every candidate is then
-    verified on all pairs.
+    verified by :func:`_propagate`.
     """
     choices = []
     for g in generating_set(gamma):
@@ -532,6 +536,17 @@ def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
     """
     found = _derivation_search(src, tgt, _identity_rows(src, tgt))
     return tuple(_trusted(GroupHom, src, tgt, m) for m in found)
+
+
+def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
+    """The homs h from theta's source into pi's source with ``pi∘h = theta``,
+    in :func:`enumerate_homs` order."""
+    pm = pi.map
+    return tuple(
+        h
+        for h in enumerate_homs(theta.source, pi.source)
+        if all(pm[v] == t for v, t in zip(h.map, theta.map))
+    )
 
 
 def kernel(hom: GroupHom) -> "Subgroup":
@@ -663,17 +678,9 @@ def is_normal(parent: FiniteGroup, sub: Subgroup) -> bool:
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Conjugacy classes as sorted tuples, ordered by least member."""
-    seen = [False] * group.order
-    classes = []
-    for g in group.elements:
-        if seen[g]:
-            continue
-        orbit = {group.conj(h, g) for h in group.elements}
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    return _orbit_partition(
+        list(group.elements), lambda x: (group.conj(h, x) for h in group.elements)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -684,11 +691,6 @@ def class_index(group: FiniteGroup) -> Tuple[int, ...]:
         for g in cls:
             idx[g] = i
     return tuple(idx)
-
-
-def are_conjugate(group: FiniteGroup, a: int, b: int) -> bool:
-    ci = class_index(group)
-    return ci[a] == ci[b]
 
 
 @dataclass(frozen=True)
@@ -844,8 +846,8 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
 
 
 def _orbit_partition(
-    points: Sequence[Tuple[int, ...]],
-    moves: Callable[[Tuple[int, ...]], Iterable[Tuple[int, ...]]],
+    points: Sequence[Hashable],
+    moves: Callable[[Hashable], Iterable[Hashable]],
 ) -> Tuple[Tuple[int, ...], ...]:
     """Partition points by the images ``moves`` gives for each point.
 

@@ -91,10 +91,6 @@ class LocalFamily:
             if theta.target != self.gamma:
                 raise ValidationError(f"local map {i} does not land in the base group")
 
-    @property
-    def locals(self) -> Tuple[Tuple[FiniteGroup, GroupHom], ...]:
-        return tuple((theta.source, theta) for theta in self.thetas)
-
     def __len__(self) -> int:
         return len(self.thetas)
 
@@ -118,10 +114,11 @@ class LocalSections:
             raise ValidationError(
                 f"{len(self.sections)} local sections for {len(self.family.thetas)} local maps"
             )
+        pm = self.ext.pi.map
         for i, (theta, s) in enumerate(zip(self.family.thetas, self.sections)):
             if s.source != theta.source or s.target != self.ext.E:
                 raise ValidationError(f"local section {i} has the wrong source or target")
-            if compose(self.ext.pi, s).map != theta.map:
+            if tuple(pm[v] for v in s.map) != theta.map:
                 raise NotASection(
                     f"local section {i} does not project back to its local map"
                 )

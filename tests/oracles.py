@@ -209,6 +209,17 @@ def oracle_is_action(gamma, m_table, action):
     )
 
 
+def oracle_is_cocycle(gamma, m_table, action, a):
+    """One in-range value per element of gamma, with ``a_{st} = a_s * s(a_t)``
+    on every pair (which forces the identity to the identity)."""
+    n, m = len(gamma), len(m_table)
+    if len(a) != n or any(not 0 <= v < m for v in a):
+        return False
+    return all(
+        a[gamma[s][t]] == m_table[a[s]][action[s][a[t]]] for s in range(n) for t in range(n)
+    )
+
+
 def oracle_is_subgroup(table, elements):
     """A sorted, duplicate-free, in-range set holding the identity, every
     product of two members and every inverse."""

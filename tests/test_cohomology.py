@@ -103,6 +103,9 @@ def test_cocycle_validation():
         Cocycle(INVERSION_ON_C3, (1, 0))
     with pytest.raises(NotACocycle):
         Cocycle(constant_coefficients(C2, C3), (0, 1))  # not a hom C2 -> C3
+    for values in ((0, 3), (0, -1)):
+        with pytest.raises(NotACocycle, match="outside coefficients of order 3"):
+            Cocycle(constant_coefficients(C2, C3), values)
 
 
 def test_frozen_counts_inversion_on_c3():

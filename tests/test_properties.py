@@ -15,6 +15,7 @@ from oracles import (
     oracle_homs,
     oracle_identity,
     oracle_is_action,
+    oracle_is_cocycle,
     oracle_is_group,
     oracle_is_hom,
     oracle_is_subgroup,
@@ -31,6 +32,7 @@ from seclab.cohomology import Cocycle, GammaGroup, cohomologous, enumerate_cocyc
 from seclab.errors import (
     NoIdentity,
     NoInverse,
+    NotACocycle,
     NotAHomomorphism,
     NotAnAction,
     NotASubgroup,
@@ -440,6 +442,44 @@ def test_action_validator_matches_the_all_pairs_oracle(coeff, data):
             rows[y] = [coeff.action[z][v] for v in coeff.action[y]]
     action = tuple(tuple(row) for row in rows)
     assert _validate_action(gamma, m, action) == oracle_is_action(gamma.table, m.table, action)
+
+
+def _validate_cocycle(coeff, values):
+    gamma, m, act = coeff.gamma, coeff.M, coeff.action
+    try:
+        Cocycle(coeff, tuple(values))
+    except NotACocycle as err:
+        if "not the identity" in str(err):
+            assert values[gamma.identity] != m.identity, err
+        else:
+            s, t = _ints(r"a_\((\d+)\*(\d+)\) = ", err)
+            assert values[gamma.mul(s, t)] != m.mul(values[s], act[s][values[t]]), err
+        return False
+    return True
+
+
+@given(st.one_of(st.sampled_from(TWISTED_SYSTEMS), st.sampled_from(SYSTEMS)), st.data())
+@settings(deadline=None, max_examples=300)
+def test_cocycle_validator_matches_the_all_pairs_oracle(coeff, data):
+    """
+    An enumerated cocycle is accepted.  A copy with one value changed, or
+    with the values on one left coset x<g> multiplied on the left by one
+    element of M, is judged as the all-pairs oracle judges it.  When g is
+    outside the coset, that copy keeps ``a_{s*g} = a_s * s(a_g)`` for every
+    s, so a check that tried only some pairs could pass it.
+    """
+    gamma, m = coeff.gamma, coeff.M
+    a = list(data.draw(st.sampled_from(enumerate_cocycles(coeff))).values)
+    assert _validate_cocycle(coeff, a)
+    if data.draw(st.booleans()):
+        a[data.draw(st.integers(0, gamma.order - 1))] = data.draw(st.integers(0, m.order - 1))
+    else:
+        x, g, c = data.draw(st.integers(0, gamma.order - 1)), _draw_element(data, gamma), data.draw(
+            st.integers(0, m.order - 1)
+        )
+        for y in _cyclic_coset(gamma, x, g):
+            a[y] = m.mul(c, a[y])
+    assert _validate_cocycle(coeff, a) == oracle_is_cocycle(gamma.table, m.table, coeff.action, a)
 
 
 def _validate_subgroup(group, elems):
