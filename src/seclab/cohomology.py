@@ -122,8 +122,11 @@ class GammaGroup:
 
 
 def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
-    """M with the trivial action; cocycles are then plain homomorphisms."""
-    return GammaGroup(gamma, m, _identity_rows(gamma, m))
+    """M with the trivial action; cocycles are then plain homomorphisms.
+
+    Identity rows are always an action, so the system is not checked.
+    """
+    return _trusted(GammaGroup, gamma, m, _identity_rows(gamma, m), None)
 
 
 def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
@@ -152,11 +155,15 @@ def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
 
 
 def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
-    """Precompose the action with a homomorphism into gamma."""
+    """Precompose the action with a homomorphism into gamma.
+
+    An action read through a homomorphism is an action, so the result is
+    not checked again.
+    """
     if along.target != coeff.gamma:
         raise ValidationError("pullback map must land in the acting group")
     rows = tuple(coeff.action[along.map[g]] for g in along.source.elements)
-    return GammaGroup(along.source, coeff.M, rows, embed=coeff.embed)
+    return _trusted(GammaGroup, along.source, coeff.M, rows, coeff.embed)
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,11 @@ class Cocycle:
         if v[g.identity] != m.identity:
             raise NotACocycle(f"value at the identity is {v[g.identity]}, not the identity")
         act = self.parent.action
-        # every pair, not generators only, until ROADMAP item 1 bounds the benchmark's records
+        # Every pair, not generators only.  The census benchmark keeps every
+        # round's records, so a faster census reads as a peak-memory
+        # regression.  This check, inner_pullback, cohomologous and
+        # restrict_class stay as they are until ROADMAP item 1 bounds those
+        # records.
         broken = _derivation_failure(g, m, act, v, g.elements)
         if broken is not None:
             s, t = broken
@@ -263,11 +274,25 @@ class H1Classes:
 
 @lru_cache(maxsize=None)
 def h1(coeff: GammaGroup) -> H1Classes:
-    """Cocycles modulo twisting, with lexicographically least representatives."""
+    """Cocycles modulo twisting, with lexicographically least representatives.
+
+    A cocycle is fixed by its values on the generators of gamma, so only
+    those are twisted, by ``b_g = c^-1 * a_g * g(c)``.  Twisting by c and
+    then by d is twisting by cd, a right action of M, so an orbit is the
+    closure under M's generators.  The partition costs
+    |classes|·|orbit|·|gens M|·|gens gamma| table reads.
+    """
     cocycles = enumerate_cocycles(coeff)
+    m, mt = coeff.M, coeff.M.table
+    gens = generating_set(coeff.gamma)
+    # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M
+    twists = [
+        [tuple(mt[m.inverse[c]][mt[a][coeff.action[g][c]]] for a in m.elements) for g in gens]
+        for c in generating_set(m)
+    ]
     classes = _orbit_partition(
-        [co.values for co in cocycles],
-        lambda v: (_twist_values(coeff, v, c) for c in coeff.M.elements),
+        [tuple(map(co.values.__getitem__, gens)) for co in cocycles],
+        lambda key: [tuple(map(tuple.__getitem__, tw, key)) for tw in twists],
     )
     return H1Classes(coeff, cocycles, classes)
 

@@ -430,8 +430,10 @@ def _derivation_failure(
 def _trusted(cls: type, *values: object):
     """An instance of a validated dataclass built without its check.
 
-    Only for values a search has already verified in full, such as the
-    output of :func:`_propagate`.
+    Only for values already known to pass it: output a search has verified
+    in full, such as that of :func:`_propagate`, or an object derived from
+    validated ones by a construction that keeps the law, such as a
+    quotient's projection.
     """
     obj = object.__new__(cls)
     for f, value in zip(fields(cls), values):
@@ -678,9 +680,8 @@ def is_normal(parent: FiniteGroup, sub: Subgroup) -> bool:
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Conjugacy classes as sorted tuples, ordered by least member."""
-    return _orbit_partition(
-        list(group.elements), lambda x: (group.conj(h, x) for h in group.elements)
-    )
+    gens = generating_set(group)
+    return _orbit_partition(list(group.elements), lambda x: [group.conj(g, x) for g in gens])
 
 
 @lru_cache(maxsize=None)
@@ -760,13 +761,13 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
         for x in coset:
             coset_of[x] = len(reps)
         reps.append(coset[0])
-    table = [
-        [coset_of[group.mul(a, b)] for b in reps]
-        for a in reps
-    ]
+    table = tuple(tuple(coset_of[group.mul(a, b)] for b in reps) for a in reps)
     label = f"{group.label}/{sub.order}" if group.label else None
-    quot = group_from_table(table, label)
-    proj = GroupHom(group, quot, tuple(coset_of[g] for g in group.elements))
+    # the group laws pass from G to G/N: the identity is N's own coset and
+    # the inverse of a coset holds its representative's inverse
+    inverse = tuple(coset_of[group.inv(r)] for r in reps)
+    quot = FiniteGroup(table, coset_of[group.identity], inverse, label)
+    proj = _trusted(GroupHom, group, quot, tuple(coset_of[g] for g in group.elements))
     return quot, proj
 
 
@@ -849,23 +850,34 @@ def _orbit_partition(
     points: Sequence[Hashable],
     moves: Callable[[Hashable], Iterable[Hashable]],
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Partition points by the images ``moves`` gives for each point.
+    """Partition points into orbits, each the closure of a point under ``moves``.
 
-    Images that are not points are ignored.  The moves must come from a
-    group action for this to be an equivalence; classes are returned as
-    sorted index tuples, ordered by least member.
+    ``moves`` must give a point's images under the generators of a group
+    action; the closure under generators is then the whole orbit.  It is
+    found by a frontier search, which may pass through images that are not
+    points; only the points are kept.  Classes are returned as sorted index
+    tuples, ordered by least member.
     """
     index = {p: i for i, p in enumerate(points)}
-    seen = set()
+    classed = [False] * len(points)
     classes = []
     for i, p in enumerate(points):
-        if i in seen:
+        if classed[i]:
             continue
-        # an image that is not a point falls back to i, a member anyway
-        members = {index.get(q, i) for q in moves(p)}
-        members.add(i)
-        seen |= members
-        classes.append(tuple(sorted(members)))
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for r in moves(q):
+                    if r not in orbit:
+                        orbit.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        members = sorted(index[q] for q in orbit if q in index)
+        for j in members:
+            classed[j] = True
+        classes.append(tuple(members))
     return tuple(classes)
 
 
@@ -875,14 +887,23 @@ def partition_by_conjugation(
     """Partition homs with a common target by pointwise conjugation.
 
     ``h ~ h'`` when some listed conjugator c has ``h'(x) = c h(x) c^-1`` for
-    all x.  Conjugators must form a subgroup for this to be an equivalence;
-    classes are returned as sorted index tuples, ordered by least member.
+    all x.  The conjugators must form a subgroup, so that this is an
+    equivalence and their greedy generators reach every class; a list whose
+    span leaves it raises ValidationError.  Classes are returned as sorted
+    index tuples, ordered by least member.
     """
     if not homs:
         return ()
     tgt = homs[0].target
     conjs = tuple(conjugators)
+    listed = frozenset(conjs)
+    gens, span = _greedy_generators(tgt.table, tgt.identity, conjs, within=listed)
+    if not span <= listed:
+        raise ValidationError(
+            f"conjugators do not form a subgroup: {min(span - listed)} is in their span"
+        )
+    rows = [tuple(tgt.conj(c, y) for y in tgt.elements) for c in gens]
     return _orbit_partition(
         [h.map for h in homs],
-        lambda m: (tuple(tgt.conj(c, v) for v in m) for c in conjs),
+        lambda f: [tuple(map(row.__getitem__, f)) for row in rows],
     )

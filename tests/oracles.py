@@ -126,6 +126,51 @@ def oracle_h1_class_count(gamma_table, m_table, action):
     return count
 
 
+def oracle_h1_classes(gamma_table, m_table, action):
+    """The cocycle classes under b_s = c^-1 * a_s * s(c), as sorted index
+    tuples into the sorted cocycle list, ordered by least member.  Every
+    full value tuple is twisted by every c over all of gamma."""
+    n, m = len(gamma_table), len(m_table)
+    em = oracle_identity(m_table)
+    inv = {x: next(y for y in range(m) if m_table[x][y] == em) for x in range(m)}
+    cocs = oracle_cocycles(gamma_table, m_table, action)
+    index = {a: i for i, a in enumerate(cocs)}
+    classes = []
+    seen = set()
+    for i, a in enumerate(cocs):
+        if i in seen:
+            continue
+        orbit = {
+            index[tuple(m_table[inv[c]][m_table[a[s]][action[s][c]]] for s in range(n))]
+            for c in range(m)
+        }
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def oracle_conjugation_classes(table, maps, conjugators):
+    """Maps into a group partitioned by pointwise conjugation, trying every
+    listed conjugator: sorted index tuples, ordered by least member."""
+    n = len(table)
+    e = oracle_identity(table)
+    inv = {g: next(h for h in range(n) if table[g][h] == e) for g in range(n)}
+    index = {tuple(f): i for i, f in enumerate(maps)}
+    classes = []
+    seen = set()
+    for i, f in enumerate(maps):
+        if i in seen:
+            continue
+        orbit = {i}
+        for c in conjugators:
+            moved = tuple(table[table[c][v]][inv[c]] for v in f)
+            if moved in index:
+                orbit.add(index[moved])
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
 def oracle_density(gamma_table, image_sets):
     """Union of all conjugates of each image, compared against the whole group."""
     n = len(gamma_table)

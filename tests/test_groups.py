@@ -20,6 +20,7 @@ from seclab.errors import (
     NotAssociative,
     NotASubgroup,
     NotNormal,
+    ValidationError,
 )
 from seclab.groups import (
     GroupHom,
@@ -46,6 +47,7 @@ from seclab.groups import (
     is_normal,
     is_surjective,
     kernel,
+    partition_by_conjugation,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -335,3 +337,18 @@ def test_automorphisms_s3_all_inner():
     assert len(autos) == 6
     inner = {inner_automorphism(grp, g).map for g in grp.elements}
     assert {a.map for a in autos} == inner
+
+
+# --- conjugation partitions ---------------------------------------------------
+
+
+def test_partition_by_conjugation_needs_a_subgroup_of_conjugators():
+    grp = s3()
+    homs = enumerate_homs(cyclic_group(2), grp)
+    # conjugating by the 3-cycles joins the three transpositions' homs
+    assert partition_by_conjugation(homs, [0, 3, 4]) == ((0,), (1, 2, 3))
+    with pytest.raises(ValidationError) as err:
+        partition_by_conjugation(homs, [0, 1, 2])
+    assert "do not form a subgroup: 3 is in their span" in str(err.value)
+    with pytest.raises(ValidationError):
+        partition_by_conjugation(homs, [3, 4])

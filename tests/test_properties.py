@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     oracle_cocycles,
+    oracle_conjugation_classes,
     oracle_h1_class_count,
+    oracle_h1_classes,
     oracle_homs,
     oracle_identity,
     oracle_is_action,
@@ -28,7 +31,15 @@ from seclab.catalog import (
     preset_names,
     seeded_instances,
 )
-from seclab.cohomology import Cocycle, GammaGroup, cohomologous, enumerate_cocycles, h1
+from seclab.cohomology import (
+    Cocycle,
+    GammaGroup,
+    cohomologous,
+    constant_coefficients,
+    enumerate_cocycles,
+    h1,
+    pullback_coefficients,
+)
 from seclab.errors import (
     NoIdentity,
     NoInverse,
@@ -42,16 +53,29 @@ from seclab.extensions import enumerate_sections
 from seclab.groups import (
     GroupHom,
     Subgroup,
+    all_normal_subgroups,
     all_subgroups,
     element_order,
     enumerate_homs,
     generating_set,
     group_from_table,
     hom_from_generator_images,
+    quotient,
     union_of_conjugates,
 )
 from seclab.localglobal import verify_equivalences
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest
+
+
+def _drawn_from(build):
+    """A strategy drawing from ``build()``, which runs at the first draw.
+
+    The coefficient pools go through the validators under test, so they
+    are not built at import: a validator that wrongly rejects a pool member
+    then fails each property that draws from it, not the whole module.
+    """
+    return st.deferred(lambda: st.sampled_from(build()))
+
 
 SmallNames = st.sampled_from(preset_names(10))
 MediumGroups = st.sampled_from(preset_groups(16))
@@ -67,12 +91,20 @@ HOM_PAIRS = [
     for tgt in preset_groups(8)
     if tgt.order ** src.order <= ORACLE_BUDGET
 ]
-SYSTEMS = [
-    coeff
-    for gamma in preset_groups(8)
-    for coeff in coefficient_catalog(gamma, 4)
-    if coeff.M.order ** gamma.order <= ORACLE_BUDGET
-]
+
+
+@functools.lru_cache(maxsize=None)
+def systems():
+    """Catalog systems small enough for the oracles."""
+    return [
+        coeff
+        for gamma in preset_groups(8)
+        for coeff in coefficient_catalog(gamma, 4)
+        if coeff.M.order ** gamma.order <= ORACLE_BUDGET
+    ]
+
+
+Systems = _drawn_from(systems)
 
 
 def _norm_drops_a_value(coeff):
@@ -90,13 +122,18 @@ def _norm_drops_a_value(coeff):
     return False
 
 
-#: Nontrivial actions on which the search's candidate filter has work to do.
-TWISTED_SYSTEMS = [
-    coeff
-    for coeff in SYSTEMS
-    if any(row != tuple(coeff.M.elements) for row in coeff.action)
-    and _norm_drops_a_value(coeff)
-]
+@functools.lru_cache(maxsize=None)
+def twisted_systems():
+    """Nontrivial actions on which the search's candidate filter has work to do."""
+    return [
+        coeff
+        for coeff in systems()
+        if any(row != tuple(coeff.M.elements) for row in coeff.action)
+        and _norm_drops_a_value(coeff)
+    ]
+
+
+TwistedSystems = _drawn_from(twisted_systems)
 
 
 @given(SmallNames, st.data())
@@ -133,7 +170,7 @@ def test_class_representatives_are_canonical(name, data):
             assert cohomologous(rep, other) is None
 
 
-@given(st.sampled_from(SYSTEMS), st.data())
+@given(Systems, st.data())
 @settings(deadline=None)
 def test_class_numbers_agree_with_twisting(coeff, data):
     """
@@ -220,10 +257,10 @@ def test_hom_search_matches_the_oracle(pair):
 
 
 def test_twisted_pool_is_populated():
-    assert TWISTED_SYSTEMS and len(TWISTED_SYSTEMS) < len(SYSTEMS)
+    assert twisted_systems() and len(twisted_systems()) < len(systems())
 
 
-@given(st.one_of(st.sampled_from(TWISTED_SYSTEMS), st.sampled_from(SYSTEMS)))
+@given(st.one_of(TwistedSystems, Systems))
 @settings(deadline=None)
 def test_cocycle_search_and_h1_match_the_oracles(coeff):
     """
@@ -263,7 +300,9 @@ Groups16 = st.sampled_from(preset_groups(16))
 #: Validator inputs need no total enumeration, so these pools are wider
 #: than the oracle-budgeted ones above.
 VALIDATOR_PAIRS = [(src, tgt) for src in preset_groups(12) for tgt in preset_groups(8)]
-ACTIONS = [coeff for gamma in preset_groups(12) for coeff in coefficient_catalog(gamma, 4)]
+Actions = _drawn_from(
+    lambda: [coeff for gamma in preset_groups(12) for coeff in coefficient_catalog(gamma, 4)]
+)
 
 
 def _draw_element(data, group):
@@ -416,7 +455,7 @@ def _validate_action(gamma, m, action):
     return True
 
 
-@given(st.sampled_from(ACTIONS), st.data())
+@given(Actions, st.data())
 @settings(deadline=None, max_examples=300)
 def test_action_validator_matches_the_all_pairs_oracle(coeff, data):
     """
@@ -458,7 +497,7 @@ def _validate_cocycle(coeff, values):
     return True
 
 
-@given(st.one_of(st.sampled_from(TWISTED_SYSTEMS), st.sampled_from(SYSTEMS)), st.data())
+@given(st.one_of(TwistedSystems, Systems), st.data())
 @settings(deadline=None, max_examples=300)
 def test_cocycle_validator_matches_the_all_pairs_oracle(coeff, data):
     """
@@ -520,7 +559,7 @@ def test_search_output_equals_validated_homs(pair):
         assert h == checked and hash(h) == hash(checked)
 
 
-@given(st.one_of(st.sampled_from(TWISTED_SYSTEMS), st.sampled_from(SYSTEMS)))
+@given(st.one_of(TwistedSystems, Systems))
 @settings(deadline=None)
 def test_search_output_equals_validated_cocycles(coeff):
     """
@@ -530,3 +569,67 @@ def test_search_output_equals_validated_cocycles(coeff):
     for a in enumerate_cocycles(coeff):
         checked = Cocycle(coeff, a.values)
         assert a == checked and hash(a) == hash(checked)
+
+
+# --- orbit partitions on generators against all-element oracles -------------
+
+
+@given(st.one_of(TwistedSystems, Systems))
+@settings(deadline=None)
+def test_h1_classes_match_the_all_twists_oracle(coeff):
+    """
+    h1 twists generator values by generators of M; its classes must be the
+    oracle's, which twists full value tuples by every element of M.
+    """
+    tables = (coeff.gamma.table, coeff.M.table, coeff.action)
+    assert list(h1(coeff).classes) == oracle_h1_classes(*tables)
+
+
+def test_section_partitions_match_the_all_conjugators_oracle():
+    """
+    Both section partitions, found from generators of the conjugators,
+    equal the partitions that try every conjugator.
+    """
+    for _, ext in preset_extensions(12):
+        report = enumerate_sections(ext)
+        maps = [s.map for s in report.sections]
+        table = ext.E.table
+        assert list(report.classes_mod_A) == oracle_conjugation_classes(
+            table, maps, ext.iota.map
+        )
+        assert list(report.classes_mod_E) == oracle_conjugation_classes(
+            table, maps, ext.E.elements
+        )
+
+
+# --- derived objects built unchecked against their validators ---------------
+
+
+def test_quotients_equal_validated_groups():
+    """
+    Every quotient of a preset group, built without validation, equals the
+    group validated from its own table, and its projection is a valid hom.
+    """
+    for group in preset_groups(24):
+        for sub in all_normal_subgroups(group):
+            quot, proj = quotient(group, sub)
+            checked = group_from_table(quot.table)
+            assert quot == checked and hash(quot) == hash(checked)
+            assert proj == GroupHom(group, quot, proj.map)
+
+
+@given(Actions, st.sampled_from(preset_groups(8)), st.data())
+@settings(deadline=None)
+def test_pulled_back_coefficients_equal_validated_systems(coeff, src, data):
+    """
+    A system pulled back along a hom into its base, built without
+    validation, equals the validated system with the same rows; so does a
+    constant system.
+    """
+    homs = enumerate_homs(src, coeff.gamma)
+    theta = data.draw(st.sampled_from(homs))
+    pulled = pullback_coefficients(theta, coeff)
+    checked = GammaGroup(src, coeff.M, pulled.action, embed=coeff.embed)
+    assert pulled == checked and hash(pulled) == hash(checked)
+    constant = constant_coefficients(src, coeff.M)
+    assert constant == GammaGroup(src, coeff.M, constant.action)
