@@ -75,13 +75,23 @@ class GammaGroup:
     Every row must be a permutation.  The rows of gamma's generators must be
     automorphisms, and ``action[x*g]`` must be ``action[x]`` after
     ``action[g]`` for every x and generator g.  Those laws make every other
-    row a composite of generator rows, and so an automorphism too.
+    row a composite of generator rows, and so an automorphism too.  The
+    hash is computed on first use and kept.
     """
 
     gamma: FiniteGroup
     M: FiniteGroup
     action: Tuple[Tuple[int, ...], ...]
     embed: Optional[GroupHom] = None
+
+    _hash = None  # not a field: set on the instance by __hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.gamma, self.M, self.action, self.embed))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self) -> None:
         if len(self.action) != self.gamma.order:

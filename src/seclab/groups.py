@@ -84,13 +84,22 @@ class FiniteGroup:
 
     ``table[a][b]`` is the index of the product ``a*b``.  ``label`` is
     cosmetic and ignored by equality so that structurally equal groups
-    compare (and hash) equal.
+    compare (and hash) equal.  The hash is computed on first use and kept.
     """
 
     table: Tuple[Tuple[int, ...], ...]
     identity: int
     inverse: Tuple[int, ...]
     label: Optional[str] = field(default=None, compare=False)
+
+    _hash = None  # not a field: set on the instance by __hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.table, self.identity, self.inverse))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def order(self) -> int:
@@ -339,23 +348,42 @@ def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _derivation(group: FiniteGroup) -> Tuple[Tuple[int, ...], Tuple[Optional[Tuple[int, int]], ...]]:
-    """BFS order and parent links writing each element as parent * generator."""
+def _derivation(
+    group: FiniteGroup,
+) -> Tuple[Tuple[Tuple[int, int, int], ...], Tuple[Tuple[int, int, int], ...]]:
+    """A BFS spanning tree of the Cayley graph on ``generating_set(group)``,
+    and the edges it leaves out.
+
+    The tree is a tuple of ``(y, x, i)``, in BFS order from the identity,
+    writing y as ``x * gens[i]``.  The closing edges are the triples
+    ``(s, g, s*g)``, generator-major, whose edge from s by the generator g
+    is not in the tree: |group|·(|gens| - 1) + 1 of them.  Each gives one
+    Schreier generator of the trivial subgroup, a relation among the
+    generators (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005).
+    """
     gens = generating_set(group)
-    parent: list[Optional[Tuple[int, int]]] = [None] * group.order
-    order = [group.identity]
+    table = group.table
+    tree = []
+    in_tree = set()
     seen = {group.identity}
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
+    order = [group.identity]
+    for x in order:
+        row = table[x]
         for gi, g in enumerate(gens):
-            y = group.mul(x, g)
+            y = row[g]
             if y not in seen:
                 seen.add(y)
-                parent[y] = (x, gi)
                 order.append(y)
-    return tuple(order), tuple(parent)
+                tree.append((y, x, gi))
+                in_tree.add((x, gi))
+    closing = tuple(
+        (s, g, table[s][g])
+        for gi, g in enumerate(gens)
+        for s in group.elements
+        if (s, gi) not in in_tree
+    )
+    return tuple(tree), closing
 
 
 @dataclass(frozen=True)
@@ -427,6 +455,10 @@ def _derivation_failure(
     return None
 
 
+#: Field names of each class built by :func:`_trusted`, read once per class.
+_FIELD_NAMES: dict = {}
+
+
 def _trusted(cls: type, *values: object):
     """An instance of a validated dataclass built without its check.
 
@@ -435,9 +467,12 @@ def _trusted(cls: type, *values: object):
     validated ones by a construction that keeps the law, such as a
     quotient's projection.
     """
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values):
-        object.__setattr__(obj, f.name, value)
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -464,19 +499,21 @@ def _propagate(
     ``rows[x]`` is the image tuple of x acting on m, an action by
     automorphisms.  Returns the value tuple when ``a_{st} = a_s * s(a_t)``
     holds for every s and each generator t, which decides all pairs (see
-    :func:`_derivation_failure`), else None.  A returned tuple has the
-    identity at the identity and every value drawn from m, so it needs no
-    further check (see :func:`_trusted`).
+    :func:`_derivation_failure`), else None.  On the edges of the spanning
+    tree the law holds by construction, since each generator's value is
+    its image; so only the closing edges of :func:`_derivation` are
+    checked.  A returned tuple has the identity at the identity and every
+    value drawn from m, so it needs no further check (see :func:`_trusted`).
     """
-    order, parent = _derivation(gamma)
+    tree, closing = _derivation(gamma)
     mt = m.table
     v = [-1] * gamma.order
     v[gamma.identity] = m.identity
-    for x in order[1:]:
-        prev, gi = parent[x]
-        v[x] = mt[v[prev]][rows[prev][images[gi]]]
-    if _derivation_failure(gamma, m, rows, v, generating_set(gamma)) is not None:
-        return None
+    for y, x, gi in tree:
+        v[y] = mt[v[x]][rows[x][images[gi]]]
+    for s, t, st in closing:
+        if v[st] != mt[v[s]][rows[s][v[t]]]:
+            return None
     return tuple(v)
 
 
@@ -649,24 +686,43 @@ def full_subgroup(parent: FiniteGroup) -> Subgroup:
 
 
 def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
-    """Re-tabulate a subgroup as a standalone group plus its inclusion hom."""
-    elems = sub.elements
+    """Re-tabulate a subgroup as a standalone group plus its inclusion hom.
+
+    The group laws pass from the validated parent to the subgroup, so
+    neither the group nor the inclusion is checked again: the identity is
+    the parent's, and inverses are the parent's.
+    """
+    parent, elems = sub.parent, sub.elements
     index = {g: i for i, g in enumerate(elems)}
-    table = [[index[sub.parent.mul(a, b)] for b in elems] for a in elems]
-    label = None
-    if sub.parent.label:
-        label = f"{sub.parent.label}[{len(elems)}]"
-    grp = group_from_table(table, label)
-    return grp, GroupHom(grp, sub.parent, elems)
+    ptable = parent.table
+    table = tuple(tuple(index[ptable[a][b]] for b in elems) for a in elems)
+    inverse = tuple(index[parent.inverse[g]] for g in elems)
+    label = f"{parent.label}[{len(elems)}]" if parent.label else None
+    grp = FiniteGroup(table, index[parent.identity], inverse, label)
+    return grp, _trusted(GroupHom, grp, parent, elems)
 
 
 def _normality_witness(parent: FiniteGroup, sub: Subgroup) -> Optional[Tuple[int, int]]:
-    eset = set(sub.elements)
-    for g in parent.elements:
-        for h in sub.elements:
-            if parent.conj(g, h) not in eset:
-                return g, h
-    return None
+    """The first ``(g, h)``, g in the parent and h in ``sub`` in element
+    order, with ``g*h*g^-1`` outside ``sub``; None when ``sub`` is normal.
+
+    Normality is decided on generators: conjugation by g maps the span of
+    sub's greedy generators onto the span of their conjugates, and the g
+    that fix ``sub`` are closed under products.  The scan over all pairs
+    runs only to name the witness.
+    """
+    eset = frozenset(sub.elements)
+    table, inverse = parent.table, parent.inverse
+    sub_gens, _ = _greedy_generators(table, parent.identity, sub.elements)
+    if all(
+        table[table[g][h]][inverse[g]] in eset
+        for g in generating_set(parent)
+        for h in sub_gens
+    ):
+        return None
+    return next(
+        (g, h) for g in parent.elements for h in sub.elements if parent.conj(g, h) not in eset
+    )
 
 
 def is_normal(parent: FiniteGroup, sub: Subgroup) -> bool:
@@ -779,32 +835,34 @@ def _coset_representatives(proj: GroupHom) -> Tuple[int, ...]:
     return tuple(reps[y] for y in proj.target.elements)
 
 
-def _subgroup_lattice(group: FiniteGroup, allowed: frozenset) -> Tuple[Tuple[int, ...], ...]:
-    """All subgroups whose elements stay inside ``allowed``, as element tuples.
+@lru_cache(maxsize=None)
+def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
+    """Every subgroup, sorted by order then element tuple.
 
-    Each subgroup found is kept with the generators that reached it, and
-    grows by closing those generators plus one more element.
+    Each subgroup H found is kept with the generators that reached it, and
+    grows by closing those generators plus one more element g.  Since
+    ``<H, g> = <H, h*g>`` for every h in H, only the least element of each
+    coset H*g is tried.  A closure is a subgroup, so none is checked again.
     """
-    trivial = frozenset([group.identity])
+    table, e = group.table, group.identity
+    trivial = frozenset([e])
     found = {trivial}
     frontier = [((), trivial)]
     while frontier:
         nxt = []
         for gens, base in frontier:
-            for g in sorted(allowed - base):
-                grown = _close_elements(group.table, group.identity, (*gens, g))
-                if grown <= allowed and grown not in found:
+            tried = set(base)
+            for g in group.elements:
+                if g in tried:
+                    continue
+                tried.update(table[h][g] for h in base)
+                grown = _close_elements(table, e, (*gens, g))
+                if grown not in found:
                     found.add(grown)
                     nxt.append(((*gens, g), grown))
         frontier = nxt
-    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
-
-
-@lru_cache(maxsize=None)
-def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """Every subgroup, sorted by order then element tuple."""
-    allowed = frozenset(group.elements)
-    return tuple(Subgroup(group, t) for t in _subgroup_lattice(group, allowed))
+    tuples = sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+    return tuple(_trusted(Subgroup, group, t) for t in tuples)
 
 
 @lru_cache(maxsize=None)
@@ -817,8 +875,7 @@ def all_normal_subgroups_between(sub: Subgroup, group: FiniteGroup) -> Tuple[Sub
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
     allowed = frozenset(sub.elements)
-    cands = (Subgroup(group, t) for t in _subgroup_lattice(group, allowed))
-    return tuple(s for s in cands if is_normal(group, s))
+    return tuple(n for n in all_normal_subgroups(group) if allowed.issuperset(n.elements))
 
 
 @lru_cache(maxsize=None)

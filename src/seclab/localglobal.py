@@ -32,6 +32,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _coset_representatives,
+    _trusted,
     all_normal_subgroups,
     all_normal_subgroups_between,
     compose,
@@ -309,7 +310,12 @@ def _kernel_quotient_entries(
     ext: Extension, sections: Sequence[GroupHom]
 ) -> Tuple[CorpusEntry, ...]:
     """Quotients of the embedded kernel by normal-in-E subgroups, with the
-    base acting by conjugation through the first section; none without one."""
+    base acting by conjugation through the first section; none without one.
+
+    Conjugation by an element of E keeps the kernel and each V normal in
+    E, so it acts on A/V by automorphisms, and through a section those
+    compose as Gamma does.  So the systems are not checked again.
+    """
     if not sections:
         return ()
     s0 = sections[0]
@@ -326,7 +332,7 @@ def _kernel_quotient_entries(
             tuple(qmap.map[back[ext.E.conj(s0.map[g], incl.map[r])]] for r in reps)
             for g in ext.Gamma.elements
         )
-        coeff = GammaGroup(ext.Gamma, quot, rows)
+        coeff = _trusted(GammaGroup, ext.Gamma, quot, rows, None)
         if coeff in seen:
             continue
         seen.add(coeff)

@@ -83,6 +83,21 @@ def oracle_subgroups(table):
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def oracle_normality_witness(table, sub_elements):
+    """The first (g, h), g over the group and h over the subgroup in
+    increasing order, whose conjugate g*h*g^-1 leaves the subgroup; None
+    when every conjugate stays inside."""
+    n = len(table)
+    e = oracle_identity(table)
+    inv = {g: next(h for h in range(n) if table[g][h] == e) for g in range(n)}
+    elems = set(sub_elements)
+    for g in range(n):
+        for h in sub_elements:
+            if table[table[g][h]][inv[g]] not in elems:
+                return g, h
+    return None
+
+
 def oracle_sections(gamma_table, e_table, pi_map):
     """All homomorphic sections of pi, by enumerating every total map."""
     homs = oracle_homs(gamma_table, e_table)

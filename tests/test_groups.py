@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from oracles import (
     oracle_conjugacy_classes,
     oracle_homs,
+    oracle_normality_witness,
     oracle_perm_closure,
     oracle_subgroups,
     oracle_union_of_conjugates,
 )
+from seclab.catalog import preset_groups
+from seclab.cohomology import GammaGroup, constant_coefficients
 from seclab.errors import (
     ClosureBoundExceeded,
     NoIdentity,
@@ -25,6 +31,7 @@ from seclab.errors import (
 from seclab.groups import (
     GroupHom,
     Subgroup,
+    _derivation,
     all_normal_subgroups,
     all_normal_subgroups_between,
     all_subgroups,
@@ -158,6 +165,21 @@ def test_homs_match_bruteforce_oracle(src, tgt):
     assert got == [tuple(m) for m in want]
 
 
+def test_derivation_tree_and_closing_edges_cover_every_edge_once():
+    """The spanning tree writes each non-identity element once as x*g, and
+    the closing edges are exactly the |G|·(|gens| - 1) + 1 edges left."""
+    for grp in preset_groups(24):
+        gens = generating_set(grp)
+        tree, closing = _derivation(grp)
+        assert sorted(y for y, _, _ in tree) == [g for g in grp.elements if g != grp.identity]
+        assert all(grp.mul(x, gens[i]) == y for y, x, i in tree)
+        assert len(closing) == grp.order * (len(gens) - 1) + 1
+        assert all(grp.mul(s, g) == sg for s, g, sg in closing)
+        edges = {(x, gens[i]) for _, x, i in tree} | {(s, g) for s, g, _ in closing}
+        assert len(edges) == len(tree) + len(closing)
+        assert edges == {(s, g) for s in grp.elements for g in gens}
+
+
 def test_hom_validation_rejects_non_hom():
     c4 = cyclic_group(4)
     with pytest.raises(NotAHomomorphism):
@@ -228,10 +250,17 @@ def test_subgroup_as_group_roundtrip():
 
 
 def test_all_subgroups_match_subset_oracle():
-    for grp in (s3(), d4(), cyclic_group(8)):
-        got = [s.elements for s in all_subgroups(grp)]
-        want = oracle_subgroups([list(r) for r in grp.table])
-        assert got == want
+    """Every subgroup, and the normal subgroups inside each subgroup, are the
+    subsets the oracle finds closed, and closed under every conjugation."""
+    for grp in (s3(), d4(), cyclic_group(8), *preset_groups(12)):
+        table = [list(r) for r in grp.table]
+        want = oracle_subgroups(table)
+        assert [s.elements for s in all_subgroups(grp)] == want
+        normal = [t for t in want if oracle_normality_witness(table, t) is None]
+        assert [s.elements for s in all_normal_subgroups(grp)] == normal
+        for sub in all_subgroups(grp):
+            inside = [t for t in normal if set(t) <= set(sub.elements)]
+            assert [n.elements for n in all_normal_subgroups_between(sub, grp)] == inside
 
 
 def test_s4_subgroup_census():
@@ -248,6 +277,49 @@ def test_normal_subgroups_between():
     )
     everything = all_normal_subgroups_between(center, grp)
     assert [s.order for s in everything] == [1, 2]
+
+
+def test_normality_on_generators_matches_the_all_pairs_scan():
+    """is_normal agrees with the scan over every pair, and quotient names the
+    scan's first failing pair."""
+    for grp in preset_groups(24):
+        table = [list(r) for r in grp.table]
+        for sub in all_subgroups(grp):
+            witness = oracle_normality_witness(table, sub.elements)
+            assert is_normal(grp, sub) == (witness is None)
+            if witness is not None:
+                g, h = witness
+                with pytest.raises(NotNormal) as err:
+                    quotient(grp, sub)
+                assert str(err.value) == (
+                    f"conjugate {g}*{h}*{g}^-1 = {grp.conj(g, h)} escapes the subgroup"
+                )
+
+
+# --- hashes -----------------------------------------------------------------
+
+
+def test_hashes_agree_for_equal_groups_and_systems():
+    """Equal groups and coefficient systems hash alike: across labels,
+    between built-unchecked and validated copies, and after pickle and copy,
+    whether or not the hash was taken before."""
+    grp = s3()
+    relabelled = group_from_table(grp.table, "other")
+    assert relabelled == grp and hash(relabelled) == hash(grp)
+    quot, _ = quotient(grp, subgroup_generated(grp, [3]))
+    part, _ = subgroup_as_group(subgroup_generated(grp, [3]))
+    constant = constant_coefficients(grp, quot)
+    for built in (quot, part):
+        checked = group_from_table(built.table)
+        assert built == checked and hash(built) == hash(checked)
+    checked = GammaGroup(grp, quot, constant.action)
+    assert constant == checked and hash(constant) == hash(checked)
+    for obj in (grp, quot, part, constant):
+        fresh = [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
+        hashed = hash(obj)
+        fresh += [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
+        for twin in fresh:
+            assert twin == obj and hash(twin) == hashed and repr(twin) == repr(obj)
 
 
 # --- conjugacy and the covering estimate ------------------------------------

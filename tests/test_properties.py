@@ -53,6 +53,7 @@ from seclab.extensions import enumerate_sections
 from seclab.groups import (
     GroupHom,
     Subgroup,
+    _propagate,
     all_normal_subgroups,
     all_subgroups,
     element_order,
@@ -61,9 +62,10 @@ from seclab.groups import (
     group_from_table,
     hom_from_generator_images,
     quotient,
+    subgroup_as_group,
     union_of_conjugates,
 )
-from seclab.localglobal import verify_equivalences
+from seclab.localglobal import _kernel_quotient_entries, verify_equivalences
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest
 
 
@@ -288,6 +290,24 @@ def test_generator_images_extend_exactly_for_homs(pair):
         else:
             with pytest.raises(NotAHomomorphism):
                 hom_from_generator_images(src, tgt, images)
+
+
+@given(st.one_of(TwistedSystems, Systems))
+@settings(deadline=None)
+def test_closing_edges_accept_exactly_the_oracle_cocycles(coeff):
+    """
+    Propagating generator values and checking only the closing edges
+    accepts exactly the assignments that extend to a cocycle, without the
+    search's twisted-norm filter in front of it.
+    """
+    gamma, m = coeff.gamma, coeff.M
+    gens = generating_set(gamma)
+    want = {
+        tuple(a[g] for g in gens): a
+        for a in oracle_cocycles(gamma.table, m.table, coeff.action)
+    }
+    for images in itertools.product(m.elements, repeat=len(gens)):
+        assert _propagate(gamma, m, coeff.action, images) == want.get(images)
 
 
 # --- generator-local validators against all-pairs oracles -------------------
@@ -616,6 +636,35 @@ def test_quotients_equal_validated_groups():
             checked = group_from_table(quot.table)
             assert quot == checked and hash(quot) == hash(checked)
             assert proj == GroupHom(group, quot, proj.map)
+
+
+def test_subgroups_as_groups_equal_validated_groups():
+    """
+    Every subgroup of a preset group, re-tabulated without validation,
+    equals the group validated from its own table, and its inclusion is a
+    valid hom.
+    """
+    for group in preset_groups(24):
+        for sub in all_subgroups(group):
+            grp, incl = subgroup_as_group(sub)
+            checked = group_from_table(grp.table)
+            assert grp == checked and hash(grp) == hash(checked)
+            assert incl == GroupHom(grp, group, sub.elements)
+
+
+def test_kernel_quotient_systems_equal_validated_systems():
+    """
+    Every kernel-quotient system of a preset extension, built without
+    validation, equals the validated system with the same rows.
+    """
+    built = 0
+    for _, ext in preset_extensions(16):
+        for entry in _kernel_quotient_entries(ext, enumerate_sections(ext).sections):
+            coeff = entry.coeff
+            checked = GammaGroup(coeff.gamma, coeff.M, coeff.action)
+            assert coeff == checked and hash(coeff) == hash(checked)
+            built += 1
+    assert built > 0
 
 
 @given(Actions, st.sampled_from(preset_groups(8)), st.data())
