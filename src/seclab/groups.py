@@ -21,6 +21,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     ClosureBoundExceeded,
+    InvariantViolation,
     NoIdentity,
     NoInverse,
     NotAHomomorphism,
@@ -319,8 +320,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) 
 
 
 def element_order(group: FiniteGroup, g: int) -> int:
+    """The least k with g^k the identity; in a group it is at most |G|."""
     k, x = 1, g
     while x != group.identity:
+        if k == group.order:
+            raise InvariantViolation(
+                f"element {g} has no power equal to the identity within {k} steps:"
+                f" the table of {group!r} is not a group"
+            )
         x = group.mul(x, g)
         k += 1
     return k
@@ -892,12 +899,12 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
     """The automorphisms assembled into a group under composition.
 
     Returns the composition table together with the automorphism list it
-    indexes; entry i*j is compose(auts[i], auts[j]).
+    indexes; entry i*j is the index of auts[i] after auts[j].
     """
     auts = automorphisms(group)
     index = {a.map: i for i, a in enumerate(auts)}
     table = tuple(
-        tuple(index[compose(a, b).map] for b in auts) for a in auts
+        tuple(index[tuple(a.map[v] for v in b.map)] for b in auts) for a in auts
     )
     label = f"Aut({group.label})" if group.label else None
     return group_from_table(table, label=label), auts

@@ -289,15 +289,11 @@ class CoefficientCorpus:
     entries: Tuple[CorpusEntry, ...]
 
 
-def _constant_quotient_entries(
-    ext: Extension, bound: Optional[int] = None
-) -> Tuple[CorpusEntry, ...]:
+def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
     out = []
     seen = set()
     for n in all_normal_subgroups(ext.E):
         quot, _ = quotient(ext.E, n)
-        if bound is not None and quot.order > bound:
-            continue
         coeff = constant_coefficients(ext.Gamma, quot)
         if coeff in seen:
             continue
@@ -419,13 +415,13 @@ def decide_a(ls: LocalSections, corpus: CoefficientCorpus) -> DescentCheck:
     return _run_corpus(ls, corpus.entries)
 
 
-def decide_a_prime(ls: LocalSections, bound: Optional[int] = None) -> DescentCheck:
+def decide_a_prime(ls: LocalSections) -> DescentCheck:
     """Survival in all constant quotients of the middle group.
 
-    ``bound`` caps the quotient order; leaving it unset keeps the full
-    quotient, which is what makes this property match (b) exactly.
+    Every quotient counts, E itself included: that is what makes this
+    property match (b) exactly.
     """
-    return _run_corpus(ls, _constant_quotient_entries(ls.ext, bound))
+    return _run_corpus(ls, _constant_quotient_entries(ls.ext))
 
 
 def _surjective_on_kernel(ext: Extension) -> Callable[[Cocycle], bool]:

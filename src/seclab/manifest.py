@@ -11,10 +11,17 @@ from __future__ import annotations
 import json
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cohomology import Cocycle, GammaGroup, h1
+from .catalog import (
+    _class_representative_family,
+    preset_groups,
+    seeded_instances,
+    seeded_transport_pairs,
+)
+from .cohomology import Cocycle, GammaGroup, constant_coefficients, h1
 from .errors import ManifestSyntaxError, UnknownName, ValidationError
 from .extensions import Extension, enumerate_sections, make_extension, pushout
 from .groups import (
@@ -22,11 +29,14 @@ from .groups import (
     GroupHom,
     automorphism_group,
     compose,
+    cyclic_group,
+    direct_product,
+    full_subgroup,
     generating_set,
     group_from_permutations,
     group_from_table,
     hom_from_generator_images,
-    image,
+    identity_hom,
     subgroup_generated,
     union_of_conjugates,
 )
@@ -40,6 +50,7 @@ from .localglobal import (
     decide_b,
     decide_c,
     diagonal_fibre,
+    pushout_tower,
     standard_corpus,
     tower_limit_sections,
     verify_equivalences,
@@ -56,6 +67,7 @@ __all__ = [
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.:/-]*$")
 _CYCLES = re.compile(r"\(([^()]*)\)")
+_CYCLE_TOKEN = re.compile(r"(?:\([^()]*\))+")
 
 _DECIDE_VARIANTS = ("a", "a'", "a''", "b", "c")
 _JOB_OPTIONS = {
@@ -101,43 +113,44 @@ class ManifestProgram:
     local_sections: Dict[str, LocalSections] = field(default_factory=dict)
     jobs: List[Job] = field(default_factory=list)
 
-    def _all_names(self):
-        for table in (
-            self.groups,
-            self.homs,
-            self.extensions,
-            self.coeffs,
-            self.families,
-            self.local_sections,
-        ):
-            yield from table
-
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _fail(line_no: int, message: str) -> ManifestSyntaxError:
-    return ManifestSyntaxError(f"line {line_no}: {message}")
+@contextmanager
+def _at_line(line_no: int) -> Iterator[None]:
+    """Prefix ``line N: `` to a ValidationError raised inside, keeping its
+    type; an error already prefixed by an inner block line passes through."""
+    try:
+        yield
+    except ValidationError as err:
+        if str(err).startswith("line "):
+            raise
+        raise type(err)(f"line {line_no}: {err}") from err
 
 
-def _check_name(line_no: int, name: str, program: ManifestProgram) -> str:
+def _check_name(name: str, program: ManifestProgram) -> str:
     if not _NAME.match(name):
-        raise _fail(line_no, f"bad name {name!r}")
-    if name in set(program._all_names()):
-        raise _fail(line_no, f"duplicate name {name!r}")
+        raise ManifestSyntaxError(f"bad name {name!r}")
+    declared = (
+        program.groups, program.homs, program.extensions,
+        program.coeffs, program.families, program.local_sections,
+    )
+    if any(name in table for table in declared):
+        raise ManifestSyntaxError(f"duplicate name {name!r}")
     return name
 
 
-def _lookup(table: Dict[str, object], name: str, line_no: int, kind: str):
+def _lookup(table: Dict[str, object], name: str, kind: str):
     if name not in table:
-        raise UnknownName(f"line {line_no}: no {kind} named {name!r}")
+        raise UnknownName(f"no {kind} named {name!r}")
     return table[name]
 
 
-def _parse_perm_token(token: str, degree: int, line_no: int) -> Tuple[int, ...]:
-    if not _CYCLES.findall(token) and token != "()":
-        raise _fail(line_no, f"expected cycle notation, got {token!r}")
+def _parse_perm_token(token: str, degree: int) -> Tuple[int, ...]:
+    if not _CYCLE_TOKEN.fullmatch(token):
+        raise ManifestSyntaxError(f"expected cycle notation, got {token!r}")
     img = list(range(degree))
     touched = set()
     for body in _CYCLES.findall(token):
@@ -146,92 +159,88 @@ def _parse_perm_token(token: str, degree: int, line_no: int) -> Tuple[int, ...]:
         try:
             points = [int(p) for p in body.split(",")]
         except ValueError:
-            raise _fail(line_no, f"bad cycle {body!r}") from None
+            raise ManifestSyntaxError(f"bad cycle {body!r}") from None
         for p in points:
             if not 0 <= p < degree:
-                raise _fail(line_no, f"cycle point {p} outside 0..{degree - 1}")
+                raise ManifestSyntaxError(f"cycle point {p} outside 0..{degree - 1}")
             if p in touched:
-                raise _fail(line_no, f"point {p} repeated across cycles")
+                raise ManifestSyntaxError(f"point {p} repeated across cycles")
             touched.add(p)
         for a, b in zip(points, points[1:] + points[:1]):
             img[a] = b
     return tuple(img)
 
 
-def _parse_json_tail(tokens: Sequence[str], line_no: int, what: str):
+def _parse_json_tail(tokens: Sequence[str], what: str):
     blob = " ".join(tokens)
     try:
         return json.loads(blob)
     except json.JSONDecodeError:
-        raise _fail(line_no, f"bad JSON for {what}: {blob!r}") from None
+        raise ManifestSyntaxError(f"bad JSON for {what}: {blob!r}") from None
 
 
-def _rewrap(line_no: int, err: ValidationError) -> ValidationError:
-    return type(err)(f"line {line_no}: {err}")
-
-
-def _parse_group(tokens: List[str], line_no: int, program: ManifestProgram) -> None:
+def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) < 3:
-        raise _fail(line_no, "group needs a name and a form")
-    name = _check_name(line_no, tokens[1], program)
+        raise ManifestSyntaxError("group needs a name and a form")
+    name = _check_name(tokens[1], program)
     form = tokens[2]
     if form == "table":
-        rows = _parse_json_tail(tokens[3:], line_no, "table")
+        rows = _parse_json_tail(tokens[3:], "table")
         program.groups[name] = group_from_table(rows, label=name)
     elif form == "perm":
         if len(tokens) < 5:
-            raise _fail(line_no, "perm needs a degree and generators")
+            raise ManifestSyntaxError("perm needs a degree and generators")
         try:
             degree = int(tokens[3])
         except ValueError:
-            raise _fail(line_no, f"bad degree {tokens[3]!r}") from None
-        gens = [_parse_perm_token(t, degree, line_no) for t in tokens[4:]]
+            raise ManifestSyntaxError(f"bad degree {tokens[3]!r}") from None
+        gens = [_parse_perm_token(t, degree) for t in tokens[4:]]
         program.groups[name] = group_from_permutations(degree, gens, label=name)[0]
     elif form == "aut":
         if len(tokens) != 4:
-            raise _fail(line_no, "aut needs exactly one source group")
-        src = _lookup(program.groups, tokens[3], line_no, "group")
+            raise ManifestSyntaxError("aut needs exactly one source group")
+        src = _lookup(program.groups, tokens[3], "group")
         aut, auts = automorphism_group(src)
         program.groups[name] = aut
         program.auts[name] = auts
     else:
-        raise _fail(line_no, f"unknown group form {form!r}")
+        raise ManifestSyntaxError(f"unknown group form {form!r}")
 
 
-def _parse_hom(tokens: List[str], line_no: int, program: ManifestProgram) -> None:
+def _parse_hom(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) < 4:
-        raise _fail(line_no, "hom needs a name, source, target, and images")
-    name = _check_name(line_no, tokens[1], program)
-    src = _lookup(program.groups, tokens[2], line_no, "group")
-    tgt = _lookup(program.groups, tokens[3], line_no, "group")
-    images = _parse_json_tail(tokens[4:] or ["[]"], line_no, "generator images")
-    if not isinstance(images, list) or not all(isinstance(i, int) for i in images):
-        raise _fail(line_no, "generator images must be a list of integers")
+        raise ManifestSyntaxError("hom needs a name, source, target, and images")
+    name = _check_name(tokens[1], program)
+    src = _lookup(program.groups, tokens[2], "group")
+    tgt = _lookup(program.groups, tokens[3], "group")
+    images = _parse_json_tail(tokens[4:] or ["[]"], "generator images")
+    if not isinstance(images, list) or not all(type(i) is int for i in images):
+        raise ManifestSyntaxError("generator images must be a list of integers")
     program.homs[name] = hom_from_generator_images(src, tgt, tuple(images))
 
 
-def _parse_extension(tokens: List[str], line_no: int, program: ManifestProgram) -> None:
+def _parse_extension(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) != 7:
-        raise _fail(line_no, "extension needs name, A, E, G, iota, pi")
-    name = _check_name(line_no, tokens[1], program)
-    a = _lookup(program.groups, tokens[2], line_no, "group")
-    e = _lookup(program.groups, tokens[3], line_no, "group")
-    g = _lookup(program.groups, tokens[4], line_no, "group")
-    iota = _lookup(program.homs, tokens[5], line_no, "hom")
-    pi = _lookup(program.homs, tokens[6], line_no, "hom")
+        raise ManifestSyntaxError("extension needs name, A, E, G, iota, pi")
+    name = _check_name(tokens[1], program)
+    a = _lookup(program.groups, tokens[2], "group")
+    e = _lookup(program.groups, tokens[3], "group")
+    g = _lookup(program.groups, tokens[4], "group")
+    iota = _lookup(program.homs, tokens[5], "hom")
+    pi = _lookup(program.homs, tokens[6], "hom")
     if iota.source != a or iota.target != e:
-        raise _fail(line_no, f"{tokens[5]} does not map {tokens[2]} into {tokens[3]}")
+        raise ManifestSyntaxError(f"{tokens[5]} does not map {tokens[2]} into {tokens[3]}")
     if pi.source != e or pi.target != g:
-        raise _fail(line_no, f"{tokens[6]} does not map {tokens[3]} onto {tokens[4]}")
+        raise ManifestSyntaxError(f"{tokens[6]} does not map {tokens[3]} onto {tokens[4]}")
     program.extensions[name] = make_extension(iota, pi)
 
 
-def _parse_coeff(tokens: List[str], line_no: int, program: ManifestProgram) -> None:
+def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) != 4:
-        raise _fail(line_no, "coeff needs a name, a module group, and an action hom")
-    name = _check_name(line_no, tokens[1], program)
-    m = _lookup(program.groups, tokens[2], line_no, "group")
-    act = _lookup(program.homs, tokens[3], line_no, "hom")
+        raise ManifestSyntaxError("coeff needs a name, a module group, and an action hom")
+    name = _check_name(tokens[1], program)
+    m = _lookup(program.groups, tokens[2], "group")
+    act = _lookup(program.homs, tokens[3], "hom")
     candidates = [
         n
         for n, g in program.groups.items()
@@ -241,9 +250,8 @@ def _parse_coeff(tokens: List[str], line_no: int, program: ManifestProgram) -> N
         and program.auts[n][0].source == m
     ]
     if not candidates:
-        raise _fail(
-            line_no,
-            f"{tokens[3]} must land in the aut-declared group of {tokens[2]}",
+        raise ManifestSyntaxError(
+            f"{tokens[3]} must land in the aut-declared group of {tokens[2]}"
         )
     auts = program.auts[candidates[0]]
     rows = tuple(auts[act.map[g]].map for g in act.source.elements)
@@ -255,9 +263,8 @@ def _parse_block(
     start: int,
     inner_keyword: str,
 ) -> Tuple[List[Tuple[int, List[str]]], int]:
-    line_no, tokens = lines[start]
-    if tokens[-1] != "{":
-        raise _fail(line_no, "block must open with '{' at end of line")
+    """The lines of the block opened at ``lines[start]``, and the index of
+    its closing brace; the caller has checked the header."""
     body = []
     i = start + 1
     while i < len(lines):
@@ -265,10 +272,11 @@ def _parse_block(
         if inner == ["}"]:
             return body, i
         if inner[0] != inner_keyword:
-            raise _fail(inner_no, f"expected {inner_keyword!r} or '}}', got {inner[0]!r}")
+            with _at_line(inner_no):
+                raise ManifestSyntaxError(f"expected {inner_keyword!r} or '}}', got {inner[0]!r}")
         body.append((inner_no, inner))
         i += 1
-    raise _fail(line_no, "unterminated block")
+    raise ManifestSyntaxError("unterminated block")
 
 
 def parse_manifest(text: str) -> ManifestProgram:
@@ -283,82 +291,80 @@ def parse_manifest(text: str) -> ManifestProgram:
     while idx < len(lines):
         line_no, tokens = lines[idx]
         keyword = tokens[0]
-        try:
+        with _at_line(line_no):
             if keyword == "group":
-                _parse_group(tokens, line_no, program)
+                _parse_group(tokens, program)
             elif keyword == "hom":
-                _parse_hom(tokens, line_no, program)
+                _parse_hom(tokens, program)
             elif keyword == "extension":
-                _parse_extension(tokens, line_no, program)
+                _parse_extension(tokens, program)
             elif keyword == "coeff":
-                _parse_coeff(tokens, line_no, program)
+                _parse_coeff(tokens, program)
             elif keyword == "family":
                 if len(tokens) != 4 or tokens[3] != "{":
-                    raise _fail(line_no, "family needs a name, a base group, and '{'")
-                name = _check_name(line_no, tokens[1], program)
-                gamma = _lookup(program.groups, tokens[2], line_no, "group")
+                    raise ManifestSyntaxError("family needs a name, a base group, and '{'")
+                name = _check_name(tokens[1], program)
+                gamma = _lookup(program.groups, tokens[2], "group")
                 body, idx = _parse_block(lines, idx, "local")
                 thetas = []
                 for inner_no, inner in body:
-                    if len(inner) != 3:
-                        raise _fail(inner_no, "local needs a group and a hom")
-                    src = _lookup(program.groups, inner[1], inner_no, "group")
-                    theta = _lookup(program.homs, inner[2], inner_no, "hom")
-                    if theta.source != src:
-                        raise _fail(inner_no, f"{inner[2]} does not start from {inner[1]}")
+                    with _at_line(inner_no):
+                        if len(inner) != 3:
+                            raise ManifestSyntaxError("local needs a group and a hom")
+                        src = _lookup(program.groups, inner[1], "group")
+                        theta = _lookup(program.homs, inner[2], "hom")
+                        if theta.source != src:
+                            raise ManifestSyntaxError(f"{inner[2]} does not start from {inner[1]}")
                     thetas.append(theta)
                 program.families[name] = LocalFamily(gamma, tuple(thetas))
             elif keyword == "sections":
                 if len(tokens) != 4 or tokens[3] != "{":
-                    raise _fail(line_no, "sections needs a name, an extension, and '{'")
-                name = _check_name(line_no, tokens[1], program)
-                ext = _lookup(program.extensions, tokens[2], line_no, "extension")
+                    raise ManifestSyntaxError("sections needs a name, an extension, and '{'")
+                name = _check_name(tokens[1], program)
+                ext = _lookup(program.extensions, tokens[2], "extension")
                 body, idx = _parse_block(lines, idx, "s")
                 secs = []
                 for inner_no, inner in body:
-                    if len(inner) != 2:
-                        raise _fail(inner_no, "s needs exactly one hom name")
-                    secs.append(_lookup(program.homs, inner[1], inner_no, "hom"))
+                    with _at_line(inner_no):
+                        if len(inner) != 2:
+                            raise ManifestSyntaxError("s needs exactly one hom name")
+                        secs.append(_lookup(program.homs, inner[1], "hom"))
                 thetas = tuple(compose(ext.pi, s) for s in secs)
                 fam = LocalFamily(ext.Gamma, thetas)
                 program.local_sections[name] = LocalSections(ext, fam, tuple(secs))
             elif keyword == "job":
                 program.jobs.append(_parse_job(tokens, line_no))
             else:
-                raise _fail(line_no, f"unknown keyword {keyword!r}")
-        except ValidationError as err:
-            if str(err).startswith("line "):
-                raise
-            raise _rewrap(line_no, err) from err
+                raise ManifestSyntaxError(f"unknown keyword {keyword!r}")
         idx += 1
     return program
 
 
 def _parse_job(tokens: List[str], line_no: int) -> Job:
     if len(tokens) < 3:
-        raise _fail(line_no, "job needs a command and a target")
+        raise ManifestSyntaxError("job needs a command and a target")
     command = tokens[1]
     if command not in _JOB_OPTIONS:
-        raise _fail(line_no, f"unknown job command {command!r}")
+        raise ManifestSyntaxError(f"unknown job command {command!r}")
     variant = None
     rest = tokens[2:]
     if command == "decide":
         if len(rest) < 2:
-            raise _fail(line_no, "decide needs a variant and a target")
+            raise ManifestSyntaxError("decide needs a variant and a target")
         variant = rest[0]
         if variant not in _DECIDE_VARIANTS:
-            raise _fail(line_no, f"unknown decide variant {variant!r}")
+            raise ManifestSyntaxError(f"unknown decide variant {variant!r}")
         rest = rest[1:]
     target = rest[0]
     options = []
     for tok in rest[1:]:
         if "=" not in tok:
-            raise _fail(line_no, f"expected key=value, got {tok!r}")
+            raise ManifestSyntaxError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
         if key not in _JOB_OPTIONS[command]:
-            raise _fail(line_no, f"job {command!r} takes no option {key!r}")
+            raise ManifestSyntaxError(f"job {command!r} takes no option {key!r}")
         if any(k == key for k, _ in options):
-            raise _fail(line_no, f"option {key!r} given twice")
+            raise ManifestSyntaxError(f"option {key!r} given twice")
         options.append((key, value))
     return Job(line_no, command, variant, target, tuple(options))
 
@@ -367,25 +373,23 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
 # running
 
 
-def _element_list(
-    value: Optional[str], line_no: int, what: str, group: FiniteGroup
-) -> List[int]:
+def _element_list(value: Optional[str], what: str, group: FiniteGroup) -> List[int]:
     """A comma-separated list of elements of ``group``, range-checked."""
     if not value:
         return []
     try:
         elements = [int(v) for v in value.split(",")]
     except ValueError:
-        raise _fail(line_no, f"bad {what} list {value!r}") from None
+        raise ManifestSyntaxError(f"bad {what} list {value!r}") from None
     for v in elements:
         if not 0 <= v < group.order:
-            raise _fail(line_no, f"{what} {v} outside 0..{group.order - 1}")
+            raise ManifestSyntaxError(f"{what} {v} outside 0..{group.order - 1}")
     return elements
 
 
 def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
     if job.command == "sections":
-        ext = _lookup(program.extensions, job.target, job.line, "extension")
+        ext = _lookup(program.extensions, job.target, "extension")
         report = enumerate_sections(ext)
         return {
             "sections": report.count,
@@ -393,7 +397,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "classes_mod_middle": [list(c) for c in report.classes_mod_E],
         }
     if job.command == "h1":
-        coeff = _lookup(program.coeffs, job.target, job.line, "coeff")
+        coeff = _lookup(program.coeffs, job.target, "coeff")
         classes = h1(coeff)
         return {
             "cocycles": len(classes.cocycles),
@@ -401,8 +405,8 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "representatives": [list(r.values) for r in classes.representatives],
         }
     if job.command == "pushout":
-        ext = _lookup(program.extensions, job.target, job.line, "extension")
-        gens = _element_list(job.option("gens"), job.line, "generator", ext.A)
+        ext = _lookup(program.extensions, job.target, "extension")
+        gens = _element_list(job.option("gens"), "generator", ext.A)
         sub = subgroup_generated(ext.A, gens)
         smaller, _ = pushout(ext, sub)
         return {
@@ -412,7 +416,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "splits": bool(enumerate_sections(smaller).sections),
         }
     if job.command == "decide":
-        ls = _lookup(program.local_sections, job.target, job.line, "sections")
+        ls = _lookup(program.local_sections, job.target, "sections")
         if job.variant == "a":
             check = decide_a(ls, standard_corpus(ls))
         elif job.variant == "a'":
@@ -442,27 +446,27 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
         elif job.target in program.local_sections:
             fam = program.local_sections[job.target].family
         else:
-            raise UnknownName(f"line {job.line}: no family or sections named {job.target!r}")
+            raise UnknownName(f"no family or sections named {job.target!r}")
         return {"dense": check_density(fam)}
     if job.command == "fibre":
-        fam = _lookup(program.families, job.target, job.line, "family")
-        coeff = _lookup(program.coeffs, job.option("coeff") or "", job.line, "coeff")
-        values = _element_list(job.option("alpha"), job.line, "cocycle value", coeff.M)
+        fam = _lookup(program.families, job.target, "family")
+        coeff = _lookup(program.coeffs, job.option("coeff") or "", "coeff")
+        values = _element_list(job.option("alpha"), "cocycle value", coeff.M)
         alpha = Cocycle(coeff, tuple(values))
         fib = diagonal_fibre(alpha, fam)
         return {"size": len(fib), "classes": [list(b.values) for b in fib]}
     if job.command == "jordan":
-        grp = _lookup(program.groups, job.target, job.line, "group")
-        gens = _element_list(job.option("gens"), job.line, "generator", grp)
-        cover = union_of_conjugates(grp, subgroup_generated(grp, gens))
+        grp = _lookup(program.groups, job.target, "group")
+        sub = subgroup_generated(grp, _element_list(job.option("gens"), "generator", grp))
+        cover = union_of_conjugates(grp, sub)
         return {
-            "subgroup_order": len(subgroup_generated(grp, gens).elements),
+            "subgroup_order": len(sub.elements),
             "union_size": len(cover.union),
             "bound": cover.bound,
             "covers": cover.covers,
         }
     if job.command == "verify":
-        ls = _lookup(program.local_sections, job.target, job.line, "sections")
+        ls = _lookup(program.local_sections, job.target, "sections")
         rep = verify_equivalences(ls)
         return {
             "a": rep.a.holds,
@@ -476,20 +480,18 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "all_implications_hold": rep.all_implications_hold,
         }
     if job.command == "tower":
-        ls = _lookup(program.local_sections, job.target, job.line, "sections")
+        ls = _lookup(program.local_sections, job.target, "sections")
         ext_names = (job.option("exts") or "").split(",") if job.option("exts") else []
         map_names = (job.option("maps") or "").split(",") if job.option("maps") else []
-        levels = [
-            _lookup(program.extensions, n, job.line, "extension") for n in ext_names
-        ]
-        maps = [_lookup(program.homs, n, job.line, "hom") for n in map_names]
+        levels = [_lookup(program.extensions, n, "extension") for n in ext_names]
+        maps = [_lookup(program.homs, n, "hom") for n in map_names]
         res = tower_limit_sections(levels, maps, ls)
         return {
             "level_sizes": list(res.level_sizes),
             "empty_levels": list(res.empty_levels),
             "chain": [list(u.map) for u in res.chain] if res.chain else None,
         }
-    raise _fail(job.line, f"unknown job command {job.command!r}")
+    raise ManifestSyntaxError(f"unknown job command {job.command!r}")
 
 
 def run_program(
@@ -504,12 +506,8 @@ def run_program(
     exit_code = 0
     for job in program.jobs:
         started = time.perf_counter()
-        try:
+        with _at_line(job.line):
             outcome = _run_job(job, program)
-        except ValidationError as err:
-            if str(err).startswith("line "):
-                raise
-            raise _rewrap(job.line, err) from err
         elapsed = time.perf_counter() - started
         header: Dict[str, object] = {
             "job": job.command,
@@ -588,30 +586,25 @@ class ManifestBuilder:
         if h in self._homs:
             return self._homs[h]
         src = self.add_group(h.source)
-        tgt = self.add_group(h.target)
+        return self._emit_hom(h, src, self.add_group(h.target), self._name(hint, "f"))
+
+    def _emit_hom(self, h: GroupHom, src: str, tgt: str, name: str) -> str:
         images = [h.map[x] for x in generating_set(h.source)]
-        name = self._name(hint, "f")
         blob = json.dumps(images, separators=(",", ":"))
         self._lines.append(f"hom {name} {src} {tgt} {blob}")
         self._homs[h] = name
         return name
 
-    def _add_aut_valued_hom(self, m: FiniteGroup, coeff: GammaGroup) -> str:
-        aut, auts = automorphism_group(m)
-        aut_name = self.add_aut_group(m)
+    def _add_aut_valued_hom(self, coeff: GammaGroup) -> str:
+        """The action of ``coeff`` as a hom into the declared Aut(M)."""
+        aut, auts = automorphism_group(coeff.M)
+        aut_name = self.add_aut_group(coeff.M)
         index = {a.map: i for i, a in enumerate(auts)}
-        act = GroupHom(
-            coeff.gamma, aut, tuple(index[row] for row in coeff.action)
-        )
+        act = GroupHom(coeff.gamma, aut, tuple(index[row] for row in coeff.action))
         if act in self._homs:
             return self._homs[act]
         src = self.add_group(coeff.gamma)
-        images = [act.map[x] for x in generating_set(coeff.gamma)]
-        name = self._name(None, "act")
-        blob = json.dumps(images, separators=(",", ":"))
-        self._lines.append(f"hom {name} {src} {aut_name} {blob}")
-        self._homs[act] = name
-        return name
+        return self._emit_hom(act, src, aut_name, self._name(None, "act"))
 
     def add_extension(self, ext: Extension, hint: Optional[str] = None) -> str:
         if ext in self._extensions:
@@ -630,7 +623,7 @@ class ManifestBuilder:
         if coeff in self._coeffs:
             return self._coeffs[coeff]
         m = self.add_group(coeff.M)
-        act = self._add_aut_valued_hom(coeff.M, coeff)
+        act = self._add_aut_valued_hom(coeff)
         name = self._name(hint, "w")
         self._lines.append(f"coeff {name} {m} {act}")
         self._coeffs[coeff] = name
@@ -690,15 +683,6 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
     Identical arguments give byte-identical text: all content is drawn from
     the preset catalog and seeded generators.
     """
-    from .catalog import (
-        _class_representative_family,
-        preset_groups,
-        seeded_instances,
-        seeded_transport_pairs,
-    )
-    from .cohomology import constant_coefficients
-    from .groups import cyclic_group, direct_product, identity_hom
-
     b = ManifestBuilder()
     b.comment(f"generated corpus: max order {max_order}, seed {seed}")
 
@@ -728,14 +712,11 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
     if max_order >= 6:
         b.comment("cohomology of the smallest nonabelian base")
         s3 = next(g for g in preset_groups(max_order) if g.label == "S3")
-        for m in (cyclic_group(2), cyclic_group(3)):
-            coeff = constant_coefficients(s3, m)
-            cname = b.add_coeff(coeff)
-            b.add_job("h1", cname)
-        coeff2 = constant_coefficients(s3, cyclic_group(2))
-        reps = h1(coeff2).representatives
+        coeff2, coeff3 = (constant_coefficients(s3, cyclic_group(n)) for n in (2, 3))
+        for coeff in (coeff2, coeff3):
+            b.add_job("h1", b.add_coeff(coeff))
         fam = b.add_family(_class_representative_family(s3))
-        alpha = reps[-1]
+        alpha = h1(coeff2).representatives[-1]
         b.add_job(
             "fibre",
             fam,
@@ -753,9 +734,6 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
         ls = LocalSections(
             ext, fam, (GroupHom(c3, e2, (0, 3, 6)), GroupHom(c3, e2, (0, 4, 8)))
         )
-        from .localglobal import pushout_tower
-        from .groups import full_subgroup
-
         levels, maps = pushout_tower(ext, [full_subgroup(c3)])
         ls_name = b.add_sections(ls, "flat")
         ext_names = ",".join(b.add_extension(lv) for lv in levels)

@@ -19,6 +19,7 @@ from seclab.catalog import preset_groups
 from seclab.cohomology import GammaGroup, constant_coefficients
 from seclab.errors import (
     ClosureBoundExceeded,
+    InvariantViolation,
     NoIdentity,
     NoInverse,
     NotAHomomorphism,
@@ -29,12 +30,14 @@ from seclab.errors import (
     ValidationError,
 )
 from seclab.groups import (
+    FiniteGroup,
     GroupHom,
     Subgroup,
     _derivation,
     all_normal_subgroups,
     all_normal_subgroups_between,
     all_subgroups,
+    automorphism_group,
     automorphisms,
     compose,
     conjugacy_classes,
@@ -217,6 +220,15 @@ def test_element_order():
     assert element_order(cyclic_group(12), 1) == 12
     assert element_order(s3(), 3) == 3
     assert element_order(s3(), 1) == 2
+
+
+def test_a_table_that_is_not_a_group_breaks_an_invariant_instead_of_hanging():
+    # element 1 squares to itself, so no power of it is the identity
+    bad = FiniteGroup(((0, 1), (1, 1)), 0, (0, 1))
+    with pytest.raises(InvariantViolation, match="element 1 "):
+        element_order(bad, 1)
+    with pytest.raises(InvariantViolation, match="element 1 "):
+        enumerate_homs(bad, cyclic_group(2))
 
 
 # --- subgroups --------------------------------------------------------------
@@ -409,6 +421,15 @@ def test_automorphisms_s3_all_inner():
     assert len(autos) == 6
     inner = {inner_automorphism(grp, g).map for g in grp.elements}
     assert {a.map for a in autos} == inner
+
+
+def test_automorphism_group_table_composes_its_automorphisms():
+    for grp in preset_groups(8):
+        aut, auts = automorphism_group(grp)
+        index = {a.map: i for i, a in enumerate(auts)}
+        for i, a in enumerate(auts):
+            for j, b in enumerate(auts):
+                assert aut.mul(i, j) == index[compose(a, b).map], (grp.label, i, j)
 
 
 # --- conjugation partitions ---------------------------------------------------

@@ -301,13 +301,6 @@ def test_descent_checks_on_good_instances():
         assert decide_a_doubleprime(ls).holds
 
 
-def test_a_prime_bound_keeps_only_small_quotients():
-    ls = v4_instance()
-    # only the trivial quotient survives a bound of 1, where nothing can fail
-    assert decide_a_prime(ls, bound=1).holds
-    assert not decide_a_prime(ls, bound=4).holds
-
-
 def test_decide_a_rejects_foreign_corpus():
     ls = c4_instance()
     corpus = CoefficientCorpus(

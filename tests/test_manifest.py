@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seclab.manifest as manifest_mod
 from seclab.cohomology import constant_coefficients
@@ -11,9 +16,16 @@ from seclab.errors import (
     ManifestSyntaxError,
     NoInverse,
     UnknownName,
+    ValidationError,
 )
 from seclab.groups import GroupHom, cyclic_group, group_from_permutations, identity_hom
-from seclab.localglobal import LocalFamily, LocalSections
+from seclab.localglobal import (
+    LocalFamily,
+    LocalSections,
+    decide_a,
+    decide_a_doubleprime,
+    standard_corpus,
+)
 from seclab.manifest import (
     ManifestBuilder,
     generate_corpus,
@@ -52,6 +64,27 @@ def test_parse_and_run_the_failing_instance():
     assert by_job[("decide", "a'")]["holds"] is False
     assert by_job[("decide", "a'")]["failing_provenance"] == "constant-quotient-of-E"
     assert by_job[("density", None)]["dense"] is True
+
+
+@pytest.mark.parametrize("variant", ["a", "a''"])
+def test_decide_a_and_a_doubleprime_jobs_report_their_check(variant):
+    program = parse_manifest(V4_OVER_C2 + f"job decide {variant} ls\n")
+    ls = program.local_sections["ls"]
+    check = decide_a(ls, standard_corpus(ls)) if variant == "a" else decide_a_doubleprime(ls)
+    results, code = run_program(program, timing=False)
+    assert code == 0
+    assert not check.holds
+    assert results[-1] == {
+        "job": "decide",
+        "target": "ls",
+        "line": 17,
+        "variant": variant,
+        "holds": False,
+        "classes_checked": check.classes_checked,
+        "failing_provenance": check.failing_entry.provenance,
+        "failing_module_order": check.failing_entry.coeff.M.order,
+        "failing_class": list(check.failing_class.values),
+    }
 
 
 def test_perm_and_cycle_notation():
@@ -109,7 +142,7 @@ def test_parse_error_messages_carry_line_numbers():
         ("group G table [[0,1],[1,1]]\n", NoInverse, "line 1"),
         ("group G perm 3 (0,1)(1,2)\n", ManifestSyntaxError, "repeated"),
         ("group G perm 3 (0,9)\n", ManifestSyntaxError, "outside"),
-        ("group C2 table [[0,1],[1,0]]\nfamily F C2 {\n", ManifestSyntaxError, "unterminated"),
+        ("group C2 table [[0,1],[1,0]]\nfamily F C2 {\n", ManifestSyntaxError, "line 2: unterminated"),
         ("job frobnicate X\n", ManifestSyntaxError, "frobnicate"),
         ("job decide z X\n", ManifestSyntaxError, "variant"),
         ("job jordan X spins=3\n", ManifestSyntaxError, "spins"),
@@ -243,6 +276,11 @@ family F C2 {
             "option 'gens' given twice",
         ),
         ("group G perm -2 ()\n", 1, "degree -2 is negative"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [true]\n", 2, "list of integers"),
+        ("group G perm 3 (0,1)zz (0,1,2)junk\n", 1, "got '(0,1)zz'"),
+        ("group C2 table [[0,1],[1,0]]\nfamily F C2 {\n  local C2 nope\n}\n", 3, "no hom"),
+        (V4_OVER_C2 + "sections t ext {\n  s s1\n  s s2 s1\n}\n", 19, "one hom name"),
+        (V4_OVER_C2 + "sections t ext {\n  s s1\n  local s2\n}\n", 19, "got 'local'"),
     ],
     ids=[
         "string-entry",
@@ -256,6 +294,11 @@ family F C2 {
         "fibre",
         "repeated-option",
         "perm-negative-degree",
+        "hom-image-bool",
+        "perm-trailing-text",
+        "family-line",
+        "sections-line",
+        "block-keyword",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
@@ -267,3 +310,61 @@ def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, te
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")
     assert needle in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the front door
+
+GOLDEN_MANIFESTS = tuple(
+    p.read_text() for p in sorted((Path(__file__).parent / "golden").glob("*.manifest"))
+)
+_INTEGER = re.compile(r"(?<![\w.:/-])-?\d+")
+_WRONG_JSON = ("5", '"x"', "null", "true", "{}", "[true]", "[1.5]", '[[0,1],"ab"]', "[[]]", "[]")
+_NEW_INTEGERS = (-1, -2, 0, 1, 2, 5, 12, 13, 64, 99)
+
+
+def _mutate(text: str, rnd) -> str:
+    """One token-level edit of ``text``: a token dropped, swapped or
+    duplicated, an integer replaced, a JSON value of the wrong type, the
+    text cut short (truncating any open block), or a line repeated (so a
+    name is declared twice).  ``rnd`` is a ``random.Random``."""
+    lines = text.splitlines()
+    i = rnd.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rnd.choice(("drop", "swap", "duplicate", "integer", "json", "truncate", "repeat"))
+    if kind == "truncate":
+        return "\n".join(lines[:i]) + "\n"
+    if kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "integer":
+        spots = list(_INTEGER.finditer(lines[i]))
+        if spots:
+            m = rnd.choice(spots)
+            new = str(rnd.choice(_NEW_INTEGERS))
+            lines[i] = lines[i][: m.start()] + new + lines[i][m.end() :]
+    elif tokens:
+        j, k = rnd.randrange(len(tokens)), rnd.randrange(len(tokens))
+        if kind == "drop":
+            del tokens[j]
+        elif kind == "swap":
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        elif kind == "duplicate":
+            tokens.insert(j, tokens[j])
+        else:
+            blobs = [n for n, t in enumerate(tokens) if t.startswith("[")] or [j]
+            tokens[rnd.choice(blobs)] = rnd.choice(_WRONG_JSON)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.sampled_from(GOLDEN_MANIFESTS), st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(deadline=None, max_examples=400)
+def test_mutated_golden_manifests_run_or_fail_with_a_line(text, rnd, edits):
+    for _ in range(edits):
+        text = _mutate(text, rnd)
+    try:
+        run_program(parse_manifest(text), timing=False)
+    except ValidationError as err:
+        m = re.match(r"line (\d+): (?!line )", str(err))
+        assert m, f"{type(err).__name__} without exactly one line: {err}"
+        assert 1 <= int(m.group(1)) <= len(text.splitlines()), str(err)
