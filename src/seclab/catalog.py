@@ -248,6 +248,11 @@ def seeded_instances(
     """
     rng = random.Random(seed)
     pool = _instance_pool(max_middle)
+    if not pool:
+        raise ValidationError(
+            f"no preset extension of middle order at most {max_middle} "
+            "has a nontrivial kernel and base"
+        )
     out: List[LocalSections] = []
     while len(out) < count:
         ext = rng.choice(pool)
@@ -307,6 +312,8 @@ def seeded_transport_pairs(
     """
     rng = random.Random(seed)
     pool = [g for g in preset_groups(max_order) if g.order > 1]
+    if not pool:
+        raise ValidationError(f"no nontrivial preset group of order at most {max_order}")
     out: List[Tuple[LocalFamily, Subgroup]] = []
     for _ in range(count):
         gamma = rng.choice(pool)

@@ -73,30 +73,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.command == "gen":
-        sys.stdout.write(generate_corpus(args.max_order, args.seed))
-        return 0
-
-    if args.manifest == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.manifest, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+def _read(path: str) -> str:
+    """The manifest text in ``path``, or on stdin for '-'."""
     try:
-        program = parse_manifest(text)
-        results, exit_code = run_program(program, timing=not args.no_timing)
-    except ValidationError as err:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path} is not UTF-8 text: {err}") from None
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
+        if args.command == "gen":
+            out, exit_code = generate_corpus(args.max_order, args.seed), 0
+        else:
+            program = parse_manifest(_read(args.manifest))
+            results, exit_code = run_program(program, timing=not args.no_timing)
+            render = _render_structured if args.format == "structured" else _render_text
+            out = render(results)
+    except (OSError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.format == "structured":
-        sys.stdout.write(_render_structured(results))
-    else:
-        sys.stdout.write(_render_text(results))
+    sys.stdout.write(out)
     return exit_code
 
 

@@ -359,9 +359,7 @@ def pullback_class(s: GroupHom, a: Cocycle, ext: Optional["Extension"] = None) -
     return restrict_class(s, a)
 
 
-def descend_class(
-    q: GroupHom, a: Cocycle, trivial_on: Optional[Subgroup] = None
-) -> Cocycle:
+def descend_class(q: GroupHom, a: Cocycle) -> Cocycle:
     """Push a cocycle down a surjection that kills it.
 
     Requires ``q`` surjective, the cocycle's values trivial on ker q, and
@@ -373,10 +371,6 @@ def descend_class(
     if len(set(q.map)) != q.target.order:
         raise NotSurjective("descent requires a surjective projection")
     ker = kernel(q)
-    if trivial_on is not None and trivial_on.elements != ker.elements:
-        raise ValidationError(
-            f"trivial_on {trivial_on.elements} is not the kernel {ker.elements}"
-        )
     m = a.parent.M
     ident = tuple(m.elements)
     for k in ker.elements:

@@ -34,7 +34,6 @@ from .groups import (
     group_from_table,
     identity_hom,
     image,
-    is_injective,
     partition_by_conjugation,
     quotient,
     subgroup,
@@ -67,13 +66,12 @@ class Extension:
             raise ValidationError("iota must map the kernel group into the middle group")
         if self.pi.source != self.E or self.pi.target != self.Gamma:
             raise ValidationError("pi must map the middle group onto the base group")
-        if not is_injective(self.iota):
-            seen = {}
-            for x in self.A.elements:
-                y = self.iota.map[x]
-                if y in seen:
-                    raise NotInjective(f"iota identifies {seen[y]} and {x} (both map to {y})")
-                seen[y] = x
+        seen = {}
+        for x in self.A.elements:
+            y = self.iota.map[x]
+            if y in seen:
+                raise NotInjective(f"iota identifies {seen[y]} and {x} (both map to {y})")
+            seen[y] = x
         hit = set(self.pi.map)
         for g in self.Gamma.elements:
             if g not in hit:
@@ -174,9 +172,10 @@ def semidirect(
     """The split extension for an action of gamma on a by automorphisms.
 
     ``action[g]`` must be an automorphism of ``a``, the identity must act
-    trivially, and rows must compose, as for any coefficient system; pairs are encoded as ``x*|gamma| + g``
-    with multiplication ``(x,g)(y,h) = (x * g(y), gh)``.  Returns the
-    extension together with its canonical section ``g -> (e, g)``.
+    trivially, and rows must compose, as for any coefficient system.  Pairs
+    are encoded as ``x*|gamma| + g`` with multiplication
+    ``(x,g)(y,h) = (x * g(y), gh)``.  Returns the extension together with
+    its canonical section ``g -> (e, g)``.
     """
     for g, phi in enumerate(action):
         if phi.source != a or phi.target != a:

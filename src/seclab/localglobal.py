@@ -26,12 +26,13 @@ from .cohomology import (
     pullback_coefficients,
 )
 from .errors import IncompatibleTower, InvariantViolation, NotASection, ValidationError
-from .extensions import Extension, enumerate_sections
+from .extensions import Extension, enumerate_sections, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
     _coset_representatives,
+    _orbit_partition,
     _trusted,
     all_normal_subgroups,
     all_normal_subgroups_between,
@@ -149,14 +150,9 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
         raise ValidationError("transport target must be a subgroup of the base")
     gprime, _incl = subgroup_as_group(sub)
     back = {e: i for i, e in enumerate(sub.elements)}
-    reps = []
-    seen: set = set()
-    for x in g.elements:
-        if x in seen:
-            continue
-        coset = {g.mul(h, x) for h in sub.elements}
-        seen |= coset
-        reps.append(x)
+    # the cosets H·x are the orbits of left multiplication by H
+    cosets = _orbit_partition(g.elements, lambda x: [g.mul(h, x) for h in sub.elements])
+    reps = [coset[0] for coset in cosets]
     thetas = []
     for theta in family.thetas:
         for r in reps:
@@ -229,9 +225,8 @@ def _interpolates(
     thetas: Sequence[GroupHom],
     locs: Sequence[GroupHom],
     ambient: FiniteGroup,
-    conjugators: Optional[Sequence[int]] = None,
+    pool: Sequence[int],
 ) -> bool:
-    pool = ambient.elements if conjugators is None else conjugators
     return all(
         _conjugator(u, theta, t, ambient, pool) is not None
         for theta, t in zip(thetas, locs)
@@ -242,7 +237,7 @@ def interpolating_homs(ls: LocalSections) -> Iterator[GroupHom]:
     """All homomorphisms into the middle group matching every local section
     up to conjugation, in canonical order."""
     for u in enumerate_homs(ls.ext.Gamma, ls.ext.E):
-        if _interpolates(u, ls.family.thetas, ls.sections, ls.ext.E):
+        if _interpolates(u, ls.family.thetas, ls.sections, ls.ext.E, ls.ext.E.elements):
             yield u
 
 
@@ -560,10 +555,7 @@ def interpolating_section_from_hom(
         c_i = mid.mul(u.map[tau_i], gamma_i)
         if c_i not in kernel_elements:
             raise InvariantViolation(f"conjugator {c_i} escapes the embedded kernel")
-        if any(
-            s.map[theta.map[x]] != mid.conj(c_i, t.map[x])
-            for x in theta.source.elements
-        ):
+        if _conjugator(s, theta, t, mid, (c_i,)) is None:
             raise InvariantViolation("re-validation of the constructed conjugator failed")
         conjugators.append(c_i)
     return s, tuple(conjugators)
@@ -587,8 +579,6 @@ def pushout_tower(
 ) -> Tuple[Tuple[Extension, ...], Tuple[GroupHom, ...]]:
     """The tower obtained by pushing out along an ascending chain of kernel
     subgroups, with its connecting surjections."""
-    from .extensions import pushout
-
     levels = [ext]
     quots = []
     for i, sub in enumerate(subs):

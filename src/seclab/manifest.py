@@ -13,7 +13,7 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import (
     _class_representative_family,
@@ -479,19 +479,18 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "implications": [[name, ok] for name, ok in rep.implications],
             "all_implications_hold": rep.all_implications_hold,
         }
-    if job.command == "tower":
-        ls = _lookup(program.local_sections, job.target, "sections")
-        ext_names = (job.option("exts") or "").split(",") if job.option("exts") else []
-        map_names = (job.option("maps") or "").split(",") if job.option("maps") else []
-        levels = [_lookup(program.extensions, n, "extension") for n in ext_names]
-        maps = [_lookup(program.homs, n, "hom") for n in map_names]
-        res = tower_limit_sections(levels, maps, ls)
-        return {
-            "level_sizes": list(res.level_sizes),
-            "empty_levels": list(res.empty_levels),
-            "chain": [list(u.map) for u in res.chain] if res.chain else None,
-        }
-    raise ManifestSyntaxError(f"unknown job command {job.command!r}")
+    # tower, the last command _parse_job admits
+    ls = _lookup(program.local_sections, job.target, "sections")
+    ext_names = (job.option("exts") or "").split(",") if job.option("exts") else []
+    map_names = (job.option("maps") or "").split(",") if job.option("maps") else []
+    levels = [_lookup(program.extensions, n, "extension") for n in ext_names]
+    maps = [_lookup(program.homs, n, "hom") for n in map_names]
+    res = tower_limit_sections(levels, maps, ls)
+    return {
+        "level_sizes": list(res.level_sizes),
+        "empty_levels": list(res.empty_levels),
+        "chain": [list(u.map) for u in res.chain] if res.chain else None,
+    }
 
 
 def run_program(
@@ -538,125 +537,96 @@ class ManifestBuilder:
 
     def __init__(self) -> None:
         self._lines: List[str] = []
-        self._groups: Dict[FiniteGroup, str] = {}
-        self._auts: Dict[FiniteGroup, str] = {}
-        self._homs: Dict[GroupHom, str] = {}
-        self._extensions: Dict[Extension, str] = {}
-        self._coeffs: Dict[GammaGroup, str] = {}
-        self._families: Dict[LocalFamily, str] = {}
-        self._sections: Dict[LocalSections, str] = {}
+        self._names: Dict[Tuple[str, object], str] = {}
         self._used: set = set()
 
     def comment(self, text: str) -> None:
         self._lines.append(f"# {text}")
 
     def has_group(self, g: FiniteGroup) -> bool:
-        return g in self._groups
+        return ("group", g) in self._names
 
-    def _name(self, hint: Optional[str], prefix: str) -> str:
-        base = re.sub(r"[^A-Za-z0-9_.:/-]", "", hint or "")
-        if not base or not _NAME.match(base):
-            base = prefix
-        name, n = base, 1
-        while name in self._used:
-            name = f"{base}_{n}"
-            n += 1
-        self._used.add(name)
-        return name
+    def _declare(
+        self,
+        kind: str,
+        obj: object,
+        hint: Optional[str],
+        prefix: str,
+        lines: Callable[[str], List[str]],
+    ) -> str:
+        """The name of ``obj`` as a ``kind``.  On first sight that is a fresh
+        name, from ``hint`` or else ``prefix``, declared by ``lines(name)``."""
+        key = (kind, obj)
+        if key not in self._names:
+            base = re.sub(r"[^A-Za-z0-9_.:/-]", "", hint or "")
+            if not base or not _NAME.match(base):
+                base = prefix
+            name, n = base, 1
+            while name in self._used:
+                name = f"{base}_{n}"
+                n += 1
+            self._used.add(name)
+            self._names[key] = name
+            self._lines.extend(lines(name))
+        return self._names[key]
 
     def add_group(self, g: FiniteGroup) -> str:
-        if g in self._groups:
-            return self._groups[g]
-        name = self._name(g.label, "g")
-        blob = json.dumps([list(row) for row in g.table], separators=(",", ":"))
-        self._lines.append(f"group {name} table {blob}")
-        self._groups[g] = name
-        return name
+        def lines(name: str) -> List[str]:
+            blob = json.dumps([list(row) for row in g.table], separators=(",", ":"))
+            return [f"group {name} table {blob}"]
+
+        return self._declare("group", g, g.label, "g", lines)
 
     def add_aut_group(self, m: FiniteGroup) -> str:
-        if m in self._auts:
-            return self._auts[m]
         m_name = self.add_group(m)
-        name = self._name(f"Aut_{m_name}", "aut")
-        self._lines.append(f"group {name} aut {m_name}")
-        self._auts[m] = name
-        return name
+        return self._declare(
+            "aut", m, f"Aut_{m_name}", "aut", lambda name: [f"group {name} aut {m_name}"]
+        )
 
-    def add_hom(self, h: GroupHom, hint: Optional[str] = None) -> str:
-        if h in self._homs:
-            return self._homs[h]
+    def add_hom(
+        self, h: GroupHom, hint: Optional[str] = None, target: Optional[str] = None
+    ) -> str:
+        """Declare ``h``; ``target`` names its target when that is not
+        declared as a table (the Aut group of a coefficient system)."""
         src = self.add_group(h.source)
-        return self._emit_hom(h, src, self.add_group(h.target), self._name(hint, "f"))
+        tgt = target or self.add_group(h.target)
 
-    def _emit_hom(self, h: GroupHom, src: str, tgt: str, name: str) -> str:
-        images = [h.map[x] for x in generating_set(h.source)]
-        blob = json.dumps(images, separators=(",", ":"))
-        self._lines.append(f"hom {name} {src} {tgt} {blob}")
-        self._homs[h] = name
-        return name
+        def lines(name: str) -> List[str]:
+            images = [h.map[x] for x in generating_set(h.source)]
+            return [f"hom {name} {src} {tgt} {json.dumps(images, separators=(',', ':'))}"]
 
-    def _add_aut_valued_hom(self, coeff: GammaGroup) -> str:
-        """The action of ``coeff`` as a hom into the declared Aut(M)."""
-        aut, auts = automorphism_group(coeff.M)
-        aut_name = self.add_aut_group(coeff.M)
-        index = {a.map: i for i, a in enumerate(auts)}
-        act = GroupHom(coeff.gamma, aut, tuple(index[row] for row in coeff.action))
-        if act in self._homs:
-            return self._homs[act]
-        src = self.add_group(coeff.gamma)
-        return self._emit_hom(act, src, aut_name, self._name(None, "act"))
+        return self._declare("hom", h, hint, "f", lines)
 
     def add_extension(self, ext: Extension, hint: Optional[str] = None) -> str:
-        if ext in self._extensions:
-            return self._extensions[ext]
-        a = self.add_group(ext.A)
-        e = self.add_group(ext.E)
-        g = self.add_group(ext.Gamma)
-        iota = self.add_hom(ext.iota)
-        pi = self.add_hom(ext.pi)
-        name = self._name(hint, "ext")
-        self._lines.append(f"extension {name} {a} {e} {g} {iota} {pi}")
-        self._extensions[ext] = name
-        return name
+        parts = [self.add_group(g) for g in (ext.A, ext.E, ext.Gamma)]
+        parts += [self.add_hom(ext.iota), self.add_hom(ext.pi)]
+        return self._declare(
+            "extension", ext, hint, "ext", lambda name: [f"extension {name} {' '.join(parts)}"]
+        )
 
     def add_coeff(self, coeff: GammaGroup, hint: Optional[str] = None) -> str:
-        if coeff in self._coeffs:
-            return self._coeffs[coeff]
         m = self.add_group(coeff.M)
-        act = self._add_aut_valued_hom(coeff)
-        name = self._name(hint, "w")
-        self._lines.append(f"coeff {name} {m} {act}")
-        self._coeffs[coeff] = name
-        return name
+        aut, auts = automorphism_group(coeff.M)
+        index = {a.map: i for i, a in enumerate(auts)}
+        act = GroupHom(coeff.gamma, aut, tuple(index[row] for row in coeff.action))
+        act_name = self.add_hom(act, "act", self.add_aut_group(coeff.M))
+        return self._declare(
+            "coeff", coeff, hint, "w", lambda name: [f"coeff {name} {m} {act_name}"]
+        )
 
     def add_family(self, fam: LocalFamily, hint: Optional[str] = None) -> str:
-        if fam in self._families:
-            return self._families[fam]
         gamma = self.add_group(fam.gamma)
-        parts = [
-            (self.add_group(theta.source), self.add_hom(theta))
-            for theta in fam.thetas
-        ]
-        name = self._name(hint, "fam")
-        self._lines.append(f"family {name} {gamma} {{")
-        for src, theta in parts:
-            self._lines.append(f"  local {src} {theta}")
-        self._lines.append("}")
-        self._families[fam] = name
-        return name
+        body = [f"  local {self.add_group(t.source)} {self.add_hom(t)}" for t in fam.thetas]
+        return self._declare(
+            "family", fam, hint, "fam", lambda name: [f"family {name} {gamma} {{", *body, "}"]
+        )
 
     def add_sections(self, ls: LocalSections, hint: Optional[str] = None) -> str:
-        if ls in self._sections:
-            return self._sections[ls]
         ext = self.add_extension(ls.ext)
-        parts = [self.add_hom(s) for s in ls.sections]
-        name = self._name(hint, "ls")
-        self._lines.append(f"sections {name} {ext} {{")
-        for s in parts:
-            self._lines.append(f"  s {s}")
-        self._lines.append("}")
-        self._sections[ls] = name
-        return name
+        body = [f"  s {self.add_hom(s)}" for s in ls.sections]
+        return self._declare(
+            "sections", ls, hint, "ls", lambda name: [f"sections {name} {ext} {{", *body, "}"]
+        )
 
     def add_job(
         self,

@@ -93,3 +93,23 @@ def test_broken_invariant_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: internal invariant broken: ")
     assert "failed to cover" in captured.err
+
+
+@pytest.mark.parametrize(
+    "max_order, names",
+    [("0", "at most 0"), ("3", "at most 3"), ("65", "stops at order 64")],
+)
+def test_gen_outside_the_catalog_bounds_is_a_clean_error(max_order, names, capsys):
+    assert main(["gen", "--max-order", max_order]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and names in captured.err
+
+
+def test_non_utf8_manifest_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "latin1.man"
+    path.write_bytes(SMALL.encode() + b"# caf\xe9\n")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err

@@ -86,6 +86,23 @@ def test_identity_must_act_trivially():
         GammaGroup(C2, C3, ((0, 2, 1), (0, 1, 2)))
 
 
+@pytest.mark.parametrize(
+    "build, error, needle",
+    [
+        (lambda: GammaGroup(C2, C3, ((0, 1, 2),)), NotAnAction, "1 rows for a group of order 2"),
+        (
+            lambda: GammaGroup(C2, C3, ((0, 1, 2), (0, 1, 2)), embed=identity_hom(C4)),
+            ValidationError,
+            "embed must have the coefficient group as source",
+        ),
+    ],
+    ids=["row-count", "embed-source"],
+)
+def test_coefficient_system_rejects_bad_shape(build, error, needle):
+    with pytest.raises(error, match=needle):
+        build()
+
+
 def test_conjugation_coefficients_on_kernel():
     ext = s3_over_c2()
     coeff = conjugation_coefficients(image(ext.iota), identity_hom(ext.E))
@@ -246,15 +263,6 @@ def test_descend_class_and_kernel_obstruction():
     stuck = Cocycle(constant_coefficients(C4, C4), tuple(C4.elements))
     with pytest.raises(NotTrivialOnKernel):
         descend_class(proj, stuck)
-
-
-def test_descend_checks_explicit_kernel():
-    proj = GroupHom(C4, C2, (0, 1, 0, 1))
-    a = Cocycle(constant_coefficients(C4, C2), (0, 1, 0, 1))
-    from seclab.groups import subgroup
-
-    with pytest.raises(ValidationError):
-        descend_class(proj, a, trivial_on=subgroup(C4, [0]))
 
 
 # --- twisting ----------------------------------------------------------------

@@ -13,8 +13,10 @@ from seclab.errors import (
     NotInjective,
     NotNormalInE,
     NotSurjective,
+    ValidationError,
 )
 from seclab.extensions import (
+    Extension,
     enumerate_sections,
     lift_difference,
     make_extension,
@@ -75,6 +77,39 @@ def test_make_extension_validates_exactness():
     # image is the first factor but the kernel is the second: not exact
     with pytest.raises(NotExact):
         make_extension(GroupHom(C2, V4, (0, 2)), GroupHom(V4, C2, (0, 0, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (
+            lambda: Extension(C2, V4, C2, GroupHom(C2, C4, (0, 2)), v4_over_c2().pi),
+            "iota must map the kernel group into the middle group",
+        ),
+        (
+            lambda: Extension(C2, C4, C2, GroupHom(C2, C4, (0, 2)), identity_hom(C2)),
+            "pi must map the middle group onto the base group",
+        ),
+        (
+            lambda: lift_difference(identity_hom(C4), identity_hom(C2), full_subgroup(C4)),
+            "shared source and target",
+        ),
+        (
+            lambda: lift_difference(identity_hom(C4), identity_hom(C4), full_subgroup(C2)),
+            "must live in the shared target",
+        ),
+        (
+            lambda: lift_difference(
+                identity_hom(C4), identity_hom(C4), full_subgroup(C4), identity_hom(C2)
+            ),
+            "projection must start at the shared target",
+        ),
+    ],
+    ids=["iota", "pi", "lift-maps", "lift-subgroup", "lift-projection"],
+)
+def test_extension_and_lift_difference_reject_mismatched_maps(build, needle):
+    with pytest.raises(ValidationError, match=needle):
+        build()
 
 
 def test_extension_exposes_kernel_subgroup():

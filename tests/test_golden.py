@@ -8,10 +8,14 @@ shows up here.  Regenerate them only for a deliberate behaviour change.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seclab
 from seclab.catalog import preset_extensions
 from seclab.cli import main
 from seclab.extensions import enumerate_sections
@@ -19,6 +23,7 @@ from seclab.manifest import generate_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (20260822, 7)
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -54,3 +59,13 @@ def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
     manifest.write_text(text)
     assert main(["run", str(manifest), "--no-timing", "--format", "structured"]) == 0
     assert capsys.readouterr().out == stem.with_suffix(".json").read_text()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_matches_golden(demo):
+    """Each demo, run in a fresh interpreter on this build of seclab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(seclab.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, check=True
+    )
+    assert run.stdout == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()

@@ -52,6 +52,7 @@ from seclab.groups import (
     identity_hom,
     image,
     inner_automorphism,
+    inverse_hom,
     is_class_preserving,
     is_injective,
     is_normal,
@@ -229,6 +230,26 @@ def test_a_table_that_is_not_a_group_breaks_an_invariant_instead_of_hanging():
         element_order(bad, 1)
     with pytest.raises(InvariantViolation, match="element 1 "):
         enumerate_homs(bad, cyclic_group(2))
+
+
+C2, C4 = cyclic_group(2), cyclic_group(4)
+
+
+@pytest.mark.parametrize(
+    "build, error, needle",
+    [
+        (lambda: GroupHom(C2, C2, (0,)), NotAHomomorphism, "map has 1 entries"),
+        (lambda: GroupHom(C2, C2, (0, 2)), NotAHomomorphism, "image 2 outside"),
+        (lambda: compose(identity_hom(C2), identity_hom(C4)), ValidationError, "mismatch"),
+        (lambda: inverse_hom(GroupHom(C2, C2, (0, 0))), ValidationError, "only bijective"),
+        (lambda: Subgroup(C4, (2, 0)), NotASubgroup, "not sorted"),
+        (lambda: Subgroup(C4, (0, 4)), NotASubgroup, "element 4 outside"),
+    ],
+    ids=["hom-length", "hom-range", "compose", "inverse", "subgroup-order", "subgroup-range"],
+)
+def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
+    with pytest.raises(error, match=needle):
+        build()
 
 
 # --- subgroups --------------------------------------------------------------

@@ -440,6 +440,53 @@ def test_tower_rejects_foreign_local_sections():
         tower_limit_sections(levels[1:], (), ls)
 
 
+def _bad_input(case):
+    ls = v4_instance()
+    th = identity_hom(C2)
+    (top, bottom), (q,) = pushout_tower(ls.ext, [full_subgroup(C2)])
+    over_c3 = make_extension(GroupHom(trivial_group(), C3, (0,)), identity_hom(C3))
+    builds = {
+        "family": lambda: LocalFamily(C2, (identity_hom(C4),)),
+        "sections-base": lambda: LocalSections(top, LocalFamily(C3, ()), ()),
+        "sections-count": lambda: LocalSections(top, ls.family, ls.sections[:1]),
+        "sections-target": lambda: LocalSections(top, LocalFamily(C2, (th,)), (th,)),
+        "sections-projection": lambda: LocalSections(
+            top, LocalFamily(C2, (th,)), (GroupHom(C2, V4, (0, 1)),)
+        ),
+        "transport": lambda: transport_family(ls.family, full_subgroup(V4)),
+        "tower-base": lambda: tower_limit_sections((top, over_c3), (q,), ls),
+        "tower-join": lambda: tower_limit_sections((top, bottom), (th,), ls),
+        "tower-surjective": lambda: tower_limit_sections(
+            (top, bottom), (GroupHom(V4, bottom.E, (0, 0, 0, 0)),), ls
+        ),
+        "tower-commute": lambda: tower_limit_sections(
+            (top, bottom), (GroupHom(V4, bottom.E, (0, 1, 0, 1)),), ls
+        ),
+    }
+    return builds[case]
+
+
+@pytest.mark.parametrize(
+    "case, error, needle",
+    [
+        ("family", ValidationError, "local map 0 does not land in the base group"),
+        ("sections-base", ValidationError, "family base and extension base differ"),
+        ("sections-count", ValidationError, "1 local sections for 2 local maps"),
+        ("sections-target", ValidationError, "local section 0 has the wrong source or target"),
+        ("sections-projection", NotASection, "local section 0 does not project back"),
+        ("transport", ValidationError, "transport target must be a subgroup of the base"),
+        ("tower-base", IncompatibleTower, "level 1 has a different base group"),
+        ("tower-join", IncompatibleTower, "connecting map 0 does not join its levels"),
+        ("tower-surjective", IncompatibleTower, "connecting map 0 is not surjective"),
+        ("tower-commute", IncompatibleTower, "connecting map 0 does not commute"),
+    ],
+)
+def test_families_sections_transport_and_towers_reject_bad_input(case, error, needle):
+    build = _bad_input(case)
+    with pytest.raises(error, match=needle):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # the descent deciders against a per-class-pair reference
 

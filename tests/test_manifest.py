@@ -281,6 +281,17 @@ family F C2 {
         ("group C2 table [[0,1],[1,0]]\nfamily F C2 {\n  local C2 nope\n}\n", 3, "no hom"),
         (V4_OVER_C2 + "sections t ext {\n  s s1\n  s s2 s1\n}\n", 19, "one hom name"),
         (V4_OVER_C2 + "sections t ext {\n  s s1\n  local s2\n}\n", 19, "got 'local'"),
+        ("group G perm 3 (0,x)\n", 1, "bad cycle '0,x'"),
+        ("group G\n", 1, "group needs a name and a form"),
+        ("group G perm 3\n", 1, "perm needs a degree and generators"),
+        ("group G perm x ()\n", 1, "bad degree 'x'"),
+        ("group C2 table [[0,1],[1,0]]\ngroup A aut\n", 2, "exactly one source group"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2\n", 2, "hom needs a name"),
+        (V4_OVER_C2 + "extension e2 C2 V4 C2 pi pi\n", 17, "pi does not map C2 into V4"),
+        (V4_OVER_C2 + "extension e2 C2 V4 C2 iota iota\n", 17, "iota does not map V4 onto C2"),
+        (V4_OVER_C2 + "family F C2 {\n  local V4 s1\n}\n", 18, "s1 does not start from V4"),
+        ("group G table [[0,1],[1,0]]\njob jordan G gens=a\n", 2, "bad generator list 'a'"),
+        ("group G table [[0,1],[1,0]]\njob density nope\n", 2, "no family or sections named"),
     ],
     ids=[
         "string-entry",
@@ -299,6 +310,17 @@ family F C2 {
         "family-line",
         "sections-line",
         "block-keyword",
+        "bad-cycle",
+        "group-short",
+        "perm-short",
+        "perm-bad-degree",
+        "aut-arity",
+        "hom-short",
+        "extension-iota",
+        "extension-pi",
+        "family-source",
+        "jordan-bad-list",
+        "density-unknown",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
