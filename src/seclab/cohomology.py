@@ -178,19 +178,24 @@ def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
 
 @dataclass(frozen=True)
 class Cocycle:
-    """A 1-cocycle: values in M indexed by gamma, validated on construction."""
+    """A 1-cocycle: a tuple of integer values in M indexed by gamma,
+    validated on construction."""
 
     parent: GammaGroup
     values: Tuple[int, ...]
 
     def __post_init__(self) -> None:
         g, m = self.parent.gamma, self.parent.M
-        v = self.values
+        v, n = self.values, m.order
+        if type(v) is not tuple:
+            raise NotACocycle(f"values must be a tuple, not {v!r}")
         if len(v) != g.order:
             raise NotACocycle(f"{len(v)} values for a group of order {g.order}")
         for x in v:
-            if not (0 <= x < m.order):
-                raise NotACocycle(f"value {x} outside coefficients of order {m.order}")
+            if type(x) is not int:
+                raise NotACocycle(f"value {x!r} is not an integer")
+            if not (0 <= x < n):
+                raise NotACocycle(f"value {x} outside coefficients of order {n}")
         if v[g.identity] != m.identity:
             raise NotACocycle(f"value at the identity is {v[g.identity]}, not the identity")
         act = self.parent.action
@@ -289,17 +294,25 @@ def h1(coeff: GammaGroup) -> H1Classes:
     A cocycle is fixed by its values on the generators of gamma, so only
     those are twisted, by ``b_g = c^-1 * a_g * g(c)``.  Twisting by c and
     then by d is twisting by cd, a right action of M, so an orbit is the
-    closure under M's generators.  The partition costs
-    |classes|·|orbit|·|gens M|·|gens gamma| table reads.
+    closure under M's generators.  A generator c of M whose twist is the
+    identity for every generator of gamma fixes every key, so it is
+    dropped.  The partition costs |classes|·|orbit|·|gens M left|·|gens
+    gamma| table reads.  With none left, as for constant coefficients in
+    an abelian M, every class is a singleton, and h1 costs one pass over
+    the cocycles.
     """
     cocycles = enumerate_cocycles(coeff)
     m, mt = coeff.M, coeff.M.table
     gens = generating_set(coeff.gamma)
+    ident = tuple(m.elements)
     # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M
     twists = [
         [tuple(mt[m.inverse[c]][mt[a][coeff.action[g][c]]] for a in m.elements) for g in gens]
         for c in generating_set(m)
     ]
+    twists = [tw for tw in twists if any(row != ident for row in tw)]
+    if not twists:
+        return H1Classes(coeff, cocycles, tuple((i,) for i in range(len(cocycles))))
     classes = _orbit_partition(
         [tuple(map(co.values.__getitem__, gens)) for co in cocycles],
         lambda key: [tuple(map(tuple.__getitem__, tw, key)) for tw in twists],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -397,9 +397,10 @@ def _derivation(
 class GroupHom:
     """A homomorphism stored as the full image tuple ``map[x]``.
 
-    Validated on construction: identity goes to identity and every product
-    is preserved.  Products are checked as ``f(a*g) = f(a)*f(g)`` for every
-    a and each generator g of the source (see :func:`_derivation_failure`).
+    Validated on construction: the map is a tuple of integer images in the
+    target, identity goes to identity and every product is preserved.
+    Products are checked as ``f(a*g) = f(a)*f(g)`` for every a and each
+    generator g of the source (see :func:`_derivation_failure`).
     """
 
     source: FiniteGroup
@@ -407,14 +408,18 @@ class GroupHom:
     map: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = self.map
+        m, n = self.map, self.target.order
+        if type(m) is not tuple:
+            raise NotAHomomorphism(f"map must be a tuple of images, not {m!r}")
         if len(m) != self.source.order:
             raise NotAHomomorphism(
                 f"map has {len(m)} entries for a source of order {self.source.order}"
             )
         for v in m:
-            if not (0 <= v < self.target.order):
-                raise NotAHomomorphism(f"image {v} outside target of order {self.target.order}")
+            if type(v) is not int:
+                raise NotAHomomorphism(f"image {v!r} is not an integer")
+            if not (0 <= v < n):
+                raise NotAHomomorphism(f"image {v} outside target of order {n}")
         if m[self.source.identity] != self.target.identity:
             raise NotAHomomorphism(
                 f"identity {self.source.identity} maps to {m[self.source.identity]}, not the identity"
@@ -532,19 +537,20 @@ def _derivation_search(
     A homomorphism is the case of identity rows.  A generator g of order
     k may take the value c only when the twisted norm
     ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which for identity
-    rows says that the order of c divides k.  Every candidate is then
-    verified by :func:`_propagate`.
+    rows says that the order of c divides k.  The norms of every c are
+    built together, one power of g at a time, by reading ``m.table`` rows.
+    Every candidate is then verified by :func:`_propagate`.
     """
+    gt, mt = gamma.table, m.table
     choices = []
     for g in generating_set(gamma):
-        powers = [gamma.identity]
+        # norms[c] is c * g(c) * ... * p(c), for p the power of g last read
+        norms, p = rows[gamma.identity], gamma.identity
         for _ in range(element_order(gamma, g) - 1):
-            powers.append(gamma.mul(powers[-1], g))
-        choices.append([
-            c
-            for c in m.elements
-            if reduce(m.mul, (rows[p][c] for p in powers), m.identity) == m.identity
-        ])
+            p = gt[p][g]
+            row = rows[p]
+            norms = [mt[n][row[c]] for c, n in enumerate(norms)]
+        choices.append([c for c, n in enumerate(norms) if n == m.identity])
     found = (_propagate(gamma, m, rows, images) for images in itertools.product(*choices))
     return tuple(sorted(v for v in found if v is not None))
 
@@ -807,7 +813,9 @@ def is_class_preserving(hom: GroupHom) -> bool:
 def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     """The quotient by a normal subgroup plus the projection hom.
 
-    Cosets are indexed by their least member, in increasing order.
+    Cosets are indexed by their least member, in increasing order.  The
+    elements are read in increasing order, so each one not yet placed is
+    the least member of a new coset, read off its row of ``group.table``.
     """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
@@ -815,22 +823,22 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     if witness is not None:
         g, h = witness
         raise NotNormal(f"conjugate {g}*{h}*{g}^-1 = {group.conj(g, h)} escapes the subgroup")
-    coset_of = {}
+    gt = group.table
+    coset_of = [-1] * group.order
     reps = []
     for g in group.elements:
-        if g in coset_of:
-            continue
-        coset = sorted(group.mul(g, h) for h in sub.elements)
-        for x in coset:
-            coset_of[x] = len(reps)
-        reps.append(coset[0])
-    table = tuple(tuple(coset_of[group.mul(a, b)] for b in reps) for a in reps)
+        if coset_of[g] < 0:
+            row = gt[g]
+            for h in sub.elements:
+                coset_of[row[h]] = len(reps)
+            reps.append(g)
+    table = tuple(tuple(coset_of[row[b]] for b in reps) for row in map(gt.__getitem__, reps))
     label = f"{group.label}/{sub.order}" if group.label else None
     # the group laws pass from G to G/N: the identity is N's own coset and
     # the inverse of a coset holds its representative's inverse
-    inverse = tuple(coset_of[group.inv(r)] for r in reps)
+    inverse = tuple(coset_of[group.inverse[r]] for r in reps)
     quot = FiniteGroup(table, coset_of[group.identity], inverse, label)
-    proj = _trusted(GroupHom, group, quot, tuple(coset_of[g] for g in group.elements))
+    proj = _trusted(GroupHom, group, quot, tuple(coset_of))
     return quot, proj
 
 

@@ -123,6 +123,11 @@ def test_cocycle_validation():
     for values in ((0, 3), (0, -1)):
         with pytest.raises(NotACocycle, match="outside coefficients of order 3"):
             Cocycle(constant_coefficients(C2, C3), values)
+    for values in ((0, True), (0, 1.0), (0, "1")):
+        with pytest.raises(NotACocycle, match=f"value {values[1]!r} is not an integer"):
+            Cocycle(constant_coefficients(C2, C2), values)
+    with pytest.raises(NotACocycle, match="must be a tuple"):
+        Cocycle(constant_coefficients(C2, C2), [0, 1])
 
 
 def test_frozen_counts_inversion_on_c3():

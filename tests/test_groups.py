@@ -240,12 +240,18 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
     [
         (lambda: GroupHom(C2, C2, (0,)), NotAHomomorphism, "map has 1 entries"),
         (lambda: GroupHom(C2, C2, (0, 2)), NotAHomomorphism, "image 2 outside"),
+        (lambda: GroupHom(C2, C2, (0, True)), NotAHomomorphism, "image True is not an integer"),
+        (lambda: GroupHom(C2, C2, (0, "1")), NotAHomomorphism, "image '1' is not an integer"),
+        (lambda: GroupHom(C2, C2, [0, 1]), NotAHomomorphism, "must be a tuple"),
         (lambda: compose(identity_hom(C2), identity_hom(C4)), ValidationError, "mismatch"),
         (lambda: inverse_hom(GroupHom(C2, C2, (0, 0))), ValidationError, "only bijective"),
         (lambda: Subgroup(C4, (2, 0)), NotASubgroup, "not sorted"),
         (lambda: Subgroup(C4, (0, 4)), NotASubgroup, "element 4 outside"),
     ],
-    ids=["hom-length", "hom-range", "compose", "inverse", "subgroup-order", "subgroup-range"],
+    ids=[
+        "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list",
+        "compose", "inverse", "subgroup-order", "subgroup-range",
+    ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
     with pytest.raises(error, match=needle):

@@ -138,6 +138,36 @@ def twisted_systems():
 TwistedSystems = _drawn_from(twisted_systems)
 
 
+@functools.lru_cache(maxsize=None)
+def nonabelian_systems():
+    """Constant systems over the nonabelian presets S3, D4 and Q8, for every
+    preset base small enough for the oracles.  Twisting by a generator of M
+    outside its centre moves some key, so h1 must search orbits here."""
+    return [
+        constant_coefficients(gamma, preset_group(name))
+        for name in ("S3", "D4", "Q8")
+        for gamma in preset_groups(8)
+        if preset_group(name).order ** gamma.order <= ORACLE_BUDGET
+    ]
+
+
+NonabelianSystems = _drawn_from(nonabelian_systems)
+
+
+def _identity_twist_moves(coeff):
+    """For each generator c of M, does ``a -> c^-1 * a * g(c)`` fix every a,
+    for every generator g of gamma?"""
+    m = coeff.M
+    return [
+        all(
+            m.mul(m.mul(m.inv(c), a), coeff.action[g][c]) == a
+            for g in generating_set(coeff.gamma)
+            for a in m.elements
+        )
+        for c in generating_set(m)
+    ]
+
+
 @given(SmallNames, st.data())
 @settings(deadline=None)
 def test_twisting_is_symmetric(name, data):
@@ -594,7 +624,22 @@ def test_search_output_equals_validated_cocycles(coeff):
 # --- orbit partitions on generators against all-element oracles -------------
 
 
-@given(st.one_of(TwistedSystems, Systems))
+def test_pools_hold_every_kind_of_twist_system():
+    """
+    Across the pools some system has every twist move the identity (h1's
+    singleton branch), some has none and some has a mix; on the nonabelian
+    pool the singleton branch never fires.
+    """
+    kinds = {
+        (all(moves), any(moves))
+        for moves in map(_identity_twist_moves, systems() + nonabelian_systems())
+    }
+    assert kinds == {(True, True), (False, False), (False, True)}
+    assert nonabelian_systems()
+    assert not any(all(_identity_twist_moves(coeff)) for coeff in nonabelian_systems())
+
+
+@given(st.one_of(TwistedSystems, Systems, NonabelianSystems))
 @settings(deadline=None)
 def test_h1_classes_match_the_all_twists_oracle(coeff):
     """
