@@ -20,6 +20,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _lifts_through,
+    _trusted,
     all_normal_subgroups,
     all_subgroups,
     automorphism_group,
@@ -209,13 +210,19 @@ def coefficient_catalog(
 
     Each entry is one homomorphism into the automorphism group of some
     preset; the constant system is the trivial-hom entry.
+
+    No entry is checked again.  ``phi`` comes out of the verified hom
+    search into the table of :func:`automorphism_group`, whose entry i*j
+    is ``auts[i]`` after ``auts[j]``.  So the row of x*g is the row of x
+    after the row of g, the identity's row is the identity automorphism,
+    and every row is an automorphism of m.
     """
     out: List[GammaGroup] = []
     for m in preset_groups(max_m):
         aut, auts = automorphism_group(m)
         for phi in enumerate_homs(gamma, aut):
             rows = tuple(auts[phi.map[g]].map for g in gamma.elements)
-            out.append(GammaGroup(gamma, m, rows))
+            out.append(_trusted(GammaGroup, gamma, m, rows, None))
     return tuple(out)
 
 

@@ -72,7 +72,8 @@ class GammaGroup:
     optional ``embed`` records how M sits inside an ambient group when the
     coefficients came from a subgroup by conjugation; twisting lifts needs it.
 
-    Every row must be a permutation.  The rows of gamma's generators must be
+    The action must be a tuple of rows, each a tuple of integers that
+    permutes the elements of M.  The rows of gamma's generators must be
     automorphisms, and ``action[x*g]`` must be ``action[x]`` after
     ``action[g]`` for every x and generator g.  Those laws make every other
     row a composite of generator rows, and so an automorphism too.  The
@@ -94,12 +95,19 @@ class GammaGroup:
         return h
 
     def __post_init__(self) -> None:
-        if len(self.action) != self.gamma.order:
-            raise NotAnAction(
-                f"action has {len(self.action)} rows for a group of order {self.gamma.order}"
-            )
         m, action = self.M, self.action
+        if type(action) is not tuple:
+            raise NotAnAction(f"action must be a tuple of rows, not {action!r}")
+        if len(action) != self.gamma.order:
+            raise NotAnAction(
+                f"action has {len(action)} rows for a group of order {self.gamma.order}"
+            )
         for g, row in enumerate(action):
+            if type(row) is not tuple:
+                raise NotAnAction(f"row for {g} must be a tuple, not {row!r}")
+            for v in row:
+                if type(v) is not int:
+                    raise NotAnAction(f"row for {g} holds {v!r}, which is not an integer")
             if len(row) != m.order or sorted(row) != list(range(m.order)):
                 raise NotAnAction(f"row for {g} is not a permutation of the coefficients")
         gens = generating_set(self.gamma)

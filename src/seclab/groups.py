@@ -637,7 +637,7 @@ def inverse_hom(hom: GroupHom) -> GroupHom:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup: a sorted element tuple inside a parent group.
+    """A validated subgroup: a sorted tuple of integer elements of a parent group.
 
     Closure is checked on generators: the span of greedy generators
     (:func:`_greedy_generators`) must stay inside the element set.  A
@@ -650,12 +650,14 @@ class Subgroup:
 
     def __post_init__(self) -> None:
         elems = self.elements
+        for g in elems:
+            if type(g) is not int:
+                raise NotASubgroup(f"element {g!r} is not an integer")
+            if not (0 <= g < self.parent.order):
+                raise NotASubgroup(f"element {g} outside parent of order {self.parent.order}")
         if tuple(sorted(set(elems))) != elems:
             raise NotASubgroup(f"element list {elems} is not sorted and duplicate-free")
         eset = frozenset(elems)
-        for g in elems:
-            if not (0 <= g < self.parent.order):
-                raise NotASubgroup(f"element {g} outside parent of order {self.parent.order}")
         e, table = self.parent.identity, self.parent.table
         if e not in eset:
             raise NotASubgroup(f"identity {e} missing from {elems}")
@@ -788,13 +790,27 @@ class JordanCover:
 
 
 def union_of_conjugates(group: FiniteGroup, sub: Subgroup) -> JordanCover:
-    """All conjugates of ``sub`` pooled together, with the Jordan triple."""
+    """All conjugates of ``sub`` pooled together, with the Jordan triple.
+
+    The pool is the union of the conjugacy classes that meet ``sub``, so it
+    is ``sub``'s elements closed under conjugation by the group's greedy
+    generators (:func:`_greedy_generators`).
+    """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    union = set()
-    for g in group.elements:
-        for h in sub.elements:
-            union.add(group.conj(g, h))
+    t, inv = group.table, group.inverse
+    gens, _ = _greedy_generators(t, group.identity, group.elements)
+    union = set(sub.elements)
+    frontier = list(union)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = t[t[g][x]][inv[g]]
+                if y not in union:
+                    union.add(y)
+                    nxt.append(y)
+        frontier = nxt
     return JordanCover(frozenset(union), group.order, group.order // sub.order)
 
 
@@ -908,14 +924,20 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
 
     Returns the composition table together with the automorphism list it
     indexes; entry i*j is the index of auts[i] after auts[j].
+
+    The table is not checked again.  Composition is associative, and the
+    list holds every automorphism, so it is closed under composition and
+    inverses.  The list is sorted by image tuple, so index 0 is the
+    identity permutation, the least of all permutations; each inverse is
+    read off its row as the index of that identity.
     """
     auts = automorphisms(group)
     index = {a.map: i for i, a in enumerate(auts)}
     table = tuple(
-        tuple(index[tuple(a.map[v] for v in b.map)] for b in auts) for a in auts
+        tuple(index[tuple(map(a.map.__getitem__, b.map))] for b in auts) for a in auts
     )
     label = f"Aut({group.label})" if group.label else None
-    return group_from_table(table, label=label), auts
+    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), auts
 
 
 def _orbit_partition(

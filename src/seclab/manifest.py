@@ -27,6 +27,7 @@ from .extensions import Extension, enumerate_sections, make_extension, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
+    _trusted,
     automorphism_group,
     compose,
     cyclic_group,
@@ -254,8 +255,9 @@ def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
             f"{tokens[3]} must land in the aut-declared group of {tokens[2]}"
         )
     auts = program.auts[candidates[0]]
+    # an action read through a validated hom into Aut(M)'s table is an action
     rows = tuple(auts[act.map[g]].map for g in act.source.elements)
-    program.coeffs[name] = GammaGroup(act.source, m, rows)
+    program.coeffs[name] = _trusted(GammaGroup, act.source, m, rows, None)
 
 
 def _parse_block(
@@ -608,7 +610,8 @@ class ManifestBuilder:
         m = self.add_group(coeff.M)
         aut, auts = automorphism_group(coeff.M)
         index = {a.map: i for i, a in enumerate(auts)}
-        act = GroupHom(coeff.gamma, aut, tuple(index[row] for row in coeff.action))
+        # the rows of a validated system form a hom into Aut(M)'s table
+        act = _trusted(GroupHom, coeff.gamma, aut, tuple(index[row] for row in coeff.action))
         act_name = self.add_hom(act, "act", self.add_aut_group(coeff.M))
         return self._declare(
             "coeff", coeff, hint, "w", lambda name: [f"coeff {name} {m} {act_name}"]

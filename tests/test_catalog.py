@@ -18,15 +18,19 @@ from seclab.catalog import (
     seeded_transport_pairs,
     symmetric_group,
 )
+from seclab.cohomology import GammaGroup
 from seclab.errors import BoundExceeded, UnknownName, ValidationError
 from seclab.groups import (
     all_subgroups,
+    automorphism_group,
     cyclic_group,
     element_order,
+    group_from_table,
     is_normal,
     subgroup,
 )
 from seclab.localglobal import check_density
+from seclab.manifest import ManifestBuilder, parse_manifest
 
 
 def test_dihedral_group_shape():
@@ -109,6 +113,36 @@ def test_coefficient_catalog_counts():
     assert len(cat) == 9
     constants = [c for c in cat if all(r == tuple(c.M.elements) for r in c.action)]
     assert len(constants) == 4
+
+
+# --- derived objects built without a second check ----------------------------
+
+
+def test_catalog_systems_pass_the_validator_they_skip():
+    for gamma in preset_groups(12):
+        for c in coefficient_catalog(gamma, 8):
+            assert c == GammaGroup(c.gamma, c.M, c.action), (gamma.label, c.M.label)
+
+
+def test_automorphism_tables_pass_the_validator_they_skip():
+    for m in preset_groups(16):
+        aut, _ = automorphism_group(m)
+        checked = group_from_table(aut.table, label=aut.label)
+        assert (aut.table, aut.identity, aut.inverse) == (
+            checked.table,
+            checked.identity,
+            checked.inverse,
+        ), m.label
+
+
+def test_manifest_coefficient_systems_pass_the_validator_they_skip():
+    systems = coefficient_catalog(preset_group("D4"), 8)
+    b = ManifestBuilder()
+    names = [b.add_coeff(c) for c in systems]
+    program = parse_manifest(b.text())
+    for name, c in zip(names, systems):
+        parsed = program.coeffs[name]
+        assert parsed == GammaGroup(parsed.gamma, parsed.M, parsed.action) == c, name
 
 
 def test_seeded_instances_are_reproducible():

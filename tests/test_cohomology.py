@@ -95,8 +95,28 @@ def test_identity_must_act_trivially():
             ValidationError,
             "embed must have the coefficient group as source",
         ),
+        (
+            lambda: GammaGroup(C2, C2, ((0, True), (0, 1))),
+            NotAnAction,
+            "row for 0 holds True, which is not an integer",
+        ),
+        (
+            lambda: GammaGroup(C2, C2, ((0, 1), (0, 1.0))),
+            NotAnAction,
+            "row for 1 holds 1.0, which is not an integer",
+        ),
+        (
+            lambda: GammaGroup(C2, C2, [(0, 1), (0, 1)]),
+            NotAnAction,
+            "action must be a tuple of rows",
+        ),
+        (
+            lambda: GammaGroup(C2, C2, ([0, 1], [0, 1])),
+            NotAnAction,
+            r"row for 0 must be a tuple, not \[0, 1\]",
+        ),
     ],
-    ids=["row-count", "embed-source"],
+    ids=["row-count", "embed-source", "entry-bool", "entry-float", "action-list", "row-list"],
 )
 def test_coefficient_system_rejects_bad_shape(build, error, needle):
     with pytest.raises(error, match=needle):

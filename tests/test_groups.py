@@ -247,10 +247,14 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (lambda: inverse_hom(GroupHom(C2, C2, (0, 0))), ValidationError, "only bijective"),
         (lambda: Subgroup(C4, (2, 0)), NotASubgroup, "not sorted"),
         (lambda: Subgroup(C4, (0, 4)), NotASubgroup, "element 4 outside"),
+        (lambda: Subgroup(C2, (0, True)), NotASubgroup, "element True is not an integer"),
+        (lambda: Subgroup(C4, (0, 2.0)), NotASubgroup, "element 2.0 is not an integer"),
+        (lambda: Subgroup(C4, (0, "2")), NotASubgroup, "element '2' is not an integer"),
     ],
     ids=[
         "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list",
         "compose", "inverse", "subgroup-order", "subgroup-range",
+        "subgroup-bool", "subgroup-float", "subgroup-str",
     ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
@@ -391,6 +395,17 @@ def test_union_of_conjugates_s3():
     )
     assert len(t.union) == t.bound == 4
     assert not t.covers
+
+
+def test_union_of_conjugates_matches_the_all_conjugates_oracle():
+    for grp in preset_groups(64):
+        table = [list(r) for r in grp.table]
+        for sub in all_subgroups(grp):
+            got = union_of_conjugates(grp, sub).union
+            assert sorted(got) == oracle_union_of_conjugates(table, sub.elements), (
+                grp.label,
+                sub.elements,
+            )
 
 
 def test_union_of_conjugates_proper_never_covers():
