@@ -239,8 +239,11 @@ def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int) -> Tuple[i
 def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     """Every cocycle, sorted lexicographically by value tuple.
 
-    Candidates are generator assignments propagated along a fixed derivation
-    of gamma, then verified on all pairs; the search's check is the only one.
+    Generator values are chosen one generator at a time and propagated
+    along the layers of gamma's derivation, and each layer's relations are
+    checked as soon as its values are fixed (see
+    :func:`seclab.groups._derivation_search`); the search's check is the
+    only one.
     """
     found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
     return tuple(_trusted(Cocycle, coeff, v) for v in found)

@@ -13,7 +13,6 @@ not checked a second time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import itemgetter
@@ -357,40 +356,39 @@ def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _derivation(
     group: FiniteGroup,
-) -> Tuple[Tuple[Tuple[int, int, int], ...], Tuple[Tuple[int, int, int], ...]]:
-    """A BFS spanning tree of the Cayley graph on ``generating_set(group)``,
-    and the edges it leaves out.
+) -> Tuple[Tuple[int, tuple, tuple], ...]:
+    """The Cayley graph on ``generating_set(group)``, cut into one layer per
+    generator along the subgroup chain ⟨g₁⟩ ⊂ ⟨g₁,g₂⟩ ⊂ … ⊂ group.
 
-    The tree is a tuple of ``(y, x, i)``, in BFS order from the identity,
-    writing y as ``x * gens[i]``.  The closing edges are the triples
-    ``(s, g, s*g)``, generator-major, whose edge from s by the generator g
-    is not in the tree: |group|·(|gens| - 1) + 1 of them.  Each gives one
-    Schreier generator of the trivial subgroup, a relation among the
+    Layer j is ``(gⱼ, tree, closing)``.  Its tree is a tuple of
+    ``(y, x, g)``, in BFS order, writing y as ``x * g`` for a generator g
+    among g₁..gⱼ; its y are the elements of ⟨g₁..gⱼ⟩ not in ⟨g₁..gⱼ₋₁⟩,
+    except gⱼ itself, reached by the implicit edge ``(gⱼ, e, gⱼ)``.  Its
+    closing edges are the triples ``(s, gᵢ, s*gᵢ)``, i <= j, with s new in
+    this layer or i = j, that are not tree edges.  Every edge of layer j
+    stays inside ⟨g₁..gⱼ⟩, and every pair (s, g) is an edge of exactly one
+    layer; |group|·(|gens| - 1) + 1 of them are closing edges.  Each gives
+    one Schreier generator of the trivial subgroup, a relation among the
     generators (Holt, Eick & O'Brien, *Handbook of Computational Group
-    Theory*, 2005).
+    Theory*, 2005, ch. 5).
     """
-    gens = generating_set(group)
-    table = group.table
-    tree = []
-    in_tree = set()
-    seen = {group.identity}
-    order = [group.identity]
-    for x in order:
-        row = table[x]
-        for gi, g in enumerate(gens):
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                tree.append((y, x, gi))
-                in_tree.add((x, gi))
-    closing = tuple(
-        (s, g, table[s][g])
-        for gi, g in enumerate(gens)
-        for s in group.elements
-        if (s, gi) not in in_tree
-    )
-    return tuple(tree), closing
+    gens, table = generating_set(group), group.table
+    seen, order, layers = {group.identity}, [group.identity], []
+    for j, g in enumerate(gens):
+        old = len(order)
+        tree, closing = [], []
+        for k, x in enumerate(order):
+            # the old elements are closed under g₁..gⱼ₋₁, so only g leads out of them
+            for t in (g,) if k < old else gens[: j + 1]:
+                y = table[x][t]
+                if y in seen:
+                    closing.append((x, t, y))
+                else:
+                    seen.add(y)
+                    order.append(y)
+                    tree.append((y, x, t))
+        layers.append((g, tuple(tree[1:]), tuple(closing)))
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -475,9 +473,9 @@ def _trusted(cls: type, *values: object):
     """An instance of a validated dataclass built without its check.
 
     Only for values already known to pass it: output a search has verified
-    in full, such as that of :func:`_propagate`, or an object derived from
-    validated ones by a construction that keeps the law, such as a
-    quotient's projection.
+    in full, such as that of :func:`_derivation_search`, or an object
+    derived from validated ones by a construction that keeps the law, such
+    as a quotient's projection.
     """
     names = _FIELD_NAMES.get(cls)
     if names is None:
@@ -497,62 +495,85 @@ def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    """outer after inner."""
+    """outer after inner, built without a second check: a composite of
+    homomorphisms is one."""
     if inner.target != outer.source:
         raise ValidationError("composition mismatch: inner target differs from outer source")
-    return GroupHom(inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
+    return _trusted(GroupHom, inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
 
 
 def _propagate(
     gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]], images: Sequence[int]
 ) -> Optional[Tuple[int, ...]]:
-    """Extend generator values along the derivation by ``a_{xg} = a_x * x(a_g)``.
-
-    ``rows[x]`` is the image tuple of x acting on m, an action by
-    automorphisms.  Returns the value tuple when ``a_{st} = a_s * s(a_t)``
-    holds for every s and each generator t, which decides all pairs (see
-    :func:`_derivation_failure`), else None.  On the edges of the spanning
-    tree the law holds by construction, since each generator's value is
-    its image; so only the closing edges of :func:`_derivation` are
-    checked.  A returned tuple has the identity at the identity and every
-    value drawn from m, so it needs no further check (see :func:`_trusted`).
-    """
-    tree, closing = _derivation(gamma)
-    mt = m.table
-    v = [-1] * gamma.order
-    v[gamma.identity] = m.identity
-    for y, x, gi in tree:
-        v[y] = mt[v[x]][rows[x][images[gi]]]
-    for s, t, st in closing:
-        if v[st] != mt[v[s]][rows[s][v[t]]]:
-            return None
-    return tuple(v)
+    """The value tuple with the values ``images`` on ``generating_set(gamma)``
+    when it satisfies the derivation law, else None: the search of
+    :func:`_derivation_search` with one choice per generator."""
+    return next(iter(_derivation_search(gamma, m, rows, [(c,) for c in images])), None)
 
 
 def _derivation_search(
-    gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]]
+    gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]], choices=None
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Every value tuple ``a`` with ``a_{st} = a_s * s(a_t)``, sorted.
+    """Every value tuple ``a`` with ``a_{st} = a_s * s(a_t)``, sorted, whose
+    value on the j-th generator gⱼ of ``generating_set(gamma)`` is drawn
+    from ``choices[j]``.
 
-    A homomorphism is the case of identity rows.  A generator g of order
-    k may take the value c only when the twisted norm
-    ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which for identity
-    rows says that the order of c divides k.  The norms of every c are
-    built together, one power of g at a time, by reading ``m.table`` rows.
-    Every candidate is then verified by :func:`_propagate`.
+    ``rows[x]`` is the image tuple of x acting on m, an action by
+    automorphisms; a homomorphism is the case of identity rows.  Without
+    ``choices``, a generator g of order k may take the value c only when the
+    twisted norm ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which
+    for identity rows says that the order of c divides k.  The norms of
+    every c are built together, one power of g at a time, by reading
+    ``m.table`` rows.
+
+    The search walks the layers of :func:`_derivation` depth-first,
+    writing into one list in place.  For each choice c of gⱼ it sets
+    ``a_{gⱼ} = c``, fills in layer j's tree by ``a_{xg} = a_x * x(a_g)``,
+    where the law holds by construction, and checks layer j's closing
+    edges.  A layer's edges read only values inside ⟨g₁..gⱼ⟩, which the
+    choices so far fix, so a failed check rejects every completion of
+    them at once.  A tuple that passes every layer satisfies the law for
+    every s and each generator t, which decides all pairs (see
+    :func:`_derivation_failure`).  It has the identity at the identity and
+    every value drawn from m, so it needs no further check (see
+    :func:`_trusted`).  The last layer k checks every edge on the coset
+    gₖ·⟨g₁..gₖ₋₁⟩, a translate of the earlier layers' edges, and the law on
+    the translate implies it on the original; so the earlier checks add
+    no soundness, only the pruning.
     """
     gt, mt = gamma.table, m.table
-    choices = []
-    for g in generating_set(gamma):
-        # norms[c] is c * g(c) * ... * p(c), for p the power of g last read
-        norms, p = rows[gamma.identity], gamma.identity
-        for _ in range(element_order(gamma, g) - 1):
-            p = gt[p][g]
-            row = rows[p]
-            norms = [mt[n][row[c]] for c, n in enumerate(norms)]
-        choices.append([c for c, n in enumerate(norms) if n == m.identity])
-    found = (_propagate(gamma, m, rows, images) for images in itertools.product(*choices))
-    return tuple(sorted(v for v in found if v is not None))
+    if choices is None:
+        choices = []
+        for g in generating_set(gamma):
+            # norms[c] is c * g(c) * ... * p(c), for p the power of g last read
+            norms, p = rows[gamma.identity], gamma.identity
+            for _ in range(element_order(gamma, g) - 1):
+                p = gt[p][g]
+                row = rows[p]
+                norms = [mt[n][row[c]] for c, n in enumerate(norms)]
+            choices.append([c for c, n in enumerate(norms) if n == m.identity])
+    layers = _derivation(gamma)
+    v = [m.identity] * gamma.order
+    found = []
+
+    def extend(j: int) -> None:
+        if j == len(layers):
+            found.append(tuple(v))
+            return
+        g, tree, closing = layers[j]
+        for c in choices[j]:
+            v[g] = c
+            for y, x, t in tree:
+                v[y] = mt[v[x]][rows[x][v[t]]]
+            for s, t, st in closing:
+                if v[st] != mt[v[s]][rows[s][v[t]]]:
+                    break
+            else:
+                extend(j + 1)
+
+    extend(0)
+    del extend  # its closure holds it, so this frees it without the cycle collector
+    return tuple(sorted(found))
 
 
 def _identity_rows(gamma: FiniteGroup, m: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
@@ -569,6 +590,8 @@ def hom_from_generator_images(
             f"expected {len(gens)} generator images for generators {gens}, got {len(images)}"
         )
     for y in images:
+        if type(y) is not int:
+            raise NotAHomomorphism(f"generator image {y!r} is not an integer")
         if not 0 <= y < tgt.order:
             raise ValidationError(f"generator image {y} outside 0..{tgt.order - 1}")
     m = _propagate(src, tgt, _identity_rows(src, tgt), images)
@@ -930,12 +953,16 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
     inverses.  The list is sorted by image tuple, so index 0 is the
     identity permutation, the least of all permutations; each inverse is
     read off its row as the index of that identity.
+
+    An automorphism is fixed by its images of ``generating_set(group)``,
+    so the index is keyed by those: entry i*j reads auts[i] at the |gens|
+    images auts[j] keys, not at all |group| of its values.
     """
     auts = automorphisms(group)
-    index = {a.map: i for i, a in enumerate(auts)}
-    table = tuple(
-        tuple(index[tuple(map(a.map.__getitem__, b.map))] for b in auts) for a in auts
-    )
+    gens = generating_set(group)
+    keys = [tuple(map(a.map.__getitem__, gens)) for a in auts]
+    index = {k: i for i, k in enumerate(keys)}
+    table = tuple(tuple(index[tuple(map(a.map.__getitem__, k))] for k in keys) for a in auts)
     label = f"Aut({group.label})" if group.label else None
     return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), auts
 

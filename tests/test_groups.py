@@ -34,6 +34,8 @@ from seclab.groups import (
     GroupHom,
     Subgroup,
     _derivation,
+    _derivation_search,
+    _identity_rows,
     all_normal_subgroups,
     all_normal_subgroups_between,
     all_subgroups,
@@ -170,18 +172,56 @@ def test_homs_match_bruteforce_oracle(src, tgt):
 
 
 def test_derivation_tree_and_closing_edges_cover_every_edge_once():
-    """The spanning tree writes each non-identity element once as x*g, and
-    the closing edges are exactly the |G|·(|gens| - 1) + 1 edges left."""
+    """The layers' trees write each non-identity element once as x*g, or as
+    the layer's generator itself; the closing edges are exactly the
+    |G|·(|gens| - 1) + 1 edges left; and each layer's edges lie inside the
+    subgroup its generators span and are new there."""
     for grp in preset_groups(24):
         gens = generating_set(grp)
-        tree, closing = _derivation(grp)
-        assert sorted(y for y, _, _ in tree) == [g for g in grp.elements if g != grp.identity]
-        assert all(grp.mul(x, gens[i]) == y for y, x, i in tree)
+        layers = _derivation(grp)
+        assert [g for g, _, _ in layers] == list(gens)
+        tree = [edge for _, t, _ in layers for edge in t]
+        closing = [edge for _, _, c in layers for edge in c]
+        written = [y for y, _, _ in tree] + list(gens)
+        assert sorted(written) == [g for g in grp.elements if g != grp.identity]
+        assert all(grp.mul(x, g) == y for y, x, g in tree)
         assert len(closing) == grp.order * (len(gens) - 1) + 1
         assert all(grp.mul(s, g) == sg for s, g, sg in closing)
-        edges = {(x, gens[i]) for _, x, i in tree} | {(s, g) for s, g, _ in closing}
-        assert len(edges) == len(tree) + len(closing)
+        edges = (
+            {(grp.identity, g) for g in gens}
+            | {(x, g) for _, x, g in tree}
+            | {(s, g) for s, g, _ in closing}
+        )
+        assert len(edges) == len(gens) + len(tree) + len(closing)
         assert edges == {(s, g) for s in grp.elements for g in gens}
+        below = frozenset([grp.identity])
+        for j, (g, layer_tree, layer_closing) in enumerate(layers):
+            span = subgroup_generated(grp, gens[: j + 1]).elements
+            layer = [(grp.identity, g)] + [(x, t) for _, x, t in layer_tree]
+            layer += [(s, t) for s, t, _ in layer_closing]
+            for s, t in layer:
+                assert s in span and t in gens[: j + 1]
+                assert s not in below or t == g
+            assert all(y in span and y not in below for y, _, _ in layer_tree)
+            below = frozenset(span)
+
+
+def test_search_rejects_a_failed_prefix_before_trying_its_completions():
+    """A value of g₁ that breaks a relation inside ⟨g₁⟩ is rejected in
+    layer 1: no value of a later generator is tried with it."""
+    gamma, m = direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(4)
+    reads = []
+
+    class CountingRows(tuple):
+        def __getitem__(self, x):
+            reads.append(x)
+            return tuple.__getitem__(self, x)
+
+    rows = CountingRows(_identity_rows(gamma, m))
+    (_, tree, closing), _ = _derivation(gamma)
+    # 1 has order 4 in C4, so g₁ ↦ 1 breaks g₁² = e
+    assert _derivation_search(gamma, m, rows, [(1,), m.elements]) == ()
+    assert 0 < len(reads) <= len(tree) + len(closing)
 
 
 def test_hom_validation_rejects_non_hom():
@@ -196,6 +236,9 @@ def test_hom_from_generator_images():
     assert h.map == (0, 1, 0, 1)
     with pytest.raises(NotAHomomorphism):
         hom_from_generator_images(c2, c4, [1])  # 1 has order 4, too big
+    for image in (True, 1.0, "1"):
+        with pytest.raises(NotAHomomorphism, match="is not an integer"):
+            hom_from_generator_images(c4, c2, [image])
 
 
 def test_compose_kernel_image():

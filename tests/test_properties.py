@@ -56,6 +56,8 @@ from seclab.groups import (
     _propagate,
     all_normal_subgroups,
     all_subgroups,
+    automorphism_group,
+    compose,
     element_order,
     enumerate_homs,
     generating_set,
@@ -286,6 +288,26 @@ def test_hom_search_matches_the_oracle(pair):
     src, tgt = pair
     found = [h.map for h in enumerate_homs(src, tgt)]
     assert found == oracle_homs(src.table, tgt.table)
+
+
+def test_hom_search_into_automorphism_groups_matches_the_oracle():
+    """
+    The search finds exactly the oracle's homomorphisms into every Aut(M)
+    table, as the census set-up uses them, wherever the oracle can afford
+    it: 104 pairs, 40 with a source of two or more generators, where 258
+    of their 471 candidates are rejected.
+    """
+    pairs = [
+        (gamma, automorphism_group(m)[0])
+        for gamma in preset_groups(8)
+        for m in preset_groups(8)
+        if automorphism_group(m)[0].order ** gamma.order <= ORACLE_BUDGET
+    ]
+    assert len(pairs) == 104
+    assert sum(len(generating_set(gamma)) >= 2 for gamma, _ in pairs) == 40
+    for gamma, aut in pairs:
+        found = [h.map for h in enumerate_homs(gamma, aut)]
+        assert found == oracle_homs(gamma.table, aut.table), (gamma, aut)
 
 
 def test_twisted_pool_is_populated():
@@ -668,6 +690,20 @@ def test_section_partitions_match_the_all_conjugators_oracle():
 
 
 # --- derived objects built unchecked against their validators ---------------
+
+
+def test_composites_equal_validated_homs():
+    """
+    Every composite of two searched homs between groups of order at most
+    6, built without validation, passes the validating constructor.
+    """
+    groups = preset_groups(6)
+    for a, b, c in itertools.product(groups, repeat=3):
+        for inner in enumerate_homs(a, b):
+            for outer in enumerate_homs(b, c):
+                h = compose(outer, inner)
+                checked = GroupHom(a, c, h.map)
+                assert h == checked and hash(h) == hash(checked)
 
 
 def test_quotients_equal_validated_groups():
