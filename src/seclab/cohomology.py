@@ -8,7 +8,6 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -32,6 +31,7 @@ from .groups import (
     _identity_rows,
     _lifts_through,
     _orbit_partition,
+    _Record,
     _trusted,
     generating_set,
     image,
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaGroup:
+class GammaGroup(_Record):
     """Coefficients for H^1: a group M acted on by gamma through automorphisms.
 
     ``action[g]`` is the image tuple of the automorphism attached to g.  An
@@ -80,12 +79,21 @@ class GammaGroup:
     hash is computed on first use and kept.
     """
 
-    gamma: FiniteGroup
-    M: FiniteGroup
-    action: Tuple[Tuple[int, ...], ...]
-    embed: Optional[GroupHom] = None
-
+    _fields = ("gamma", "M", "action", "embed")
     _hash = None  # not a field: set on the instance by __hash__
+
+    def __init__(
+        self,
+        gamma: FiniteGroup,
+        M: FiniteGroup,
+        action: Tuple[Tuple[int, ...], ...],
+        embed: Optional[GroupHom] = None,
+    ) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "embed", embed)
+        self.__post_init__()
 
     def __hash__(self) -> int:
         h = self._hash
@@ -184,13 +192,16 @@ def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
     return _trusted(GammaGroup, along.source, coeff.M, rows, coeff.embed)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(_Record):
     """A 1-cocycle: a tuple of integer values in M indexed by gamma,
     validated on construction."""
 
-    parent: GammaGroup
-    values: Tuple[int, ...]
+    _fields = ("parent", "values")
+
+    def __init__(self, parent: GammaGroup, values: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         g, m = self.parent.gamma, self.parent.M
@@ -260,21 +271,27 @@ def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class H1Classes:
+class H1Classes(_Record):
     """The class partition of all cocycles of one coefficient system.
 
     ``classes`` holds sorted index tuples into ``cocycles``; each class is
     represented by its lexicographically least member.  ``class_by_values``
-    maps each cocycle's value tuple to its class number.
+    maps each cocycle's value tuple to its class number; it is derived, so
+    it is not a field and takes no part in equality or the repr.
     """
 
-    parent: GammaGroup
-    cocycles: Tuple[Cocycle, ...]
-    classes: Tuple[Tuple[int, ...], ...]
-    class_by_values: Dict[Tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("parent", "cocycles", "classes")
+
+    def __init__(
+        self,
+        parent: GammaGroup,
+        cocycles: Tuple[Cocycle, ...],
+        classes: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "cocycles", cocycles)
+        object.__setattr__(self, "classes", classes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         index = {

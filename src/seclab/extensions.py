@@ -8,7 +8,6 @@ to conjugation by the embedded kernel and by all of the middle group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .cohomology import Cocycle, GammaGroup, conjugation_coefficients
@@ -30,6 +29,7 @@ from .groups import (
     _coset_representatives,
     _lifts_through,
     _normality_witness,
+    _Record,
     compose,
     group_from_table,
     identity_hom,
@@ -51,15 +51,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(_Record):
     """A short exact sequence ``A --iota--> E --pi--> Gamma``."""
 
-    A: FiniteGroup
-    E: FiniteGroup
-    Gamma: FiniteGroup
-    iota: GroupHom
-    pi: GroupHom
+    _fields = ("A", "E", "Gamma", "iota", "pi")
+
+    def __init__(
+        self, A: FiniteGroup, E: FiniteGroup, Gamma: FiniteGroup, iota: GroupHom, pi: GroupHom
+    ) -> None:
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "Gamma", Gamma)
+        object.__setattr__(self, "iota", iota)
+        object.__setattr__(self, "pi", pi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.iota.source != self.A or self.iota.target != self.E:
@@ -106,8 +111,7 @@ def make_extension(iota: GroupHom, pi: GroupHom) -> Extension:
     return Extension(iota.source, iota.target, pi.target, iota, pi)
 
 
-@dataclass(frozen=True)
-class SectionReport:
+class SectionReport(_Record):
     """All sections of one extension plus their two conjugacy partitions.
 
     ``classes_mod_A`` conjugates only by the embedded kernel and
@@ -115,9 +119,17 @@ class SectionReport:
     ``sections``, so the second always coarsens the first.
     """
 
-    sections: Tuple[GroupHom, ...]
-    classes_mod_A: Tuple[Tuple[int, ...], ...]
-    classes_mod_E: Tuple[Tuple[int, ...], ...]
+    _fields = ("sections", "classes_mod_A", "classes_mod_E")
+
+    def __init__(
+        self,
+        sections: Tuple[GroupHom, ...],
+        classes_mod_A: Tuple[Tuple[int, ...], ...],
+        classes_mod_E: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "classes_mod_A", classes_mod_A)
+        object.__setattr__(self, "classes_mod_E", classes_mod_E)
 
     @property
     def count(self) -> int:

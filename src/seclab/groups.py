@@ -13,9 +13,8 @@ not checked a second time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -78,8 +77,62 @@ __all__ = [
 DEFAULT_CLOSURE_BOUND = 10080
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _Record:
+    """An immutable value: a plain class whose fields are named in ``_fields``.
+
+    Each record class lists its fields once, in order, in ``_fields``, and
+    writes an ``__init__`` that sets them with ``object.__setattr__`` and
+    then, if the class has a validator, calls ``self.__post_init__()``.
+    The base refuses assignment and deletion, prints as
+    ``Name(field=value, ...)``, and compares and hashes the tuple of the
+    compared fields: ``_fields``, unless the class sets its own ``_key``.
+    An object of another class compares as ``NotImplemented``.  Nothing is
+    generated at import, so a record class costs what any class costs.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_key" not in cls.__dict__:
+            get = attrgetter(*cls._fields)
+            # one name makes attrgetter return the bare value, not a 1-tuple
+            cls._key = get if len(cls._fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return self is other or key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+def _trusted(cls: type, *values: object):
+    """A record built from its field values without its validator.
+
+    Only for values already known to pass it: output a search has verified
+    in full, such as that of :func:`_derivation_search`, or an object
+    derived from validated ones by a construction that keeps the law, such
+    as a quotient's projection.  The values follow ``cls._fields``.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class FiniteGroup(_Record):
     """A finite group: its full multiplication table plus derived data.
 
     ``table[a][b]`` is the index of the product ``a*b``.  ``label`` is
@@ -87,12 +140,21 @@ class FiniteGroup:
     compare (and hash) equal.  The hash is computed on first use and kept.
     """
 
-    table: Tuple[Tuple[int, ...], ...]
-    identity: int
-    inverse: Tuple[int, ...]
-    label: Optional[str] = field(default=None, compare=False)
-
+    _fields = ("table", "identity", "inverse", "label")
+    _key = attrgetter("table", "identity", "inverse")
     _hash = None  # not a field: set on the instance by __hash__
+
+    def __init__(
+        self,
+        table: Tuple[Tuple[int, ...], ...],
+        identity: int,
+        inverse: Tuple[int, ...],
+        label: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "label", label)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -245,6 +307,9 @@ def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _check_permutation(perm: Sequence[int], degree: int) -> Tuple[int, ...]:
     p = tuple(perm)
+    for v in p:
+        if type(v) is not int:
+            raise NotAPermutation(f"entry {v!r} of {p!r} is not an integer")
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise NotAPermutation(f"{p!r} is not a permutation of 0..{degree - 1}")
     return p
@@ -262,6 +327,8 @@ def group_from_permutations(
     (a tuple indexed by element).  Elements are sorted lexicographically as
     permutation tuples, which places the identity at index 0.
     """
+    if type(degree) is not int:
+        raise ValidationError(f"degree {degree!r} is not an integer")
     if degree < 0:
         raise ValidationError(f"degree {degree} is negative")
     idp = tuple(range(degree))
@@ -318,8 +385,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) 
 # generation, element orders, homomorphisms
 
 
+def _check_element(group: FiniteGroup, g: object) -> None:
+    if type(g) is not int or not (0 <= g < group.order):
+        raise ValidationError(f"{g!r} is not an element of a group of order {group.order}")
+
+
 def element_order(group: FiniteGroup, g: int) -> int:
     """The least k with g^k the identity; in a group it is at most |G|."""
+    _check_element(group, g)
     k, x = 1, g
     while x != group.identity:
         if k == group.order:
@@ -391,8 +464,7 @@ def _derivation(
     return tuple(layers)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Record):
     """A homomorphism stored as the full image tuple ``map[x]``.
 
     Validated on construction: the map is a tuple of integer images in the
@@ -401,9 +473,13 @@ class GroupHom:
     generator g of the source (see :func:`_derivation_failure`).
     """
 
-    source: FiniteGroup
-    target: FiniteGroup
-    map: Tuple[int, ...]
+    _fields = ("source", "target", "map")
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         m, n = self.map, self.target.order
@@ -463,27 +539,6 @@ def _derivation_failure(
             if v[grow[t]] != mt[vs][row[vt]]:
                 return s, t
     return None
-
-
-#: Field names of each class built by :func:`_trusted`, read once per class.
-_FIELD_NAMES: dict = {}
-
-
-def _trusted(cls: type, *values: object):
-    """An instance of a validated dataclass built without its check.
-
-    Only for values already known to pass it: output a search has verified
-    in full, such as that of :func:`_derivation_search`, or an object
-    derived from validated ones by a construction that keeps the law, such
-    as a quotient's projection.
-    """
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    obj = object.__new__(cls)
-    for name, value in zip(names, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
@@ -658,8 +713,7 @@ def inverse_hom(hom: GroupHom) -> GroupHom:
 # subgroups
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Record):
     """A validated subgroup: a sorted tuple of integer elements of a parent group.
 
     Closure is checked on generators: the span of greedy generators
@@ -668,8 +722,12 @@ class Subgroup:
     inverse too.
     """
 
-    parent: FiniteGroup
-    elements: Tuple[int, ...]
+    _fields = ("parent", "elements")
+
+    def __init__(self, parent: FiniteGroup, elements: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         elems = self.elements
@@ -710,6 +768,8 @@ def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 def subgroup_generated(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = tuple(gens)
     for g in gens:
+        if type(g) is not int:
+            raise NotASubgroup(f"element {g!r} is not an integer")
         if not (0 <= g < parent.order):
             raise NotASubgroup(f"element {g} outside parent of order {parent.order}")
     return Subgroup(parent, tuple(sorted(_close_elements(parent.table, parent.identity, gens))))
@@ -788,17 +848,19 @@ def class_index(group: FiniteGroup) -> Tuple[int, ...]:
     return tuple(idx)
 
 
-@dataclass(frozen=True)
-class JordanCover:
+class JordanCover(_Record):
     """Union of all conjugates of a subgroup, with the covering estimate.
 
     ``len(union) <= group_order - index + 1`` always holds; the union is the
     whole group exactly when the subgroup already is.
     """
 
-    union: frozenset
-    group_order: int
-    index: int
+    _fields = ("union", "group_order", "index")
+
+    def __init__(self, union: frozenset, group_order: int, index: int) -> None:
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "index", index)
 
     @property
     def bound(self) -> int:
@@ -938,6 +1000,7 @@ def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
 
 
 def inner_automorphism(group: FiniteGroup, g: int) -> GroupHom:
+    _check_element(group, g)
     return GroupHom(group, group, tuple(group.conj(g, x) for x in group.elements))
 
 

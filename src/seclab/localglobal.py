@@ -14,7 +14,6 @@ enumeration-least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
@@ -33,6 +32,7 @@ from .groups import (
     Subgroup,
     _coset_representatives,
     _orbit_partition,
+    _Record,
     _trusted,
     all_normal_subgroups,
     all_normal_subgroups_between,
@@ -81,12 +81,15 @@ A_QUOTIENT_SECTION = "A-quotient-with-section-action"
 USER_SUPPLIED = "user-supplied"
 
 
-@dataclass(frozen=True)
-class LocalFamily:
+class LocalFamily(_Record):
     """An indexed family of maps from local groups into a common base."""
 
-    gamma: FiniteGroup
-    thetas: Tuple[GroupHom, ...]
+    _fields = ("gamma", "thetas")
+
+    def __init__(self, gamma: FiniteGroup, thetas: Tuple[GroupHom, ...]) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "thetas", thetas)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for i, theta in enumerate(self.thetas):
@@ -97,17 +100,22 @@ class LocalFamily:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class LocalSections:
+class LocalSections(_Record):
     """Local lifts of a family through the projection of an extension.
 
     ``sections[i]`` maps the i-th local group into the middle group and
     projects back to ``thetas[i]``.
     """
 
-    ext: Extension
-    family: LocalFamily
-    sections: Tuple[GroupHom, ...]
+    _fields = ("ext", "family", "sections")
+
+    def __init__(
+        self, ext: Extension, family: LocalFamily, sections: Tuple[GroupHom, ...]
+    ) -> None:
+        object.__setattr__(self, "ext", ext)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "sections", sections)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.family.gamma != self.ext.Gamma:
@@ -265,23 +273,28 @@ def decide_c(ls: LocalSections) -> Optional[GroupHom]:
 # coefficient corpora and the descent properties
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(_Record):
     """One coefficient system together with where it came from."""
 
-    coeff: GammaGroup
-    provenance: str
+    _fields = ("coeff", "provenance")
+
+    def __init__(self, coeff: GammaGroup, provenance: str) -> None:
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "provenance", provenance)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.provenance not in (CONSTANT_QUOTIENT, A_QUOTIENT_SECTION, USER_SUPPLIED):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
 
-@dataclass(frozen=True)
-class CoefficientCorpus:
+class CoefficientCorpus(_Record):
     """An ordered list of coefficient systems over a fixed base group."""
 
-    entries: Tuple[CorpusEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: Tuple[CorpusEntry, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
 
 def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
@@ -348,18 +361,26 @@ def standard_corpus(
     )
 
 
-@dataclass(frozen=True)
-class DescentCheck:
+class DescentCheck(_Record):
     """Outcome of a survival check over a coefficient corpus.
 
     When it fails, the first failing coefficient system and class are kept
     as the witness; ``classes_checked`` counts the classes examined.
     """
 
-    holds: bool
-    failing_entry: Optional[CorpusEntry]
-    failing_class: Optional[Cocycle]
-    classes_checked: int
+    _fields = ("holds", "failing_entry", "failing_class", "classes_checked")
+
+    def __init__(
+        self,
+        holds: bool,
+        failing_entry: Optional[CorpusEntry],
+        failing_class: Optional[Cocycle],
+        classes_checked: int,
+    ) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "failing_entry", failing_entry)
+        object.__setattr__(self, "failing_class", failing_class)
+        object.__setattr__(self, "classes_checked", classes_checked)
 
 
 def _diagonal_failure(
@@ -452,19 +473,33 @@ def _doubleprime(ls: LocalSections, kernel_entries: Sequence[CorpusEntry]) -> De
 # the equivalence report
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """All five properties, the density flag, witnesses, and the verdicts
     for every implication that is a theorem at this scale."""
 
-    density: bool
-    split: bool
-    a: DescentCheck
-    a_prime: DescentCheck
-    a_doubleprime: DescentCheck
-    b: Optional[GroupHom]
-    c: Optional[GroupHom]
-    implications: Tuple[Tuple[str, bool], ...]
+    _fields = (
+        "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications"
+    )
+
+    def __init__(
+        self,
+        density: bool,
+        split: bool,
+        a: DescentCheck,
+        a_prime: DescentCheck,
+        a_doubleprime: DescentCheck,
+        b: Optional[GroupHom],
+        c: Optional[GroupHom],
+        implications: Tuple[Tuple[str, bool], ...],
+    ) -> None:
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_prime", a_prime)
+        object.__setattr__(self, "a_doubleprime", a_doubleprime)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "implications", implications)
 
     @property
     def holds_b(self) -> bool:
@@ -565,13 +600,20 @@ def interpolating_section_from_hom(
 # towers
 
 
-@dataclass(frozen=True)
-class TowerResult:
+class TowerResult(_Record):
     """Per-level witness counts and, when possible, a compatible chain."""
 
-    level_sizes: Tuple[int, ...]
-    chain: Optional[Tuple[GroupHom, ...]]
-    empty_levels: Tuple[int, ...]
+    _fields = ("level_sizes", "chain", "empty_levels")
+
+    def __init__(
+        self,
+        level_sizes: Tuple[int, ...],
+        chain: Optional[Tuple[GroupHom, ...]],
+        empty_levels: Tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "level_sizes", level_sizes)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "empty_levels", empty_levels)
 
 
 def pushout_tower(

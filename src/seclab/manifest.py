@@ -12,7 +12,6 @@ import json
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import (
@@ -27,6 +26,7 @@ from .extensions import Extension, enumerate_sections, make_extension, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
+    _Record,
     _trusted,
     automorphism_group,
     compose,
@@ -84,15 +84,24 @@ _JOB_OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(_Record):
     """One queued command: what to run, against which named object."""
 
-    line: int
-    command: str
-    variant: Optional[str]
-    target: str
-    options: Tuple[Tuple[str, str], ...]
+    _fields = ("line", "command", "variant", "target", "options")
+
+    def __init__(
+        self,
+        line: int,
+        command: str,
+        variant: Optional[str],
+        target: str,
+        options: Tuple[Tuple[str, str], ...],
+    ) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "options", options)
 
     def option(self, key: str) -> Optional[str]:
         for k, v in self.options:
@@ -101,18 +110,29 @@ class Job:
         return None
 
 
-@dataclass
-class ManifestProgram:
-    """Everything a manifest declared, resolved into live objects."""
+class ManifestProgram(_Record):
+    """Everything a manifest declared, resolved into live objects.
 
-    groups: Dict[str, FiniteGroup] = field(default_factory=dict)
-    auts: Dict[str, Tuple[GroupHom, ...]] = field(default_factory=dict)
-    homs: Dict[str, GroupHom] = field(default_factory=dict)
-    extensions: Dict[str, Extension] = field(default_factory=dict)
-    coeffs: Dict[str, GammaGroup] = field(default_factory=dict)
-    families: Dict[str, LocalFamily] = field(default_factory=dict)
-    local_sections: Dict[str, LocalSections] = field(default_factory=dict)
-    jobs: List[Job] = field(default_factory=list)
+    The one mutable record: parsing fills it in, so it takes assignment
+    and has no hash.
+    """
+
+    _fields = (
+        "groups", "auts", "homs", "extensions", "coeffs", "families", "local_sections", "jobs"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self) -> None:
+        self.groups: Dict[str, FiniteGroup] = {}
+        self.auts: Dict[str, Tuple[GroupHom, ...]] = {}
+        self.homs: Dict[str, GroupHom] = {}
+        self.extensions: Dict[str, Extension] = {}
+        self.coeffs: Dict[str, GammaGroup] = {}
+        self.families: Dict[str, LocalFamily] = {}
+        self.local_sections: Dict[str, LocalSections] = {}
+        self.jobs: List[Job] = []
 
 
 # ---------------------------------------------------------------------------

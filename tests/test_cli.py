@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seclab
 from seclab.cli import main
 
 SMALL = """
@@ -33,6 +38,23 @@ def test_run_text_report(small_manifest, capsys):
     assert "sections: 2" in out
     assert "covers: no" in out
     assert "elapsed" not in out
+
+
+def test_a_fresh_run_imports_no_dataclasses(small_manifest):
+    """Record classes are plain classes, so starting ``seclab run`` neither
+    imports ``dataclasses`` nor the ``inspect`` it pulls in."""
+    script = (
+        "import sys, seclab.cli\n"
+        f"code = seclab.cli.main(['run', '--no-timing', {small_manifest!r}])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(seclab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert "== sections ext" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_with_timing_mentions_elapsed(small_manifest, capsys):

@@ -15,8 +15,8 @@ from oracles import (
     oracle_subgroups,
     oracle_union_of_conjugates,
 )
-from seclab.catalog import preset_groups
-from seclab.cohomology import GammaGroup, constant_coefficients
+from seclab.catalog import preset_groups, seeded_instances
+from seclab.cohomology import GammaGroup, constant_coefficients, h1
 from seclab.errors import (
     ClosureBoundExceeded,
     InvariantViolation,
@@ -29,6 +29,7 @@ from seclab.errors import (
     NotNormal,
     ValidationError,
 )
+from seclab.extensions import enumerate_sections
 from seclab.groups import (
     FiniteGroup,
     GroupHom,
@@ -47,6 +48,7 @@ from seclab.groups import (
     direct_product,
     element_order,
     enumerate_homs,
+    full_subgroup,
     generating_set,
     group_from_permutations,
     group_from_table,
@@ -68,6 +70,13 @@ from seclab.groups import (
     trivial_subgroup,
     union_of_conjugates,
 )
+from seclab.localglobal import (
+    pushout_tower,
+    standard_corpus,
+    tower_limit_sections,
+    verify_equivalences,
+)
+from seclab.manifest import parse_manifest
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
@@ -293,11 +302,36 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (lambda: Subgroup(C2, (0, True)), NotASubgroup, "element True is not an integer"),
         (lambda: Subgroup(C4, (0, 2.0)), NotASubgroup, "element 2.0 is not an integer"),
         (lambda: Subgroup(C4, (0, "2")), NotASubgroup, "element '2' is not an integer"),
+        (lambda: subgroup_generated(C2, [True]), NotASubgroup, "True is not an integer"),
+        (lambda: subgroup_generated(C2, [1.0]), NotASubgroup, "1.0 is not an integer"),
+        (
+            lambda: group_from_permutations(2, [[True, False]]),
+            NotAPermutation,
+            "entry True of",
+        ),
+        (
+            lambda: group_from_permutations(3, [[1, 2, 0.0]]),
+            NotAPermutation,
+            "entry 0.0 of",
+        ),
+        (
+            lambda: group_from_permutations("3", [[1, 2, 0]]),
+            ValidationError,
+            "degree '3' is not an integer",
+        ),
+        (lambda: element_order(C2, 5), ValidationError, "5 is not an element"),
+        (lambda: element_order(C2, 1.0), ValidationError, "1.0 is not an element"),
+        (lambda: element_order(C2, True), ValidationError, "True is not an element"),
+        (lambda: inner_automorphism(C2, 7), ValidationError, "7 is not an element"),
+        (lambda: inner_automorphism(C2, 1.0), ValidationError, "1.0 is not an element"),
     ],
     ids=[
         "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list",
         "compose", "inverse", "subgroup-order", "subgroup-range",
         "subgroup-bool", "subgroup-float", "subgroup-str",
+        "generated-bool", "generated-float", "perm-bool", "perm-float",
+        "perm-degree-str", "order-range", "order-float", "order-bool",
+        "inner-range", "inner-float",
     ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
@@ -406,6 +440,90 @@ def test_hashes_agree_for_equal_groups_and_systems():
         fresh += [pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)]
         for twin in fresh:
             assert twin == obj and hash(twin) == hashed and repr(twin) == repr(obj)
+
+
+#: The compared fields of every record class, in declaration order.
+RECORD_FIELDS = {
+    "FiniteGroup": ("table", "identity", "inverse"),
+    "GroupHom": ("source", "target", "map"),
+    "Subgroup": ("parent", "elements"),
+    "JordanCover": ("union", "group_order", "index"),
+    "GammaGroup": ("gamma", "M", "action", "embed"),
+    "Cocycle": ("parent", "values"),
+    "H1Classes": ("parent", "cocycles", "classes"),
+    "Extension": ("A", "E", "Gamma", "iota", "pi"),
+    "SectionReport": ("sections", "classes_mod_A", "classes_mod_E"),
+    "LocalFamily": ("gamma", "thetas"),
+    "LocalSections": ("ext", "family", "sections"),
+    "CorpusEntry": ("coeff", "provenance"),
+    "CoefficientCorpus": ("entries",),
+    "DescentCheck": ("holds", "failing_entry", "failing_class", "classes_checked"),
+    "EquivalenceReport": (
+        "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications",
+    ),
+    "TowerResult": ("level_sizes", "chain", "empty_levels"),
+    "Job": ("line", "command", "variant", "target", "options"),
+    "ManifestProgram": (
+        "groups", "auts", "homs", "extensions", "coeffs", "families",
+        "local_sections", "jobs",
+    ),
+}
+
+#: Record classes that print themselves in their own format.
+OWN_REPR = {"FiniteGroup", "GroupHom", "Subgroup", "GammaGroup", "Cocycle", "Extension"}
+
+
+def _one_record_of_each_class():
+    ls = next(ls for ls in seeded_instances(1, 20) if ls.sections)
+    ext = ls.ext
+    corpus = standard_corpus(ls)
+    coeff = corpus.entries[0].coeff
+    classes = h1(coeff)
+    program = parse_manifest(
+        "group C2 table [[0,1],[1,0]]\nhom id C2 C2 [1]\njob jordan C2 gens=1\n"
+    )
+    records = [
+        ext.E, ls.sections[0], ext.kernel_subgroup,
+        union_of_conjugates(ext.E, ext.kernel_subgroup), coeff, classes.cocycles[0],
+        classes, ext, enumerate_sections(ext), ls.family, ls, corpus.entries[0],
+        corpus, verify_equivalences(ls).a, verify_equivalences(ls),
+        tower_limit_sections(*pushout_tower(ext, [full_subgroup(ext.A)]), ls),
+        program.jobs[0], program,
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+def test_record_classes_are_frozen_values_that_hash_their_compared_fields():
+    """Every record class compares and hashes the tuple of its compared
+    fields, refuses assignment, prints in the dataclass format unless it has
+    its own, and survives pickle and copy; the manifest program alone is
+    mutable and unhashable."""
+    records = _one_record_of_each_class()
+    assert set(records) == set(RECORD_FIELDS)
+    for name, obj in records.items():
+        fields = RECORD_FIELDS[name]
+        key = tuple(getattr(obj, f) for f in fields)
+        assert obj.__eq__(object()) is NotImplemented, name
+        assert obj.__eq__(key) is NotImplemented, name
+        if name not in OWN_REPR:
+            shown = ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields)
+            assert repr(obj) == f"{name}({shown})", name
+        if name == "ManifestProgram":
+            assert type(obj).__hash__ is None
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == hash(key), name
+            for f in fields:
+                with pytest.raises(AttributeError):
+                    setattr(obj, f, getattr(obj, f))
+                with pytest.raises(AttributeError):
+                    delattr(obj, f)
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj, name
+            assert repr(twin) == repr(obj), name
+            if name != "ManifestProgram":
+                assert hash(twin) == hash(obj), name
 
 
 # --- conjugacy and the covering estimate ------------------------------------
