@@ -19,6 +19,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _check_int,
     _lifts_through,
     _trusted,
     all_normal_subgroups,
@@ -59,6 +60,7 @@ MAX_PRESET_ORDER = 64
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon as permutations of its vertices."""
+    _check_int(n, "dihedral group n")
     if n < 3:
         raise ValidationError(f"dihedral group needs n >= 3, got {n}")
     rot = tuple((i + 1) % n for i in range(n))
@@ -68,6 +70,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def dicyclic_group(n: int) -> FiniteGroup:
     """The dicyclic group of order 4n; n = 2 gives the quaternions."""
+    _check_int(n, "dicyclic group n")
     if n < 2:
         raise ValidationError(f"dicyclic group needs n >= 2, got {n}")
     m = 2 * n
@@ -92,6 +95,10 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
 
     Requires r^n = 1 mod m so the action is well defined.
     """
+    for name, value in (("m", m), ("n", n), ("r", r)):
+        _check_int(value, f"metacyclic group {name}")
+    if m < 1 or n < 1:
+        raise ValidationError(f"metacyclic group needs m, n >= 1, got m={m}, n={n}")
     if pow(r, n, m) != 1 % m:
         raise ValidationError(f"r^n must be 1 mod m; got {r}^{n} mod {m}")
 
@@ -105,6 +112,7 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    _check_int(n, "symmetric group degree")
     if n < 2:
         raise ValidationError(f"symmetric group needs n >= 2, got {n}")
     swap = (1, 0) + tuple(range(2, n))
@@ -113,6 +121,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    _check_int(n, "alternating group degree")
     if n < 3:
         raise ValidationError(f"alternating group needs n >= 3, got {n}")
     three = (1, 2, 0) + tuple(range(3, n))
@@ -148,6 +157,7 @@ _PRODUCT_LABELS = (
 def preset_groups(max_order: int = 24) -> Tuple[FiniteGroup, ...]:
     """All catalog groups of order at most ``max_order``, sorted by
     (order, name)."""
+    _check_int(max_order, "max_order")
     if max_order > MAX_PRESET_ORDER:
         raise BoundExceeded(
             f"preset catalog stops at order {MAX_PRESET_ORDER}, asked for {max_order}"

@@ -2,7 +2,8 @@
 
 Elements of a group of order n are the integers 0..n-1; the whole structure
 is the n-by-n table.  Permutation input is converted to a table at the
-boundary.  Constructors validate their input completely and raise the
+boundary, read off the closure's Cayley graph: n·|gens| compositions plus
+n² table reads.  Constructors validate their input completely and raise the
 errors from :mod:`seclab.errors` with explicit witnesses, but they check a
 law on generators wherever that decides it: a table's associativity by
 Light's test, a homomorphism's products, a subgroup's closure.  The
@@ -305,8 +306,21 @@ def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
+def _check_int(value: object, what: str) -> None:
+    if type(value) is not int:
+        raise ValidationError(f"{what} {value!r} is not an integer")
+
+
+def _as_tuple(values: object, error: type, what: str) -> tuple:
+    """``tuple(values)``, or ``error`` naming ``values`` if they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} {values!r} is not a sequence") from None
+
+
 def _check_permutation(perm: Sequence[int], degree: int) -> Tuple[int, ...]:
-    p = tuple(perm)
+    p = _as_tuple(perm, NotAPermutation, "permutation")
     for v in p:
         if type(v) is not int:
             raise NotAPermutation(f"entry {v!r} of {p!r} is not an integer")
@@ -326,35 +340,54 @@ def group_from_permutations(
     Returns the group together with the element-to-permutation dictionary
     (a tuple indexed by element).  Elements are sorted lexicographically as
     permutation tuples, which places the identity at index 0.
+
+    The table is read off the closure's Cayley graph, as an orbit with a
+    Schreier vector (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, §4.1).  The closure composes each element p with each
+    generator g_k once, and records the (p, k) that first reached each new
+    element q = p*g_k.  Then ``x*q = (x*p)*g_k``, so column q of the table
+    is column p read through right multiplication by g_k.  The cost is
+    n·|gens| compositions plus n² table reads, not n² compositions.  The
+    table is not checked again: composition of permutations is associative,
+    and the closure holds every product and inverse.
     """
-    if type(degree) is not int:
-        raise ValidationError(f"degree {degree!r} is not an integer")
+    _check_int(degree, "degree")
     if degree < 0:
         raise ValidationError(f"degree {degree} is negative")
     idp = tuple(range(degree))
-    gens = [_check_permutation(p, degree) for p in generators]
-    seen = {idp}
+    gens = [
+        _check_permutation(p, degree)
+        for p in _as_tuple(generators, NotAPermutation, "generator list")
+    ]
+    reached = {idp: None}  # element -> (element, generator index) that first reached it
+    steps = {}  # element -> its products with each generator
     frontier = [idp]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gens:
+            steps[p] = row = []
+            for k, g in enumerate(gens):
                 q = _compose_perms(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    if len(seen) > closure_bound:
+                if q not in reached:
+                    reached[q] = (p, k)
+                    if len(reached) > closure_bound:
                         raise ClosureBoundExceeded(
                             f"closure of {len(gens)} generators exceeded {closure_bound} elements"
                         )
                     nxt.append(q)
+                row.append(q)
         frontier = nxt
-    perms = tuple(sorted(seen))
+    perms = tuple(sorted(reached))
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[_compose_perms(perms[a], perms[b])] for b in range(len(perms))]
-        for a in range(len(perms))
-    ]
-    return group_from_table(table, label), perms
+    # right[k][x] is the index of perms[x]*g_k
+    right = tuple(zip(*(map(index.__getitem__, steps[p]) for p in perms)))
+    columns = {idp: tuple(range(len(perms)))}
+    for q, via in reached.items():  # in closure order, so p comes before q
+        if via is not None:
+            p, k = via
+            columns[q] = tuple(map(right[k].__getitem__, columns[p]))
+    table = tuple(zip(*map(columns.__getitem__, perms)))
+    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), perms
 
 
 def trivial_group(label: str = "1") -> FiniteGroup:
@@ -362,14 +395,20 @@ def trivial_group(label: str = "1") -> FiniteGroup:
 
 
 def cyclic_group(n: int, label: Optional[str] = None) -> FiniteGroup:
+    """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
+    _check_int(n, "cyclic group order")
     if n < 1:
         raise ValidationError(f"cyclic group order must be positive, got {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return group_from_table(table, label or f"C{n}")
+    elems = tuple(range(n))
+    table = tuple(elems[a:] + elems[:a] for a in elems)
+    return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), label or f"C{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) -> FiniteGroup:
     """Componentwise product on pairs encoded as a*|h| + b."""
+    for factor in (g, h):
+        if not isinstance(factor, FiniteGroup):
+            raise ValidationError(f"factor {factor!r} is not a FiniteGroup")
     m = h.order
     size = g.order * m
     table = [
@@ -640,6 +679,7 @@ def hom_from_generator_images(
 ) -> GroupHom:
     """The hom sending the canonical generating set to ``images``."""
     gens = generating_set(src)
+    images = _as_tuple(images, NotAHomomorphism, "generator image list")
     if len(images) != len(gens):
         raise NotAHomomorphism(
             f"expected {len(gens)} generator images for generators {gens}, got {len(images)}"
@@ -652,7 +692,7 @@ def hom_from_generator_images(
     m = _propagate(src, tgt, _identity_rows(src, tgt), images)
     if m is None:
         raise NotAHomomorphism(
-            f"generator images {tuple(images)} do not extend to a homomorphism"
+            f"generator images {images} do not extend to a homomorphism"
         )
     return _trusted(GroupHom, src, tgt, m)
 
@@ -766,7 +806,7 @@ def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 
 def subgroup_generated(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    gens = tuple(gens)
+    gens = _as_tuple(gens, NotASubgroup, "generator list")
     for g in gens:
         if type(g) is not int:
             raise NotASubgroup(f"element {g!r} is not an integer")

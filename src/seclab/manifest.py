@@ -594,7 +594,7 @@ class ManifestBuilder:
 
     def add_group(self, g: FiniteGroup) -> str:
         def lines(name: str) -> List[str]:
-            blob = json.dumps([list(row) for row in g.table], separators=(",", ":"))
+            blob = json.dumps(g.table, separators=(",", ":"))
             return [f"group {name} table {blob}"]
 
         return self._declare("group", g, g.label, "g", lines)

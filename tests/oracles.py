@@ -44,6 +44,15 @@ def oracle_perm_closure(degree, gens):
         elems |= new
 
 
+def oracle_perm_table(degree, gens):
+    """Every product of two closure elements, looked up in the closure:
+    entry [a][b] indexes p∘q for the a-th and b-th elements of
+    :func:`oracle_perm_closure`."""
+    elems = oracle_perm_closure(degree, gens)
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(p[q[i]] for i in range(degree))] for q in elems] for p in elems]
+
+
 def oracle_conjugacy_classes(table):
     n = len(table)
     inv = {}

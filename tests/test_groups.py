@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -15,7 +16,16 @@ from oracles import (
     oracle_subgroups,
     oracle_union_of_conjugates,
 )
-from seclab.catalog import preset_groups, seeded_instances
+from seclab import catalog, groups
+from seclab.catalog import (
+    alternating_group,
+    dicyclic_group,
+    dihedral_group,
+    metacyclic_group,
+    preset_groups,
+    seeded_instances,
+    symmetric_group,
+)
 from seclab.cohomology import GammaGroup, constant_coefficients, h1
 from seclab.errors import (
     ClosureBoundExceeded,
@@ -147,7 +157,38 @@ def test_not_a_permutation():
 
 def test_closure_bound_exceeded():
     with pytest.raises(ClosureBoundExceeded):
-        group_from_permutations(3, S3_GENS, closure_bound=4)
+        group_from_permutations(3, S3_GENS, closure_bound=5)
+    assert group_from_permutations(3, S3_GENS, closure_bound=6)[0].order == 6
+
+
+def test_permutation_tables_compose_each_element_with_each_generator_once(monkeypatch):
+    """D32 (degree 32, 2 generators, order 64) is tabulated along its
+    Cayley graph: at most 2·n·|gens| compositions, not all n² pairs.  No
+    permutation or cyclic preset goes through the table validator."""
+    composed = []
+    compose_perms = groups._compose_perms
+
+    def counting_compose(p, q):
+        composed.append(p)
+        return compose_perms(p, q)
+
+    monkeypatch.setattr(groups, "_compose_perms", counting_compose)
+    assert dihedral_group(32).order == 64
+    assert 0 < len(composed) <= 2 * 64 * 2
+
+    validated = []
+    validate = groups.group_from_table
+
+    def recording_validate(table, label=None):
+        validated.append(label)
+        return validate(table, label)
+
+    monkeypatch.setattr(groups, "group_from_table", recording_validate)
+    monkeypatch.setattr(catalog, "group_from_table", recording_validate)
+    presets = preset_groups.__wrapped__(64)  # past the cache, so every preset is built
+    assert [g.label for g in presets] == [g.label for g in preset_groups(64)]
+    assert validated, "the product, dicyclic and metacyclic presets are still validated"
+    assert not [label for label in validated if re.fullmatch(r"[ACDS]\d+", label)]
 
 
 # --- homomorphisms ----------------------------------------------------------
@@ -324,6 +365,22 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (lambda: element_order(C2, True), ValidationError, "True is not an element"),
         (lambda: inner_automorphism(C2, 7), ValidationError, "7 is not an element"),
         (lambda: inner_automorphism(C2, 1.0), ValidationError, "1.0 is not an element"),
+        (
+            lambda: group_from_permutations(3, [5]),
+            NotAPermutation,
+            "permutation 5 is not a sequence",
+        ),
+        (
+            lambda: group_from_permutations(3, 7),
+            NotAPermutation,
+            "generator list 7 is not a sequence",
+        ),
+        (lambda: subgroup_generated(C2, 5), NotASubgroup, "generator list 5 is not a sequence"),
+        (
+            lambda: hom_from_generator_images(C2, C2, None),
+            NotAHomomorphism,
+            "image list None is not a sequence",
+        ),
     ],
     ids=[
         "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list",
@@ -331,11 +388,40 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         "subgroup-bool", "subgroup-float", "subgroup-str",
         "generated-bool", "generated-float", "perm-bool", "perm-float",
         "perm-degree-str", "order-range", "order-float", "order-bool",
-        "inner-range", "inner-float",
+        "inner-range", "inner-float", "perm-int", "perm-generators-int",
+        "generated-int", "images-none",
     ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
     with pytest.raises(error, match=needle):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: cyclic_group(True), "cyclic group order True is not an integer"),
+        (lambda: cyclic_group(2.5), "cyclic group order 2.5 is not an integer"),
+        (lambda: cyclic_group("3"), "cyclic group order '3' is not an integer"),
+        (lambda: cyclic_group(0), "must be positive, got 0"),
+        (lambda: dihedral_group(3.0), "dihedral group n 3.0 is not an integer"),
+        (lambda: dicyclic_group(2.0), "dicyclic group n 2.0 is not an integer"),
+        (lambda: symmetric_group("4"), "symmetric group degree '4' is not an integer"),
+        (lambda: alternating_group(4.0), "alternating group degree 4.0 is not an integer"),
+        (lambda: metacyclic_group(5, 4.0, 2), "metacyclic group n 4.0 is not an integer"),
+        (lambda: metacyclic_group(0, 1, 1), "needs m, n >= 1, got m=0, n=1"),
+        (lambda: preset_groups(10.5), "max_order 10.5 is not an integer"),
+        (lambda: preset_groups("8"), "max_order '8' is not an integer"),
+        (lambda: direct_product(C2, 3), "factor 3 is not a FiniteGroup"),
+    ],
+    ids=[
+        "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
+        "dicyclic-float", "symmetric-str", "alternating-float", "metacyclic-float",
+        "metacyclic-zero", "presets-float", "presets-str", "product-int",
+    ],
+)
+def test_group_constructors_reject_bad_orders(build, needle):
+    with pytest.raises(ValidationError, match=needle):
         build()
 
 

@@ -22,7 +22,10 @@ from oracles import (
     oracle_is_group,
     oracle_is_hom,
     oracle_is_subgroup,
+    oracle_perm_closure,
+    oracle_perm_table,
 )
+from seclab import catalog
 from seclab.catalog import (
     coefficient_catalog,
     preset_extensions,
@@ -58,9 +61,11 @@ from seclab.groups import (
     all_subgroups,
     automorphism_group,
     compose,
+    cyclic_group,
     element_order,
     enumerate_homs,
     generating_set,
+    group_from_permutations,
     group_from_table,
     hom_from_generator_images,
     quotient,
@@ -731,6 +736,79 @@ def test_subgroups_as_groups_equal_validated_groups():
             checked = group_from_table(grp.table)
             assert grp == checked and hash(grp) == hash(checked)
             assert incl == GroupHom(grp, group, sub.elements)
+
+
+def _check_permutation_group(degree, gens):
+    """The group and perms built from the closure's Cayley graph are the
+    all-pairs oracle's, and the group is the one validated from its table."""
+    group, perms = group_from_permutations(degree, gens)
+    assert list(perms) == oracle_perm_closure(degree, gens)
+    table = oracle_perm_table(degree, gens)
+    assert [list(row) for row in group.table] == table
+    assert oracle_is_group(table)
+    checked = group_from_table(table)
+    assert group == checked and hash(group) == hash(checked)
+    assert (group.identity, group.inverse) == (checked.identity, checked.inverse)
+    return group
+
+
+def test_permutation_presets_equal_the_all_pairs_oracles(monkeypatch):
+    """
+    Every permutation preset, tabulated without validation along its
+    closure, has the oracle's elements and table and is a group.
+    """
+    calls = []
+    build = catalog.group_from_permutations
+
+    def recording_build(degree, gens, label=None):
+        calls.append((degree, gens, label))
+        return build(degree, gens, label)
+
+    monkeypatch.setattr(catalog, "group_from_permutations", recording_build)
+    catalog.preset_groups.__wrapped__(64)  # past the cache, so every preset is built
+    assert {label[0] for _, _, label in calls} == {"A", "D", "S"}
+    for degree, gens, label in calls:
+        group = _check_permutation_group(degree, gens)
+        assert group == preset_group(label)
+
+
+@st.composite
+def _permutation_generators(draw):
+    """A degree 0-6 and up to four generators, sometimes with the identity
+    and a repeated generator among them."""
+    degree = draw(st.integers(0, 6))
+    perm = st.permutations(range(degree)).map(tuple)
+    gens = draw(st.lists(perm, max_size=3))
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), tuple(range(degree)))
+    return degree, gens
+
+
+@given(_permutation_generators())
+@settings(deadline=None)
+def test_drawn_permutation_groups_equal_the_all_pairs_oracles(drawn):
+    """
+    A closure of drawn generators, tabulated without validation, has the
+    oracle's elements and table and is a group.  Closures over 60
+    elements are left out: the all-triples oracle is cubic.
+    """
+    degree, gens = drawn
+    assume(group_from_permutations(degree, gens)[0].order <= 60)
+    _check_permutation_group(degree, gens)
+
+
+def test_cyclic_groups_equal_validated_groups():
+    """
+    Each cyclic group, built as rotations of its elements without
+    validation, equals the group validated from the (a + b) mod n table.
+    """
+    for n in range(1, 65):
+        group = cyclic_group(n)
+        checked = group_from_table([[(a + b) % n for b in range(n)] for a in range(n)])
+        assert group == checked and hash(group) == hash(checked)
+        assert group.label == f"C{n}"
 
 
 def test_kernel_quotient_systems_equal_validated_systems():
