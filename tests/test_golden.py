@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import fingerprints
 import seclab
 from seclab.catalog import preset_extensions
 from seclab.cli import main
@@ -59,6 +60,13 @@ def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
     manifest.write_text(text)
     assert main(["run", str(manifest), "--no-timing", "--format", "structured"]) == 0
     assert capsys.readouterr().out == stem.with_suffix(".json").read_text()
+
+
+def test_layer_fingerprints_match_golden():
+    """One SHA-256 per layer (see ``tests/fingerprints.py``); after a
+    deliberate change, ``PYTHONPATH=src python tests/fingerprints.py --write``."""
+    moved = fingerprints.moved_layers(fingerprints.compute())
+    assert not moved, f"layers moved: {', '.join(moved)}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
