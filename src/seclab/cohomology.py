@@ -9,23 +9,19 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import (
     ActionMismatch,
     InvariantViolation,
     NotACocycle,
-    NotACocycleForThisAction,
     NotAnAction,
-    NotSurjective,
-    NotTrivialOnKernel,
     ValidationError,
 )
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _coset_representatives,
     _derivation_failure,
     _derivation_search,
     _identity_rows,
@@ -35,7 +31,6 @@ from .groups import (
     _trusted,
     generating_set,
     image,
-    kernel,
     partition_by_conjugation,
     subgroup_as_group,
 )
@@ -55,11 +50,6 @@ __all__ = [
     "cohomologous",
     "h1",
     "inner_pullback",
-    "restrict_class",
-    "pullback_class",
-    "descend_class",
-    "twist_coefficients",
-    "twist_lift",
     "lifts_up_to_conjugacy",
 ]
 
@@ -69,7 +59,7 @@ class GammaGroup(_Record):
 
     ``action[g]`` is the image tuple of the automorphism attached to g.  An
     optional ``embed`` records how M sits inside an ambient group when the
-    coefficients came from a subgroup by conjugation; twisting lifts needs it.
+    coefficients came from a subgroup by conjugation.
 
     The action must be a tuple of rows, each a tuple of integers that
     permutes the elements of M.  The rows of gamma's generators must be
@@ -220,9 +210,8 @@ class Cocycle(_Record):
         act = self.parent.action
         # Every pair, not generators only.  The census benchmark keeps every
         # round's records, so a faster census reads as a peak-memory
-        # regression.  This check, inner_pullback, cohomologous and
-        # restrict_class stay as they are until ROADMAP item 1 bounds those
-        # records.
+        # regression.  This check, inner_pullback and cohomologous stay as
+        # they are until ROADMAP item 1 bounds those records.
         broken = _derivation_failure(g, m, act, v, g.elements)
         if broken is not None:
             s, t = broken
@@ -367,127 +356,6 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
             f"conjugation pullback by {g} is not the expected coboundary twist"
         )
     return out
-
-
-def restrict_class(theta: GroupHom, a: Cocycle) -> Cocycle:
-    """Pull a cocycle back along a map into gamma (coefficients pulled too)."""
-    if theta.target != a.parent.gamma:
-        raise ValidationError("restriction map must land in the acting group")
-    coeff = pullback_coefficients(theta, a.parent)
-    return Cocycle(coeff, tuple(a.values[y] for y in theta.map))
-
-
-def pullback_class(s: GroupHom, a: Cocycle, ext: Optional["Extension"] = None) -> Cocycle:
-    """Pull a cocycle over the middle group of an extension back along a map.
-
-    When ``ext`` is supplied, the action is required to factor through the
-    projection, i.e. the kernel's image must act trivially; this is what
-    makes the result independent of conjugating ``s`` by kernel elements.
-    """
-    if s.target != a.parent.gamma:
-        raise ValidationError("pullback map must land in the acting group")
-    if ext is not None:
-        if a.parent.gamma != ext.E:
-            raise ValidationError("cocycle does not live over the extension's middle group")
-        ident = tuple(a.parent.M.elements)
-        for x in ext.A.elements:
-            e = ext.iota.map[x]
-            if a.parent.action[e] != ident:
-                raise ActionMismatch(
-                    f"kernel element {e} acts nontrivially; the action does not "
-                    "factor through the projection"
-                )
-    return restrict_class(s, a)
-
-
-def descend_class(q: GroupHom, a: Cocycle) -> Cocycle:
-    """Push a cocycle down a surjection that kills it.
-
-    Requires ``q`` surjective, the cocycle's values trivial on ker q, and
-    the kernel acting trivially; the result is the unique cocycle b with
-    ``b_{q(e)} = a_e``.
-    """
-    if q.source != a.parent.gamma:
-        raise ValidationError("cocycle does not live over the source of the surjection")
-    if len(set(q.map)) != q.target.order:
-        raise NotSurjective("descent requires a surjective projection")
-    ker = kernel(q)
-    m = a.parent.M
-    ident = tuple(m.elements)
-    for k in ker.elements:
-        if a.values[k] != m.identity:
-            raise NotTrivialOnKernel(f"value at kernel element {k} is {a.values[k]}")
-        if a.parent.action[k] != ident:
-            raise NotTrivialOnKernel(f"kernel element {k} acts nontrivially")
-    reps = _coset_representatives(q)
-    rows = tuple(a.parent.action[r] for r in reps)
-    coeff = GammaGroup(q.target, m, rows, embed=a.parent.embed)
-    out = Cocycle(coeff, tuple(a.values[r] for r in reps))
-    for x in q.source.elements:
-        if out.values[q.map[x]] != a.values[x]:
-            raise InvariantViolation("descended cocycle fails to match upstairs values")
-    return out
-
-
-def twist_coefficients(
-    coeff: GammaGroup, a: Cocycle
-) -> Tuple[GammaGroup, Dict[Cocycle, Cocycle]]:
-    """Twist the action by a cocycle: ``s`` now acts as ``a_s * s(-) * a_s^-1``.
-
-    Returns the twisted system together with the value-level bijection
-    ``b -> b * a^-1`` from old cocycles to new ones; it sends the class of
-    ``a`` to the trivial class and respects equivalence in both directions.
-    """
-    if a.parent != coeff:
-        raise ValidationError("cocycle does not belong to the coefficient system")
-    m = coeff.M
-    rows = []
-    for s in coeff.gamma.elements:
-        a_s = a.values[s]
-        row = tuple(m.mul(a_s, m.mul(coeff.action[s][x], m.inv(a_s))) for x in m.elements)
-        rows.append(row)
-    twisted = GammaGroup(coeff.gamma, m, tuple(rows), embed=coeff.embed)
-    mapping: Dict[Cocycle, Cocycle] = {}
-    for b in enumerate_cocycles(coeff):
-        moved = tuple(
-            m.mul(b.values[s], m.inv(a.values[s])) for s in coeff.gamma.elements
-        )
-        mapping[b] = Cocycle(twisted, moved)
-    if sorted(c.values for c in mapping.values()) != sorted(
-        c.values for c in enumerate_cocycles(twisted)
-    ):
-        raise InvariantViolation("twisting did not biject the two cocycle sets")
-    return twisted, mapping
-
-
-def twist_lift(phi0: GroupHom, a: Cocycle) -> GroupHom:
-    """Multiply a homomorphism by a cocycle for its conjugation action.
-
-    The coefficients must carry an embedding into the target of ``phi0`` and
-    the action must literally be conjugation through ``phi0``; the twisted
-    map ``x -> a_x * phi0(x)`` is then a homomorphism, which is revalidated.
-    """
-    coeff = a.parent
-    emb = coeff.embed
-    if emb is None or emb.target != phi0.target or coeff.gamma != phi0.source:
-        raise NotACocycleForThisAction(
-            "coefficients are not embedded in the target of the lift"
-        )
-    big = phi0.target
-    for g in coeff.gamma.elements:
-        cg = phi0.map[g]
-        for x in coeff.M.elements:
-            if emb.map[coeff.action[g][x]] != big.conj(cg, emb.map[x]):
-                raise NotACocycleForThisAction(
-                    f"action of {g} is not conjugation by its image"
-                )
-    return GroupHom(
-        phi0.source,
-        big,
-        tuple(
-            big.mul(emb.map[a.values[g]], phi0.map[g]) for g in phi0.source.elements
-        ),
-    )
 
 
 def lifts_up_to_conjugacy(ext: "Extension", phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:

@@ -22,12 +22,8 @@ __all__ = [
     "NotASection",
     "NotNormalInE",
     "NotAnAction",
-    "NotALift",
-    "DifferenceEscapesA",
     "NotACocycle",
-    "NotACocycleForThisAction",
     "ActionMismatch",
-    "NotTrivialOnKernel",
     "IncompatibleTower",
     "BoundExceeded",
     "ManifestSyntaxError",
@@ -96,28 +92,12 @@ class NotAnAction(ValidationError):
     """A family of maps fails to define a group action by automorphisms."""
 
 
-class NotALift(ValidationError):
-    """Two maps expected to lift the same projection do not."""
-
-
-class DifferenceEscapesA(ValidationError):
-    """A pointwise lift difference leaves the designated coefficient subgroup."""
-
-
 class NotACocycle(ValidationError):
     """A value table violates the twisted multiplicativity rule."""
 
 
-class NotACocycleForThisAction(ValidationError):
-    """A cocycle's coefficient action does not match the required conjugation."""
-
-
 class ActionMismatch(ValidationError):
     """A coefficient action does not factor the way an operation requires."""
-
-
-class NotTrivialOnKernel(ValidationError):
-    """A cocycle or action is nontrivial on the kernel it must descend along."""
 
 
 class IncompatibleTower(ValidationError):

@@ -8,14 +8,10 @@ to conjugation by the embedded kernel and by all of the middle group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
-from .cohomology import Cocycle, GammaGroup, conjugation_coefficients
 from .errors import (
-    DifferenceEscapesA,
     InvariantViolation,
-    NotAnAction,
-    NotALift,
     NotExact,
     NotInjective,
     NotNormalInE,
@@ -31,7 +27,6 @@ from .groups import (
     _normality_witness,
     _Record,
     compose,
-    group_from_table,
     identity_hom,
     image,
     partition_by_conjugation,
@@ -46,8 +41,6 @@ __all__ = [
     "enumerate_sections",
     "splits",
     "pushout",
-    "semidirect",
-    "lift_difference",
 ]
 
 
@@ -176,83 +169,3 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     if compose(q_e, ext.iota).map != compose(iota_new, q_a).map:
         raise InvariantViolation("pushout square does not commute")
     return make_extension(iota_new, pi_new), q_e
-
-
-def semidirect(
-    gamma: FiniteGroup, a: FiniteGroup, action: Sequence[GroupHom]
-) -> Tuple[Extension, GroupHom]:
-    """The split extension for an action of gamma on a by automorphisms.
-
-    ``action[g]`` must be an automorphism of ``a``, the identity must act
-    trivially, and rows must compose, as for any coefficient system.  Pairs
-    are encoded as ``x*|gamma| + g`` with multiplication
-    ``(x,g)(y,h) = (x * g(y), gh)``.  Returns the extension together with
-    its canonical section ``g -> (e, g)``.
-    """
-    for g, phi in enumerate(action):
-        if phi.source != a or phi.target != a:
-            raise NotAnAction(f"entry for {g} does not map the fibre group to itself")
-    GammaGroup(gamma, a, tuple(phi.map for phi in action))
-    n = gamma.order
-    size = a.order * n
-    table = []
-    for left in range(size):
-        x, g = divmod(left, n)
-        row = []
-        for right in range(size):
-            y, h = divmod(right, n)
-            row.append(a.mul(x, action[g].map[y]) * n + gamma.mul(g, h))
-        table.append(row)
-    label = None
-    if a.label and gamma.label:
-        label = f"{a.label}:{gamma.label}"
-    middle = group_from_table(table, label)
-    iota = GroupHom(a, middle, tuple(x * n + gamma.identity for x in a.elements))
-    pi = GroupHom(middle, gamma, tuple(e % n for e in range(size)))
-    section = GroupHom(gamma, middle, tuple(a.identity * n + g for g in gamma.elements))
-    ext = make_extension(iota, pi)
-    if not ext.is_section(section):
-        raise InvariantViolation("canonical section of a semidirect product failed")
-    return ext, section
-
-
-def lift_difference(
-    p: GroupHom,
-    p0: GroupHom,
-    target_a: Subgroup,
-    projection: Optional[GroupHom] = None,
-) -> Cocycle:
-    """The pointwise difference ``x -> p(x) p0(x)^-1`` of two lifts, as a cocycle.
-
-    Both maps must share source and target and, when ``projection`` is given,
-    agree after it; the difference must stay inside ``target_a``, which
-    becomes the coefficient group with the source acting by conjugation
-    through ``p0``.  The cocycle identity holds by construction and is
-    checked by the cocycle validator.
-    """
-    if p.source != p0.source or p.target != p0.target:
-        raise ValidationError("lift difference needs maps with shared source and target")
-    if target_a.parent != p.target:
-        raise ValidationError("coefficient subgroup must live in the shared target")
-    if projection is not None:
-        if projection.source != p.target:
-            raise ValidationError("projection must start at the shared target")
-        for x in p.source.elements:
-            if projection.map[p.map[x]] != projection.map[p0.map[x]]:
-                raise NotALift(
-                    f"maps disagree after the projection at {x}: "
-                    f"{projection.map[p.map[x]]} vs {projection.map[p0.map[x]]}"
-                )
-    big = p.target
-    inside = set(target_a.elements)
-    diffs = []
-    for x in p.source.elements:
-        d = big.mul(p.map[x], big.inv(p0.map[x]))
-        if d not in inside:
-            raise DifferenceEscapesA(
-                f"difference {d} at {x} lies outside the coefficient subgroup"
-            )
-        diffs.append(d)
-    coeff = conjugation_coefficients(target_a, p0)
-    back = {e: i for i, e in enumerate(target_a.elements)}
-    return Cocycle(coeff, tuple(back[d] for d in diffs))

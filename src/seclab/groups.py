@@ -70,7 +70,6 @@ __all__ = [
     "all_normal_subgroups_between",
     "automorphisms",
     "automorphism_group",
-    "inner_automorphism",
     "partition_by_conjugation",
 ]
 
@@ -352,6 +351,7 @@ def group_from_permutations(
     and the closure holds every product and inverse.
     """
     _check_int(degree, "degree")
+    _check_int(closure_bound, "closure bound")
     if degree < 0:
         raise ValidationError(f"degree {degree} is negative")
     idp = tuple(range(degree))
@@ -1037,11 +1037,6 @@ def all_normal_subgroups_between(sub: Subgroup, group: FiniteGroup) -> Tuple[Sub
 @lru_cache(maxsize=None)
 def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
     return tuple(h for h in enumerate_homs(group, group) if is_bijective(h))
-
-
-def inner_automorphism(group: FiniteGroup, g: int) -> GroupHom:
-    _check_element(group, g)
-    return GroupHom(group, group, tuple(group.conj(g, x) for x in group.elements))
 
 
 @lru_cache(maxsize=None)

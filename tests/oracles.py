@@ -131,6 +131,22 @@ def oracle_cocycles(gamma_table, m_table, action):
     return sorted(out)
 
 
+def oracle_restrict(theta_map, values):
+    """A cocycle's values read along a map into its acting group:
+    ``s -> a_theta(s)``."""
+    return tuple(values[y] for y in theta_map)
+
+
+def oracle_pullback(section_map, values, action, kernel_image):
+    """:func:`oracle_restrict` along a section of an extension.  The kernel,
+    given by its image in the middle group, must act trivially, or the
+    result would depend on conjugating the section by kernel elements."""
+    for e in kernel_image:
+        row = tuple(action[e])
+        assert row == tuple(range(len(row))), f"oracle: kernel element {e} acts nontrivially"
+    return oracle_restrict(section_map, values)
+
+
 def oracle_h1_class_count(gamma_table, m_table, action):
     """Number of cocycle classes under b_s = c^-1 * a_s * s(c)."""
     n, m = len(gamma_table), len(m_table)

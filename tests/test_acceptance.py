@@ -10,8 +10,6 @@ import json
 import time
 from typing import Dict, List
 
-import pytest
-
 from seclab.catalog import (
     coefficient_catalog,
     preset_extensions,

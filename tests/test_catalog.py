@@ -27,7 +27,6 @@ from seclab.groups import (
     element_order,
     group_from_table,
     is_normal,
-    subgroup,
 )
 from seclab.localglobal import check_density
 from seclab.manifest import ManifestBuilder, parse_manifest

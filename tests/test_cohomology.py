@@ -6,11 +6,8 @@ import pytest
 
 from oracles import oracle_cocycles, oracle_h1_class_count
 from seclab.errors import (
-    ActionMismatch,
     NotACocycle,
-    NotACocycleForThisAction,
     NotAnAction,
-    NotTrivialOnKernel,
     ValidationError,
 )
 from seclab.cohomology import (
@@ -19,19 +16,14 @@ from seclab.cohomology import (
     cohomologous,
     conjugation_coefficients,
     constant_coefficients,
-    descend_class,
     enumerate_cocycles,
     h1,
     inner_pullback,
     lifts_up_to_conjugacy,
-    pullback_class,
     pullback_coefficients,
-    restrict_class,
     trivial_cocycle,
-    twist_coefficients,
-    twist_lift,
 )
-from seclab.extensions import make_extension, enumerate_sections
+from seclab.extensions import make_extension
 from seclab.groups import (
     GroupHom,
     cyclic_group,
@@ -247,85 +239,6 @@ def test_inner_pullback_trivial_for_central_elements():
     # gamma abelian: conjugation only twists through the action
     b = inner_pullback(a, 1)
     assert cohomologous(a, b) is not None
-
-
-# --- restriction, pullback, descent ------------------------------------------
-
-
-def test_restrict_class_through_inclusion():
-    grp = s3()
-    sign = enumerate_homs(grp, C2)[1]
-    coeff = constant_coefficients(C2, C3)
-    a = Cocycle(coeff, (0, 0))
-    pulled = restrict_class(sign, a)
-    assert pulled.parent.gamma == grp
-    assert pulled.values == (0,) * 6
-
-
-def test_pullback_class_requires_action_through_projection():
-    # nonabelian kernel acting on itself by conjugation does not factor
-    grp = s3()
-    ext_mid = direct_product(grp, C2, label="S3xC2")
-    iota = GroupHom(grp, ext_mid, tuple(2 * g for g in grp.elements))
-    pi = GroupHom(ext_mid, C2, tuple(e % 2 for e in range(12)))
-    ext = make_extension(iota, pi)
-    coeff = conjugation_coefficients(image(ext.iota), identity_hom(ext.E))
-    a = trivial_cocycle(coeff)
-    section = GroupHom(C2, ext_mid, (0, 1))
-    with pytest.raises(ActionMismatch):
-        pullback_class(section, a, ext)
-    # without the extension the pullback itself is still legal
-    assert pullback_class(section, a).values == (0, 0)
-
-
-def test_descend_class_and_kernel_obstruction():
-    proj = GroupHom(C4, C2, (0, 1, 0, 1))
-    coeff4 = constant_coefficients(C4, C2)
-    descends = Cocycle(coeff4, (0, 1, 0, 1))
-    down = descend_class(proj, descends)
-    assert down.parent.gamma == C2
-    assert down.values == (0, 1)
-    stuck = Cocycle(constant_coefficients(C4, C4), tuple(C4.elements))
-    with pytest.raises(NotTrivialOnKernel):
-        descend_class(proj, stuck)
-
-
-# --- twisting ----------------------------------------------------------------
-
-
-def test_twist_coefficients_sends_a_to_trivial_class():
-    grp = s3()
-    coeff = constant_coefficients(C2, grp)
-    homs = enumerate_cocycles(coeff)
-    a = next(c for c in homs if c.values != (0, 0))
-    twisted, mapping = twist_coefficients(coeff, a)
-    assert cohomologous(mapping[a], trivial_cocycle(twisted)) is not None
-    # equivalence is preserved in both directions
-    hs = h1(coeff)
-    ht = h1(twisted)
-    assert hs.class_count == ht.class_count
-    for x in homs:
-        for y in homs:
-            same_before = cohomologous(x, y) is not None
-            same_after = cohomologous(mapping[x], mapping[y]) is not None
-            assert same_before == same_after
-
-
-def test_twist_lift_recovers_all_sections():
-    ext = s3_over_c2()
-    report = enumerate_sections(ext)
-    s0 = report.sections[0]
-    coeff = conjugation_coefficients(image(ext.iota), s0)
-    twisted = {twist_lift(s0, a).map for a in enumerate_cocycles(coeff)}
-    assert twisted == {s.map for s in report.sections}
-
-
-def test_twist_lift_needs_embedded_conjugation_action():
-    ext = s3_over_c2()
-    s0 = enumerate_sections(ext).sections[0]
-    bare = constant_coefficients(C2, C3)
-    with pytest.raises(NotACocycleForThisAction):
-        twist_lift(s0, trivial_cocycle(bare))
 
 
 # --- the lifting dictionary --------------------------------------------------

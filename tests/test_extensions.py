@@ -1,4 +1,4 @@
-"""Extension validation, section enumeration, pushouts, semidirect products."""
+"""Extension validation, section enumeration and pushouts."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ import pytest
 
 from oracles import oracle_sections
 from seclab.errors import (
-    DifferenceEscapesA,
-    NotAnAction,
-    NotALift,
     NotExact,
     NotInjective,
     NotNormalInE,
@@ -18,10 +15,8 @@ from seclab.errors import (
 from seclab.extensions import (
     Extension,
     enumerate_sections,
-    lift_difference,
     make_extension,
     pushout,
-    semidirect,
     splits,
 )
 from seclab.groups import (
@@ -90,22 +85,8 @@ def test_make_extension_validates_exactness():
             lambda: Extension(C2, C4, C2, GroupHom(C2, C4, (0, 2)), identity_hom(C2)),
             "pi must map the middle group onto the base group",
         ),
-        (
-            lambda: lift_difference(identity_hom(C4), identity_hom(C2), full_subgroup(C4)),
-            "shared source and target",
-        ),
-        (
-            lambda: lift_difference(identity_hom(C4), identity_hom(C4), full_subgroup(C2)),
-            "must live in the shared target",
-        ),
-        (
-            lambda: lift_difference(
-                identity_hom(C4), identity_hom(C4), full_subgroup(C4), identity_hom(C2)
-            ),
-            "projection must start at the shared target",
-        ),
     ],
-    ids=["iota", "pi", "lift-maps", "lift-subgroup", "lift-projection"],
+    ids=["iota", "pi"],
 )
 def test_extension_and_lift_difference_reject_mismatched_maps(build, needle):
     with pytest.raises(ValidationError, match=needle):
@@ -195,61 +176,3 @@ def test_pushout_rejects_non_normal_embedded_subgroup():
     half = subgroup(v4grp, [0, 1])
     with pytest.raises(NotNormalInE):
         pushout(quot_ext, half)
-
-
-# --- semidirect --------------------------------------------------------------
-
-
-def test_semidirect_with_inversion_is_nonabelian_order_six():
-    c3 = cyclic_group(3)
-    inversion = GroupHom(c3, c3, (0, 2, 1))
-    ext, section = semidirect(C2, c3, [identity_hom(c3), inversion])
-    assert ext.E.order == 6
-    assert not ext.E.is_abelian()
-    assert ext.is_section(section)
-    assert enumerate_sections(ext).count == 3
-
-
-def test_semidirect_trivial_action_is_direct_product():
-    c3 = cyclic_group(3)
-    ext, section = semidirect(C2, c3, [identity_hom(c3), identity_hom(c3)])
-    assert ext.E.is_abelian()
-    assert ext.E.order == 6
-
-
-def test_semidirect_rejects_bad_actions():
-    c3 = cyclic_group(3)
-    inversion = GroupHom(c3, c3, (0, 2, 1))
-    with pytest.raises(NotAnAction):
-        semidirect(C4, c3, [identity_hom(c3), inversion, inversion, inversion])
-    with pytest.raises(NotAnAction):
-        semidirect(C2, c3, [identity_hom(c3), trivial_hom(c3, c3)])
-    with pytest.raises(NotAnAction):
-        semidirect(C2, c3, [inversion, identity_hom(c3)])
-
-
-# --- lift differences --------------------------------------------------------
-
-
-def test_lift_difference_of_the_two_self_lifts_of_c4():
-    proj = GroupHom(C4, C2, (0, 1, 0, 1))
-    p = identity_hom(C4)
-    p0 = GroupHom(C4, C4, (0, 3, 2, 1))
-    even = subgroup(C4, [0, 2])
-    a = lift_difference(p, p0, even, projection=proj)
-    assert a.values == (0, 1, 0, 1)  # difference is 2x, i.e. the generator of {0,2}
-    assert a.parent.M.order == 2
-
-
-def test_lift_difference_escapes_trivial_subgroup():
-    p = identity_hom(C4)
-    p0 = GroupHom(C4, C4, (0, 3, 2, 1))
-    with pytest.raises(DifferenceEscapesA):
-        lift_difference(p, p0, subgroup(C4, [0]))
-
-
-def test_lift_difference_detects_non_lift():
-    proj = GroupHom(C4, C2, (0, 1, 0, 1))
-    p = identity_hom(C4)
-    with pytest.raises(NotALift):
-        lift_difference(p, trivial_hom(C4, C4), full_subgroup(C4), projection=proj)

@@ -65,7 +65,6 @@ from seclab.groups import (
     hom_from_generator_images,
     identity_hom,
     image,
-    inner_automorphism,
     inverse_hom,
     is_class_preserving,
     is_injective,
@@ -363,8 +362,6 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (lambda: element_order(C2, 5), ValidationError, "5 is not an element"),
         (lambda: element_order(C2, 1.0), ValidationError, "1.0 is not an element"),
         (lambda: element_order(C2, True), ValidationError, "True is not an element"),
-        (lambda: inner_automorphism(C2, 7), ValidationError, "7 is not an element"),
-        (lambda: inner_automorphism(C2, 1.0), ValidationError, "1.0 is not an element"),
         (
             lambda: group_from_permutations(3, [5]),
             NotAPermutation,
@@ -388,7 +385,7 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         "subgroup-bool", "subgroup-float", "subgroup-str",
         "generated-bool", "generated-float", "perm-bool", "perm-float",
         "perm-degree-str", "order-range", "order-float", "order-bool",
-        "inner-range", "inner-float", "perm-int", "perm-generators-int",
+        "perm-int", "perm-generators-int",
         "generated-int", "images-none",
     ],
 )
@@ -413,11 +410,24 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: preset_groups(10.5), "max_order 10.5 is not an integer"),
         (lambda: preset_groups("8"), "max_order '8' is not an integer"),
         (lambda: direct_product(C2, 3), "factor 3 is not a FiniteGroup"),
+        (
+            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound="5"),
+            "closure bound '5' is not an integer",
+        ),
+        (
+            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound=2.5),
+            "closure bound 2.5 is not an integer",
+        ),
+        (
+            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound=True),
+            "closure bound True is not an integer",
+        ),
     ],
     ids=[
         "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
         "dicyclic-float", "symmetric-str", "alternating-float", "metacyclic-float",
         "metacyclic-zero", "presets-float", "presets-str", "product-int",
+        "closure-str", "closure-float", "closure-bool",
     ],
 )
 def test_group_constructors_reject_bad_orders(build, needle):
@@ -666,7 +676,8 @@ def test_union_of_conjugates_proper_never_covers():
 def test_class_preserving():
     grp = s3()
     assert is_class_preserving(identity_hom(grp))
-    assert is_class_preserving(inner_automorphism(grp, 3))
+    inner = GroupHom(grp, grp, tuple(grp.conj(3, x) for x in grp.elements))
+    assert is_class_preserving(inner)
     # collapse onto a transposition kills the 3-cycles' class
     collapse = compose(enumerate_homs(cyclic_group(2), grp)[1], enumerate_homs(grp, cyclic_group(2))[1])
     assert not is_class_preserving(collapse)
@@ -708,7 +719,7 @@ def test_automorphisms_s3_all_inner():
     grp = s3()
     autos = automorphisms(grp)
     assert len(autos) == 6
-    inner = {inner_automorphism(grp, g).map for g in grp.elements}
+    inner = {tuple(grp.conj(g, x) for x in grp.elements) for g in grp.elements}
     assert {a.map for a in autos} == inner
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import oracle_density, oracle_interpolating_homs
+from oracles import oracle_density, oracle_interpolating_homs, oracle_pullback, oracle_restrict
 from seclab.catalog import coefficient_catalog, seeded_instances
 from seclab.cohomology import (
     Cocycle,
@@ -12,9 +12,7 @@ from seclab.cohomology import (
     cohomologous,
     constant_coefficients,
     h1,
-    pullback_class,
     pullback_coefficients,
-    restrict_class,
 )
 from seclab.errors import IncompatibleTower, NotASection, ValidationError
 from seclab.extensions import enumerate_sections, make_extension
@@ -491,6 +489,12 @@ def test_families_sections_transport_and_towers_reject_bad_input(case, error, ne
 # the descent deciders against a per-class-pair reference
 
 
+def _restrict(theta, a):
+    """The oracle's restriction of ``a`` along ``theta``, as a validated
+    cocycle over the pulled-back system."""
+    return Cocycle(pullback_coefficients(theta, a.parent), oracle_restrict(theta.map, a.values))
+
+
 def _reference_failure(ls, coeff, class_filter=None):
     """The diagonal test as first written: every pullback rebuilt per pair."""
     coeff_e = pullback_coefficients(ls.ext.pi, coeff)
@@ -499,10 +503,16 @@ def _reference_failure(ls, coeff, class_filter=None):
         if class_filter is not None and not class_filter(alpha):
             continue
         checked += 1
-        pulls = [pullback_class(s, alpha, ls.ext) for s in ls.sections]
+        pulls = [
+            Cocycle(
+                pullback_coefficients(s, coeff_e),
+                oracle_pullback(s.map, alpha.values, coeff_e.action, ls.ext.iota.map),
+            )
+            for s in ls.sections
+        ]
         if not any(
             all(
-                cohomologous(restrict_class(theta, beta), pulls[i]) is not None
+                cohomologous(_restrict(theta, beta), pulls[i]) is not None
                 for i, theta in enumerate(ls.family.thetas)
             )
             for beta in h1(coeff).representatives
@@ -522,12 +532,12 @@ def _reference_check(ls, entries, class_filter=None):
 
 
 def _reference_fibre(alpha, family):
-    target = [restrict_class(theta, alpha) for theta in family.thetas]
+    target = [_restrict(theta, alpha) for theta in family.thetas]
     return tuple(
         beta
         for beta in h1(alpha.parent).representatives
         if all(
-            cohomologous(restrict_class(theta, beta), target[i]) is not None
+            cohomologous(_restrict(theta, beta), target[i]) is not None
             for i, theta in enumerate(family.thetas)
         )
     )
