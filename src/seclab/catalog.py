@@ -232,7 +232,7 @@ def coefficient_catalog(
         aut, auts = automorphism_group(m)
         for phi in enumerate_homs(gamma, aut):
             rows = tuple(auts[phi.map[g]].map for g in gamma.elements)
-            out.append(_trusted(GammaGroup, gamma, m, rows, None))
+            out.append(_trusted(GammaGroup, gamma, m, rows))
     return tuple(out)
 
 

@@ -29,6 +29,7 @@ from .groups import (
     _orbit_partition,
     _Record,
     _trusted,
+    _trusted_all,
     generating_set,
     image,
     partition_by_conjugation,
@@ -57,9 +58,7 @@ __all__ = [
 class GammaGroup(_Record):
     """Coefficients for H^1: a group M acted on by gamma through automorphisms.
 
-    ``action[g]`` is the image tuple of the automorphism attached to g.  An
-    optional ``embed`` records how M sits inside an ambient group when the
-    coefficients came from a subgroup by conjugation.
+    ``action[g]`` is the image tuple of the automorphism attached to g.
 
     The action must be a tuple of rows, each a tuple of integers that
     permutes the elements of M.  The rows of gamma's generators must be
@@ -69,7 +68,7 @@ class GammaGroup(_Record):
     hash is computed on first use and kept.
     """
 
-    _fields = ("gamma", "M", "action", "embed")
+    _fields = ("gamma", "M", "action")
     _hash = None  # not a field: set on the instance by __hash__
 
     def __init__(
@@ -77,18 +76,16 @@ class GammaGroup(_Record):
         gamma: FiniteGroup,
         M: FiniteGroup,
         action: Tuple[Tuple[int, ...], ...],
-        embed: Optional[GroupHom] = None,
     ) -> None:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "embed", embed)
         self.__post_init__()
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.gamma, self.M, self.action, self.embed))
+            h = hash((self.gamma, self.M, self.action))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -124,17 +121,12 @@ class GammaGroup(_Record):
             for x, xrow in enumerate(action):
                 if action[self.gamma.mul(x, g)] != tuple(map(xrow.__getitem__, grow)):
                     raise NotAnAction(f"action rows for {x}*{g} do not compose")
-        if self.embed is not None and self.embed.source != m:
-            raise ValidationError("embed must have the coefficient group as source")
 
     def act(self, g: int, x: int) -> int:
         return self.action[g][x]
 
     def __repr__(self) -> str:
-        return (
-            f"<coefficients |gamma|={self.gamma.order} |M|={self.M.order}"
-            f"{' embedded' if self.embed else ''}>"
-        )
+        return f"<coefficients |gamma|={self.gamma.order} |M|={self.M.order}>"
 
 
 def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
@@ -142,7 +134,7 @@ def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
 
     Identity rows are always an action, so the system is not checked.
     """
-    return _trusted(GammaGroup, gamma, m, _identity_rows(gamma, m), None)
+    return _trusted(GammaGroup, gamma, m, _identity_rows(gamma, m))
 
 
 def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
@@ -153,7 +145,7 @@ def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
     ambient = sub.parent
     if via.target != ambient:
         raise ValidationError("via must land in the subgroup's parent group")
-    m, incl = subgroup_as_group(sub)
+    m, _ = subgroup_as_group(sub)
     back = {e: i for i, e in enumerate(sub.elements)}
     rows = []
     for g in via.source.elements:
@@ -167,7 +159,7 @@ def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
                 )
             row.append(back[moved])
         rows.append(tuple(row))
-    return GammaGroup(via.source, m, tuple(rows), embed=incl)
+    return GammaGroup(via.source, m, tuple(rows))
 
 
 def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
@@ -179,7 +171,7 @@ def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
     if along.target != coeff.gamma:
         raise ValidationError("pullback map must land in the acting group")
     rows = tuple(coeff.action[along.map[g]] for g in along.source.elements)
-    return _trusted(GammaGroup, along.source, coeff.M, rows, coeff.embed)
+    return _trusted(GammaGroup, along.source, coeff.M, rows)
 
 
 class Cocycle(_Record):
@@ -246,7 +238,7 @@ def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     only one.
     """
     found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
-    return tuple(_trusted(Cocycle, coeff, v) for v in found)
+    return _trusted_all(Cocycle, (coeff,), found)
 
 
 def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:

@@ -14,7 +14,7 @@ enumeration-least.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
@@ -30,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _as_tuple,
     _coset_representatives,
     _orbit_partition,
     _Record,
@@ -284,6 +285,8 @@ class CorpusEntry(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coeff, GammaGroup):
+            raise ValidationError(f"corpus entry {self.coeff!r} is not a coefficient system")
         if self.provenance not in (CONSTANT_QUOTIENT, A_QUOTIENT_SECTION, USER_SUPPLIED):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
@@ -295,6 +298,14 @@ class CoefficientCorpus(_Record):
 
     def __init__(self, entries: Tuple[CorpusEntry, ...]) -> None:
         object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if type(self.entries) is not tuple:
+            raise ValidationError(f"corpus entries must be a tuple, not {self.entries!r}")
+        for entry in self.entries:
+            if not isinstance(entry, CorpusEntry):
+                raise ValidationError(f"{entry!r} is not a corpus entry")
 
 
 def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
@@ -336,7 +347,7 @@ def _kernel_quotient_entries(
             tuple(qmap.map[back[ext.E.conj(s0.map[g], incl.map[r])]] for r in reps)
             for g in ext.Gamma.elements
         )
-        coeff = _trusted(GammaGroup, ext.Gamma, quot, rows, None)
+        coeff = _trusted(GammaGroup, ext.Gamma, quot, rows)
         if coeff in seen:
             continue
         seen.add(coeff)
@@ -345,7 +356,8 @@ def _kernel_quotient_entries(
 
 
 def _user_entries(extra: Iterable[GammaGroup]) -> Tuple[CorpusEntry, ...]:
-    return tuple(CorpusEntry(coeff, USER_SUPPLIED) for coeff in extra)
+    systems = _as_tuple(extra, ValidationError, "extra coefficient systems")
+    return tuple(CorpusEntry(coeff, USER_SUPPLIED) for coeff in systems)
 
 
 def standard_corpus(
@@ -383,52 +395,72 @@ class DescentCheck(_Record):
         object.__setattr__(self, "classes_checked", classes_checked)
 
 
-def _diagonal_failure(
-    ls: LocalSections,
-    coeff: GammaGroup,
-    class_filter: Optional[Callable[[Cocycle], bool]] = None,
-) -> Tuple[Optional[Cocycle], int]:
-    """First class over the middle group missing from the diagonal image.
+class _Diagonal:
+    """One coefficient system's diagonal test for fixed local sections.
 
     A class over the base is labelled by its classes along the local maps,
     a class over the middle group by its classes along the local sections.
     Since each section projects to its local map, both read into the same
     local systems, and a class is in the diagonal image exactly when its
-    label is the label of some class over the base.
+    label is the label of some class over the base.  ``classes`` are the
+    representatives over the middle group; whether each is in the image is
+    decided on first use and kept.
     """
-    thetas = ls.family.thetas
-    local = [h1(pullback_coefficients(theta, coeff)) for theta in thetas]
-    image_labels = {_label(beta, thetas, local) for beta in h1(coeff).representatives}
-    checked = 0
-    for alpha in h1(pullback_coefficients(ls.ext.pi, coeff)).representatives:
-        if class_filter is not None and not class_filter(alpha):
-            continue
-        checked += 1
-        if _label(alpha, ls.sections, local) not in image_labels:
-            return alpha, checked
-    return None, checked
+
+    __slots__ = ("sections", "local", "image_labels", "classes", "_passes")
+
+    def __init__(self, ls: LocalSections, coeff: GammaGroup) -> None:
+        thetas = ls.family.thetas
+        local = [h1(pullback_coefficients(theta, coeff)) for theta in thetas]
+        self.sections, self.local = ls.sections, local
+        self.image_labels = {_label(beta, thetas, local) for beta in h1(coeff).representatives}
+        self.classes = h1(pullback_coefficients(ls.ext.pi, coeff)).representatives
+        self._passes: list = [None] * len(self.classes)
+
+    def passes(self, i: int) -> bool:
+        ok = self._passes[i]
+        if ok is None:
+            label = _label(self.classes[i], self.sections, self.local)
+            ok = self._passes[i] = label in self.image_labels
+        return ok
+
+
+def _check_bases(ls: LocalSections, entries: Iterable[CorpusEntry]) -> None:
+    for entry in entries:
+        if entry.coeff.gamma != ls.ext.Gamma:
+            raise ValidationError("corpus entry does not act through the base group")
 
 
 def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
+    diagonals: Dict[GammaGroup, _Diagonal],
     class_filter: Optional[Callable[[Cocycle], bool]] = None,
     checked: int = 0,
 ) -> DescentCheck:
-    """Check each entry in order; ``checked`` counts classes examined before."""
+    """Check each entry's classes in order, stopping at the first that fails.
+
+    ``diagonals`` holds each system's diagonal once built; callers deciding
+    several properties of one instance share it.  ``checked`` counts
+    classes examined before.  The entries' bases are checked by the caller.
+    """
     for entry in entries:
-        if entry.coeff.gamma != ls.ext.Gamma:
-            raise ValidationError("corpus entry does not act through the base group")
-        bad, count = _diagonal_failure(ls, entry.coeff, class_filter)
-        checked += count
-        if bad is not None:
-            return DescentCheck(False, entry, bad, checked)
+        diagonal = diagonals.get(entry.coeff)
+        if diagonal is None:
+            diagonal = diagonals[entry.coeff] = _Diagonal(ls, entry.coeff)
+        for i, alpha in enumerate(diagonal.classes):
+            if class_filter is not None and not class_filter(alpha):
+                continue
+            checked += 1
+            if not diagonal.passes(i):
+                return DescentCheck(False, entry, alpha, checked)
     return DescentCheck(True, None, None, checked)
 
 
 def decide_a(ls: LocalSections, corpus: CoefficientCorpus) -> DescentCheck:
     """Survival of the local data in every coefficient system of the corpus."""
-    return _run_corpus(ls, corpus.entries)
+    _check_bases(ls, corpus.entries)
+    return _run_corpus(ls, corpus.entries, {})
 
 
 def decide_a_prime(ls: LocalSections) -> DescentCheck:
@@ -437,7 +469,7 @@ def decide_a_prime(ls: LocalSections) -> DescentCheck:
     Every quotient counts, E itself included: that is what makes this
     property match (b) exactly.
     """
-    return _run_corpus(ls, _constant_quotient_entries(ls.ext))
+    return _run_corpus(ls, _constant_quotient_entries(ls.ext), {})
 
 
 def _surjective_on_kernel(ext: Extension) -> Callable[[Cocycle], bool]:
@@ -459,14 +491,10 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     surjective on the kernel's image.
     """
     sections = enumerate_sections(ls.ext).sections
-    return _doubleprime(ls, _kernel_quotient_entries(ls.ext, sections))
-
-
-def _doubleprime(ls: LocalSections, kernel_entries: Sequence[CorpusEntry]) -> DescentCheck:
     # a section always brings the kernel's quotient by itself, so there are
     # no kernel entries exactly when there is no section
-    entries = kernel_entries or _constant_quotient_entries(ls.ext)
-    return _run_corpus(ls, entries, _surjective_on_kernel(ls.ext))
+    entries = _kernel_quotient_entries(ls.ext, sections) or _constant_quotient_entries(ls.ext)
+    return _run_corpus(ls, entries, {}, _surjective_on_kernel(ls.ext))
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +551,29 @@ def verify_equivalences(
     (b) <=> (a'), split and (a'') together give (c), and density collapses
     (a), (a'), (b), (c) to a single truth value.
     """
+    user_entries = _user_entries(extra)
+    _check_bases(ls, user_entries)
     density = check_density(ls.family)
     sections = enumerate_sections(ls.ext).sections
     split = bool(sections)
     kernel_entries = _kernel_quotient_entries(ls.ext, sections)
-    user_entries = _user_entries(extra)
-    # The standard corpus is the constant quotients, which are (a'), then
-    # the kernel quotients and the user's systems.
-    a_prime = decide_a_prime(ls)
+    constant_entries = _constant_quotient_entries(ls.ext)
+    # (a'), (a) and (a'') read overlapping corpora, so each system's
+    # diagonal is built once for all three.  The standard corpus is the
+    # constant quotients, which are (a'), then the kernel quotients and the
+    # user's systems.
+    diagonals: Dict[GammaGroup, _Diagonal] = {}
+    a_prime = _run_corpus(ls, constant_entries, diagonals)
     if a_prime.holds:
-        a = _run_corpus(ls, kernel_entries + user_entries, checked=a_prime.classes_checked)
+        a = _run_corpus(
+            ls, kernel_entries + user_entries, diagonals, checked=a_prime.classes_checked
+        )
     else:
         a = a_prime
-    a_double = _doubleprime(ls, kernel_entries)
+    # with no section there are no kernel entries; see decide_a_doubleprime
+    a_double = _run_corpus(
+        ls, kernel_entries or constant_entries, diagonals, _surjective_on_kernel(ls.ext)
+    )
     b = decide_b(ls)
     c = _kernel_interpolating(ls, sections)
     hb, hc = b is not None, c is not None

@@ -277,7 +277,7 @@ def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
     auts = program.auts[candidates[0]]
     # an action read through a validated hom into Aut(M)'s table is an action
     rows = tuple(auts[act.map[g]].map for g in act.source.elements)
-    program.coeffs[name] = _trusted(GammaGroup, act.source, m, rows, None)
+    program.coeffs[name] = _trusted(GammaGroup, act.source, m, rows)
 
 
 def _parse_block(

@@ -83,11 +83,6 @@ def test_identity_must_act_trivially():
     [
         (lambda: GammaGroup(C2, C3, ((0, 1, 2),)), NotAnAction, "1 rows for a group of order 2"),
         (
-            lambda: GammaGroup(C2, C3, ((0, 1, 2), (0, 1, 2)), embed=identity_hom(C4)),
-            ValidationError,
-            "embed must have the coefficient group as source",
-        ),
-        (
             lambda: GammaGroup(C2, C2, ((0, True), (0, 1))),
             NotAnAction,
             "row for 0 holds True, which is not an integer",
@@ -108,7 +103,7 @@ def test_identity_must_act_trivially():
             r"row for 0 must be a tuple, not \[0, 1\]",
         ),
     ],
-    ids=["row-count", "embed-source", "entry-bool", "entry-float", "action-list", "row-list"],
+    ids=["row-count", "entry-bool", "entry-float", "action-list", "row-list"],
 )
 def test_coefficient_system_rejects_bad_shape(build, error, needle):
     with pytest.raises(error, match=needle):
@@ -119,7 +114,6 @@ def test_conjugation_coefficients_on_kernel():
     ext = s3_over_c2()
     coeff = conjugation_coefficients(image(ext.iota), identity_hom(ext.E))
     assert coeff.M.order == 3
-    assert coeff.embed is not None
     # a transposition inverts the rotation subgroup
     assert coeff.action[1] == (0, 2, 1)
 

@@ -544,7 +544,7 @@ RECORD_FIELDS = {
     "GroupHom": ("source", "target", "map"),
     "Subgroup": ("parent", "elements"),
     "JordanCover": ("union", "group_order", "index"),
-    "GammaGroup": ("gamma", "M", "action", "embed"),
+    "GammaGroup": ("gamma", "M", "action"),
     "Cocycle": ("parent", "values"),
     "H1Classes": ("parent", "cocycles", "classes"),
     "Extension": ("A", "E", "Gamma", "iota", "pi"),

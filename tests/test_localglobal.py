@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from oracles import oracle_density, oracle_interpolating_homs, oracle_pullback, oracle_restrict
@@ -19,12 +21,14 @@ from seclab.extensions import enumerate_sections, make_extension
 from seclab.groups import (
     GroupHom,
     all_normal_subgroups,
+    all_normal_subgroups_between,
     cyclic_group,
     direct_product,
     full_subgroup,
     group_from_permutations,
     identity_hom,
     image,
+    quotient,
     subgroup,
     subgroup_as_group,
     subgroup_generated,
@@ -306,6 +310,39 @@ def test_decide_a_rejects_foreign_corpus():
     )
     with pytest.raises(ValidationError):
         decide_a(ls, corpus)
+
+
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        (None, "is not a sequence"),
+        ([None], "not a coefficient system"),
+        (["x"], "not a coefficient system"),
+        ([constant_coefficients(cyclic_group(5), C2)], "does not act through the base group"),
+    ],
+    ids=["no-sequence", "none", "string", "foreign-base"],
+)
+def test_corpus_entries_are_checked_before_deciding(acceptance_instances, extra, needle):
+    holding = next(ls for ls in acceptance_instances if decide_a_prime(ls).holds)
+    failing = next(ls for ls in acceptance_instances if not decide_a_prime(ls).holds)
+    for ls in (holding, failing):
+        with pytest.raises(ValidationError, match=needle):
+            verify_equivalences(ls, extra)
+        with pytest.raises(ValidationError, match=needle):
+            decide_a(ls, standard_corpus(ls, extra))
+
+
+@pytest.mark.parametrize(
+    "entries, needle",
+    [
+        ([CorpusEntry(constant_coefficients(C2, C2), USER_SUPPLIED)], "must be a tuple"),
+        ((constant_coefficients(C2, C2),), "is not a corpus entry"),
+    ],
+    ids=["list", "bare-system"],
+)
+def test_coefficient_corpus_rejects_bad_entries(entries, needle):
+    with pytest.raises(ValidationError, match=needle):
+        CoefficientCorpus(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -650,3 +687,33 @@ def test_verify_enumerates_sections_once(acceptance_instances, monkeypatch):
         calls.clear()
         verify_equivalences(ls)
         assert calls == [ls.ext]
+
+
+def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, monkeypatch):
+    """One quotient per normal subgroup of E and per kernel quotient, and at
+    most one pullback per local map and one along the projection for each
+    distinct coefficient system, over split and non-split instances."""
+    quotients, pullbacks = [], []
+
+    def counting_quotient(group, sub):
+        quotients.append(sub)
+        return quotient(group, sub)
+
+    def counting_pullback(along, coeff):
+        pullbacks.append(coeff)
+        return pullback_coefficients(along, coeff)
+
+    monkeypatch.setattr("seclab.localglobal.quotient", counting_quotient)
+    monkeypatch.setattr("seclab.localglobal.pullback_coefficients", counting_pullback)
+    kinds = set()
+    for ls in acceptance_instances:
+        quotients.clear()
+        pullbacks.clear()
+        verify_equivalences(ls)
+        split = bool(enumerate_sections(ls.ext).sections)
+        kinds.add(split)
+        kernel = all_normal_subgroups_between(image(ls.ext.iota), ls.ext.E) if split else ()
+        assert len(quotients) == len(all_normal_subgroups(ls.ext.E)) + len(kernel)
+        per_system = Counter(pullbacks)
+        assert max(per_system.values()) <= len(ls.family.thetas) + 1
+    assert kinds == {True, False}

@@ -837,7 +837,7 @@ def test_pulled_back_coefficients_equal_validated_systems(coeff, src, data):
     homs = enumerate_homs(src, coeff.gamma)
     theta = data.draw(st.sampled_from(homs))
     pulled = pullback_coefficients(theta, coeff)
-    checked = GammaGroup(src, coeff.M, pulled.action, embed=coeff.embed)
+    checked = GammaGroup(src, coeff.M, pulled.action)
     assert pulled == checked and hash(pulled) == hash(checked)
     constant = constant_coefficients(src, coeff.M)
     assert constant == GammaGroup(src, coeff.M, constant.action)
