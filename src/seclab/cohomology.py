@@ -29,7 +29,6 @@ from .groups import (
     _orbit_partition,
     _Record,
     _trusted,
-    _trusted_all,
     generating_set,
     image,
     partition_by_conjugation,
@@ -238,7 +237,7 @@ def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     only one.
     """
     found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
-    return _trusted_all(Cocycle, (coeff,), found)
+    return tuple(_trusted(Cocycle, coeff, v) for v in found)
 
 
 def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:

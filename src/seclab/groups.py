@@ -132,27 +132,6 @@ def _trusted(cls: type, *values: object):
     return obj
 
 
-def _trusted_all(cls: type, shared: Tuple[object, ...], lasts: Iterable[object]) -> tuple:
-    """One record per value in ``lasts``, built as :func:`_trusted` builds one.
-
-    Every record gets the leading fields ``shared`` and one of ``lasts`` as
-    its last field, all in one loop.  The fields are set with
-    ``object.__setattr__``, never through ``obj.__dict__``: reading the
-    dict would make Python build one for each record.
-    """
-    new, put = object.__new__, object.__setattr__
-    *heads, last = cls._fields
-    pairs = tuple(zip(heads, shared))
-    out = []
-    for value in lasts:
-        obj = new(cls)
-        for name, v in pairs:
-            put(obj, name, v)
-        put(obj, last, value)
-        out.append(obj)
-    return tuple(out)
-
-
 class FiniteGroup(_Record):
     """A finite group: its full multiplication table plus derived data.
 
@@ -726,7 +705,7 @@ def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
     cocycle search with identity rows.
     """
     found = _derivation_search(src, tgt, _identity_rows(src, tgt))
-    return _trusted_all(GroupHom, (src, tgt), found)
+    return tuple(_trusted(GroupHom, src, tgt, m) for m in found)
 
 
 def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
@@ -1039,7 +1018,7 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
                     nxt.append(((*gens, g), grown))
         frontier = nxt
     tuples = sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
-    return _trusted_all(Subgroup, (group,), tuples)
+    return tuple(_trusted(Subgroup, group, t) for t in tuples)
 
 
 @lru_cache(maxsize=None)

@@ -296,13 +296,11 @@ class CoefficientCorpus(_Record):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: Tuple[CorpusEntry, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[CorpusEntry]) -> None:
+        object.__setattr__(self, "entries", _as_tuple(entries, ValidationError, "corpus entries"))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if type(self.entries) is not tuple:
-            raise ValidationError(f"corpus entries must be a tuple, not {self.entries!r}")
         for entry in self.entries:
             if not isinstance(entry, CorpusEntry):
                 raise ValidationError(f"{entry!r} is not a corpus entry")
@@ -463,13 +461,20 @@ def decide_a(ls: LocalSections, corpus: CoefficientCorpus) -> DescentCheck:
     return _run_corpus(ls, corpus.entries, {})
 
 
-def decide_a_prime(ls: LocalSections) -> DescentCheck:
+def decide_a_prime(
+    ls: LocalSections,
+    *,
+    _shared: Optional[Tuple[Tuple[CorpusEntry, ...], Dict[GammaGroup, _Diagonal]]] = None,
+) -> DescentCheck:
     """Survival in all constant quotients of the middle group.
 
     Every quotient counts, E itself included: that is what makes this
-    property match (b) exactly.
+    property match (b) exactly.  ``_shared`` is only for
+    :func:`verify_equivalences`: the constant quotients it built and the
+    diagonals it shares with (a) and (a'').
     """
-    return _run_corpus(ls, _constant_quotient_entries(ls.ext), {})
+    entries, diagonals = _shared or (_constant_quotient_entries(ls.ext), {})
+    return _run_corpus(ls, entries, diagonals)
 
 
 def _surjective_on_kernel(ext: Extension) -> Callable[[Cocycle], bool]:
@@ -561,9 +566,10 @@ def verify_equivalences(
     # (a'), (a) and (a'') read overlapping corpora, so each system's
     # diagonal is built once for all three.  The standard corpus is the
     # constant quotients, which are (a'), then the kernel quotients and the
-    # user's systems.
+    # user's systems.  (a') is decided through the public decider, so a
+    # profile or trace of decide_a_prime sees every (a') decision.
     diagonals: Dict[GammaGroup, _Diagonal] = {}
-    a_prime = _run_corpus(ls, constant_entries, diagonals)
+    a_prime = decide_a_prime(ls, _shared=(constant_entries, diagonals))
     if a_prime.holds:
         a = _run_corpus(
             ls, kernel_entries + user_entries, diagonals, checked=a_prime.classes_checked

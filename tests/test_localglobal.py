@@ -335,14 +335,20 @@ def test_corpus_entries_are_checked_before_deciding(acceptance_instances, extra,
 @pytest.mark.parametrize(
     "entries, needle",
     [
-        ([CorpusEntry(constant_coefficients(C2, C2), USER_SUPPLIED)], "must be a tuple"),
+        (None, "is not a sequence"),
         ((constant_coefficients(C2, C2),), "is not a corpus entry"),
     ],
-    ids=["list", "bare-system"],
+    ids=["no-sequence", "bare-system"],
 )
 def test_coefficient_corpus_rejects_bad_entries(entries, needle):
     with pytest.raises(ValidationError, match=needle):
         CoefficientCorpus(entries)
+
+
+def test_coefficient_corpus_keeps_any_iterable_as_a_tuple():
+    entry = CorpusEntry(constant_coefficients(C2, C2), USER_SUPPLIED)
+    assert CoefficientCorpus([entry]).entries == (entry,)
+    assert CoefficientCorpus(iter([entry])) == CoefficientCorpus((entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +693,24 @@ def test_verify_enumerates_sections_once(acceptance_instances, monkeypatch):
         calls.clear()
         verify_equivalences(ls)
         assert calls == [ls.ext]
+
+
+def test_verify_decides_a_prime_through_the_public_decider(acceptance_instances, monkeypatch):
+    """A wrapper around decide_a_prime, as a profiler or tracer installs,
+    sees verify_equivalences' (a') decision and its class count."""
+    seen = []
+
+    def watching(ls, **kwargs):
+        result = decide_a_prime(ls, **kwargs)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr("seclab.localglobal.decide_a_prime", watching)
+    for ls in acceptance_instances[:20]:
+        seen.clear()
+        report = verify_equivalences(ls)
+        assert seen == [report.a_prime]
+        assert report.a_prime == decide_a_prime(ls)
 
 
 def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, monkeypatch):
