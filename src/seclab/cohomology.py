@@ -8,8 +8,8 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .errors import (
     ActionMismatch,
@@ -230,14 +230,11 @@ def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int) -> Tuple[i
 def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     """Every cocycle, sorted lexicographically by value tuple.
 
-    Generator values are chosen one generator at a time and propagated
-    along the layers of gamma's derivation, and each layer's relations are
-    checked as soon as its values are fixed (see
-    :func:`seclab.groups._derivation_search`); the search's check is the
-    only one.
+    The records are ``h1(coeff).cocycles``: the value tuples come from the
+    search in :func:`h1`, so a system is searched once whichever of the
+    two is called first.
     """
-    found = _derivation_search(coeff.gamma, coeff.M, coeff.action)
-    return tuple(_trusted(Cocycle, coeff, v) for v in found)
+    return h1(coeff).cocycles
 
 
 def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
@@ -254,38 +251,49 @@ def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
 class H1Classes(_Record):
     """The class partition of all cocycles of one coefficient system.
 
-    ``classes`` holds sorted index tuples into ``cocycles``; each class is
-    represented by its lexicographically least member.  ``class_by_values``
-    maps each cocycle's value tuple to its class number; it is derived, so
-    it is not a field and takes no part in equality or the repr.
+    ``values`` holds every cocycle's value tuple, sorted lexicographically,
+    and ``classes`` holds sorted index tuples into it; each class is
+    represented by its lexicographically least member.  The records
+    (``cocycles``, ``representatives``), ``representative_values`` and
+    ``class_by_values``, which maps each value tuple to its class number,
+    are views: each is built when first read and kept, and none is a field,
+    so none takes part in equality or the repr.  The records are not
+    checked again, as the values are output of the cocycle search.
     """
 
-    _fields = ("parent", "cocycles", "classes")
+    _fields = ("parent", "values", "classes")
 
     def __init__(
         self,
         parent: GammaGroup,
-        cocycles: Tuple[Cocycle, ...],
+        values: Tuple[Tuple[int, ...], ...],
         classes: Tuple[Tuple[int, ...], ...],
     ) -> None:
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "cocycles", cocycles)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "classes", classes)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        index = {
-            self.cocycles[j].values: i for i, cls in enumerate(self.classes) for j in cls
-        }
-        object.__setattr__(self, "class_by_values", index)
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
-    @property
+    @cached_property
+    def cocycles(self) -> Tuple[Cocycle, ...]:
+        return tuple(_trusted(Cocycle, self.parent, v) for v in self.values)
+
+    @cached_property
+    def representative_values(self) -> Tuple[Tuple[int, ...], ...]:
+        values = self.values
+        return tuple(values[cls[0]] for cls in self.classes)
+
+    @cached_property
     def representatives(self) -> Tuple[Cocycle, ...]:
-        return tuple(self.cocycles[cls[0]] for cls in self.classes)
+        return tuple(_trusted(Cocycle, self.parent, v) for v in self.representative_values)
+
+    @cached_property
+    def class_by_values(self) -> Dict[Tuple[int, ...], int]:
+        values = self.values
+        return {values[j]: i for i, cls in enumerate(self.classes) for j in cls}
 
     def class_of(self, a: Cocycle) -> int:
         if a.parent != self.parent:
@@ -299,6 +307,13 @@ class H1Classes(_Record):
 def h1(coeff: GammaGroup) -> H1Classes:
     """Cocycles modulo twisting, with lexicographically least representatives.
 
+    Generator values are chosen one generator at a time and propagated
+    along the layers of gamma's derivation, and each layer's relations are
+    checked as soon as its values are fixed (see
+    :func:`seclab.groups._derivation_search`); the search's check is the
+    only one.  The sorted value tuples it returns are the table: no
+    record is built here.
+
     A cocycle is fixed by its values on the generators of gamma, so only
     those are twisted, by ``b_g = c^-1 * a_g * g(c)``.  Twisting by c and
     then by d is twisting by cd, a right action of M, so an orbit is the
@@ -307,9 +322,9 @@ def h1(coeff: GammaGroup) -> H1Classes:
     dropped.  The partition costs |classes|·|orbit|·|gens M left|·|gens
     gamma| table reads.  With none left, as for constant coefficients in
     an abelian M, every class is a singleton, and h1 costs one pass over
-    the cocycles.
+    the value tuples.
     """
-    cocycles = enumerate_cocycles(coeff)
+    values = _derivation_search(coeff.gamma, coeff.M, coeff.action)
     m, mt = coeff.M, coeff.M.table
     gens = generating_set(coeff.gamma)
     ident = tuple(m.elements)
@@ -320,12 +335,12 @@ def h1(coeff: GammaGroup) -> H1Classes:
     ]
     twists = [tw for tw in twists if any(row != ident for row in tw)]
     if not twists:
-        return H1Classes(coeff, cocycles, tuple((i,) for i in range(len(cocycles))))
+        return H1Classes(coeff, values, tuple((i,) for i in range(len(values))))
     classes = _orbit_partition(
-        [tuple(map(co.values.__getitem__, gens)) for co in cocycles],
+        [tuple(map(v.__getitem__, gens)) for v in values],
         lambda key: [tuple(map(tuple.__getitem__, tw, key)) for tw in twists],
     )
-    return H1Classes(coeff, cocycles, classes)
+    return H1Classes(coeff, values, classes)
 
 
 def inner_pullback(a: Cocycle, g: int) -> Cocycle:

@@ -19,7 +19,6 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .cohomology import (
     Cocycle,
     GammaGroup,
-    H1Classes,
     constant_coefficients,
     h1,
     pullback_coefficients,
@@ -180,18 +179,18 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     return out
 
 
-def _label(
-    a: Cocycle, maps: Sequence[GroupHom], local: Sequence[H1Classes]
-) -> Tuple[int, ...]:
-    """The class, in each local H^1, of a's values read along each map.
+#: A local reader: a map's element tuple, and the value-to-class map of
+#: the local H^1 that values read along it land in.
+_Reader = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]
 
-    Each map must pull a's coefficients back to that local system, so the
-    values read along it form one of its cocycles.
+
+def _label(values: Tuple[int, ...], readers: Sequence[_Reader]) -> Tuple[int, ...]:
+    """The class, in each local H^1, of a cocycle's values read along each map.
+
+    Each map must pull the cocycle's coefficients back to its reader's
+    local system, so the values read along it form one of its cocycles.
     """
-    return tuple(
-        classes.class_by_values[tuple(map(a.values.__getitem__, f.map))]
-        for f, classes in zip(maps, local)
-    )
+    return tuple(classes[tuple(map(values.__getitem__, f))] for f, classes in readers)
 
 
 def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
@@ -203,12 +202,16 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
-    local = [h1(pullback_coefficients(theta, coeff)) for theta in family.thetas]
-    want = _label(alpha, family.thetas, local)
+    readers = [
+        (theta.map, h1(pullback_coefficients(theta, coeff)).class_by_values)
+        for theta in family.thetas
+    ]
+    want = _label(alpha.values, readers)
+    over = h1(coeff)
     return tuple(
-        beta
-        for beta in h1(coeff).representatives
-        if _label(beta, family.thetas, local) == want
+        _trusted(Cocycle, over.parent, v)
+        for v in over.representative_values
+        if _label(v, readers) == want
     )
 
 
@@ -401,25 +404,29 @@ class _Diagonal:
     Since each section projects to its local map, both read into the same
     local systems, and a class is in the diagonal image exactly when its
     label is the label of some class over the base.  ``classes`` are the
-    representatives over the middle group; whether each is in the image is
-    decided on first use and kept.
+    representatives' value tuples over the middle group, whose system is
+    ``over``; whether each is in the image is decided on first use and
+    kept.
     """
 
-    __slots__ = ("sections", "local", "image_labels", "classes", "_passes")
+    __slots__ = ("over", "readers", "image_labels", "classes", "_passes")
 
     def __init__(self, ls: LocalSections, coeff: GammaGroup) -> None:
         thetas = ls.family.thetas
-        local = [h1(pullback_coefficients(theta, coeff)) for theta in thetas]
-        self.sections, self.local = ls.sections, local
-        self.image_labels = {_label(beta, thetas, local) for beta in h1(coeff).representatives}
-        self.classes = h1(pullback_coefficients(ls.ext.pi, coeff)).representatives
+        local = [h1(pullback_coefficients(theta, coeff)).class_by_values for theta in thetas]
+        self.readers = [(s.map, classes) for s, classes in zip(ls.sections, local)]
+        base_readers = [(theta.map, classes) for theta, classes in zip(thetas, local)]
+        self.image_labels = {
+            _label(v, base_readers) for v in h1(coeff).representative_values
+        }
+        over_e = h1(pullback_coefficients(ls.ext.pi, coeff))
+        self.over, self.classes = over_e.parent, over_e.representative_values
         self._passes: list = [None] * len(self.classes)
 
     def passes(self, i: int) -> bool:
         ok = self._passes[i]
         if ok is None:
-            label = _label(self.classes[i], self.sections, self.local)
-            ok = self._passes[i] = label in self.image_labels
+            ok = self._passes[i] = _label(self.classes[i], self.readers) in self.image_labels
         return ok
 
 
@@ -433,25 +440,30 @@ def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
     diagonals: Dict[GammaGroup, _Diagonal],
-    class_filter: Optional[Callable[[Cocycle], bool]] = None,
+    class_filter: Optional[Callable[[Tuple[int, ...], int], bool]] = None,
     checked: int = 0,
 ) -> DescentCheck:
     """Check each entry's classes in order, stopping at the first that fails.
 
     ``diagonals`` holds each system's diagonal once built; callers deciding
-    several properties of one instance share it.  ``checked`` counts
-    classes examined before.  The entries' bases are checked by the caller.
+    several properties of one instance share it.  ``class_filter`` reads a
+    class's value tuple and the order of its coefficient group.
+    ``checked`` counts classes examined before.  The entries' bases are
+    checked by the caller.
     """
     for entry in entries:
         diagonal = diagonals.get(entry.coeff)
         if diagonal is None:
             diagonal = diagonals[entry.coeff] = _Diagonal(ls, entry.coeff)
-        for i, alpha in enumerate(diagonal.classes):
-            if class_filter is not None and not class_filter(alpha):
+        order = entry.coeff.M.order
+        for i, values in enumerate(diagonal.classes):
+            if class_filter is not None and not class_filter(values, order):
                 continue
             checked += 1
             if not diagonal.passes(i):
-                return DescentCheck(False, entry, alpha, checked)
+                # the one record a check builds; its values are search output
+                failing = _trusted(Cocycle, diagonal.over, values)
+                return DescentCheck(False, entry, failing, checked)
     return DescentCheck(True, None, None, checked)
 
 
@@ -477,12 +489,11 @@ def decide_a_prime(
     return _run_corpus(ls, entries, diagonals)
 
 
-def _surjective_on_kernel(ext: Extension) -> Callable[[Cocycle], bool]:
+def _surjective_on_kernel(ext: Extension) -> Callable[[Tuple[int, ...], int], bool]:
     kernel_elements = image(ext.iota).elements
 
-    def keep(alpha: Cocycle) -> bool:
-        img = {alpha.values[e] for e in kernel_elements}
-        return len(img) == alpha.parent.M.order
+    def keep(values: Tuple[int, ...], order: int) -> bool:
+        return len({values[e] for e in kernel_elements}) == order
 
     return keep
 

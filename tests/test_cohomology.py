@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from oracles import oracle_cocycles, oracle_h1_class_count
+from seclab import cohomology
+from seclab.catalog import coefficient_catalog, preset_group
 from seclab.errors import (
     NotACocycle,
     NotAnAction,
@@ -271,3 +273,33 @@ def test_pullback_coefficients_compose():
     assert pulled.gamma == grp
     assert pulled.action[1] == (0, 2, 1)  # transpositions invert
     assert pulled.action[3] == (0, 1, 2)  # rotations act trivially
+
+
+@pytest.mark.parametrize("first", ["enumerate_cocycles", "h1"])
+def test_cocycles_and_h1_search_each_system_once(first, monkeypatch):
+    """The census reads enumerate_cocycles and then h1; either order, from
+    cold caches, runs the cocycle search once per system, and the records
+    are h1's own."""
+    systems = [
+        coeff
+        for name in ("C4", "S3", "D4")
+        for coeff in coefficient_catalog(preset_group(name), 4)
+    ]
+    searched = []
+    search = cohomology._derivation_search
+
+    def counting(gamma, m, rows, choices=None):
+        searched.append((gamma, m, rows))
+        return search(gamma, m, rows, choices)
+
+    h1.cache_clear()
+    enumerate_cocycles.cache_clear()
+    monkeypatch.setattr(cohomology, "_derivation_search", counting)
+    for coeff in systems:
+        if first == "h1":
+            classes, cocycles = h1(coeff), enumerate_cocycles(coeff)
+        else:
+            cocycles, classes = enumerate_cocycles(coeff), h1(coeff)
+        assert len(cocycles) == len(classes.values)
+        assert all(a is b for a, b in zip(cocycles, classes.cocycles))
+    assert len(searched) == len(set(searched)) == len(set(systems))

@@ -546,7 +546,7 @@ RECORD_FIELDS = {
     "JordanCover": ("union", "group_order", "index"),
     "GammaGroup": ("gamma", "M", "action"),
     "Cocycle": ("parent", "values"),
-    "H1Classes": ("parent", "cocycles", "classes"),
+    "H1Classes": ("parent", "values", "classes"),
     "Extension": ("A", "E", "Gamma", "iota", "pi"),
     "SectionReport": ("sections", "classes_mod_A", "classes_mod_E"),
     "LocalFamily": ("gamma", "thetas"),

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import oracle_density, oracle_interpolating_homs, oracle_pullback, oracle_restrict
+from seclab import cohomology, localglobal
 from seclab.catalog import coefficient_catalog, seeded_instances
 from seclab.cohomology import (
     Cocycle,
@@ -741,3 +742,36 @@ def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, mon
         per_system = Counter(pullbacks)
         assert max(per_system.values()) <= len(ls.family.thetas) + 1
     assert kinds == {True, False}
+
+
+def test_verify_builds_no_cocycle_record_per_class(acceptance_instances, monkeypatch):
+    """The deciders label classes by their value tuples: from cold caches,
+    verify_equivalences never enumerates cocycle records and builds one
+    cocycle for each failing check's reported class, none for the rest."""
+    enumerated, built = [], []
+    trusted, enumerate_cocycles = cohomology._trusted, cohomology.enumerate_cocycles
+
+    def counting_trusted(cls, *values):
+        if cls is Cocycle:
+            built.append(values)
+        return trusted(cls, *values)
+
+    def counting_enumerate(coeff):
+        enumerated.append(coeff)
+        return enumerate_cocycles(coeff)
+
+    monkeypatch.setattr(cohomology, "_trusted", counting_trusted)
+    monkeypatch.setattr(localglobal, "_trusted", counting_trusted)
+    monkeypatch.setattr(cohomology, "enumerate_cocycles", counting_enumerate)
+    failing = 0
+    for ls in acceptance_instances:
+        h1.cache_clear()
+        enumerate_cocycles.cache_clear()
+        built.clear()
+        report = verify_equivalences(ls)
+        checks = {id(c): c for c in (report.a, report.a_prime, report.a_doubleprime)}
+        fails = sum(not c.holds for c in checks.values())
+        assert enumerated == []
+        assert len(built) <= fails, (len(built), fails)
+        failing += fails
+    assert failing > 0

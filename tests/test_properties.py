@@ -284,6 +284,28 @@ def test_corpus_generation_is_reproducible(seed):
     assert generate_corpus(8, seed) == generate_corpus(8, seed)
 
 
+@given(st.one_of(TwistedSystems, Systems))
+@settings(deadline=None)
+def test_h1_value_table_and_its_views(coeff):
+    """
+    h1 keeps the oracle's cocycle value tuples; its class map sends exactly
+    those tuples to the class that holds each, and its representative
+    records equal cocycles built through the validator.
+    """
+    classes = h1(coeff)
+    tables = (coeff.gamma.table, coeff.M.table, coeff.action)
+    assert list(classes.values) == oracle_cocycles(*tables)
+    index = classes.class_by_values
+    assert set(index) == set(classes.values) and len(index) == len(classes.values)
+    for j, v in enumerate(classes.values):
+        assert j in classes.classes[index[v]]
+    reps = classes.representatives
+    assert len(reps) == len(classes.representative_values) == classes.class_count
+    for rep, v in zip(reps, classes.representative_values):
+        checked = Cocycle(coeff, v)
+        assert rep == checked and hash(rep) == hash(checked)
+
+
 @given(st.sampled_from(HOM_PAIRS))
 @settings(deadline=None)
 def test_hom_search_matches_the_oracle(pair):
