@@ -9,6 +9,7 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .errors import (
@@ -28,6 +29,7 @@ from .groups import (
     _lifts_through,
     _orbit_partition,
     _Record,
+    _check_types,
     _trusted,
     generating_set,
     image,
@@ -68,18 +70,9 @@ class GammaGroup(_Record):
     """
 
     _fields = ("gamma", "M", "action")
+    _types = (FiniteGroup, FiniteGroup, tuple)
+    _error = NotAnAction
     _hash = None  # not a field: set on the instance by __hash__
-
-    def __init__(
-        self,
-        gamma: FiniteGroup,
-        M: FiniteGroup,
-        action: Tuple[Tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "action", action)
-        self.__post_init__()
 
     def __hash__(self) -> int:
         h = self._hash
@@ -90,15 +83,12 @@ class GammaGroup(_Record):
 
     def __post_init__(self) -> None:
         m, action = self.M, self.action
-        if type(action) is not tuple:
-            raise NotAnAction(f"action must be a tuple of rows, not {action!r}")
         if len(action) != self.gamma.order:
             raise NotAnAction(
                 f"action has {len(action)} rows for a group of order {self.gamma.order}"
             )
+        _check_types(action, repeat(tuple), NotAnAction, "row for {}", count())
         for g, row in enumerate(action):
-            if type(row) is not tuple:
-                raise NotAnAction(f"row for {g} must be a tuple, not {row!r}")
             for v in row:
                 if type(v) is not int:
                     raise NotAnAction(f"row for {g} holds {v!r}, which is not an integer")
@@ -178,17 +168,12 @@ class Cocycle(_Record):
     validated on construction."""
 
     _fields = ("parent", "values")
-
-    def __init__(self, parent: GammaGroup, values: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
+    _types = (GammaGroup, tuple)
+    _error = NotACocycle
 
     def __post_init__(self) -> None:
         g, m = self.parent.gamma, self.parent.M
         v, n = self.values, m.order
-        if type(v) is not tuple:
-            raise NotACocycle(f"values must be a tuple, not {v!r}")
         if len(v) != g.order:
             raise NotACocycle(f"{len(v)} values for a group of order {g.order}")
         for x in v:
@@ -262,16 +247,7 @@ class H1Classes(_Record):
     """
 
     _fields = ("parent", "values", "classes")
-
-    def __init__(
-        self,
-        parent: GammaGroup,
-        values: Tuple[Tuple[int, ...], ...],
-        classes: Tuple[Tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "classes", classes)
+    _types = (GammaGroup, tuple, tuple)
 
     @property
     def class_count(self) -> int:

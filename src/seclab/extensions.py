@@ -48,16 +48,7 @@ class Extension(_Record):
     """A short exact sequence ``A --iota--> E --pi--> Gamma``."""
 
     _fields = ("A", "E", "Gamma", "iota", "pi")
-
-    def __init__(
-        self, A: FiniteGroup, E: FiniteGroup, Gamma: FiniteGroup, iota: GroupHom, pi: GroupHom
-    ) -> None:
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "Gamma", Gamma)
-        object.__setattr__(self, "iota", iota)
-        object.__setattr__(self, "pi", pi)
-        self.__post_init__()
+    _types = (FiniteGroup, FiniteGroup, FiniteGroup, GroupHom, GroupHom)
 
     def __post_init__(self) -> None:
         if self.iota.source != self.A or self.iota.target != self.E:
@@ -113,16 +104,7 @@ class SectionReport(_Record):
     """
 
     _fields = ("sections", "classes_mod_A", "classes_mod_E")
-
-    def __init__(
-        self,
-        sections: Tuple[GroupHom, ...],
-        classes_mod_A: Tuple[Tuple[int, ...], ...],
-        classes_mod_E: Tuple[Tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "classes_mod_A", classes_mod_A)
-        object.__setattr__(self, "classes_mod_E", classes_mod_E)
+    _types = (tuple, tuple, tuple)
 
     @property
     def count(self) -> int:

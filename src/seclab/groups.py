@@ -80,9 +80,12 @@ DEFAULT_CLOSURE_BOUND = 10080
 class _Record:
     """An immutable value: a plain class whose fields are named in ``_fields``.
 
-    Each record class lists its fields once, in order, in ``_fields``, and
-    writes an ``__init__`` that sets them with ``object.__setattr__`` and
-    then, if the class has a validator, calls ``self.__post_init__()``.
+    Beside ``_fields`` each record class declares ``_types``, per field a
+    class or a tuple such as ``(str, type(None))``.  The one ``__init__``
+    pads missing trailing values with None, checks the types and raises the
+    class's ``_error`` (``ValidationError`` by default) naming the field and
+    the value; then it sets the fields and calls ``__post_init__``, which
+    checks entries, ranges and laws.  :func:`_trusted` skips both checks.
     The base refuses assignment and deletion, prints as
     ``Name(field=value, ...)``, and compares and hashes the tuple of the
     compared fields: ``_fields``, unless the class sets its own ``_key``.
@@ -91,12 +94,28 @@ class _Record:
     """
 
     _fields: Tuple[str, ...] = ()
+    _types: Tuple[object, ...] = ()
+    _error: type = ValidationError
 
     def __init_subclass__(cls) -> None:
         if "_key" not in cls.__dict__:
             get = attrgetter(*cls._fields)
             # one name makes attrgetter return the bare value, not a 1-tuple
             cls._key = get if len(cls._fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __init__(self, *values: object) -> None:
+        fields = self._fields
+        if len(values) != len(fields) or not all(map(isinstance, values, self._types)):
+            if len(values) > len(fields):
+                raise self._error(f"{type(self).__name__} takes at most {len(fields)} values")
+            values += (None,) * (len(fields) - len(values))
+            _check_types(values, self._types, self._error, type(self).__name__ + ".{}", fields)
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check what the field types do not decide; nothing by default."""
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -118,10 +137,30 @@ class _Record:
         return f"{type(self).__qualname__}({shown})"
 
 
-def _trusted(cls: type, *values: object):
-    """A record built from its field values without its validator.
+def _check_types(
+    values: Iterable[object], types: Iterable[object], error: type, where: str, keys: Iterable
+) -> None:
+    """Raise ``error`` naming ``where.format(key)`` for the first of ``values``
+    that is not an instance of its entry in ``types``.
 
-    Only for values already known to pass it: output a search has verified
+    One pass of ``isinstance`` in C decides; the offender is looked for only
+    when it fails.  Validators check the items of a tuple field with it,
+    through ``itertools.repeat`` types and ``itertools.count`` keys.
+    """
+    if all(map(isinstance, values, types)):
+        return
+    for key, value, kind in zip(keys, values, types):
+        if not isinstance(value, kind):
+            kinds = kind if type(kind) is tuple else (kind,)
+            name = " or ".join("None" if t is type(None) else t.__name__ for t in kinds)
+            article = "an" if name[0] in "AEIOUaeiou" else "a"
+            raise error(f"{where.format(key)} must be {article} {name}, not {value!r}")
+
+
+def _trusted(cls: type, *values: object):
+    """A record built from its field values without its checks.
+
+    Only for values already known to pass them: output a search has verified
     in full, such as that of :func:`_derivation_search`, or an object
     derived from validated ones by a construction that keeps the law, such
     as a quotient's projection.  The values follow ``cls._fields``.
@@ -138,23 +177,14 @@ class FiniteGroup(_Record):
     ``table[a][b]`` is the index of the product ``a*b``.  ``label`` is
     cosmetic and ignored by equality so that structurally equal groups
     compare (and hash) equal.  The hash is computed on first use and kept.
+    The constructor checks the field types only: :func:`group_from_table`
+    checks the group laws, and the other builders keep them by construction.
     """
 
     _fields = ("table", "identity", "inverse", "label")
+    _types = (tuple, int, tuple, (str, type(None)))
     _key = attrgetter("table", "identity", "inverse")
     _hash = None  # not a field: set on the instance by __hash__
-
-    def __init__(
-        self,
-        table: Tuple[Tuple[int, ...], ...],
-        identity: int,
-        inverse: Tuple[int, ...],
-        label: Optional[str] = None,
-    ) -> None:
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "label", label)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -406,9 +436,7 @@ def cyclic_group(n: int, label: Optional[str] = None) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) -> FiniteGroup:
     """Componentwise product on pairs encoded as a*|h| + b."""
-    for factor in (g, h):
-        if not isinstance(factor, FiniteGroup):
-            raise ValidationError(f"factor {factor!r} is not a FiniteGroup")
+    _check_types((g, h), (FiniteGroup, FiniteGroup), ValidationError, "factor {}", (1, 2))
     m = h.order
     size = g.order * m
     table = [
@@ -513,17 +541,11 @@ class GroupHom(_Record):
     """
 
     _fields = ("source", "target", "map")
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "map", map)
-        self.__post_init__()
+    _types = (FiniteGroup, FiniteGroup, tuple)
+    _error = NotAHomomorphism
 
     def __post_init__(self) -> None:
         m, n = self.map, self.target.order
-        if type(m) is not tuple:
-            raise NotAHomomorphism(f"map must be a tuple of images, not {m!r}")
         if len(m) != self.source.order:
             raise NotAHomomorphism(
                 f"map has {len(m)} entries for a source of order {self.source.order}"
@@ -763,11 +785,8 @@ class Subgroup(_Record):
     """
 
     _fields = ("parent", "elements")
-
-    def __init__(self, parent: FiniteGroup, elements: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "elements", elements)
-        self.__post_init__()
+    _types = (FiniteGroup, tuple)
+    _error = NotASubgroup
 
     def __post_init__(self) -> None:
         elems = self.elements
@@ -896,11 +915,7 @@ class JordanCover(_Record):
     """
 
     _fields = ("union", "group_order", "index")
-
-    def __init__(self, union: frozenset, group_order: int, index: int) -> None:
-        object.__setattr__(self, "union", union)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "index", index)
+    _types = (frozenset, int, int)
 
     @property
     def bound(self) -> int:

@@ -14,6 +14,7 @@ enumeration-least.
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
@@ -30,6 +31,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _as_tuple,
+    _check_types,
     _coset_representatives,
     _orbit_partition,
     _Record,
@@ -85,13 +87,10 @@ class LocalFamily(_Record):
     """An indexed family of maps from local groups into a common base."""
 
     _fields = ("gamma", "thetas")
-
-    def __init__(self, gamma: FiniteGroup, thetas: Tuple[GroupHom, ...]) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "thetas", thetas)
-        self.__post_init__()
+    _types = (FiniteGroup, tuple)
 
     def __post_init__(self) -> None:
+        _check_types(self.thetas, repeat(GroupHom), ValidationError, "local map {}", count())
         for i, theta in enumerate(self.thetas):
             if theta.target != self.gamma:
                 raise ValidationError(f"local map {i} does not land in the base group")
@@ -108,16 +107,10 @@ class LocalSections(_Record):
     """
 
     _fields = ("ext", "family", "sections")
-
-    def __init__(
-        self, ext: Extension, family: LocalFamily, sections: Tuple[GroupHom, ...]
-    ) -> None:
-        object.__setattr__(self, "ext", ext)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "sections", sections)
-        self.__post_init__()
+    _types = (Extension, LocalFamily, tuple)
 
     def __post_init__(self) -> None:
+        _check_types(self.sections, repeat(GroupHom), ValidationError, "local section {}", count())
         if self.family.gamma != self.ext.Gamma:
             raise ValidationError("family base and extension base differ")
         if len(self.sections) != len(self.family.thetas):
@@ -281,15 +274,9 @@ class CorpusEntry(_Record):
     """One coefficient system together with where it came from."""
 
     _fields = ("coeff", "provenance")
-
-    def __init__(self, coeff: GammaGroup, provenance: str) -> None:
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "provenance", provenance)
-        self.__post_init__()
+    _types = (GammaGroup, str)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coeff, GammaGroup):
-            raise ValidationError(f"corpus entry {self.coeff!r} is not a coefficient system")
         if self.provenance not in (CONSTANT_QUOTIENT, A_QUOTIENT_SECTION, USER_SUPPLIED):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
@@ -298,15 +285,14 @@ class CoefficientCorpus(_Record):
     """An ordered list of coefficient systems over a fixed base group."""
 
     _fields = ("entries",)
+    _types = (tuple,)
 
-    def __init__(self, entries: Iterable[CorpusEntry]) -> None:
-        object.__setattr__(self, "entries", _as_tuple(entries, ValidationError, "corpus entries"))
-        self.__post_init__()
+    def __init__(self, entries: Optional[Iterable[CorpusEntry]] = None, *more: object) -> None:
+        # any iterable is kept as a tuple; the base counts and checks the rest
+        super().__init__(_as_tuple(entries, ValidationError, "corpus entries"), *more)
 
     def __post_init__(self) -> None:
-        for entry in self.entries:
-            if not isinstance(entry, CorpusEntry):
-                raise ValidationError(f"{entry!r} is not a corpus entry")
+        _check_types(self.entries, repeat(CorpusEntry), ValidationError, "entry {}", count())
 
 
 def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
@@ -382,18 +368,7 @@ class DescentCheck(_Record):
     """
 
     _fields = ("holds", "failing_entry", "failing_class", "classes_checked")
-
-    def __init__(
-        self,
-        holds: bool,
-        failing_entry: Optional[CorpusEntry],
-        failing_class: Optional[Cocycle],
-        classes_checked: int,
-    ) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "failing_entry", failing_entry)
-        object.__setattr__(self, "failing_class", failing_class)
-        object.__setattr__(self, "classes_checked", classes_checked)
+    _types = (bool, (CorpusEntry, type(None)), (Cocycle, type(None)), int)
 
 
 class _Diagonal:
@@ -524,26 +499,10 @@ class EquivalenceReport(_Record):
     _fields = (
         "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications"
     )
-
-    def __init__(
-        self,
-        density: bool,
-        split: bool,
-        a: DescentCheck,
-        a_prime: DescentCheck,
-        a_doubleprime: DescentCheck,
-        b: Optional[GroupHom],
-        c: Optional[GroupHom],
-        implications: Tuple[Tuple[str, bool], ...],
-    ) -> None:
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_prime", a_prime)
-        object.__setattr__(self, "a_doubleprime", a_doubleprime)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "implications", implications)
+    _types = (
+        bool, bool, DescentCheck, DescentCheck, DescentCheck,
+        (GroupHom, type(None)), (GroupHom, type(None)), tuple,
+    )
 
     @property
     def holds_b(self) -> bool:
@@ -659,16 +618,7 @@ class TowerResult(_Record):
     """Per-level witness counts and, when possible, a compatible chain."""
 
     _fields = ("level_sizes", "chain", "empty_levels")
-
-    def __init__(
-        self,
-        level_sizes: Tuple[int, ...],
-        chain: Optional[Tuple[GroupHom, ...]],
-        empty_levels: Tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "level_sizes", level_sizes)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "empty_levels", empty_levels)
+    _types = (tuple, (tuple, type(None)), tuple)
 
 
 def pushout_tower(

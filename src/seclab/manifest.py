@@ -88,20 +88,7 @@ class Job(_Record):
     """One queued command: what to run, against which named object."""
 
     _fields = ("line", "command", "variant", "target", "options")
-
-    def __init__(
-        self,
-        line: int,
-        command: str,
-        variant: Optional[str],
-        target: str,
-        options: Tuple[Tuple[str, str], ...],
-    ) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "options", options)
+    _types = (int, str, (str, type(None)), str, tuple)
 
     def option(self, key: str) -> Optional[str]:
         for k, v in self.options:
@@ -422,9 +409,9 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
         coeff = _lookup(program.coeffs, job.target, "coeff")
         classes = h1(coeff)
         return {
-            "cocycles": len(classes.cocycles),
+            "cocycles": len(classes.values),
             "classes": classes.class_count,
-            "representatives": [list(r.values) for r in classes.representatives],
+            "representatives": [list(v) for v in classes.representative_values],
         }
     if job.command == "pushout":
         ext = _lookup(program.extensions, job.target, "extension")

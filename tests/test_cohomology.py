@@ -97,7 +97,7 @@ def test_identity_must_act_trivially():
         (
             lambda: GammaGroup(C2, C2, [(0, 1), (0, 1)]),
             NotAnAction,
-            "action must be a tuple of rows",
+            "GammaGroup.action must be a tuple, not",
         ),
         (
             lambda: GammaGroup(C2, C2, ([0, 1], [0, 1])),

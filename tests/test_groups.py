@@ -409,7 +409,7 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: metacyclic_group(0, 1, 1), "needs m, n >= 1, got m=0, n=1"),
         (lambda: preset_groups(10.5), "max_order 10.5 is not an integer"),
         (lambda: preset_groups("8"), "max_order '8' is not an integer"),
-        (lambda: direct_product(C2, 3), "factor 3 is not a FiniteGroup"),
+        (lambda: direct_product(C2, 3), "factor 2 must be a FiniteGroup, not 3"),
         (
             lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound="5"),
             "closure bound '5' is not an integer",

@@ -147,6 +147,38 @@ def test_local_sections_rejects_count_mismatch():
         LocalSections(ext, fam, ())
 
 
+def _split_v4_over_c2():
+    return make_extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: LocalFamily(C2, (0,)), "local map 0 must be a GroupHom, not 0"),
+        (
+            lambda: LocalFamily(C2, (identity_hom(C2), None)),
+            "local map 1 must be a GroupHom, not None",
+        ),
+        (
+            lambda: LocalSections(
+                _split_v4_over_c2(), LocalFamily(C2, (identity_hom(C2),)), (0,)
+            ),
+            "local section 0 must be a GroupHom, not 0",
+        ),
+        (
+            lambda: LocalSections(
+                _split_v4_over_c2(), LocalFamily(C2, (identity_hom(C2),)), (C2,)
+            ),
+            "local section 0 must be a GroupHom, not <C2: order 2>",
+        ),
+    ],
+    ids=["family-int", "family-none", "sections-int", "sections-group"],
+)
+def test_local_containers_reject_items_that_are_not_homs(build, needle):
+    with pytest.raises(ValidationError, match=needle):
+        build()
+
+
 def test_corpus_entry_rejects_unknown_tag():
     coeff = constant_coefficients(C2, C2)
     with pytest.raises(ValidationError):
@@ -317,8 +349,8 @@ def test_decide_a_rejects_foreign_corpus():
     "extra, needle",
     [
         (None, "is not a sequence"),
-        ([None], "not a coefficient system"),
-        (["x"], "not a coefficient system"),
+        ([None], "CorpusEntry.coeff must be a GammaGroup, not None"),
+        (["x"], "CorpusEntry.coeff must be a GammaGroup, not 'x'"),
         ([constant_coefficients(cyclic_group(5), C2)], "does not act through the base group"),
     ],
     ids=["no-sequence", "none", "string", "foreign-base"],
@@ -337,7 +369,7 @@ def test_corpus_entries_are_checked_before_deciding(acceptance_instances, extra,
     "entries, needle",
     [
         (None, "is not a sequence"),
-        ((constant_coefficients(C2, C2),), "is not a corpus entry"),
+        ((constant_coefficients(C2, C2),), "entry 0 must be a CorpusEntry, not <coeff"),
     ],
     ids=["no-sequence", "bare-system"],
 )

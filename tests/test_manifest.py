@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seclab.manifest as manifest_mod
-from seclab.cohomology import constant_coefficients
+from seclab.cohomology import constant_coefficients, h1
 from seclab.errors import (
     IncompatibleTower,
     ManifestSyntaxError,
@@ -105,11 +105,16 @@ def test_aut_coeff_h1_roundtrip():
         "coeff w C3 act\n"
         "job h1 w\n"
     )
-    results, code = run_program(parse_manifest(text), timing=False)
+    h1.cache_clear()
+    program = parse_manifest(text)
+    results, code = run_program(program, timing=False)
     assert code == 0
     # inversion action on C3: three cocycles, one class
     assert results[0]["cocycles"] == 3
     assert results[0]["classes"] == 1
+    # the job reads value tuples and builds no Cocycle record
+    built = vars(h1(program.coeffs["w"]))
+    assert "cocycles" not in built and "representatives" not in built
 
 
 def test_jordan_pushout_fibre_tower_jobs():

@@ -25,6 +25,7 @@ from oracles import (
     oracle_perm_closure,
     oracle_perm_table,
 )
+import seclab
 from seclab import catalog
 from seclab.catalog import (
     coefficient_catalog,
@@ -42,6 +43,7 @@ from seclab.cohomology import (
     enumerate_cocycles,
     h1,
     pullback_coefficients,
+    trivial_cocycle,
 )
 from seclab.errors import (
     NoIdentity,
@@ -51,28 +53,32 @@ from seclab.errors import (
     NotAnAction,
     NotASubgroup,
     NotAssociative,
+    ValidationError,
 )
-from seclab.extensions import enumerate_sections
+from seclab.extensions import enumerate_sections, make_extension
 from seclab.groups import (
     GroupHom,
     Subgroup,
     _propagate,
+    _Record,
     all_normal_subgroups,
     all_subgroups,
     automorphism_group,
     compose,
     cyclic_group,
+    direct_product,
     element_order,
     enumerate_homs,
     generating_set,
     group_from_permutations,
     group_from_table,
     hom_from_generator_images,
+    identity_hom,
     quotient,
     subgroup_as_group,
     union_of_conjugates,
 )
-from seclab.localglobal import _kernel_quotient_entries, verify_equivalences
+from seclab.localglobal import LocalFamily, _kernel_quotient_entries, verify_equivalences
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest
 
 
@@ -863,3 +869,48 @@ def test_pulled_back_coefficients_equal_validated_systems(coeff, src, data):
     assert pulled == checked and hash(pulled) == hash(checked)
     constant = constant_coefficients(src, coeff.M)
     assert constant == GammaGroup(src, coeff.M, constant.action)
+
+
+RECORD_CLASSES = [
+    obj
+    for obj in map(vars(seclab).get, seclab.__all__)
+    if isinstance(obj, type) and issubclass(obj, _Record)
+]
+
+
+def _records_of_each_kind():
+    c2 = cyclic_group(2)
+    v4 = direct_product(c2, c2)
+    coeff = constant_coefficients(c2, c2)
+    ext = make_extension(GroupHom(c2, v4, (0, 1)), GroupHom(v4, c2, (0, 0, 1, 1)))
+    family = LocalFamily(c2, (identity_hom(c2),))
+    return [c2, v4, identity_hom(c2), coeff, trivial_cocycle(coeff), ext, family]
+
+
+Junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | _drawn_from(_records_of_each_kind),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@given(st.sampled_from(RECORD_CLASSES), st.data())
+@settings(deadline=None, max_examples=300)
+def test_record_constructors_end_junk_in_a_validation_error(cls, data):
+    """
+    Every record class in the public API, called with 0 to one more than
+    its number of fields of nested junk and records of the wrong kind,
+    either builds a record or raises a ValidationError.
+    """
+    assert len(cls._types) == len(cls._fields)
+    args = data.draw(st.lists(Junk, max_size=len(cls._fields) + 1))
+    try:
+        cls(*args)
+    except ValidationError:
+        pass
