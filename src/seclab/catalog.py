@@ -9,7 +9,7 @@ them — extension lists, coefficient systems, seeded local-section instances
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import List, Tuple
 
 from .cohomology import GammaGroup
@@ -21,6 +21,7 @@ from .groups import (
     Subgroup,
     _check_int,
     _lifts_through,
+    _show,
     _trusted,
     all_normal_subgroups,
     all_subgroups,
@@ -153,14 +154,29 @@ _PRODUCT_LABELS = (
 )
 
 
-@lru_cache(maxsize=None)
+def _cached_by_order(build):
+    """``lru_cache(build)`` for a builder of one ``max_order``, behind its
+    int check: a list would end in the cache's ``TypeError: unhashable``.
+    The returned function carries the cache's ``cache_info`` and
+    ``cache_clear``."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def checked(max_order: int = 24):
+        _check_int(max_order, "max_order")
+        return cached(max_order)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
+
+
+@_cached_by_order
 def preset_groups(max_order: int = 24) -> Tuple[FiniteGroup, ...]:
     """All catalog groups of order at most ``max_order``, sorted by
     (order, name)."""
-    _check_int(max_order, "max_order")
     if max_order > MAX_PRESET_ORDER:
         raise BoundExceeded(
-            f"preset catalog stops at order {MAX_PRESET_ORDER}, asked for {max_order}"
+            f"preset catalog stops at order {MAX_PRESET_ORDER}, asked for {_show(max_order)}"
         )
     out: List[FiniteGroup] = []
     for n in range(2, max_order + 1):
@@ -193,10 +209,10 @@ def preset_group(name: str, max_order: int = MAX_PRESET_ORDER) -> FiniteGroup:
     for g in preset_groups(max_order):
         if g.label == name:
             return g
-    raise UnknownName(f"no preset group named {name!r}")
+    raise UnknownName(f"no preset group named {_show(name)}")
 
 
-@lru_cache(maxsize=None)
+@_cached_by_order
 def preset_extensions(max_order: int = 24) -> Tuple[Tuple[str, Extension], ...]:
     """Every preset middle group with every normal subgroup as the kernel.
 
@@ -263,11 +279,13 @@ def seeded_instances(
     conjugates of a global section or independent random lifts.  Locals
     with no lift are dropped.
     """
+    _check_int(seed, "seed")
+    _check_int(count, "count")
     rng = random.Random(seed)
     pool = _instance_pool(max_middle)
     if not pool:
         raise ValidationError(
-            f"no preset extension of middle order at most {max_middle} "
+            f"no preset extension of middle order at most {_show(max_middle)} "
             "has a nontrivial kernel and base"
         )
     out: List[LocalSections] = []
@@ -330,7 +348,7 @@ def seeded_transport_pairs(
     rng = random.Random(seed)
     pool = [g for g in preset_groups(max_order) if g.order > 1]
     if not pool:
-        raise ValidationError(f"no nontrivial preset group of order at most {max_order}")
+        raise ValidationError(f"no nontrivial preset group of order at most {_show(max_order)}")
     out: List[Tuple[LocalFamily, Subgroup]] = []
     for _ in range(count):
         gamma = rng.choice(pool)

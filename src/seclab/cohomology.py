@@ -29,6 +29,7 @@ from .groups import (
     _lifts_through,
     _orbit_partition,
     _Record,
+    _check_indices,
     _check_types,
     _trusted,
     generating_set,
@@ -65,21 +66,12 @@ class GammaGroup(_Record):
     permutes the elements of M.  The rows of gamma's generators must be
     automorphisms, and ``action[x*g]`` must be ``action[x]`` after
     ``action[g]`` for every x and generator g.  Those laws make every other
-    row a composite of generator rows, and so an automorphism too.  The
-    hash is computed on first use and kept.
+    row a composite of generator rows, and so an automorphism too.
     """
 
     _fields = ("gamma", "M", "action")
     _types = (FiniteGroup, FiniteGroup, tuple)
     _error = NotAnAction
-    _hash = None  # not a field: set on the instance by __hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.gamma, self.M, self.action))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __post_init__(self) -> None:
         m, action = self.M, self.action
@@ -89,9 +81,7 @@ class GammaGroup(_Record):
             )
         _check_types(action, repeat(tuple), NotAnAction, "row for {}", count())
         for g, row in enumerate(action):
-            for v in row:
-                if type(v) is not int:
-                    raise NotAnAction(f"row for {g} holds {v!r}, which is not an integer")
+            _check_indices(row, m.order, NotAnAction, f"row for {g} entry")
             if len(row) != m.order or sorted(row) != list(range(m.order)):
                 raise NotAnAction(f"row for {g} is not a permutation of the coefficients")
         gens = generating_set(self.gamma)
@@ -176,11 +166,7 @@ class Cocycle(_Record):
         v, n = self.values, m.order
         if len(v) != g.order:
             raise NotACocycle(f"{len(v)} values for a group of order {g.order}")
-        for x in v:
-            if type(x) is not int:
-                raise NotACocycle(f"value {x!r} is not an integer")
-            if not (0 <= x < n):
-                raise NotACocycle(f"value {x} outside coefficients of order {n}")
+        _check_indices(v, n, NotACocycle, "value")
         if v[g.identity] != m.identity:
             raise NotACocycle(f"value at the identity is {v[g.identity]}, not the identity")
         act = self.parent.action

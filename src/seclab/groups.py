@@ -89,13 +89,16 @@ class _Record:
     The base refuses assignment and deletion, prints as
     ``Name(field=value, ...)``, and compares and hashes the tuple of the
     compared fields: ``_fields``, unless the class sets its own ``_key``.
-    An object of another class compares as ``NotImplemented``.  Nothing is
-    generated at import, so a record class costs what any class costs.
+    The hash is computed on first use and kept on the instance as
+    ``_hash``, which is not a field.  An object of another class compares
+    as ``NotImplemented``.  Nothing is generated at import, so a record
+    class costs what any class costs.
     """
 
     _fields: Tuple[str, ...] = ()
     _types: Tuple[object, ...] = ()
     _error: type = ValidationError
+    _hash = None  # not a field: set on the instance by __hash__
 
     def __init_subclass__(cls) -> None:
         if "_key" not in cls.__dict__:
@@ -124,7 +127,11 @@ class _Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -154,7 +161,27 @@ def _check_types(
             kinds = kind if type(kind) is tuple else (kind,)
             name = " or ".join("None" if t is type(None) else t.__name__ for t in kinds)
             article = "an" if name[0] in "AEIOUaeiou" else "a"
-            raise error(f"{where.format(key)} must be {article} {name}, not {value!r}")
+            raise error(f"{where.format(key)} must be {article} {name}, not {_show(value)}")
+
+
+def _check_indices(values: Iterable[object], n: int, error: type, what: str) -> None:
+    """Raise ``error`` naming ``what`` and the first of ``values`` that is
+    not an int in 0..n-1, shown by :func:`_show`."""
+    for v in values:
+        if type(v) is not int:
+            raise error(f"{what} {_show(v)} is not an integer")
+        if not 0 <= v < n:
+            raise error(f"{what} {_show(v)} outside 0..{n - 1}")
+
+
+def _show(value: object) -> str:
+    """``repr(value)``; an int too long for it is shown by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), maybe nested
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _trusted(cls: type, *values: object):
@@ -176,22 +203,14 @@ class FiniteGroup(_Record):
 
     ``table[a][b]`` is the index of the product ``a*b``.  ``label`` is
     cosmetic and ignored by equality so that structurally equal groups
-    compare (and hash) equal.  The hash is computed on first use and kept.
-    The constructor checks the field types only: :func:`group_from_table`
-    checks the group laws, and the other builders keep them by construction.
+    compare (and hash) equal.  The constructor checks the field types
+    only: :func:`group_from_table` checks the group laws, and the other
+    builders keep them by construction.
     """
 
     _fields = ("table", "identity", "inverse", "label")
     _types = (tuple, int, tuple, (str, type(None)))
     _key = attrgetter("table", "identity", "inverse")
-    _hash = None  # not a field: set on the instance by __hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.table, self.identity, self.inverse))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def order(self) -> int:
@@ -247,11 +266,7 @@ def group_from_table(
     for a, row in enumerate(rows):
         if len(row) != n:
             raise ValidationError(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if type(v) is not int:
-                raise ValidationError(f"entry table[{a}][{b}] = {v!r} is not an integer")
-            if not (0 <= v < n):
-                raise ValidationError(f"entry table[{a}][{b}] = {v} outside 0..{n - 1}")
+        _check_indices(row, n, ValidationError, f"row {a} entry")
     identity = None
     for e in range(n):
         if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
@@ -337,7 +352,7 @@ def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _check_int(value: object, what: str) -> None:
     if type(value) is not int:
-        raise ValidationError(f"{what} {value!r} is not an integer")
+        raise ValidationError(f"{what} {_show(value)} is not an integer")
 
 
 def _as_tuple(values: object, error: type, what: str) -> tuple:
@@ -345,14 +360,12 @@ def _as_tuple(values: object, error: type, what: str) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise error(f"{what} {values!r} is not a sequence") from None
+        raise error(f"{what} {_show(values)} is not a sequence") from None
 
 
 def _check_permutation(perm: Sequence[int], degree: int) -> Tuple[int, ...]:
     p = _as_tuple(perm, NotAPermutation, "permutation")
-    for v in p:
-        if type(v) is not int:
-            raise NotAPermutation(f"entry {v!r} of {p!r} is not an integer")
+    _check_indices(p, degree, NotAPermutation, "permutation entry")
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise NotAPermutation(f"{p!r} is not a permutation of 0..{degree - 1}")
     return p
@@ -452,14 +465,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) 
 # generation, element orders, homomorphisms
 
 
-def _check_element(group: FiniteGroup, g: object) -> None:
-    if type(g) is not int or not (0 <= g < group.order):
-        raise ValidationError(f"{g!r} is not an element of a group of order {group.order}")
-
-
 def element_order(group: FiniteGroup, g: int) -> int:
     """The least k with g^k the identity; in a group it is at most |G|."""
-    _check_element(group, g)
+    _check_indices((g,), group.order, ValidationError, "element")
     k, x = 1, g
     while x != group.identity:
         if k == group.order:
@@ -550,11 +558,7 @@ class GroupHom(_Record):
             raise NotAHomomorphism(
                 f"map has {len(m)} entries for a source of order {self.source.order}"
             )
-        for v in m:
-            if type(v) is not int:
-                raise NotAHomomorphism(f"image {v!r} is not an integer")
-            if not (0 <= v < n):
-                raise NotAHomomorphism(f"image {v} outside target of order {n}")
+        _check_indices(m, n, NotAHomomorphism, "image")
         if m[self.source.identity] != self.target.identity:
             raise NotAHomomorphism(
                 f"identity {self.source.identity} maps to {m[self.source.identity]}, not the identity"
@@ -706,11 +710,7 @@ def hom_from_generator_images(
         raise NotAHomomorphism(
             f"expected {len(gens)} generator images for generators {gens}, got {len(images)}"
         )
-    for y in images:
-        if type(y) is not int:
-            raise NotAHomomorphism(f"generator image {y!r} is not an integer")
-        if not 0 <= y < tgt.order:
-            raise ValidationError(f"generator image {y} outside 0..{tgt.order - 1}")
+    _check_indices(images, tgt.order, NotAHomomorphism, "generator image")
     m = _propagate(src, tgt, _identity_rows(src, tgt), images)
     if m is None:
         raise NotAHomomorphism(
@@ -790,11 +790,7 @@ class Subgroup(_Record):
 
     def __post_init__(self) -> None:
         elems = self.elements
-        for g in elems:
-            if type(g) is not int:
-                raise NotASubgroup(f"element {g!r} is not an integer")
-            if not (0 <= g < self.parent.order):
-                raise NotASubgroup(f"element {g} outside parent of order {self.parent.order}")
+        _check_indices(elems, self.parent.order, NotASubgroup, "element")
         if tuple(sorted(set(elems))) != elems:
             raise NotASubgroup(f"element list {elems} is not sorted and duplicate-free")
         eset = frozenset(elems)
@@ -826,11 +822,7 @@ def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 def subgroup_generated(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = _as_tuple(gens, NotASubgroup, "generator list")
-    for g in gens:
-        if type(g) is not int:
-            raise NotASubgroup(f"element {g!r} is not an integer")
-        if not (0 <= g < parent.order):
-            raise NotASubgroup(f"element {g} outside parent of order {parent.order}")
+    _check_indices(gens, parent.order, NotASubgroup, "element")
     return Subgroup(parent, tuple(sorted(_close_elements(parent.table, parent.identity, gens))))
 
 
@@ -892,8 +884,9 @@ def is_normal(parent: FiniteGroup, sub: Subgroup) -> bool:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    """Conjugacy classes as sorted tuples, ordered by least member."""
-    gens = generating_set(group)
+    """Conjugacy classes as sorted tuples, ordered by least member; each is
+    closed under conjugation by greedy generators (:func:`_greedy_generators`)."""
+    gens, _ = _greedy_generators(group.table, group.identity, group.elements)
     return _orbit_partition(list(group.elements), lambda x: [group.conj(g, x) for g in gens])
 
 
@@ -932,26 +925,15 @@ class JordanCover(_Record):
 def union_of_conjugates(group: FiniteGroup, sub: Subgroup) -> JordanCover:
     """All conjugates of ``sub`` pooled together, with the Jordan triple.
 
-    The pool is the union of the conjugacy classes that meet ``sub``, so it
-    is ``sub``'s elements closed under conjugation by the group's greedy
-    generators (:func:`_greedy_generators`).
+    The pool is the union of the conjugacy classes that meet ``sub``, read
+    off the cached :func:`class_index`.
     """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    t, inv = group.table, group.inverse
-    gens, _ = _greedy_generators(t, group.identity, group.elements)
-    union = set(sub.elements)
-    frontier = list(union)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = t[t[g][x]][inv[g]]
-                if y not in union:
-                    union.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return JordanCover(frozenset(union), group.order, group.order // sub.order)
+    ci = class_index(group)
+    met = {ci[h] for h in sub.elements}
+    union = frozenset(g for g, i in enumerate(ci) if i in met)
+    return JordanCover(union, group.order, group.order // sub.order)
 
 
 def is_class_preserving(hom: GroupHom) -> bool:

@@ -296,23 +296,18 @@ class CoefficientCorpus(_Record):
 
 
 def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
-    out = []
-    seen = set()
-    for n in all_normal_subgroups(ext.E):
-        quot, _ = quotient(ext.E, n)
-        coeff = constant_coefficients(ext.Gamma, quot)
-        if coeff in seen:
-            continue
-        seen.add(coeff)
-        out.append(CorpusEntry(coeff, CONSTANT_QUOTIENT))
-    return tuple(out)
+    """The base acting trivially on each quotient of E, each system once."""
+    quotients = (quotient(ext.E, n)[0] for n in all_normal_subgroups(ext.E))
+    systems = dict.fromkeys(constant_coefficients(ext.Gamma, q) for q in quotients)
+    return tuple(CorpusEntry(coeff, CONSTANT_QUOTIENT) for coeff in systems)
 
 
 def _kernel_quotient_entries(
     ext: Extension, sections: Sequence[GroupHom]
 ) -> Tuple[CorpusEntry, ...]:
     """Quotients of the embedded kernel by normal-in-E subgroups, with the
-    base acting by conjugation through the first section; none without one.
+    base acting by conjugation through the first section; none without
+    one.  Equal systems are kept once, the first seen.
 
     Conjugation by an element of E keeps the kernel and each V normal in
     E, so it acts on A/V by automorphisms, and through a section those
@@ -324,22 +319,18 @@ def _kernel_quotient_entries(
     a_sub = image(ext.iota)
     a_grp, incl = subgroup_as_group(a_sub)
     back = {e: i for i, e in enumerate(a_sub.elements)}
-    out = []
-    seen = set()
-    for v in all_normal_subgroups_between(a_sub, ext.E):
-        v_in_a = subgroup(a_grp, (back[e] for e in v.elements))
-        quot, qmap = quotient(a_grp, v_in_a)
+
+    def system(v: Subgroup) -> GammaGroup:
+        quot, qmap = quotient(a_grp, subgroup(a_grp, (back[e] for e in v.elements)))
         reps = _coset_representatives(qmap)
         rows = tuple(
             tuple(qmap.map[back[ext.E.conj(s0.map[g], incl.map[r])]] for r in reps)
             for g in ext.Gamma.elements
         )
-        coeff = _trusted(GammaGroup, ext.Gamma, quot, rows)
-        if coeff in seen:
-            continue
-        seen.add(coeff)
-        out.append(CorpusEntry(coeff, A_QUOTIENT_SECTION))
-    return tuple(out)
+        return _trusted(GammaGroup, ext.Gamma, quot, rows)
+
+    systems = dict.fromkeys(map(system, all_normal_subgroups_between(a_sub, ext.E)))
+    return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
 
 
 def _user_entries(extra: Iterable[GammaGroup]) -> Tuple[CorpusEntry, ...]:

@@ -27,6 +27,9 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     _Record,
+    _check_indices,
+    _check_int,
+    _check_types,
     _trusted,
     automorphism_group,
     compose,
@@ -168,9 +171,8 @@ def _parse_perm_token(token: str, degree: int) -> Tuple[int, ...]:
             points = [int(p) for p in body.split(",")]
         except ValueError:
             raise ManifestSyntaxError(f"bad cycle {body!r}") from None
+        _check_indices(points, degree, ManifestSyntaxError, "cycle point")
         for p in points:
-            if not 0 <= p < degree:
-                raise ManifestSyntaxError(f"cycle point {p} outside 0..{degree - 1}")
             if p in touched:
                 raise ManifestSyntaxError(f"point {p} repeated across cycles")
             touched.add(p)
@@ -183,7 +185,7 @@ def _parse_json_tail(tokens: Sequence[str], what: str):
     blob = " ".join(tokens)
     try:
         return json.loads(blob)
-    except json.JSONDecodeError:
+    except ValueError:  # a JSONDecodeError, or an int past the str conversion limit
         raise ManifestSyntaxError(f"bad JSON for {what}: {blob!r}") from None
 
 
@@ -290,6 +292,7 @@ def _parse_block(
 
 def parse_manifest(text: str) -> ManifestProgram:
     """Parse manifest text into resolved objects and queued jobs."""
+    _check_types((text,), (str,), ManifestSyntaxError, "manifest {}", ("text",))
     program = ManifestProgram()
     lines: List[Tuple[int, List[str]]] = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -390,9 +393,7 @@ def _element_list(value: Optional[str], what: str, group: FiniteGroup) -> List[i
         elements = [int(v) for v in value.split(",")]
     except ValueError:
         raise ManifestSyntaxError(f"bad {what} list {value!r}") from None
-    for v in elements:
-        if not 0 <= v < group.order:
-            raise ManifestSyntaxError(f"{what} {v} outside 0..{group.order - 1}")
+    _check_indices(elements, group.order, ManifestSyntaxError, what)
     return elements
 
 
@@ -663,6 +664,8 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
     Identical arguments give byte-identical text: all content is drawn from
     the preset catalog and seeded generators.
     """
+    _check_int(max_order, "max_order")
+    _check_int(seed, "seed")
     b = ManifestBuilder()
     b.comment(f"generated corpus: max order {max_order}, seed {seed}")
 

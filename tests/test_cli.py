@@ -100,6 +100,14 @@ def test_syntax_error_reports_line(tmp_path, capsys):
     assert "line 2" in err and "dance" in err
 
 
+def test_huge_integer_in_a_manifest_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "huge.man"
+    path.write_text("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1" + "0" * 5000 + "]\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+
 def test_stdin_manifest(monkeypatch, capsys):
     import io
 

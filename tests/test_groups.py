@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
 import re
 
@@ -22,17 +23,22 @@ from seclab.catalog import (
     dicyclic_group,
     dihedral_group,
     metacyclic_group,
+    preset_extensions,
+    preset_group,
     preset_groups,
     seeded_instances,
     symmetric_group,
 )
-from seclab.cohomology import GammaGroup, constant_coefficients, h1
+from seclab.cohomology import Cocycle, GammaGroup, constant_coefficients, h1
 from seclab.errors import (
     ClosureBoundExceeded,
     InvariantViolation,
+    ManifestSyntaxError,
     NoIdentity,
     NoInverse,
+    NotACocycle,
     NotAHomomorphism,
+    NotAnAction,
     NotAPermutation,
     NotAssociative,
     NotASubgroup,
@@ -85,7 +91,7 @@ from seclab.localglobal import (
     tower_limit_sections,
     verify_equivalences,
 )
-from seclab.manifest import parse_manifest
+from seclab.manifest import generate_corpus, parse_manifest, run_program
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
 
@@ -326,6 +332,48 @@ def test_a_table_that_is_not_a_group_breaks_an_invariant_instead_of_hanging():
 
 C2, C4 = cyclic_group(2), cyclic_group(4)
 
+# Each caller of the one entry check, groups._check_indices, given a bool, a
+# float, -1, the order 2 and an int too long for repr.  The two manifest
+# sites read the value as text, where only -1 and 2 parse as integers.
+ENTRY_SITES = {
+    "table": (ValidationError, lambda v: group_from_table([[0, 1], [1, v]])),
+    "perm": (NotAPermutation, lambda v: group_from_permutations(2, [(v, 0)])),
+    "element": (ValidationError, lambda v: element_order(C2, v)),
+    "hom": (NotAHomomorphism, lambda v: GroupHom(C2, C2, (0, v))),
+    "images": (NotAHomomorphism, lambda v: hom_from_generator_images(C2, C2, (v,))),
+    "subgroup": (NotASubgroup, lambda v: Subgroup(C2, (0, v))),
+    "generated": (NotASubgroup, lambda v: subgroup_generated(C2, (v,))),
+    "action": (NotAnAction, lambda v: GammaGroup(C2, C2, ((0, 1), (0, v)))),
+    "cocycle": (NotACocycle, lambda v: Cocycle(constant_coefficients(C2, C2), (0, v))),
+}
+MANIFEST_ENTRY_SITES = {
+    "gens": lambda t: run_program(
+        parse_manifest(f"group G table [[0,1],[1,0]]\njob jordan G gens=0,{t}\n")
+    ),
+    "cycle": lambda t: parse_manifest(f"group G perm 2 (0,{t})\n"),
+}
+BAD_ENTRIES = {  # name: (value, as a message shows it, as manifest text)
+    "bool": (True, "True", "True"),
+    "float": (1.5, "1.5", "1.5"),
+    "negative": (-1, "-1", "-1"),
+    "order": (2, "2", "2"),
+    "huge": (10**5000, "<int of 16610 bits>", "1" + "0" * 5000),
+}
+ENTRY_CASES = {
+    **{
+        f"entry-{site}-{name}": (functools.partial(build, value), error, re.escape(shown))
+        for site, (error, build) in ENTRY_SITES.items()
+        for name, (value, shown, _) in BAD_ENTRIES.items()
+    },
+    **{
+        f"entry-{site}-{name}": (
+            functools.partial(build, text), ManifestSyntaxError, re.escape(text)
+        )
+        for site, build in MANIFEST_ENTRY_SITES.items()
+        for name, (_, _, text) in BAD_ENTRIES.items()
+    },
+}
+
 
 @pytest.mark.parametrize(
     "build, error, needle",
@@ -335,6 +383,11 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (lambda: GroupHom(C2, C2, (0, True)), NotAHomomorphism, "image True is not an integer"),
         (lambda: GroupHom(C2, C2, (0, "1")), NotAHomomorphism, "image '1' is not an integer"),
         (lambda: GroupHom(C2, C2, [0, 1]), NotAHomomorphism, "must be a tuple"),
+        (
+            lambda: GroupHom(C2, C2, 10**5000),
+            NotAHomomorphism,
+            "GroupHom.map must be a tuple, not <int of 16610 bits>",
+        ),
         (lambda: compose(identity_hom(C2), identity_hom(C4)), ValidationError, "mismatch"),
         (lambda: inverse_hom(GroupHom(C2, C2, (0, 0))), ValidationError, "only bijective"),
         (lambda: Subgroup(C4, (2, 0)), NotASubgroup, "not sorted"),
@@ -347,21 +400,21 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
         (
             lambda: group_from_permutations(2, [[True, False]]),
             NotAPermutation,
-            "entry True of",
+            "permutation entry True is not an integer",
         ),
         (
             lambda: group_from_permutations(3, [[1, 2, 0.0]]),
             NotAPermutation,
-            "entry 0.0 of",
+            "permutation entry 0.0 is not an integer",
         ),
         (
             lambda: group_from_permutations("3", [[1, 2, 0]]),
             ValidationError,
             "degree '3' is not an integer",
         ),
-        (lambda: element_order(C2, 5), ValidationError, "5 is not an element"),
-        (lambda: element_order(C2, 1.0), ValidationError, "1.0 is not an element"),
-        (lambda: element_order(C2, True), ValidationError, "True is not an element"),
+        (lambda: element_order(C2, 5), ValidationError, r"element 5 outside 0\.\.1"),
+        (lambda: element_order(C2, 1.0), ValidationError, "element 1.0 is not an integer"),
+        (lambda: element_order(C2, True), ValidationError, "element True is not an integer"),
         (
             lambda: group_from_permutations(3, [5]),
             NotAPermutation,
@@ -378,15 +431,16 @@ C2, C4 = cyclic_group(2), cyclic_group(4)
             NotAHomomorphism,
             "image list None is not a sequence",
         ),
+        *ENTRY_CASES.values(),
     ],
     ids=[
-        "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list",
+        "hom-length", "hom-range", "hom-bool", "hom-str", "hom-list", "hom-huge-map",
         "compose", "inverse", "subgroup-order", "subgroup-range",
         "subgroup-bool", "subgroup-float", "subgroup-str",
         "generated-bool", "generated-float", "perm-bool", "perm-float",
         "perm-degree-str", "order-range", "order-float", "order-bool",
         "perm-int", "perm-generators-int",
-        "generated-int", "images-none",
+        "generated-int", "images-none", *ENTRY_CASES,
     ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
@@ -409,6 +463,15 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: metacyclic_group(0, 1, 1), "needs m, n >= 1, got m=0, n=1"),
         (lambda: preset_groups(10.5), "max_order 10.5 is not an integer"),
         (lambda: preset_groups("8"), "max_order '8' is not an integer"),
+        (lambda: preset_groups([8]), r"max_order \[8\] is not an integer"),
+        (lambda: preset_groups(10**5000), "asked for <int of 16610 bits>"),
+        (lambda: preset_group("C2", [8]), r"max_order \[8\] is not an integer"),
+        (lambda: preset_extensions([8]), r"max_order \[8\] is not an integer"),
+        (lambda: generate_corpus([8]), r"max_order \[8\] is not an integer"),
+        (lambda: generate_corpus(8, [1]), r"seed \[1\] is not an integer"),
+        (lambda: seeded_instances(None, None), "seed None is not an integer"),
+        (lambda: seeded_instances(1, None), "count None is not an integer"),
+        (lambda: parse_manifest(None), "manifest text must be a str, not None"),
         (lambda: direct_product(C2, 3), "factor 2 must be a FiniteGroup, not 3"),
         (
             lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound="5"),
@@ -426,7 +489,9 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
     ids=[
         "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
         "dicyclic-float", "symmetric-str", "alternating-float", "metacyclic-float",
-        "metacyclic-zero", "presets-float", "presets-str", "product-int",
+        "metacyclic-zero", "presets-float", "presets-str", "presets-list", "presets-huge",
+        "preset-list", "extensions-list", "corpus-list", "corpus-seed-list",
+        "instances-none", "instances-count-none", "manifest-none", "product-int",
         "closure-str", "closure-float", "closure-bool",
     ],
 )

@@ -261,6 +261,7 @@ family F C2 {
   local C2 id
 }
 """
+HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
 
 
 @pytest.mark.parametrize(
@@ -297,6 +298,8 @@ family F C2 {
         (V4_OVER_C2 + "family F C2 {\n  local V4 s1\n}\n", 18, "s1 does not start from V4"),
         ("group G table [[0,1],[1,0]]\njob jordan G gens=a\n", 2, "bad generator list 'a'"),
         ("group G table [[0,1],[1,0]]\njob density nope\n", 2, "no family or sections named"),
+        (f"# one entry of 5,001 digits\ngroup G table [[0,1],[1,{HUGE}]]\n", 2, "bad JSON for table"),
+        (f"group C2 table [[0,1],[1,0]]\nhom f C2 C2 [{HUGE}]\n", 2, "bad JSON for generator"),
     ],
     ids=[
         "string-entry",
@@ -326,6 +329,8 @@ family F C2 {
         "family-source",
         "jordan-bad-list",
         "density-unknown",
+        "table-huge-int",
+        "hom-huge-int",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):

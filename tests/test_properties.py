@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import re
 
@@ -892,6 +893,7 @@ Junk = st.recursive(
     | st.booleans()
     | st.integers(-2, 4)
     | st.integers()
+    | st.just(5000).map(lambda digits: 10**digits)  # just(10**5000) has no printable repr
     | st.floats()
     | st.text(max_size=3)
     | _drawn_from(_records_of_each_kind),
@@ -900,17 +902,37 @@ Junk = st.recursive(
 )
 
 
-@given(st.sampled_from(RECORD_CLASSES), st.data())
+#: Builders that take raw values: a size, a seed, a name or manifest text.
+BUILDERS = [
+    preset_group,
+    preset_groups,
+    preset_extensions,
+    seeded_instances,
+    generate_corpus,
+    parse_manifest,
+]
+
+
+@given(st.sampled_from(RECORD_CLASSES + BUILDERS), st.data())
 @settings(deadline=None, max_examples=300)
-def test_record_constructors_end_junk_in_a_validation_error(cls, data):
+def test_record_constructors_end_junk_in_a_validation_error(build, data):
     """
     Every record class in the public API, called with 0 to one more than
     its number of fields of nested junk and records of the wrong kind,
-    either builds a record or raises a ValidationError.
+    either builds a record or raises a ValidationError; so does each
+    builder of raw values, at every arity its signature binds.  A
+    builder's arguments hold no int above 4 at the top: there it is a
+    size or a count, which the builder honours, only slowly.
     """
-    assert len(cls._types) == len(cls._fields)
-    args = data.draw(st.lists(Junk, max_size=len(cls._fields) + 1))
+    if isinstance(build, type):
+        assert len(build._types) == len(build._fields)
+        args = data.draw(st.lists(Junk, max_size=len(build._fields) + 1))
+    else:
+        params = inspect.signature(build).parameters.values()
+        required = sum(p.default is p.empty for p in params)
+        small = Junk.filter(lambda v: type(v) is not int or v <= 4)
+        args = data.draw(st.lists(small, min_size=required, max_size=len(params)))
     try:
-        cls(*args)
+        build(*args)
     except ValidationError:
         pass
