@@ -24,7 +24,7 @@ def survey(label: str) -> None:
     for sub in all_subgroups(group):
         if len(sub.elements) == group.order:
             continue
-        cover = union_of_conjugates(group, sub)
+        cover = union_of_conjugates(sub)
         order, index, size = cover.triple()
         print(
             f"  subgroup of order {order // index:>2}: union fills {size:>2}"

@@ -15,13 +15,11 @@ from seclab.groups import (
     cyclic_group,
     direct_product,
     group_from_permutations,
-    identity_hom,
     subgroup_as_group,
     subgroup_generated,
 )
-from seclab.extensions import make_extension
+from seclab.extensions import Extension
 from seclab.localglobal import (
-    LocalFamily,
     LocalSections,
     decide_b,
     interpolating_section_from_hom,
@@ -35,32 +33,27 @@ SIGN = GroupHom(S3, C2, (0, 1, 1, 0, 0, 1))
 
 
 def twisted_instance() -> LocalSections:
-    ext = make_extension(GroupHom(C3, S3, (0, 3, 4)), SIGN)
+    ext = Extension(GroupHom(C3, S3, (0, 3, 4)), SIGN)
     s0 = GroupHom(C2, S3, (0, 2))
     s1 = GroupHom(C2, S3, tuple(S3.conj(3, s0.map[x]) for x in C2.elements))
-    return LocalSections(ext, LocalFamily(C2, (identity_hom(C2),)), (s1,))
+    return LocalSections(ext, (s1,))
 
 
 def obstructed_instance() -> LocalSections:
     v4 = direct_product(C2, C2, label="C2xC2")
-    ext = make_extension(GroupHom(C2, v4, (0, 1)), GroupHom(v4, C2, (0, 0, 1, 1)))
-    fam = LocalFamily(C2, (identity_hom(C2), identity_hom(C2)))
-    return LocalSections(ext, fam, (GroupHom(C2, v4, (0, 2)), GroupHom(C2, v4, (0, 3))))
+    ext = Extension(GroupHom(C2, v4, (0, 1)), GroupHom(v4, C2, (0, 0, 1, 1)))
+    return LocalSections(ext, (GroupHom(C2, v4, (0, 2)), GroupHom(C2, v4, (0, 3))))
 
 
 def dense_instance() -> LocalSections:
     e = direct_product(S3, C2)
-    ext = make_extension(
-        GroupHom(C2, e, (0, 1)), GroupHom(e, S3, tuple(x // 2 for x in e.elements))
-    )
+    ext = Extension(GroupHom(C2, e, (0, 1)), GroupHom(e, S3, tuple(x // 2 for x in e.elements)))
     s0_map = tuple(2 * g for g in S3.elements)
-    thetas, sections = [], []
+    sections = []
     for gen in (2, 3):
         g_i, inc = subgroup_as_group(subgroup_generated(S3, [gen]))
-        theta = GroupHom(g_i, S3, inc.map)
-        thetas.append(theta)
-        sections.append(GroupHom(g_i, e, tuple(s0_map[t] for t in theta.map)))
-    return LocalSections(ext, LocalFamily(S3, tuple(thetas)), tuple(sections))
+        sections.append(GroupHom(g_i, e, tuple(s0_map[t] for t in inc.map)))
+    return LocalSections(ext, tuple(sections))
 
 
 def describe(title: str, ls: LocalSections) -> None:

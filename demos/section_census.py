@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 
 from seclab.catalog import preset_extensions
-from seclab.extensions import enumerate_sections, make_extension
+from seclab.extensions import Extension, enumerate_sections
 from seclab.groups import GroupHom, cyclic_group, trivial_group
-from seclab.localglobal import LocalFamily, LocalSections, interpolating_homs
+from seclab.localglobal import LocalSections, interpolating_homs
 
 
 def census(max_middle: int) -> None:
@@ -42,11 +42,10 @@ def census(max_middle: int) -> None:
 
 def smallest_sectionless() -> None:
     c2, c4, t = cyclic_group(2), cyclic_group(4), trivial_group()
-    ext = make_extension(GroupHom(c2, c4, (0, 2)), GroupHom(c4, c2, (0, 1, 0, 1)))
+    ext = Extension(GroupHom(c2, c4, (0, 2)), GroupHom(c4, c2, (0, 1, 0, 1)))
     print("\norder 4 over order 2 (the cyclic double cover):")
     print(f"  sections: {enumerate_sections(ext).count}")
-    family = LocalFamily(c2, (GroupHom(t, c2, (0,)),))
-    ls = LocalSections(ext, family, (GroupHom(t, c4, (0,)),))
+    ls = LocalSections(ext, (GroupHom(t, c4, (0,)),))
     maps = [u.map for u in interpolating_homs(ls)]
     print(f"  homomorphisms interpolating the trivial local family: {maps}")
     print("  so interpolation is strictly weaker than admitting a section")

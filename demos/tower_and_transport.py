@@ -16,12 +16,11 @@ from seclab.groups import (
     direct_product,
     full_subgroup,
     group_from_permutations,
-    identity_hom,
     subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
 )
-from seclab.extensions import make_extension
+from seclab.extensions import Extension
 from seclab.localglobal import (
     LocalFamily,
     LocalSections,
@@ -52,10 +51,10 @@ def transport_walkthrough() -> None:
 
 
 def tower_with_chain() -> None:
-    ext = make_extension(GroupHom(C3, S3, (0, 3, 4)), GroupHom(S3, C2, (0, 1, 1, 0, 0, 1)))
+    ext = Extension(GroupHom(C3, S3, (0, 3, 4)), GroupHom(S3, C2, (0, 1, 1, 0, 0, 1)))
     s0 = GroupHom(C2, S3, (0, 2))
     s1 = GroupHom(C2, S3, tuple(S3.conj(3, s0.map[x]) for x in C2.elements))
-    ls = LocalSections(ext, LocalFamily(C2, (identity_hom(C2),)), (s1,))
+    ls = LocalSections(ext, (s1,))
     levels, maps = pushout_tower(ext, [trivial_subgroup(C3), full_subgroup(C3)])
     result = tower_limit_sections(levels, maps, ls)
     print("\ntower over the sign extension of S3 (kernel chain 1 < C3):")
@@ -66,13 +65,10 @@ def tower_with_chain() -> None:
 
 def tower_with_empty_levels() -> None:
     e2 = direct_product(C3, C3)
-    ext = make_extension(
+    ext = Extension(
         GroupHom(C3, e2, (0, 1, 2)), GroupHom(e2, C3, tuple(x // 3 for x in e2.elements))
     )
-    fam = LocalFamily(C3, (identity_hom(C3), identity_hom(C3)))
-    ls = LocalSections(
-        ext, fam, (GroupHom(C3, e2, (0, 3, 6)), GroupHom(C3, e2, (0, 4, 8)))
-    )
+    ls = LocalSections(ext, (GroupHom(C3, e2, (0, 3, 6)), GroupHom(C3, e2, (0, 4, 8))))
     levels, maps = pushout_tower(ext, [trivial_subgroup(C3), full_subgroup(C3)])
     result = tower_limit_sections(levels, maps, ls)
     print("\ntower over the abelian square with two diagonal local sections:")

@@ -17,7 +17,7 @@ from .groups import (
     trivial_group,
     union_of_conjugates,
 )
-from .extensions import Extension, enumerate_sections, make_extension, pushout
+from .extensions import Extension, enumerate_sections, pushout
 from .cohomology import (
     Cocycle,
     GammaGroup,
@@ -66,7 +66,6 @@ __all__ = [
     "union_of_conjugates",
     "Extension",
     "enumerate_sections",
-    "make_extension",
     "pushout",
     "Cocycle",
     "GammaGroup",

@@ -14,12 +14,13 @@ from typing import List, Tuple
 
 from .cohomology import GammaGroup
 from .errors import BoundExceeded, InvariantViolation, UnknownName, ValidationError
-from .extensions import Extension, enumerate_sections, make_extension
+from .extensions import Extension, enumerate_sections
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
     _check_int,
+    _check_types,
     _lifts_through,
     _show,
     _trusted,
@@ -63,7 +64,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon as permutations of its vertices."""
     _check_int(n, "dihedral group n")
     if n < 3:
-        raise ValidationError(f"dihedral group needs n >= 3, got {n}")
+        raise ValidationError(f"dihedral group needs n >= 3, got {_show(n)}")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     return group_from_permutations(n, [rot, ref], label=f"D{n}")[0]
@@ -73,7 +74,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
     """The dicyclic group of order 4n; n = 2 gives the quaternions."""
     _check_int(n, "dicyclic group n")
     if n < 2:
-        raise ValidationError(f"dicyclic group needs n >= 2, got {n}")
+        raise ValidationError(f"dicyclic group needs n >= 2, got {_show(n)}")
     m = 2 * n
     size = 4 * n
 
@@ -99,9 +100,9 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
     for name, value in (("m", m), ("n", n), ("r", r)):
         _check_int(value, f"metacyclic group {name}")
     if m < 1 or n < 1:
-        raise ValidationError(f"metacyclic group needs m, n >= 1, got m={m}, n={n}")
+        raise ValidationError(f"metacyclic group needs m, n >= 1, got m={_show(m)}, n={_show(n)}")
     if pow(r, n, m) != 1 % m:
-        raise ValidationError(f"r^n must be 1 mod m; got {r}^{n} mod {m}")
+        raise ValidationError(f"r^n must be 1 mod m; got {_show(r)}^{_show(n)} mod {_show(m)}")
 
     def mul(i: int, j: int) -> int:
         k, l = i % m, i // m
@@ -109,13 +110,13 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
         return (k + pow(r, l, m) * kp) % m + m * ((l + lp) % n)
 
     table = [[mul(i, j) for j in range(m * n)] for i in range(m * n)]
-    return group_from_table(table, label=f"C{m}:C{n}r{r}")
+    return group_from_table(table, label=f"C{m}:C{n}r{_show(r)}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     _check_int(n, "symmetric group degree")
     if n < 2:
-        raise ValidationError(f"symmetric group needs n >= 2, got {n}")
+        raise ValidationError(f"symmetric group needs n >= 2, got {_show(n)}")
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple((i + 1) % n for i in range(n))
     return group_from_permutations(n, [swap, cycle], label=f"S{n}")[0]
@@ -124,7 +125,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def alternating_group(n: int) -> FiniteGroup:
     _check_int(n, "alternating group degree")
     if n < 3:
-        raise ValidationError(f"alternating group needs n >= 3, got {n}")
+        raise ValidationError(f"alternating group needs n >= 3, got {_show(n)}")
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2 == 1:
         cycle = tuple((i + 1) % n for i in range(n))
@@ -154,23 +155,31 @@ _PRODUCT_LABELS = (
 )
 
 
-def _cached_by_order(build):
-    """``lru_cache(build)`` for a builder of one ``max_order``, behind its
-    int check: a list would end in the cache's ``TypeError: unhashable``.
-    The returned function carries the cache's ``cache_info`` and
-    ``cache_clear``."""
-    cached = lru_cache(maxsize=None)(build)
+def _cached_behind(key):
+    """``lru_cache(build)`` behind ``key``, which checks the raw arguments (a list
+    would end in ``TypeError: unhashable``) and returns the cache key."""
 
-    @wraps(build)
-    def checked(max_order: int = 24):
-        _check_int(max_order, "max_order")
-        return cached(max_order)
+    def decorate(build):
+        cached = lru_cache(maxsize=None)(build)
+        checked = wraps(build)(lambda *args, **kwargs: cached(*key(*args, **kwargs)))
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
 
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+    return decorate
 
 
-@_cached_by_order
+def _order_key(max_order: int = 24) -> Tuple[int]:
+    _check_int(max_order, "max_order")
+    return (max_order,)
+
+
+def _catalog_key(gamma: FiniteGroup, max_m: int = 8) -> Tuple[FiniteGroup, int]:
+    _check_types((gamma,), (FiniteGroup,), ValidationError, "{}", ("gamma",))
+    _check_int(max_m, "max_m")
+    return gamma, max_m
+
+
+@_cached_behind(_order_key)
 def preset_groups(max_order: int = 24) -> Tuple[FiniteGroup, ...]:
     """All catalog groups of order at most ``max_order``, sorted by
     (order, name)."""
@@ -212,7 +221,7 @@ def preset_group(name: str, max_order: int = MAX_PRESET_ORDER) -> FiniteGroup:
     raise UnknownName(f"no preset group named {_show(name)}")
 
 
-@_cached_by_order
+@_cached_behind(_order_key)
 def preset_extensions(max_order: int = 24) -> Tuple[Tuple[str, Extension], ...]:
     """Every preset middle group with every normal subgroup as the kernel.
 
@@ -224,11 +233,11 @@ def preset_extensions(max_order: int = 24) -> Tuple[Tuple[str, Extension], ...]:
         for i, n_sub in enumerate(all_normal_subgroups(g)):
             a_grp, iota = subgroup_as_group(n_sub)
             _, pi = quotient(g, n_sub)
-            out.append((f"{g.label}/n{i}", make_extension(iota, pi)))
+            out.append((f"{g.label}/n{i}", Extension(iota, pi)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_cached_behind(_catalog_key)
 def coefficient_catalog(
     gamma: FiniteGroup, max_m: int = 8
 ) -> Tuple[GammaGroup, ...]:
@@ -291,50 +300,36 @@ def seeded_instances(
     out: List[LocalSections] = []
     while len(out) < count:
         ext = rng.choice(pool)
-        gamma = ext.Gamma
+        gamma, conj = ext.Gamma, ext.E.conj
         report = enumerate_sections(ext)
         coherent = bool(report.sections) and rng.random() < 0.5
-        thetas: List[GroupHom] = []
         sections: List[GroupHom] = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.25:
                 theta = identity_hom(gamma)
             else:
                 sub = rng.choice(all_subgroups(gamma))
-                g_i, inc = subgroup_as_group(sub)
-                theta = GroupHom(g_i, gamma, inc.map)
+                theta = subgroup_as_group(sub)[1]
             if coherent:
                 s0 = report.sections[0]
                 a_i = rng.choice(ext.iota.map)
-                lift = GroupHom(
-                    theta.source,
-                    ext.E,
-                    tuple(
-                        ext.E.conj(a_i, s0.map[theta.map[x]])
-                        for x in theta.source.elements
-                    ),
-                )
+                images = tuple(conj(a_i, s0.map[t]) for t in theta.map)
+                lift = GroupHom(theta.source, ext.E, images)
             else:
                 lifts = _lifts(theta, ext)
                 if not lifts:
                     continue
                 # cached lifts keep the source label of their first caller
                 lift = GroupHom(theta.source, ext.E, rng.choice(lifts).map)
-            thetas.append(theta)
             sections.append(lift)
-        out.append(
-            LocalSections(ext, LocalFamily(gamma, tuple(thetas)), tuple(sections))
-        )
+        out.append(LocalSections(ext, tuple(sections)))
     return tuple(out)
 
 
 def _class_representative_family(gamma: FiniteGroup) -> LocalFamily:
     """One cyclic local per conjugacy class, generated by its least member."""
-    thetas = []
-    for cls in conjugacy_classes(gamma):
-        g_i, inc = subgroup_as_group(subgroup_generated(gamma, [cls[0]]))
-        thetas.append(GroupHom(g_i, gamma, inc.map))
-    return LocalFamily(gamma, tuple(thetas))
+    gens = (subgroup_generated(gamma, cls[:1]) for cls in conjugacy_classes(gamma))
+    return LocalFamily(gamma, tuple(subgroup_as_group(sub)[1] for sub in gens))
 
 
 def seeded_transport_pairs(
@@ -345,6 +340,8 @@ def seeded_transport_pairs(
     Density comes for free: one cyclic local per conjugacy class
     representative already covers the group.
     """
+    _check_int(seed, "seed")
+    _check_int(count, "count")
     rng = random.Random(seed)
     pool = [g for g in preset_groups(max_order) if g.order > 1]
     if not pool:

@@ -19,7 +19,6 @@ __all__ = [
     "NotInjective",
     "NotSurjective",
     "NotExact",
-    "NotASection",
     "NotNormalInE",
     "NotAnAction",
     "NotACocycle",
@@ -78,10 +77,6 @@ class NotSurjective(ValidationError):
 
 class NotExact(ValidationError):
     """Kernel and image disagree in a would-be short exact sequence."""
-
-
-class NotASection(ValidationError):
-    """A claimed section does not project back to the identity map."""
 
 
 class NotNormalInE(ValidationError):

@@ -8,6 +8,7 @@ to conjugation by the embedded kernel and by all of the middle group.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Tuple
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     ValidationError,
 )
 from .groups import (
-    FiniteGroup,
     GroupHom,
     Subgroup,
     _coset_representatives,
@@ -37,7 +37,6 @@ from .groups import (
 __all__ = [
     "Extension",
     "SectionReport",
-    "make_extension",
     "enumerate_sections",
     "splits",
     "pushout",
@@ -45,16 +44,19 @@ __all__ = [
 
 
 class Extension(_Record):
-    """A short exact sequence ``A --iota--> E --pi--> Gamma``."""
+    """A short exact sequence ``A --iota--> E --pi--> Gamma``, fixed by its
+    two maps: ``A`` and ``E`` are iota's source and target, ``Gamma`` pi's target."""
 
-    _fields = ("A", "E", "Gamma", "iota", "pi")
-    _types = (FiniteGroup, FiniteGroup, FiniteGroup, GroupHom, GroupHom)
+    _fields = ("iota", "pi")
+    _types = (GroupHom, GroupHom)
+
+    A = property(attrgetter("iota.source"))
+    E = property(attrgetter("iota.target"))
+    Gamma = property(attrgetter("pi.target"))
 
     def __post_init__(self) -> None:
-        if self.iota.source != self.A or self.iota.target != self.E:
-            raise ValidationError("iota must map the kernel group into the middle group")
-        if self.pi.source != self.E or self.pi.target != self.Gamma:
-            raise ValidationError("pi must map the middle group onto the base group")
+        if self.iota.target != self.pi.source:
+            raise ValidationError("iota's target and pi's source must be the same group")
         seen = {}
         for x in self.A.elements:
             y = self.iota.map[x]
@@ -86,13 +88,6 @@ class Extension(_Record):
     def __repr__(self) -> str:
         name = lambda g: g.label or f"?{g.order}"
         return f"<extension {name(self.A)} -> {name(self.E)} -> {name(self.Gamma)}>"
-
-
-def make_extension(iota: GroupHom, pi: GroupHom) -> Extension:
-    """Assemble and validate an extension from its two structure maps."""
-    if iota.target != pi.source:
-        raise ValidationError("iota's target and pi's source must be the same group")
-    return Extension(iota.source, iota.target, pi.target, iota, pi)
 
 
 class SectionReport(_Record):
@@ -133,7 +128,7 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     if sub.parent != ext.A:
         raise ValidationError("pushout subgroup must live in the kernel group")
     embedded = subgroup(ext.E, (ext.iota.map[x] for x in sub.elements))
-    bad = _normality_witness(ext.E, embedded)
+    bad = _normality_witness(embedded)
     if bad is not None:
         raise NotNormalInE(
             f"conjugating {bad[1]} by {bad[0]} escapes the embedded subgroup"
@@ -150,4 +145,4 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
         raise InvariantViolation("pushout projection does not factor the original one")
     if compose(q_e, ext.iota).map != compose(iota_new, q_a).map:
         raise InvariantViolation("pushout square does not commute")
-    return make_extension(iota_new, pi_new), q_e
+    return Extension(iota_new, pi_new), q_e

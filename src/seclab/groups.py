@@ -396,7 +396,7 @@ def group_from_permutations(
     _check_int(degree, "degree")
     _check_int(closure_bound, "closure bound")
     if degree < 0:
-        raise ValidationError(f"degree {degree} is negative")
+        raise ValidationError(f"degree {_show(degree)} is negative")
     idp = tuple(range(degree))
     gens = [
         _check_permutation(p, degree)
@@ -441,7 +441,7 @@ def cyclic_group(n: int, label: Optional[str] = None) -> FiniteGroup:
     """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
     _check_int(n, "cyclic group order")
     if n < 1:
-        raise ValidationError(f"cyclic group order must be positive, got {n}")
+        raise ValidationError(f"cyclic group order must be positive, got {_show(n)}")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)
     return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), label or f"C{n}")
@@ -851,7 +851,7 @@ def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     return grp, _trusted(GroupHom, grp, parent, elems)
 
 
-def _normality_witness(parent: FiniteGroup, sub: Subgroup) -> Optional[Tuple[int, int]]:
+def _normality_witness(sub: Subgroup) -> Optional[Tuple[int, int]]:
     """The first ``(g, h)``, g in the parent and h in ``sub`` in element
     order, with ``g*h*g^-1`` outside ``sub``; None when ``sub`` is normal.
 
@@ -860,7 +860,7 @@ def _normality_witness(parent: FiniteGroup, sub: Subgroup) -> Optional[Tuple[int
     that fix ``sub`` are closed under products.  The scan over all pairs
     runs only to name the witness.
     """
-    eset = frozenset(sub.elements)
+    parent, eset = sub.parent, frozenset(sub.elements)
     table, inverse = parent.table, parent.inverse
     sub_gens, _ = _greedy_generators(table, parent.identity, sub.elements)
     if all(
@@ -874,8 +874,8 @@ def _normality_witness(parent: FiniteGroup, sub: Subgroup) -> Optional[Tuple[int
     )
 
 
-def is_normal(parent: FiniteGroup, sub: Subgroup) -> bool:
-    return _normality_witness(parent, sub) is None
+def is_normal(sub: Subgroup) -> bool:
+    return _normality_witness(sub) is None
 
 
 # ---------------------------------------------------------------------------
@@ -922,14 +922,13 @@ class JordanCover(_Record):
         return self.group_order, self.index, len(self.union)
 
 
-def union_of_conjugates(group: FiniteGroup, sub: Subgroup) -> JordanCover:
-    """All conjugates of ``sub`` pooled together, with the Jordan triple.
+def union_of_conjugates(sub: Subgroup) -> JordanCover:
+    """All conjugates of ``sub`` in its parent, pooled, with the Jordan triple.
 
     The pool is the union of the conjugacy classes that meet ``sub``, read
     off the cached :func:`class_index`.
     """
-    if sub.parent != group:
-        raise NotASubgroup("subgroup belongs to a different parent group")
+    group = sub.parent
     ci = class_index(group)
     met = {ci[h] for h in sub.elements}
     union = frozenset(g for g, i in enumerate(ci) if i in met)
@@ -954,10 +953,12 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     Cosets are indexed by their least member, in increasing order.  The
     elements are read in increasing order, so each one not yet placed is
     the least member of a new coset, read off its row of ``group.table``.
+    ``group`` names the quotient: a cached subgroup's parent may be an
+    equal group under another label.
     """
     if sub.parent != group:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    witness = _normality_witness(group, sub)
+    witness = _normality_witness(sub)
     if witness is not None:
         g, h = witness
         raise NotNormal(f"conjugate {g}*{h}*{g}^-1 = {group.conj(g, h)} escapes the subgroup")
@@ -1020,15 +1021,13 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
 
 @lru_cache(maxsize=None)
 def all_normal_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
-    return tuple(s for s in all_subgroups(group) if is_normal(group, s))
+    return tuple(filter(is_normal, all_subgroups(group)))
 
 
-def all_normal_subgroups_between(sub: Subgroup, group: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """Normal subgroups of ``group`` contained in ``sub`` (trivial one included)."""
-    if sub.parent != group:
-        raise NotASubgroup("subgroup belongs to a different parent group")
+def all_normal_subgroups_between(sub: Subgroup) -> Tuple[Subgroup, ...]:
+    """Normal subgroups of ``sub``'s parent contained in ``sub`` (trivial one included)."""
     allowed = frozenset(sub.elements)
-    return tuple(n for n in all_normal_subgroups(group) if allowed.issuperset(n.elements))
+    return tuple(n for n in all_normal_subgroups(sub.parent) if allowed.issuperset(n.elements))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Local-global interpolation for sections of a finite group extension.
 
-A local family maps small groups into the base of an extension; local
-sections lift those maps to the middle group.  The deciders answer, by
-exhaustive search, whether the family of local sections survives every
+Local sections map small groups into the middle group of an extension,
+lifting their projections, the local maps into the base.  The deciders
+answer, by exhaustive search, whether the local sections survive every
 coefficient test (a), every constant-coefficient test (a'), the
 kernel-quotient tests (a''), and whether a global homomorphism (b) or a
 global section with kernel conjugators (c) interpolates them.  The descent
@@ -14,6 +14,7 @@ enumeration-least.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count, repeat
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from .cohomology import (
     h1,
     pullback_coefficients,
 )
-from .errors import IncompatibleTower, InvariantViolation, NotASection, ValidationError
+from .errors import IncompatibleTower, InvariantViolation, ValidationError
 from .extensions import Extension, enumerate_sections, pushout
 from .groups import (
     FiniteGroup,
@@ -100,31 +101,24 @@ class LocalFamily(_Record):
 
 
 class LocalSections(_Record):
-    """Local lifts of a family through the projection of an extension.
+    """Local sections of an extension: ``sections[i]`` maps the i-th local
+    group into the middle group and lifts ``family.thetas[i] = pi∘sections[i]``.
+    The family is a view, built when first read and kept, and not checked
+    again: a composite of homomorphisms is one."""
 
-    ``sections[i]`` maps the i-th local group into the middle group and
-    projects back to ``thetas[i]``.
-    """
-
-    _fields = ("ext", "family", "sections")
-    _types = (Extension, LocalFamily, tuple)
+    _fields = ("ext", "sections")
+    _types = (Extension, tuple)
 
     def __post_init__(self) -> None:
         _check_types(self.sections, repeat(GroupHom), ValidationError, "local section {}", count())
-        if self.family.gamma != self.ext.Gamma:
-            raise ValidationError("family base and extension base differ")
-        if len(self.sections) != len(self.family.thetas):
-            raise ValidationError(
-                f"{len(self.sections)} local sections for {len(self.family.thetas)} local maps"
-            )
-        pm = self.ext.pi.map
-        for i, (theta, s) in enumerate(zip(self.family.thetas, self.sections)):
-            if s.source != theta.source or s.target != self.ext.E:
-                raise ValidationError(f"local section {i} has the wrong source or target")
-            if tuple(pm[v] for v in s.map) != theta.map:
-                raise NotASection(
-                    f"local section {i} does not project back to its local map"
-                )
+        for i, s in enumerate(self.sections):
+            if s.target != self.ext.E:
+                raise ValidationError(f"local section {i} does not land in the middle group")
+
+    @cached_property
+    def family(self) -> LocalFamily:
+        thetas = tuple(compose(self.ext.pi, s) for s in self.sections)
+        return _trusted(LocalFamily, self.ext.Gamma, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ def check_density(family: LocalFamily) -> bool:
     """Do the conjugates of the local images exhaust the base group?"""
     covered: set = set()
     for theta in family.thetas:
-        covered |= union_of_conjugates(family.gamma, image(theta)).union
+        covered |= union_of_conjugates(image(theta)).union
     return len(covered) == family.gamma.order
 
 
@@ -315,7 +309,7 @@ def _kernel_quotient_entries(
     """
     if not sections:
         return ()
-    s0 = sections[0]
+    s0, conj = sections[0], ext.E.conj
     a_sub = image(ext.iota)
     a_grp, incl = subgroup_as_group(a_sub)
     back = {e: i for i, e in enumerate(a_sub.elements)}
@@ -324,12 +318,12 @@ def _kernel_quotient_entries(
         quot, qmap = quotient(a_grp, subgroup(a_grp, (back[e] for e in v.elements)))
         reps = _coset_representatives(qmap)
         rows = tuple(
-            tuple(qmap.map[back[ext.E.conj(s0.map[g], incl.map[r])]] for r in reps)
+            tuple(qmap.map[back[conj(s0.map[g], incl.map[r])]] for r in reps)
             for g in ext.Gamma.elements
         )
         return _trusted(GammaGroup, ext.Gamma, quot, rows)
 
-    systems = dict.fromkeys(map(system, all_normal_subgroups_between(a_sub, ext.E)))
+    systems = dict.fromkeys(map(system, all_normal_subgroups_between(a_sub)))
     return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
 
 
@@ -667,9 +661,7 @@ def tower_limit_sections(
     witness_sets = []
     for j, ext in enumerate(levels):
         pushed = tuple(compose(proj, s) for s in ls.sections)
-        witness_sets.append(
-            tuple(interpolating_homs(LocalSections(ext, ls.family, pushed)))
-        )
+        witness_sets.append(tuple(interpolating_homs(LocalSections(ext, pushed))))
         if j < len(maps):
             proj = compose(maps[j], proj)
     sizes = tuple(len(w) for w in witness_sets)

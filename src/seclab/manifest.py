@@ -22,7 +22,7 @@ from .catalog import (
 )
 from .cohomology import Cocycle, GammaGroup, constant_coefficients, h1
 from .errors import ManifestSyntaxError, UnknownName, ValidationError
-from .extensions import Extension, enumerate_sections, make_extension, pushout
+from .extensions import Extension, enumerate_sections, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -32,7 +32,6 @@ from .groups import (
     _check_types,
     _trusted,
     automorphism_group,
-    compose,
     cyclic_group,
     direct_product,
     full_subgroup,
@@ -40,7 +39,6 @@ from .groups import (
     group_from_permutations,
     group_from_table,
     hom_from_generator_images,
-    identity_hom,
     subgroup_generated,
     union_of_conjugates,
 )
@@ -242,7 +240,7 @@ def _parse_extension(tokens: List[str], program: ManifestProgram) -> None:
         raise ManifestSyntaxError(f"{tokens[5]} does not map {tokens[2]} into {tokens[3]}")
     if pi.source != e or pi.target != g:
         raise ManifestSyntaxError(f"{tokens[6]} does not map {tokens[3]} onto {tokens[4]}")
-    program.extensions[name] = make_extension(iota, pi)
+    program.extensions[name] = Extension(iota, pi)
 
 
 def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
@@ -341,9 +339,7 @@ def parse_manifest(text: str) -> ManifestProgram:
                         if len(inner) != 2:
                             raise ManifestSyntaxError("s needs exactly one hom name")
                         secs.append(_lookup(program.homs, inner[1], "hom"))
-                thetas = tuple(compose(ext.pi, s) for s in secs)
-                fam = LocalFamily(ext.Gamma, thetas)
-                program.local_sections[name] = LocalSections(ext, fam, tuple(secs))
+                program.local_sections[name] = LocalSections(ext, tuple(secs))
             elif keyword == "job":
                 program.jobs.append(_parse_job(tokens, line_no))
             else:
@@ -468,7 +464,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
     if job.command == "jordan":
         grp = _lookup(program.groups, job.target, "group")
         sub = subgroup_generated(grp, _element_list(job.option("gens"), "generator", grp))
-        cover = union_of_conjugates(grp, sub)
+        cover = union_of_conjugates(sub)
         return {
             "subgroup_order": len(sub.elements),
             "union_size": len(cover.union),
@@ -712,11 +708,8 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
         c3 = cyclic_group(3)
         e2 = direct_product(c3, c3)
         pi = GroupHom(e2, c3, tuple(x // 3 for x in e2.elements))
-        ext = make_extension(GroupHom(c3, e2, (0, 1, 2)), pi)
-        fam = LocalFamily(c3, (identity_hom(c3), identity_hom(c3)))
-        ls = LocalSections(
-            ext, fam, (GroupHom(c3, e2, (0, 3, 6)), GroupHom(c3, e2, (0, 4, 8)))
-        )
+        ext = Extension(GroupHom(c3, e2, (0, 1, 2)), pi)
+        ls = LocalSections(ext, (GroupHom(c3, e2, (0, 3, 6)), GroupHom(c3, e2, (0, 4, 8))))
         levels, maps = pushout_tower(ext, [full_subgroup(c3)])
         ls_name = b.add_sections(ls, "flat")
         ext_names = ",".join(b.add_extension(lv) for lv in levels)

@@ -26,7 +26,7 @@ from seclab.cohomology import (
     inner_pullback,
     lifts_up_to_conjugacy,
 )
-from seclab.extensions import enumerate_sections, make_extension
+from seclab.extensions import Extension, enumerate_sections
 from seclab.groups import (
     GroupHom,
     all_subgroups,
@@ -41,7 +41,6 @@ from seclab.groups import (
     union_of_conjugates,
 )
 from seclab.localglobal import (
-    LocalFamily,
     LocalSections,
     check_density,
     decide_a,
@@ -223,7 +222,7 @@ def test_criterion_07_covering_bound_for_proper_subgroups():
             for sub in all_subgroups(g):
                 if len(sub.elements) == g.order:
                     continue
-                cover = union_of_conjugates(g, sub)
+                cover = union_of_conjugates(sub)
                 assert not cover.covers, f"{g.label}: proper subgroup covered"
                 assert len(cover.union) <= cover.bound, f"{g.label}: bound violated"
                 checked += 1
@@ -250,10 +249,9 @@ def test_criterion_08_class_preserving_endomorphisms_are_bijective():
 def test_criterion_09_smallest_sectionless_instance():
     try:
         c2, c4, t = cyclic_group(2), cyclic_group(4), trivial_group()
-        ext = make_extension(GroupHom(c2, c4, (0, 2)), GroupHom(c4, c2, (0, 1, 0, 1)))
+        ext = Extension(GroupHom(c2, c4, (0, 2)), GroupHom(c4, c2, (0, 1, 0, 1)))
         assert enumerate_sections(ext).count == 0
-        fam = LocalFamily(c2, (GroupHom(t, c2, (0,)),))
-        ls = LocalSections(ext, fam, (GroupHom(t, c4, (0,)),))
+        ls = LocalSections(ext, (GroupHom(t, c4, (0,)),))
         homs = [u.map for u in interpolating_homs(ls)]
         assert (0, 2) in homs, "nontrivial interpolating homomorphism missing"
     except AssertionError as err:
@@ -298,14 +296,11 @@ def test_criterion_11_tower_chains_and_empty_levels():
         from seclab.groups import direct_product
 
         e2 = direct_product(c3, c3)
-        ext = make_extension(
+        ext = Extension(
             GroupHom(c3, e2, (0, 1, 2)),
             GroupHom(e2, c3, tuple(x // 3 for x in e2.elements)),
         )
-        fam = LocalFamily(c3, (GroupHom(c3, c3, (0, 1, 2)), GroupHom(c3, c3, (0, 1, 2))))
-        ls = LocalSections(
-            ext, fam, (GroupHom(c3, e2, (0, 3, 6)), GroupHom(c3, e2, (0, 4, 8)))
-        )
+        ls = LocalSections(ext, (GroupHom(c3, e2, (0, 3, 6)), GroupHom(c3, e2, (0, 4, 8))))
         levels, maps = pushout_tower(ext, [trivial_subgroup(c3), full_subgroup(c3)])
         result = tower_limit_sections(levels, maps, ls)
         assert result.empty_levels == (0, 1)

@@ -44,7 +44,7 @@ def test_quaternions_have_all_subgroups_normal():
     assert q8.order == 8
     subs = all_subgroups(q8)
     assert len(subs) == 6
-    assert all(is_normal(q8, s) for s in subs)
+    assert all(is_normal(s) for s in subs)
 
 
 def test_dicyclic_groups_have_one_involution():
@@ -62,6 +62,9 @@ def test_metacyclic_presets():
     assert f21.order == 21 and not f21.is_abelian()
     with pytest.raises(ValidationError):
         metacyclic_group(5, 3, 2)  # 2^3 is not 1 mod 5
+    # r acts through r mod m, so an exponent too long to print is valid
+    huge = metacyclic_group(3, 2, 10**5000)
+    assert huge == metacyclic_group(3, 2, 1) and huge.label == "C3:C2r<int of 16610 bits>"
 
 
 def test_alternating_group_a4():

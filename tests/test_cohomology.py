@@ -25,7 +25,7 @@ from seclab.cohomology import (
     pullback_coefficients,
     trivial_cocycle,
 )
-from seclab.extensions import make_extension
+from seclab.extensions import Extension
 from seclab.groups import (
     GroupHom,
     cyclic_group,
@@ -51,11 +51,11 @@ def s3_over_c2():
     grp = s3()
     sign = enumerate_homs(grp, C2)[1]
     incl = subgroup_as_group(subgroup_generated(grp, [3]))[1]
-    return make_extension(incl, sign)
+    return Extension(incl, sign)
 
 
 def c4_over_c2():
-    return make_extension(GroupHom(C2, C4, (0, 2)), GroupHom(C4, C2, (0, 1, 0, 1)))
+    return Extension(GroupHom(C2, C4, (0, 2)), GroupHom(C4, C2, (0, 1, 0, 1)))
 
 
 INVERSION_ON_C3 = GammaGroup(C2, C3, ((0, 1, 2), (0, 2, 1)))
@@ -255,7 +255,7 @@ def test_lifts_frozen_counts():
 def test_lifts_through_trivial_base_are_conjugacy_classes_of_homs():
     grp = s3()
     triv = cyclic_group(1)
-    ext = make_extension(identity_hom(grp), GroupHom(grp, triv, (0,) * 6))
+    ext = Extension(identity_hom(grp), GroupHom(grp, triv, (0,) * 6))
     classes = lifts_up_to_conjugacy(ext, GroupHom(C2, triv, (0, 0)))
     assert len(classes) == 2  # trivial map; the three transposition embeddings
     assert sorted(len(c) for c in classes) == [1, 3]

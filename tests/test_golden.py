@@ -25,6 +25,7 @@ from seclab.manifest import generate_corpus
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (20260822, 7)
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -77,3 +78,18 @@ def test_demo_output_matches_golden(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, check=True
     )
     assert run.stdout == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()
+
+
+def test_readme_quick_start_prints_its_closing_comment():
+    """README's Quick start block, run in a fresh interpreter, prints what
+    its last line, a comment, says it prints; so an API rename cannot
+    leave the README stale."""
+    section = README.read_text().split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comment = code.rstrip().rsplit("\n", 1)[1]
+    assert comment == "# True (0, 1) True"
+    env = dict(os.environ, PYTHONPATH=str(Path(seclab.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == comment[2:] + "\n"

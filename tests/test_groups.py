@@ -20,6 +20,7 @@ from oracles import (
 from seclab import catalog, groups
 from seclab.catalog import (
     alternating_group,
+    coefficient_catalog,
     dicyclic_group,
     dihedral_group,
     metacyclic_group,
@@ -27,6 +28,7 @@ from seclab.catalog import (
     preset_group,
     preset_groups,
     seeded_instances,
+    seeded_transport_pairs,
     symmetric_group,
 )
 from seclab.cohomology import Cocycle, GammaGroup, constant_coefficients, h1
@@ -472,6 +474,19 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: seeded_instances(None, None), "seed None is not an integer"),
         (lambda: seeded_instances(1, None), "count None is not an integer"),
         (lambda: parse_manifest(None), "manifest text must be a str, not None"),
+        (lambda: cyclic_group(-(10**5000)), "must be positive, got <int of 16610 bits>"),
+        (lambda: group_from_permutations(-(10**5000), []), "degree <int of 16610 bits> is neg"),
+        (lambda: dihedral_group(-(10**5000)), "n >= 3, got <int of 16610 bits>"),
+        (lambda: dicyclic_group(-(10**5000)), "n >= 2, got <int of 16610 bits>"),
+        (lambda: symmetric_group(-(10**5000)), "n >= 2, got <int of 16610 bits>"),
+        (lambda: alternating_group(-(10**5000)), "n >= 3, got <int of 16610 bits>"),
+        (lambda: metacyclic_group(-(10**5000), 1, 1), "got m=<int of 16610 bits>, n=1"),
+        (lambda: metacyclic_group(7, 2, 10**5000), r"got <int of 16610 bits>\^2 mod 7"),
+        (lambda: coefficient_catalog(C2, []), r"max_m \[\] is not an integer"),
+        (lambda: coefficient_catalog(C2, None), "max_m None is not an integer"),
+        (lambda: coefficient_catalog([], 8), r"gamma must be a FiniteGroup, not \[\]"),
+        (lambda: seeded_transport_pairs(None, None), "seed None is not an integer"),
+        (lambda: seeded_transport_pairs(1, None), "count None is not an integer"),
         (lambda: direct_product(C2, 3), "factor 2 must be a FiniteGroup, not 3"),
         (
             lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound="5"),
@@ -491,7 +506,10 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         "dicyclic-float", "symmetric-str", "alternating-float", "metacyclic-float",
         "metacyclic-zero", "presets-float", "presets-str", "presets-list", "presets-huge",
         "preset-list", "extensions-list", "corpus-list", "corpus-seed-list",
-        "instances-none", "instances-count-none", "manifest-none", "product-int",
+        "instances-none", "instances-count-none", "manifest-none", "cyclic-huge",
+        "perm-degree-huge", "dihedral-huge", "dicyclic-huge", "symmetric-huge",
+        "alternating-huge", "metacyclic-huge", "metacyclic-r-huge", "catalog-list",
+        "catalog-none", "catalog-gamma", "transport-none", "transport-count-none", "product-int",
         "closure-str", "closure-float", "closure-bool",
     ],
 )
@@ -541,7 +559,7 @@ def test_all_subgroups_match_subset_oracle():
         assert [s.elements for s in all_normal_subgroups(grp)] == normal
         for sub in all_subgroups(grp):
             inside = [t for t in normal if set(t) <= set(sub.elements)]
-            assert [n.elements for n in all_normal_subgroups_between(sub, grp)] == inside
+            assert [n.elements for n in all_normal_subgroups_between(sub)] == inside
 
 
 def test_s4_subgroup_census():
@@ -554,10 +572,13 @@ def test_s4_subgroup_census():
 def test_normal_subgroups_between():
     grp = d4()
     center = next(
-        s for s in all_subgroups(grp) if s.order == 2 and is_normal(grp, s)
+        s for s in all_subgroups(grp) if s.order == 2 and is_normal(s)
     )
-    everything = all_normal_subgroups_between(center, grp)
+    everything = all_normal_subgroups_between(center)
     assert [s.order for s in everything] == [1, 2]
+    # each reads its group off the subgroup; a transposition's is not normal in S3
+    assert not is_normal(subgroup_generated(s3(), [1]))
+    assert union_of_conjugates(subgroup_generated(s3(), [1])).triple() == (6, 3, 4)
 
 
 def test_normality_on_generators_matches_the_all_pairs_scan():
@@ -567,7 +588,7 @@ def test_normality_on_generators_matches_the_all_pairs_scan():
         table = [list(r) for r in grp.table]
         for sub in all_subgroups(grp):
             witness = oracle_normality_witness(table, sub.elements)
-            assert is_normal(grp, sub) == (witness is None)
+            assert is_normal(sub) == (witness is None)
             if witness is not None:
                 g, h = witness
                 with pytest.raises(NotNormal) as err:
@@ -612,10 +633,10 @@ RECORD_FIELDS = {
     "GammaGroup": ("gamma", "M", "action"),
     "Cocycle": ("parent", "values"),
     "H1Classes": ("parent", "values", "classes"),
-    "Extension": ("A", "E", "Gamma", "iota", "pi"),
+    "Extension": ("iota", "pi"),
     "SectionReport": ("sections", "classes_mod_A", "classes_mod_E"),
     "LocalFamily": ("gamma", "thetas"),
-    "LocalSections": ("ext", "family", "sections"),
+    "LocalSections": ("ext", "sections"),
     "CorpusEntry": ("coeff", "provenance"),
     "CoefficientCorpus": ("entries",),
     "DescentCheck": ("holds", "failing_entry", "failing_class", "classes_checked"),
@@ -645,7 +666,7 @@ def _one_record_of_each_class():
     )
     records = [
         ext.E, ls.sections[0], ext.kernel_subgroup,
-        union_of_conjugates(ext.E, ext.kernel_subgroup), coeff, classes.cocycles[0],
+        union_of_conjugates(ext.kernel_subgroup), coeff, classes.cocycles[0],
         classes, ext, enumerate_sections(ext), ls.family, ls, corpus.entries[0],
         corpus, verify_equivalences(ls).a, verify_equivalences(ls),
         tower_limit_sections(*pushout_tower(ext, [full_subgroup(ext.A)]), ls),
@@ -705,13 +726,13 @@ def test_conjugacy_matches_oracle():
 def test_union_of_conjugates_s3():
     grp = s3()
     a3 = subgroup_generated(grp, [3])
-    cover = union_of_conjugates(grp, a3)
+    cover = union_of_conjugates(a3)
     assert sorted(cover.union) == [0, 3, 4]
     assert cover.triple() == (6, 2, 3)
     assert cover.bound == 5
     assert not cover.covers
     # a single transposition meets the estimate exactly: 6 - 3 + 1 = 4
-    t = union_of_conjugates(grp, subgroup(grp, [0, 2]))
+    t = union_of_conjugates(subgroup(grp, [0, 2]))
     assert sorted(t.union) == oracle_union_of_conjugates(
         [list(r) for r in grp.table], [0, 2]
     )
@@ -723,7 +744,7 @@ def test_union_of_conjugates_matches_the_all_conjugates_oracle():
     for grp in preset_groups(64):
         table = [list(r) for r in grp.table]
         for sub in all_subgroups(grp):
-            got = union_of_conjugates(grp, sub).union
+            got = union_of_conjugates(sub).union
             assert sorted(got) == oracle_union_of_conjugates(table, sub.elements), (
                 grp.label,
                 sub.elements,
@@ -733,7 +754,7 @@ def test_union_of_conjugates_matches_the_all_conjugates_oracle():
 def test_union_of_conjugates_proper_never_covers():
     for grp in (s3(), d4()):
         for sub in all_subgroups(grp):
-            cover = union_of_conjugates(grp, sub)
+            cover = union_of_conjugates(sub)
             assert len(cover.union) <= cover.bound
             assert cover.covers == (sub.order == grp.order)
 

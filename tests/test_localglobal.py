@@ -17,8 +17,8 @@ from seclab.cohomology import (
     h1,
     pullback_coefficients,
 )
-from seclab.errors import IncompatibleTower, NotASection, ValidationError
-from seclab.extensions import enumerate_sections, make_extension
+from seclab.errors import IncompatibleTower, ValidationError
+from seclab.extensions import Extension, enumerate_sections
 from seclab.groups import (
     GroupHom,
     all_normal_subgroups,
@@ -71,48 +71,35 @@ SIGN = GroupHom(S3, C2, (0, 1, 1, 0, 0, 1))
 
 def c4_instance():
     """Z/4 over Z/2 with a single trivial local: no sections, yet (b) holds."""
-    ext = make_extension(GroupHom(C2, C4, (0, 2)), GroupHom(C4, C2, (0, 1, 0, 1)))
-    t = trivial_group()
-    fam = LocalFamily(C2, (GroupHom(t, C2, (0,)),))
-    return LocalSections(ext, fam, (GroupHom(t, C4, (0,)),))
+    ext = Extension(GroupHom(C2, C4, (0, 2)), GroupHom(C4, C2, (0, 1, 0, 1)))
+    return LocalSections(ext, (GroupHom(trivial_group(), C4, (0,)),))
 
 
 def v4_instance():
     """V4 over C2 with two non-conjugate local sections: everything fails."""
-    ext = make_extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
-    th = identity_hom(C2)
-    fam = LocalFamily(C2, (th, th))
-    return LocalSections(
-        ext, fam, (GroupHom(C2, V4, (0, 2)), GroupHom(C2, V4, (0, 3)))
-    )
+    ext = Extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
+    return LocalSections(ext, (GroupHom(C2, V4, (0, 2)), GroupHom(C2, V4, (0, 3))))
 
 
 def s3_twisted_instance():
     """S3 over C2 with the local section twisted by a rotation."""
-    ext = make_extension(GroupHom(C3, S3, (0, 3, 4)), SIGN)
+    ext = Extension(GroupHom(C3, S3, (0, 3, 4)), SIGN)
     s0 = GroupHom(C2, S3, (0, 2))
     s1 = GroupHom(C2, S3, tuple(S3.conj(3, s0.map[x]) for x in C2.elements))
-    fam = LocalFamily(C2, (identity_hom(C2),))
-    return LocalSections(ext, fam, (s1,))
+    return LocalSections(ext, (s1,))
 
 
 def s3xc2_dense_instance():
     """Split central extension of S3 with locals on both cyclic subgroup types."""
     e = direct_product(S3, C2)
     pi = GroupHom(e, S3, tuple(x // 2 for x in e.elements))
-    ext = make_extension(GroupHom(C2, e, (0, 1)), pi)
+    ext = Extension(GroupHom(C2, e, (0, 1)), pi)
     s0 = GroupHom(S3, e, tuple(2 * g for g in S3.elements))
-    thetas, sections = [], []
+    sections = []
     for gen in (2, 3):
-        sub = subgroup_generated(S3, [gen])
-        g_i, inc = subgroup_as_group(sub)
-        theta = GroupHom(g_i, S3, inc.map)
-        thetas.append(theta)
-        sections.append(
-            GroupHom(g_i, e, tuple(s0.map[theta.map[x]] for x in g_i.elements))
-        )
-    fam = LocalFamily(S3, tuple(thetas))
-    return LocalSections(ext, fam, tuple(sections))
+        g_i, inc = subgroup_as_group(subgroup_generated(S3, [gen]))
+        sections.append(GroupHom(g_i, e, tuple(s0.map[t] for t in inc.map)))
+    return LocalSections(ext, tuple(sections))
 
 
 def s3_family():
@@ -133,22 +120,22 @@ def test_local_family_rejects_wrong_target():
         LocalFamily(C2, (identity_hom(C3),))
 
 
-def test_local_sections_rejects_non_lift():
-    ext = make_extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
-    fam = LocalFamily(C2, (identity_hom(C2),))
-    with pytest.raises(NotASection):
-        LocalSections(ext, fam, (GroupHom(C2, V4, (0, 1)),))
-
-
-def test_local_sections_rejects_count_mismatch():
-    ext = make_extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
-    fam = LocalFamily(C2, (identity_hom(C2),))
-    with pytest.raises(ValidationError):
-        LocalSections(ext, fam, ())
+def test_local_sections_derive_their_family():
+    """Each local map is the projection of its section, from the section's
+    own source group into the extension's base."""
+    for ls in seeded_instances(20260822, 200, 24):
+        pm = ls.ext.pi.map
+        assert ls.family.gamma == ls.ext.Gamma
+        assert len(ls.family.thetas) == len(ls.sections)
+        for theta, s in zip(ls.family.thetas, ls.sections):
+            assert theta.map == tuple(pm[v] for v in s.map)
+            assert theta.source is s.source
+            assert theta.target == ls.ext.Gamma
+        assert ls.family is ls.family  # built once and kept
 
 
 def _split_v4_over_c2():
-    return make_extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
+    return Extension(GroupHom(C2, V4, (0, 1)), GroupHom(V4, C2, (0, 0, 1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -160,15 +147,11 @@ def _split_v4_over_c2():
             "local map 1 must be a GroupHom, not None",
         ),
         (
-            lambda: LocalSections(
-                _split_v4_over_c2(), LocalFamily(C2, (identity_hom(C2),)), (0,)
-            ),
+            lambda: LocalSections(_split_v4_over_c2(), (0,)),
             "local section 0 must be a GroupHom, not 0",
         ),
         (
-            lambda: LocalSections(
-                _split_v4_over_c2(), LocalFamily(C2, (identity_hom(C2),)), (C2,)
-            ),
+            lambda: LocalSections(_split_v4_over_c2(), (C2,)),
             "local section 0 must be a GroupHom, not <C2: order 2>",
         ),
     ],
@@ -453,11 +436,7 @@ def test_section_from_hom_rejects_non_bijective_composite():
 def test_section_from_hom_rejects_non_interpolating_hom():
     ls = s3_twisted_instance()
     # the sign section composed with a fresh local it never matches
-    other = LocalSections(
-        ls.ext,
-        LocalFamily(C2, (identity_hom(C2), identity_hom(C2))),
-        (ls.sections[0], GroupHom(C2, S3, (0, 5))),
-    )
+    other = LocalSections(ls.ext, (ls.sections[0], GroupHom(C2, S3, (0, 5))))
     rep = verify_equivalences(other)
     assert rep.all_implications_hold  # sanity: conjugate sections stay coherent
 
@@ -469,11 +448,8 @@ def test_section_from_hom_rejects_non_interpolating_hom():
 def test_tower_with_empty_top_level():
     e2 = direct_product(C3, C3)
     pi = GroupHom(e2, C3, tuple(x // 3 for x in e2.elements))
-    ext = make_extension(GroupHom(C3, e2, (0, 1, 2)), pi)
-    fam = LocalFamily(C3, (identity_hom(C3), identity_hom(C3)))
-    ls = LocalSections(
-        ext, fam, (GroupHom(C3, e2, (0, 3, 6)), GroupHom(C3, e2, (0, 4, 8)))
-    )
+    ext = Extension(GroupHom(C3, e2, (0, 1, 2)), pi)
+    ls = LocalSections(ext, (GroupHom(C3, e2, (0, 3, 6)), GroupHom(C3, e2, (0, 4, 8))))
     levels, maps = pushout_tower(ext, [full_subgroup(C3)])
     res = tower_limit_sections(levels, maps, ls)
     assert res.level_sizes == (0, 1)
@@ -518,15 +494,10 @@ def _bad_input(case):
     ls = v4_instance()
     th = identity_hom(C2)
     (top, bottom), (q,) = pushout_tower(ls.ext, [full_subgroup(C2)])
-    over_c3 = make_extension(GroupHom(trivial_group(), C3, (0,)), identity_hom(C3))
+    over_c3 = Extension(GroupHom(trivial_group(), C3, (0,)), identity_hom(C3))
     builds = {
         "family": lambda: LocalFamily(C2, (identity_hom(C4),)),
-        "sections-base": lambda: LocalSections(top, LocalFamily(C3, ()), ()),
-        "sections-count": lambda: LocalSections(top, ls.family, ls.sections[:1]),
-        "sections-target": lambda: LocalSections(top, LocalFamily(C2, (th,)), (th,)),
-        "sections-projection": lambda: LocalSections(
-            top, LocalFamily(C2, (th,)), (GroupHom(C2, V4, (0, 1)),)
-        ),
+        "sections-target": lambda: LocalSections(top, (th,)),
         "transport": lambda: transport_family(ls.family, full_subgroup(V4)),
         "tower-base": lambda: tower_limit_sections((top, over_c3), (q,), ls),
         "tower-join": lambda: tower_limit_sections((top, bottom), (th,), ls),
@@ -544,10 +515,7 @@ def _bad_input(case):
     "case, error, needle",
     [
         ("family", ValidationError, "local map 0 does not land in the base group"),
-        ("sections-base", ValidationError, "family base and extension base differ"),
-        ("sections-count", ValidationError, "1 local sections for 2 local maps"),
-        ("sections-target", ValidationError, "local section 0 has the wrong source or target"),
-        ("sections-projection", NotASection, "local section 0 does not project back"),
+        ("sections-target", ValidationError, "local section 0 does not land in the middle group"),
         ("transport", ValidationError, "transport target must be a subgroup of the base"),
         ("tower-base", IncompatibleTower, "level 1 has a different base group"),
         ("tower-join", IncompatibleTower, "connecting map 0 does not join its levels"),
@@ -769,7 +737,7 @@ def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, mon
         verify_equivalences(ls)
         split = bool(enumerate_sections(ls.ext).sections)
         kinds.add(split)
-        kernel = all_normal_subgroups_between(image(ls.ext.iota), ls.ext.E) if split else ()
+        kernel = all_normal_subgroups_between(image(ls.ext.iota)) if split else ()
         assert len(quotients) == len(all_normal_subgroups(ls.ext.E)) + len(kernel)
         per_system = Counter(pullbacks)
         assert max(per_system.values()) <= len(ls.family.thetas) + 1

@@ -18,9 +18,9 @@ from seclab.errors import (
     UnknownName,
     ValidationError,
 )
-from seclab.groups import GroupHom, cyclic_group, group_from_permutations, identity_hom
+from seclab.extensions import Extension
+from seclab.groups import GroupHom, cyclic_group, group_from_permutations
 from seclab.localglobal import (
-    LocalFamily,
     LocalSections,
     decide_a,
     decide_a_doubleprime,
@@ -170,11 +170,9 @@ def test_builder_roundtrip_preserves_objects():
     c2 = cyclic_group(2)
     s3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)], label="S3")[0]
     c3 = cyclic_group(3)
-    from seclab.extensions import make_extension
-
-    ext = make_extension(GroupHom(c3, s3, (0, 3, 4)), GroupHom(s3, c2, (0, 1, 1, 0, 0, 1)))
+    ext = Extension(GroupHom(c3, s3, (0, 3, 4)), GroupHom(s3, c2, (0, 1, 1, 0, 0, 1)))
     s1 = GroupHom(c2, s3, (0, 1))
-    ls = LocalSections(ext, LocalFamily(c2, (identity_hom(c2),)), (s1,))
+    ls = LocalSections(ext, (s1,))
     coeff = constant_coefficients(c2, c3)
 
     b = ManifestBuilder()

@@ -35,6 +35,7 @@ from seclab.catalog import (
     preset_groups,
     preset_names,
     seeded_instances,
+    seeded_transport_pairs,
 )
 from seclab.cohomology import (
     Cocycle,
@@ -56,7 +57,7 @@ from seclab.errors import (
     NotAssociative,
     ValidationError,
 )
-from seclab.extensions import enumerate_sections, make_extension
+from seclab.extensions import Extension, enumerate_sections
 from seclab.groups import (
     GroupHom,
     Subgroup,
@@ -265,7 +266,7 @@ def test_conjugate_unions_respect_the_index_bound(group, data):
     The pooled conjugates of a subgroup cover the group only at index one.
     """
     sub = data.draw(st.sampled_from(all_subgroups(group)))
-    cover = union_of_conjugates(group, sub)
+    cover = union_of_conjugates(sub)
     assert len(cover.union) <= cover.bound
     assert cover.covers == (cover.index == 1)
 
@@ -883,7 +884,7 @@ def _records_of_each_kind():
     c2 = cyclic_group(2)
     v4 = direct_product(c2, c2)
     coeff = constant_coefficients(c2, c2)
-    ext = make_extension(GroupHom(c2, v4, (0, 1)), GroupHom(v4, c2, (0, 0, 1, 1)))
+    ext = Extension(GroupHom(c2, v4, (0, 1)), GroupHom(v4, c2, (0, 0, 1, 1)))
     family = LocalFamily(c2, (identity_hom(c2),))
     return [c2, v4, identity_hom(c2), coeff, trivial_cocycle(coeff), ext, family]
 
@@ -902,12 +903,14 @@ Junk = st.recursive(
 )
 
 
-#: Builders that take raw values: a size, a seed, a name or manifest text.
+#: Builders that take raw values: a size, a seed, a name, a base group or manifest text.
 BUILDERS = [
     preset_group,
     preset_groups,
     preset_extensions,
+    coefficient_catalog,
     seeded_instances,
+    seeded_transport_pairs,
     generate_corpus,
     parse_manifest,
 ]
