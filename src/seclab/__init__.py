@@ -28,7 +28,6 @@ from .cohomology import (
     lifts_up_to_conjugacy,
 )
 from .localglobal import (
-    CoefficientCorpus,
     EquivalenceReport,
     LocalFamily,
     LocalSections,
@@ -74,7 +73,6 @@ __all__ = [
     "h1",
     "inner_pullback",
     "lifts_up_to_conjugacy",
-    "CoefficientCorpus",
     "EquivalenceReport",
     "LocalFamily",
     "LocalSections",

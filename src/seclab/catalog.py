@@ -213,9 +213,9 @@ def preset_names(max_order: int = 24) -> Tuple[str, ...]:
     return tuple(g.label or "?" for g in preset_groups(max_order))
 
 
-def preset_group(name: str, max_order: int = MAX_PRESET_ORDER) -> FiniteGroup:
+def preset_group(name: str) -> FiniteGroup:
     """Look a preset up by name, e.g. ``"D4"`` or ``"C2xC2"``."""
-    for g in preset_groups(max_order):
+    for g in preset_groups(MAX_PRESET_ORDER):
         if g.label == name:
             return g
     raise UnknownName(f"no preset group named {_show(name)}")
@@ -286,7 +286,9 @@ def seeded_instances(
     Each instance draws an extension, up to three locals (subgroup
     inclusions, sometimes the full base), and one lift per local — either
     conjugates of a global section or independent random lifts.  Locals
-    with no lift are dropped.
+    with no lift are dropped.  No lift is checked again: the first kind is
+    a verified section composed with a local map and an inner automorphism,
+    the second a verified lift read on an equal source group.
     """
     _check_int(seed, "seed")
     _check_int(count, "count")
@@ -314,13 +316,13 @@ def seeded_instances(
                 s0 = report.sections[0]
                 a_i = rng.choice(ext.iota.map)
                 images = tuple(conj(a_i, s0.map[t]) for t in theta.map)
-                lift = GroupHom(theta.source, ext.E, images)
+                lift = _trusted(GroupHom, theta.source, ext.E, images)
             else:
                 lifts = _lifts(theta, ext)
                 if not lifts:
                     continue
                 # cached lifts keep the source label of their first caller
-                lift = GroupHom(theta.source, ext.E, rng.choice(lifts).map)
+                lift = _trusted(GroupHom, theta.source, ext.E, rng.choice(lifts).map)
             sections.append(lift)
         out.append(LocalSections(ext, tuple(sections)))
     return tuple(out)

@@ -101,9 +101,6 @@ class GammaGroup(_Record):
                 if action[self.gamma.mul(x, g)] != tuple(map(xrow.__getitem__, grow)):
                     raise NotAnAction(f"action rows for {x}*{g} do not compose")
 
-    def act(self, g: int, x: int) -> int:
-        return self.action[g][x]
-
     def __repr__(self) -> str:
         return f"<coefficients |gamma|={self.gamma.order} |M|={self.M.order}>"
 

@@ -375,7 +375,6 @@ def group_from_permutations(
     degree: int,
     generators: Iterable[Sequence[int]],
     label: Optional[str] = None,
-    closure_bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> Tuple[FiniteGroup, Tuple[Tuple[int, ...], ...]]:
     """Close permutation generators under composition and tabulate the result.
 
@@ -394,7 +393,6 @@ def group_from_permutations(
     and the closure holds every product and inverse.
     """
     _check_int(degree, "degree")
-    _check_int(closure_bound, "closure bound")
     if degree < 0:
         raise ValidationError(f"degree {_show(degree)} is negative")
     idp = tuple(range(degree))
@@ -413,9 +411,10 @@ def group_from_permutations(
                 q = _compose_perms(p, g)
                 if q not in reached:
                     reached[q] = (p, k)
-                    if len(reached) > closure_bound:
+                    if len(reached) > DEFAULT_CLOSURE_BOUND:
                         raise ClosureBoundExceeded(
-                            f"closure of {len(gens)} generators exceeded {closure_bound} elements"
+                            f"closure of {len(gens)} generators exceeded "
+                            f"{DEFAULT_CLOSURE_BOUND} elements"
                         )
                     nxt.append(q)
                 row.append(q)
@@ -571,9 +570,6 @@ class GroupHom(_Record):
                 f"f({a}*{g}) = {m[self.source.mul(a, g)]} but f({a})*f({g}) = "
                 f"{self.target.mul(m[a], m[g])}"
             )
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def __repr__(self) -> str:
         return f"<hom {self.source.label or '?'} -> {self.target.label or '?'}: {self.map}>"
@@ -808,9 +804,6 @@ class Subgroup(_Record):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.elements
 
     def __repr__(self) -> str:
         return f"<subgroup of {self.parent.label or '?'}: {self.elements}>"

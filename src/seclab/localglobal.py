@@ -56,7 +56,6 @@ __all__ = [
     "LocalFamily",
     "LocalSections",
     "CorpusEntry",
-    "CoefficientCorpus",
     "DescentCheck",
     "EquivalenceReport",
     "TowerResult",
@@ -95,9 +94,6 @@ class LocalFamily(_Record):
         for i, theta in enumerate(self.thetas):
             if theta.target != self.gamma:
                 raise ValidationError(f"local map {i} does not land in the base group")
-
-    def __len__(self) -> int:
-        return len(self.thetas)
 
 
 class LocalSections(_Record):
@@ -275,20 +271,6 @@ class CorpusEntry(_Record):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
 
-class CoefficientCorpus(_Record):
-    """An ordered list of coefficient systems over a fixed base group."""
-
-    _fields = ("entries",)
-    _types = (tuple,)
-
-    def __init__(self, entries: Optional[Iterable[CorpusEntry]] = None, *more: object) -> None:
-        # any iterable is kept as a tuple; the base counts and checks the rest
-        super().__init__(_as_tuple(entries, ValidationError, "corpus entries"), *more)
-
-    def __post_init__(self) -> None:
-        _check_types(self.entries, repeat(CorpusEntry), ValidationError, "entry {}", count())
-
-
 def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
     """The base acting trivially on each quotient of E, each system once."""
     quotients = (quotient(ext.E, n)[0] for n in all_normal_subgroups(ext.E))
@@ -334,11 +316,11 @@ def _user_entries(extra: Iterable[GammaGroup]) -> Tuple[CorpusEntry, ...]:
 
 def standard_corpus(
     ls: LocalSections, extra: Iterable[GammaGroup] = ()
-) -> CoefficientCorpus:
+) -> Tuple[CorpusEntry, ...]:
     """The proof-sufficient corpus: all constant quotients of the middle
     group, the kernel quotients with section action when a section exists,
     and any user-supplied systems."""
-    return CoefficientCorpus(
+    return (
         _constant_quotient_entries(ls.ext)
         + _kernel_quotient_entries(ls.ext, enumerate_sections(ls.ext).sections)
         + _user_entries(extra)
@@ -427,10 +409,13 @@ def _run_corpus(
     return DescentCheck(True, None, None, checked)
 
 
-def decide_a(ls: LocalSections, corpus: CoefficientCorpus) -> DescentCheck:
-    """Survival of the local data in every coefficient system of the corpus."""
-    _check_bases(ls, corpus.entries)
-    return _run_corpus(ls, corpus.entries, {})
+def decide_a(ls: LocalSections, corpus: Iterable[CorpusEntry]) -> DescentCheck:
+    """Survival of the local data in every coefficient system of the corpus,
+    a sequence of :class:`CorpusEntry` such as :func:`standard_corpus` returns."""
+    entries = _as_tuple(corpus, ValidationError, "corpus entries")
+    _check_types(entries, repeat(CorpusEntry), ValidationError, "entry {}", count())
+    _check_bases(ls, entries)
+    return _run_corpus(ls, entries, {})
 
 
 def decide_a_prime(

@@ -98,29 +98,27 @@ class Job(_Record):
         return None
 
 
-class ManifestProgram(_Record):
-    """Everything a manifest declared, resolved into live objects.
-
-    The one mutable record: parsing fills it in, so it takes assignment
-    and has no hash.
-    """
-
-    _fields = (
-        "groups", "auts", "homs", "extensions", "coeffs", "families", "local_sections", "jobs"
-    )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+class ManifestProgram:
+    """Everything a manifest declared, resolved into live objects: ``names``
+    maps each name, global across kinds, to its object; ``auts`` maps each
+    (Aut group, group it acts on) of an ``aut`` line to the automorphisms
+    its elements stand for; ``jobs`` holds the queued jobs in line order."""
 
     def __init__(self) -> None:
-        self.groups: Dict[str, FiniteGroup] = {}
-        self.auts: Dict[str, Tuple[GroupHom, ...]] = {}
-        self.homs: Dict[str, GroupHom] = {}
-        self.extensions: Dict[str, Extension] = {}
-        self.coeffs: Dict[str, GammaGroup] = {}
-        self.families: Dict[str, LocalFamily] = {}
-        self.local_sections: Dict[str, LocalSections] = {}
+        self.names: Dict[str, object] = {}
+        self.auts: Dict[Tuple[FiniteGroup, FiniteGroup], Tuple[GroupHom, ...]] = {}
         self.jobs: List[Job] = []
+
+
+#: The class of each kind of declared object, named as in messages.
+_KINDS = {
+    "group": FiniteGroup,
+    "hom": GroupHom,
+    "extension": Extension,
+    "coeff": GammaGroup,
+    "family": LocalFamily,
+    "sections": LocalSections,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +140,17 @@ def _at_line(line_no: int) -> Iterator[None]:
 def _check_name(name: str, program: ManifestProgram) -> str:
     if not _NAME.match(name):
         raise ManifestSyntaxError(f"bad name {name!r}")
-    declared = (
-        program.groups, program.homs, program.extensions,
-        program.coeffs, program.families, program.local_sections,
-    )
-    if any(name in table for table in declared):
+    if name in program.names:
         raise ManifestSyntaxError(f"duplicate name {name!r}")
     return name
 
 
-def _lookup(table: Dict[str, object], name: str, kind: str):
-    if name not in table:
+def _lookup(program: ManifestProgram, name: str, kind: str):
+    """The object declared as ``name``, which must be of ``kind``."""
+    obj = program.names.get(name)
+    if not isinstance(obj, _KINDS[kind]):
         raise UnknownName(f"no {kind} named {name!r}")
-    return table[name]
+    return obj
 
 
 def _parse_perm_token(token: str, degree: int) -> Tuple[int, ...]:
@@ -194,7 +190,7 @@ def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
     form = tokens[2]
     if form == "table":
         rows = _parse_json_tail(tokens[3:], "table")
-        program.groups[name] = group_from_table(rows, label=name)
+        program.names[name] = group_from_table(rows, label=name)
     elif form == "perm":
         if len(tokens) < 5:
             raise ManifestSyntaxError("perm needs a degree and generators")
@@ -203,14 +199,14 @@ def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
         except ValueError:
             raise ManifestSyntaxError(f"bad degree {tokens[3]!r}") from None
         gens = [_parse_perm_token(t, degree) for t in tokens[4:]]
-        program.groups[name] = group_from_permutations(degree, gens, label=name)[0]
+        program.names[name] = group_from_permutations(degree, gens, label=name)[0]
     elif form == "aut":
         if len(tokens) != 4:
             raise ManifestSyntaxError("aut needs exactly one source group")
-        src = _lookup(program.groups, tokens[3], "group")
+        src = _lookup(program, tokens[3], "group")
         aut, auts = automorphism_group(src)
-        program.groups[name] = aut
-        program.auts[name] = auts
+        program.names[name] = aut
+        program.auts.setdefault((aut, src), auts)
     else:
         raise ManifestSyntaxError(f"unknown group form {form!r}")
 
@@ -219,52 +215,44 @@ def _parse_hom(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) < 4:
         raise ManifestSyntaxError("hom needs a name, source, target, and images")
     name = _check_name(tokens[1], program)
-    src = _lookup(program.groups, tokens[2], "group")
-    tgt = _lookup(program.groups, tokens[3], "group")
+    src = _lookup(program, tokens[2], "group")
+    tgt = _lookup(program, tokens[3], "group")
     images = _parse_json_tail(tokens[4:] or ["[]"], "generator images")
     if not isinstance(images, list) or not all(type(i) is int for i in images):
         raise ManifestSyntaxError("generator images must be a list of integers")
-    program.homs[name] = hom_from_generator_images(src, tgt, tuple(images))
+    program.names[name] = hom_from_generator_images(src, tgt, tuple(images))
 
 
 def _parse_extension(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) != 7:
         raise ManifestSyntaxError("extension needs name, A, E, G, iota, pi")
     name = _check_name(tokens[1], program)
-    a = _lookup(program.groups, tokens[2], "group")
-    e = _lookup(program.groups, tokens[3], "group")
-    g = _lookup(program.groups, tokens[4], "group")
-    iota = _lookup(program.homs, tokens[5], "hom")
-    pi = _lookup(program.homs, tokens[6], "hom")
+    a = _lookup(program, tokens[2], "group")
+    e = _lookup(program, tokens[3], "group")
+    g = _lookup(program, tokens[4], "group")
+    iota = _lookup(program, tokens[5], "hom")
+    pi = _lookup(program, tokens[6], "hom")
     if iota.source != a or iota.target != e:
         raise ManifestSyntaxError(f"{tokens[5]} does not map {tokens[2]} into {tokens[3]}")
     if pi.source != e or pi.target != g:
         raise ManifestSyntaxError(f"{tokens[6]} does not map {tokens[3]} onto {tokens[4]}")
-    program.extensions[name] = Extension(iota, pi)
+    program.names[name] = Extension(iota, pi)
 
 
 def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
     if len(tokens) != 4:
         raise ManifestSyntaxError("coeff needs a name, a module group, and an action hom")
     name = _check_name(tokens[1], program)
-    m = _lookup(program.groups, tokens[2], "group")
-    act = _lookup(program.homs, tokens[3], "hom")
-    candidates = [
-        n
-        for n, g in program.groups.items()
-        if g == act.target
-        and n in program.auts
-        and program.auts[n]
-        and program.auts[n][0].source == m
-    ]
-    if not candidates:
+    m = _lookup(program, tokens[2], "group")
+    act = _lookup(program, tokens[3], "hom")
+    auts = program.auts.get((act.target, m))
+    if auts is None:
         raise ManifestSyntaxError(
             f"{tokens[3]} must land in the aut-declared group of {tokens[2]}"
         )
-    auts = program.auts[candidates[0]]
     # an action read through a validated hom into Aut(M)'s table is an action
     rows = tuple(auts[act.map[g]].map for g in act.source.elements)
-    program.coeffs[name] = _trusted(GammaGroup, act.source, m, rows)
+    program.names[name] = _trusted(GammaGroup, act.source, m, rows)
 
 
 def _parse_block(
@@ -314,32 +302,32 @@ def parse_manifest(text: str) -> ManifestProgram:
                 if len(tokens) != 4 or tokens[3] != "{":
                     raise ManifestSyntaxError("family needs a name, a base group, and '{'")
                 name = _check_name(tokens[1], program)
-                gamma = _lookup(program.groups, tokens[2], "group")
+                gamma = _lookup(program, tokens[2], "group")
                 body, idx = _parse_block(lines, idx, "local")
                 thetas = []
                 for inner_no, inner in body:
                     with _at_line(inner_no):
                         if len(inner) != 3:
                             raise ManifestSyntaxError("local needs a group and a hom")
-                        src = _lookup(program.groups, inner[1], "group")
-                        theta = _lookup(program.homs, inner[2], "hom")
+                        src = _lookup(program, inner[1], "group")
+                        theta = _lookup(program, inner[2], "hom")
                         if theta.source != src:
                             raise ManifestSyntaxError(f"{inner[2]} does not start from {inner[1]}")
                     thetas.append(theta)
-                program.families[name] = LocalFamily(gamma, tuple(thetas))
+                program.names[name] = LocalFamily(gamma, tuple(thetas))
             elif keyword == "sections":
                 if len(tokens) != 4 or tokens[3] != "{":
                     raise ManifestSyntaxError("sections needs a name, an extension, and '{'")
                 name = _check_name(tokens[1], program)
-                ext = _lookup(program.extensions, tokens[2], "extension")
+                ext = _lookup(program, tokens[2], "extension")
                 body, idx = _parse_block(lines, idx, "s")
                 secs = []
                 for inner_no, inner in body:
                     with _at_line(inner_no):
                         if len(inner) != 2:
                             raise ManifestSyntaxError("s needs exactly one hom name")
-                        secs.append(_lookup(program.homs, inner[1], "hom"))
-                program.local_sections[name] = LocalSections(ext, tuple(secs))
+                        secs.append(_lookup(program, inner[1], "hom"))
+                program.names[name] = LocalSections(ext, tuple(secs))
             elif keyword == "job":
                 program.jobs.append(_parse_job(tokens, line_no))
             else:
@@ -395,7 +383,7 @@ def _element_list(value: Optional[str], what: str, group: FiniteGroup) -> List[i
 
 def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
     if job.command == "sections":
-        ext = _lookup(program.extensions, job.target, "extension")
+        ext = _lookup(program, job.target, "extension")
         report = enumerate_sections(ext)
         return {
             "sections": report.count,
@@ -403,7 +391,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "classes_mod_middle": [list(c) for c in report.classes_mod_E],
         }
     if job.command == "h1":
-        coeff = _lookup(program.coeffs, job.target, "coeff")
+        coeff = _lookup(program, job.target, "coeff")
         classes = h1(coeff)
         return {
             "cocycles": len(classes.values),
@@ -411,7 +399,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "representatives": [list(v) for v in classes.representative_values],
         }
     if job.command == "pushout":
-        ext = _lookup(program.extensions, job.target, "extension")
+        ext = _lookup(program, job.target, "extension")
         gens = _element_list(job.option("gens"), "generator", ext.A)
         sub = subgroup_generated(ext.A, gens)
         smaller, _ = pushout(ext, sub)
@@ -422,7 +410,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "splits": bool(enumerate_sections(smaller).sections),
         }
     if job.command == "decide":
-        ls = _lookup(program.local_sections, job.target, "sections")
+        ls = _lookup(program, job.target, "sections")
         if job.variant == "a":
             check = decide_a(ls, standard_corpus(ls))
         elif job.variant == "a'":
@@ -447,22 +435,21 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             result["failing_class"] = list(check.failing_class.values)
         return result
     if job.command == "density":
-        if job.target in program.families:
-            fam = program.families[job.target]
-        elif job.target in program.local_sections:
-            fam = program.local_sections[job.target].family
-        else:
+        fam = program.names.get(job.target)
+        if isinstance(fam, LocalSections):
+            fam = fam.family
+        elif not isinstance(fam, LocalFamily):
             raise UnknownName(f"no family or sections named {job.target!r}")
         return {"dense": check_density(fam)}
     if job.command == "fibre":
-        fam = _lookup(program.families, job.target, "family")
-        coeff = _lookup(program.coeffs, job.option("coeff") or "", "coeff")
+        fam = _lookup(program, job.target, "family")
+        coeff = _lookup(program, job.option("coeff") or "", "coeff")
         values = _element_list(job.option("alpha"), "cocycle value", coeff.M)
         alpha = Cocycle(coeff, tuple(values))
         fib = diagonal_fibre(alpha, fam)
         return {"size": len(fib), "classes": [list(b.values) for b in fib]}
     if job.command == "jordan":
-        grp = _lookup(program.groups, job.target, "group")
+        grp = _lookup(program, job.target, "group")
         sub = subgroup_generated(grp, _element_list(job.option("gens"), "generator", grp))
         cover = union_of_conjugates(sub)
         return {
@@ -472,7 +459,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "covers": cover.covers,
         }
     if job.command == "verify":
-        ls = _lookup(program.local_sections, job.target, "sections")
+        ls = _lookup(program, job.target, "sections")
         rep = verify_equivalences(ls)
         return {
             "a": rep.a.holds,
@@ -486,11 +473,11 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "all_implications_hold": rep.all_implications_hold,
         }
     # tower, the last command _parse_job admits
-    ls = _lookup(program.local_sections, job.target, "sections")
+    ls = _lookup(program, job.target, "sections")
     ext_names = (job.option("exts") or "").split(",") if job.option("exts") else []
     map_names = (job.option("maps") or "").split(",") if job.option("maps") else []
-    levels = [_lookup(program.extensions, n, "extension") for n in ext_names]
-    maps = [_lookup(program.homs, n, "hom") for n in map_names]
+    levels = [_lookup(program, n, "extension") for n in ext_names]
+    maps = [_lookup(program, n, "hom") for n in map_names]
     res = tower_limit_sections(levels, maps, ls)
     return {
         "level_sizes": list(res.level_sizes),

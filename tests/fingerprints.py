@@ -124,7 +124,6 @@ def verdicts():
     for ls in seeded_instances(INSTANCE_SEED, 200, 24):
         report = verify_equivalences(ls)
         yield (
-            ls.ext.E.label,
             _table(ls.ext.E),
             ls.ext.iota.map,
             ls.ext.pi.map,

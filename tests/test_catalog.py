@@ -143,7 +143,7 @@ def test_manifest_coefficient_systems_pass_the_validator_they_skip():
     names = [b.add_coeff(c) for c in systems]
     program = parse_manifest(b.text())
     for name, c in zip(names, systems):
-        parsed = program.coeffs[name]
+        parsed = program.names[name]
         assert parsed == GammaGroup(parsed.gamma, parsed.M, parsed.action) == c, name
 
 

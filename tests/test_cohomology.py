@@ -8,6 +8,7 @@ from oracles import oracle_cocycles, oracle_h1_class_count
 from seclab import cohomology
 from seclab.catalog import coefficient_catalog, preset_group
 from seclab.errors import (
+    ActionMismatch,
     NotACocycle,
     NotAnAction,
     ValidationError,
@@ -109,8 +110,47 @@ def test_identity_must_act_trivially():
             NotAnAction,
             r"row for 1 entry <int of 16610 bits> outside 0\.\.1",
         ),
+        (
+            lambda: GammaGroup(C2, C3, ((0, 1, 2), (0, 0, 1))),
+            NotAnAction,
+            "row for 1 is not a permutation of the coefficients",
+        ),
+        (
+            lambda: conjugation_coefficients(image(s3_over_c2().iota), identity_hom(C4)),
+            ValidationError,
+            "via must land in the subgroup's parent group",
+        ),
+        (
+            lambda: conjugation_coefficients(subgroup_generated(s3(), [1]), identity_hom(s3())),
+            ActionMismatch,
+            "conjugation by image of 2 moves 1 to 5, outside the subgroup",
+        ),
+        (
+            lambda: pullback_coefficients(identity_hom(C3), INVERSION_ON_C3),
+            ValidationError,
+            "pullback map must land in the acting group",
+        ),
+        (
+            lambda: Cocycle(INVERSION_ON_C3, (0,)),
+            NotACocycle,
+            "1 values for a group of order 2",
+        ),
+        (
+            lambda: h1(INVERSION_ON_C3).class_of(trivial_cocycle(constant_coefficients(C2, C3))),
+            ValidationError,
+            "cocycle belongs to a different coefficient system",
+        ),
+        (
+            lambda: lifts_up_to_conjugacy(c4_over_c2(), identity_hom(C3)),
+            ValidationError,
+            "the map must land in the extension's base group",
+        ),
     ],
-    ids=["row-count", "entry-bool", "entry-float", "action-list", "row-list", "entry-huge"],
+    ids=[
+        "row-count", "entry-bool", "entry-float", "action-list", "row-list", "entry-huge",
+        "row-repeat", "conjugation-via", "conjugation-escapes", "pullback-target",
+        "cocycle-length", "class-of-foreign", "lifts-target",
+    ],
 )
 def test_coefficient_system_rejects_bad_shape(build, error, needle):
     with pytest.raises(error, match=needle):

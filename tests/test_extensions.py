@@ -29,6 +29,7 @@ from seclab.groups import (
     subgroup,
     subgroup_as_group,
     subgroup_generated,
+    trivial_group,
     trivial_hom,
     trivial_subgroup,
 )
@@ -84,8 +85,16 @@ def test_extension_validates_exactness():
             lambda: Extension(GroupHom(C2, C4, (0, 2)), identity_hom(C2)),
             "iota's target and pi's source must be the same group",
         ),
+        (
+            lambda: Extension(GroupHom(trivial_group(), V4, (0,)), GroupHom(V4, C2, (0, 0, 1, 1))),
+            "kernel element 1 of pi is not hit by iota",
+        ),
+        (
+            lambda: pushout(c4_over_c2(), full_subgroup(C4)),
+            "pushout subgroup must live in the kernel group",
+        ),
     ],
-    ids=["iota", "pi"],
+    ids=["iota", "pi", "kernel-not-hit", "pushout-foreign"],
 )
 def test_extension_and_lift_difference_reject_mismatched_maps(build, needle):
     with pytest.raises(ValidationError, match=needle):

@@ -70,6 +70,25 @@ def test_layer_fingerprints_match_golden():
     assert not moved, f"layers moved: {', '.join(moved)}"
 
 
+def test_layer_fingerprints_do_not_depend_on_warm_caches():
+    """S3's subgroup searches, run first in a fresh interpreter, leave
+    subgroups whose parent is labelled S3 where D3 (an equal group) would
+    leave D3; no layer may hash that label."""
+    code = (
+        "import fingerprints\n"
+        "from seclab.catalog import symmetric_group\n"
+        "from seclab.groups import all_normal_subgroups, all_subgroups\n"
+        "all_normal_subgroups(symmetric_group(3)), all_subgroups(symmetric_group(3))\n"
+        "print(fingerprints.moved_layers(fingerprints.compute()))\n"
+    )
+    path = os.pathsep.join((str(Path(seclab.__file__).parents[1]), str(Path(__file__).parent)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_output_matches_golden(demo):
     """Each demo, run in a fresh interpreter on this build of seclab."""

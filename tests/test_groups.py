@@ -25,7 +25,6 @@ from seclab.catalog import (
     dihedral_group,
     metacyclic_group,
     preset_extensions,
-    preset_group,
     preset_groups,
     seeded_instances,
     seeded_transport_pairs,
@@ -163,9 +162,9 @@ def test_not_a_permutation():
 
 
 def test_closure_bound_exceeded():
-    with pytest.raises(ClosureBoundExceeded):
-        group_from_permutations(3, S3_GENS, closure_bound=5)
-    assert group_from_permutations(3, S3_GENS, closure_bound=6)[0].order == 6
+    """S8's two generators close past the bound before any table is built."""
+    with pytest.raises(ClosureBoundExceeded, match="exceeded 10080 elements"):
+        group_from_permutations(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
 def test_permutation_tables_compose_each_element_with_each_generator_once(monkeypatch):
@@ -433,6 +432,16 @@ ENTRY_CASES = {
             NotAHomomorphism,
             "image list None is not a sequence",
         ),
+        (
+            lambda: is_class_preserving(GroupHom(C2, C4, (0, 2))),
+            ValidationError,
+            "class preservation is only defined for endomorphisms",
+        ),
+        (
+            lambda: quotient(C4, full_subgroup(C2)),
+            NotASubgroup,
+            "subgroup belongs to a different parent group",
+        ),
         *ENTRY_CASES.values(),
     ],
     ids=[
@@ -442,7 +451,8 @@ ENTRY_CASES = {
         "generated-bool", "generated-float", "perm-bool", "perm-float",
         "perm-degree-str", "order-range", "order-float", "order-bool",
         "perm-int", "perm-generators-int",
-        "generated-int", "images-none", *ENTRY_CASES,
+        "generated-int", "images-none", "class-preserving-endo", "quotient-parent",
+        *ENTRY_CASES,
     ],
 )
 def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
@@ -467,7 +477,6 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: preset_groups("8"), "max_order '8' is not an integer"),
         (lambda: preset_groups([8]), r"max_order \[8\] is not an integer"),
         (lambda: preset_groups(10**5000), "asked for <int of 16610 bits>"),
-        (lambda: preset_group("C2", [8]), r"max_order \[8\] is not an integer"),
         (lambda: preset_extensions([8]), r"max_order \[8\] is not an integer"),
         (lambda: generate_corpus([8]), r"max_order \[8\] is not an integer"),
         (lambda: generate_corpus(8, [1]), r"seed \[1\] is not an integer"),
@@ -489,28 +498,20 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: seeded_transport_pairs(1, None), "count None is not an integer"),
         (lambda: direct_product(C2, 3), "factor 2 must be a FiniteGroup, not 3"),
         (
-            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound="5"),
-            "closure bound '5' is not an integer",
-        ),
-        (
-            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound=2.5),
-            "closure bound 2.5 is not an integer",
-        ),
-        (
-            lambda: group_from_permutations(3, [(1, 2, 0)], closure_bound=True),
-            "closure bound True is not an integer",
+            lambda: seeded_transport_pairs(1, 1, 1),
+            "no nontrivial preset group of order at most 1",
         ),
     ],
     ids=[
         "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
         "dicyclic-float", "symmetric-str", "alternating-float", "metacyclic-float",
         "metacyclic-zero", "presets-float", "presets-str", "presets-list", "presets-huge",
-        "preset-list", "extensions-list", "corpus-list", "corpus-seed-list",
+        "extensions-list", "corpus-list", "corpus-seed-list",
         "instances-none", "instances-count-none", "manifest-none", "cyclic-huge",
         "perm-degree-huge", "dihedral-huge", "dicyclic-huge", "symmetric-huge",
         "alternating-huge", "metacyclic-huge", "metacyclic-r-huge", "catalog-list",
         "catalog-none", "catalog-gamma", "transport-none", "transport-count-none", "product-int",
-        "closure-str", "closure-float", "closure-bool",
+        "transport-empty",
     ],
 )
 def test_group_constructors_reject_bad_orders(build, needle):
@@ -638,17 +639,12 @@ RECORD_FIELDS = {
     "LocalFamily": ("gamma", "thetas"),
     "LocalSections": ("ext", "sections"),
     "CorpusEntry": ("coeff", "provenance"),
-    "CoefficientCorpus": ("entries",),
     "DescentCheck": ("holds", "failing_entry", "failing_class", "classes_checked"),
     "EquivalenceReport": (
         "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications",
     ),
     "TowerResult": ("level_sizes", "chain", "empty_levels"),
     "Job": ("line", "command", "variant", "target", "options"),
-    "ManifestProgram": (
-        "groups", "auts", "homs", "extensions", "coeffs", "families",
-        "local_sections", "jobs",
-    ),
 }
 
 #: Record classes that print themselves in their own format.
@@ -658,8 +654,8 @@ OWN_REPR = {"FiniteGroup", "GroupHom", "Subgroup", "GammaGroup", "Cocycle", "Ext
 def _one_record_of_each_class():
     ls = next(ls for ls in seeded_instances(1, 20) if ls.sections)
     ext = ls.ext
-    corpus = standard_corpus(ls)
-    coeff = corpus.entries[0].coeff
+    entry = standard_corpus(ls)[0]
+    coeff = entry.coeff
     classes = h1(coeff)
     program = parse_manifest(
         "group C2 table [[0,1],[1,0]]\nhom id C2 C2 [1]\njob jordan C2 gens=1\n"
@@ -667,10 +663,10 @@ def _one_record_of_each_class():
     records = [
         ext.E, ls.sections[0], ext.kernel_subgroup,
         union_of_conjugates(ext.kernel_subgroup), coeff, classes.cocycles[0],
-        classes, ext, enumerate_sections(ext), ls.family, ls, corpus.entries[0],
-        corpus, verify_equivalences(ls).a, verify_equivalences(ls),
+        classes, ext, enumerate_sections(ext), ls.family, ls, entry,
+        verify_equivalences(ls).a, verify_equivalences(ls),
         tower_limit_sections(*pushout_tower(ext, [full_subgroup(ext.A)]), ls),
-        program.jobs[0], program,
+        program.jobs[0],
     ]
     return {type(r).__name__: r for r in records}
 
@@ -678,8 +674,7 @@ def _one_record_of_each_class():
 def test_record_classes_are_frozen_values_that_hash_their_compared_fields():
     """Every record class compares and hashes the tuple of its compared
     fields, refuses assignment, prints in the dataclass format unless it has
-    its own, and survives pickle and copy; the manifest program alone is
-    mutable and unhashable."""
+    its own, and survives pickle and copy."""
     records = _one_record_of_each_class()
     assert set(records) == set(RECORD_FIELDS)
     for name, obj in records.items():
@@ -690,22 +685,16 @@ def test_record_classes_are_frozen_values_that_hash_their_compared_fields():
         if name not in OWN_REPR:
             shown = ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields)
             assert repr(obj) == f"{name}({shown})", name
-        if name == "ManifestProgram":
-            assert type(obj).__hash__ is None
-            with pytest.raises(TypeError):
-                hash(obj)
-        else:
-            assert hash(obj) == hash(key), name
-            for f in fields:
-                with pytest.raises(AttributeError):
-                    setattr(obj, f, getattr(obj, f))
-                with pytest.raises(AttributeError):
-                    delattr(obj, f)
+        assert hash(obj) == hash(key), name
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, f, getattr(obj, f))
+            with pytest.raises(AttributeError):
+                delattr(obj, f)
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert type(twin) is type(obj) and twin == obj, name
             assert repr(twin) == repr(obj), name
-            if name != "ManifestProgram":
-                assert hash(twin) == hash(obj), name
+            assert hash(twin) == hash(obj), name
 
 
 # --- conjugacy and the covering estimate ------------------------------------

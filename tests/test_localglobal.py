@@ -40,7 +40,6 @@ from seclab.localglobal import (
     A_QUOTIENT_SECTION,
     CONSTANT_QUOTIENT,
     USER_SUPPLIED,
-    CoefficientCorpus,
     CorpusEntry,
     DescentCheck,
     LocalFamily,
@@ -293,13 +292,13 @@ def test_twisted_local_recovered_with_kernel_conjugator():
 def test_standard_corpus_shape():
     ls = s3_twisted_instance()
     corpus = standard_corpus(ls)
-    tags = [e.provenance for e in corpus.entries]
+    tags = [e.provenance for e in corpus]
     # quotients of S3 by 1, A3, S3 and kernel quotients by 1, A3
     assert tags.count(CONSTANT_QUOTIENT) == 3
     assert tags.count(A_QUOTIENT_SECTION) == 2
     extra = constant_coefficients(C2, C3)
     with_extra = standard_corpus(ls, [extra])
-    assert with_extra.entries[-1].provenance == USER_SUPPLIED
+    assert with_extra[-1].provenance == USER_SUPPLIED
 
 
 def test_descent_checks_on_failing_instance():
@@ -321,9 +320,7 @@ def test_descent_checks_on_good_instances():
 
 def test_decide_a_rejects_foreign_corpus():
     ls = c4_instance()
-    corpus = CoefficientCorpus(
-        (CorpusEntry(constant_coefficients(C3, C2), USER_SUPPLIED),)
-    )
+    corpus = (CorpusEntry(constant_coefficients(C3, C2), USER_SUPPLIED),)
     with pytest.raises(ValidationError):
         decide_a(ls, corpus)
 
@@ -358,13 +355,14 @@ def test_corpus_entries_are_checked_before_deciding(acceptance_instances, extra,
 )
 def test_coefficient_corpus_rejects_bad_entries(entries, needle):
     with pytest.raises(ValidationError, match=needle):
-        CoefficientCorpus(entries)
+        decide_a(c4_instance(), entries)
 
 
 def test_coefficient_corpus_keeps_any_iterable_as_a_tuple():
-    entry = CorpusEntry(constant_coefficients(C2, C2), USER_SUPPLIED)
-    assert CoefficientCorpus([entry]).entries == (entry,)
-    assert CoefficientCorpus(iter([entry])) == CoefficientCorpus((entry,))
+    ls = c4_instance()
+    corpus = standard_corpus(ls)
+    assert type(corpus) is tuple
+    assert decide_a(ls, list(corpus)) == decide_a(ls, iter(corpus)) == decide_a(ls, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +505,10 @@ def _bad_input(case):
         "tower-commute": lambda: tower_limit_sections(
             (top, bottom), (GroupHom(V4, bottom.E, (0, 1, 0, 1)),), ls
         ),
+        "tower-kernel": lambda: pushout_tower(ls.ext, [full_subgroup(V4)]),
+        "section-maps": lambda: interpolating_section_from_hom(ls, th),
+        # V4 is abelian, so only s_0 = (0, 2) is conjugate to u on its local
+        "section-local": lambda: interpolating_section_from_hom(ls, GroupHom(C2, V4, (0, 2))),
     }
     return builds[case]
 
@@ -521,6 +523,9 @@ def _bad_input(case):
         ("tower-join", IncompatibleTower, "connecting map 0 does not join its levels"),
         ("tower-surjective", IncompatibleTower, "connecting map 0 is not surjective"),
         ("tower-commute", IncompatibleTower, "connecting map 0 does not commute"),
+        ("tower-kernel", ValidationError, "tower subgroup 0 does not live in the kernel group"),
+        ("section-maps", ValidationError, "must map the base into the middle group"),
+        ("section-local", ValidationError, "does not interpolate a local section"),
     ],
 )
 def test_families_sections_transport_and_towers_reject_bad_input(case, error, needle):
@@ -626,8 +631,8 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
         user = _twisted_system(ls.ext.Gamma)
         extra = () if user is None else (user,)
         twisted += bool(extra)
-        corpus = standard_corpus(ls).entries
-        with_extra = standard_corpus(ls, extra).entries
+        corpus = standard_corpus(ls)
+        with_extra = standard_corpus(ls, extra)
         constant = tuple(e for e in corpus if e.provenance == CONSTANT_QUOTIENT)
         kernel_entries = tuple(e for e in corpus if e.provenance == A_QUOTIENT_SECTION)
         kernel_image = image(ls.ext.iota).elements
@@ -642,7 +647,7 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
             "a''": _reference_check(ls, kernel_entries if split else constant, on_kernel),
         }
         got = {
-            "a": decide_a(ls, CoefficientCorpus(corpus)),
+            "a": decide_a(ls, corpus),
             "a'": decide_a_prime(ls),
             "a''": decide_a_doubleprime(ls),
         }
@@ -653,7 +658,7 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
             _assert_same_check(check, want[name])
             failed[name] += not want[name].holds
         want_extra = _reference_check(ls, with_extra)
-        _assert_same_check(decide_a(ls, CoefficientCorpus(with_extra)), want_extra)
+        _assert_same_check(decide_a(ls, with_extra), want_extra)
         report = verify_equivalences(ls, extra)
         _assert_same_check(report.a, want_extra)
         _assert_same_check(report.a_prime, want["a'"])

@@ -19,7 +19,7 @@ from seclab.errors import (
     ValidationError,
 )
 from seclab.extensions import Extension
-from seclab.groups import GroupHom, cyclic_group, group_from_permutations
+from seclab.groups import FiniteGroup, GroupHom, cyclic_group, group_from_permutations
 from seclab.localglobal import (
     LocalSections,
     decide_a,
@@ -54,8 +54,9 @@ job density ls
 
 def test_parse_and_run_the_failing_instance():
     program = parse_manifest(V4_OVER_C2)
-    assert set(program.groups) == {"C2", "V4"}
-    assert program.local_sections["ls"].family.thetas[0].map == (0, 1)
+    groups = {n for n, obj in program.names.items() if isinstance(obj, FiniteGroup)}
+    assert groups == {"C2", "V4"}
+    assert program.names["ls"].family.thetas[0].map == (0, 1)
     results, code = run_program(program, timing=False)
     assert code == 0
     by_job = {(r["job"], r.get("variant")): r for r in results}
@@ -69,7 +70,7 @@ def test_parse_and_run_the_failing_instance():
 @pytest.mark.parametrize("variant", ["a", "a''"])
 def test_decide_a_and_a_doubleprime_jobs_report_their_check(variant):
     program = parse_manifest(V4_OVER_C2 + f"job decide {variant} ls\n")
-    ls = program.local_sections["ls"]
+    ls = program.names["ls"]
     check = decide_a(ls, standard_corpus(ls)) if variant == "a" else decide_a_doubleprime(ls)
     results, code = run_program(program, timing=False)
     assert code == 0
@@ -92,8 +93,8 @@ def test_perm_and_cycle_notation():
         "group K4 perm 4 (0,1)(2,3) (0,2)(1,3)\n"
         "group C3 perm 3 (0,1,2)\n"
     )
-    assert program.groups["K4"].order == 4
-    assert program.groups["C3"].order == 3
+    assert program.names["K4"].order == 4
+    assert program.names["C3"].order == 3
 
 
 def test_aut_coeff_h1_roundtrip():
@@ -113,7 +114,7 @@ def test_aut_coeff_h1_roundtrip():
     assert results[0]["cocycles"] == 3
     assert results[0]["classes"] == 1
     # the job reads value tuples and builds no Cocycle record
-    built = vars(h1(program.coeffs["w"]))
+    built = vars(h1(program.names["w"]))
     assert "cocycles" not in built and "representatives" not in built
 
 
@@ -122,6 +123,7 @@ def test_jordan_pushout_fibre_tower_jobs():
     s3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)], label="S3")[0]
     name = b.add_group(s3)
     b.add_job("jordan", name, gens="3")
+    b.add_job("jordan", name)
     text = b.text()
     results, code = run_program(parse_manifest(text), timing=False)
     assert code == 0
@@ -134,6 +136,8 @@ def test_jordan_pushout_fibre_tower_jobs():
         "bound": 5,
         "covers": False,
     }
+    # no generators: the trivial subgroup, one conjugate, the identity alone
+    assert results[1] == dict(results[0], line=3, subgroup_order=1, union_size=1, bound=1)
 
 
 def test_parse_error_messages_carry_line_numbers():
@@ -180,9 +184,9 @@ def test_builder_roundtrip_preserves_objects():
     coeff_name = b.add_coeff(coeff, "w")
     fam_name = b.add_family(ls.family, "fam")
     program = parse_manifest(b.text())
-    assert program.local_sections[ls_name] == ls
-    assert program.coeffs[coeff_name] == coeff
-    assert program.families[fam_name] == ls.family
+    assert program.names[ls_name] == ls
+    assert program.names[coeff_name] == coeff
+    assert program.names[fam_name] == ls.family
 
 
 def test_builder_deduplicates_equal_objects():
@@ -207,8 +211,8 @@ def test_aut_groups_with_equal_tables_stay_distinct():
     n3 = b.add_coeff(coeff3)
     n4 = b.add_coeff(coeff4)
     program = parse_manifest(b.text())
-    assert program.coeffs[n3] == coeff3
-    assert program.coeffs[n4] == coeff4
+    assert program.names[n3] == coeff3
+    assert program.names[n4] == coeff4
 
 
 def test_generate_corpus_is_deterministic_and_runs():
@@ -298,6 +302,21 @@ HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
         ("group G table [[0,1],[1,0]]\njob density nope\n", 2, "no family or sections named"),
         (f"# one entry of 5,001 digits\ngroup G table [[0,1],[1,{HUGE}]]\n", 2, "bad JSON for table"),
         (f"group C2 table [[0,1],[1,0]]\nhom f C2 C2 [{HUGE}]\n", 2, "bad JSON for generator"),
+        (
+            "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\ncoeff w C2 f\n",
+            3,
+            "f must land in the aut-declared group of C2",
+        ),
+        (
+            "group C2 table [[0,1],[1,0]]\ngroup C3 table [[0,1,2],[1,2,0],[2,0,1]]\n"
+            "group A aut C3\nhom act C2 A [0]\ncoeff w C2 act\n",
+            5,
+            "act must land in the aut-declared group of C2",
+        ),
+        ("group C2 table [[0,1],[1,0]]\nfamily F C2\n", 2, "family needs a name, a base group"),
+        (FIBRE_BASE + "job fibre F alpha=0,0\n", 10, "no coeff named ''"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\nhom g f C2\n", 3, "no group named 'f'"),
+        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\njob density f\n", 3, "no family or sec"),
     ],
     ids=[
         "string-entry",
@@ -329,6 +348,12 @@ HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
         "density-unknown",
         "table-huge-int",
         "hom-huge-int",
+        "coeff-not-aut",
+        "coeff-other-aut",
+        "family-header",
+        "fibre-no-coeff",
+        "group-is-hom",
+        "density-hom",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):

@@ -280,7 +280,7 @@ def test_manifest_group_roundtrip(name):
     builder = ManifestBuilder()
     declared = builder.add_group(group)
     program = parse_manifest(builder.text())
-    assert program.groups[declared].table == group.table
+    assert program.names[declared].table == group.table
 
 
 @given(Seeds)
@@ -739,6 +739,19 @@ def test_composites_equal_validated_homs():
                 h = compose(outer, inner)
                 checked = GroupHom(a, c, h.map)
                 assert h == checked and hash(h) == hash(checked)
+
+
+@pytest.mark.parametrize("seed", [20260822, 7, 1])
+def test_seeded_lifts_pass_the_hom_validator(seed):
+    """
+    Every local section of a seeded instance, built without validation,
+    passes the hom validator.
+    """
+    instances = seeded_instances(seed, 120, 24)
+    for ls in instances:
+        for s in ls.sections:
+            s.__post_init__()
+    assert sum(len(ls.sections) for ls in instances) > 100
 
 
 def test_quotients_equal_validated_groups():
