@@ -40,7 +40,7 @@ def twisted_instance() -> LocalSections:
 
 
 def obstructed_instance() -> LocalSections:
-    v4 = direct_product(C2, C2, label="C2xC2")
+    v4 = direct_product(C2, C2)
     ext = Extension(GroupHom(C2, v4, (0, 1)), GroupHom(v4, C2, (0, 0, 1, 1)))
     return LocalSections(ext, (GroupHom(C2, v4, (0, 2)), GroupHom(C2, v4, (0, 3))))
 

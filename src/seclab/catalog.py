@@ -9,7 +9,7 @@ them — extension lists, coefficient systems, seeded local-section instances
 from __future__ import annotations
 
 import random
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from typing import List, Tuple
 
 from .cohomology import GammaGroup
@@ -32,7 +32,6 @@ from .groups import (
     direct_product,
     enumerate_homs,
     group_from_permutations,
-    group_from_table,
     identity_hom,
     quotient,
     subgroup_as_group,
@@ -48,7 +47,6 @@ __all__ = [
     "symmetric_group",
     "alternating_group",
     "preset_groups",
-    "preset_names",
     "preset_group",
     "preset_extensions",
     "coefficient_catalog",
@@ -88,8 +86,9 @@ def dicyclic_group(n: int) -> FiniteGroup:
         return (k - kp + n) % m
 
     label = "Q8" if n == 2 else ("Q16" if n == 4 else f"Dic{n}")
-    table = [[mul(i, j) for j in range(size)] for i in range(size)]
-    return group_from_table(table, label=label)
+    # a group law with identity 0, so not checked; inverses are read off the rows
+    table = tuple(tuple(mul(i, j) for j in range(size)) for i in range(size))
+    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label)
 
 
 def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
@@ -109,8 +108,9 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
         kp, lp = j % m, j // m
         return (k + pow(r, l, m) * kp) % m + m * ((l + lp) % n)
 
-    table = [[mul(i, j) for j in range(m * n)] for i in range(m * n)]
-    return group_from_table(table, label=f"C{m}:C{n}r{_show(r)}")
+    # a group law with identity 0, so not checked; inverses are read off the rows
+    table = tuple(tuple(mul(i, j) for j in range(m * n)) for i in range(m * n))
+    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), f"C{m}:C{n}r{_show(r)}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -135,11 +135,7 @@ def alternating_group(n: int) -> FiniteGroup:
 
 
 def _product(label: str) -> FiniteGroup:
-    parts = [cyclic_group(int(p[1:])) for p in label.split("x")]
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = direct_product(out, nxt)
-    return FiniteGroup(out.table, out.identity, out.inverse, label)
+    return reduce(direct_product, (cyclic_group(int(p[1:])) for p in label.split("x")))
 
 
 _PRODUCT_LABELS = (
@@ -207,10 +203,6 @@ def preset_groups(max_order: int = 24) -> Tuple[FiniteGroup, ...]:
     if 21 <= max_order:
         out.append(metacyclic_group(7, 3, 2))
     return tuple(sorted(out, key=lambda g: (g.order, g.label or "")))
-
-
-def preset_names(max_order: int = 24) -> Tuple[str, ...]:
-    return tuple(g.label or "?" for g in preset_groups(max_order))
 
 
 def preset_group(name: str) -> FiniteGroup:

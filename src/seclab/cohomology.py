@@ -48,7 +48,6 @@ __all__ = [
     "constant_coefficients",
     "conjugation_coefficients",
     "pullback_coefficients",
-    "trivial_cocycle",
     "enumerate_cocycles",
     "cohomologous",
     "h1",
@@ -116,7 +115,10 @@ def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
 def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
     """A subgroup of the target of ``via`` acted on by conjugation through it.
 
-    Raises ActionMismatch when some conjugate escapes the subgroup.
+    Raises ActionMismatch when some conjugate escapes the subgroup.  Past
+    that check the system is not checked again: conjugation by an element
+    that keeps the subgroup acts on it by an automorphism, and through a
+    homomorphism those compose as its source does.
     """
     ambient = sub.parent
     if via.target != ambient:
@@ -135,7 +137,7 @@ def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
                 )
             row.append(back[moved])
         rows.append(tuple(row))
-    return GammaGroup(via.source, m, tuple(rows))
+    return _trusted(GammaGroup, via.source, m, tuple(rows))
 
 
 def pullback_coefficients(along: GroupHom, coeff: GammaGroup) -> GammaGroup:
@@ -181,10 +183,6 @@ class Cocycle(_Record):
 
     def __repr__(self) -> str:
         return f"<cocycle {self.values}>"
-
-
-def trivial_cocycle(coeff: GammaGroup) -> Cocycle:
-    return Cocycle(coeff, (coeff.M.identity,) * coeff.gamma.order)
 
 
 def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int) -> Tuple[int, ...]:
@@ -253,13 +251,6 @@ class H1Classes(_Record):
     def class_by_values(self) -> Dict[Tuple[int, ...], int]:
         values = self.values
         return {values[j]: i for i, cls in enumerate(self.classes) for j in cls}
-
-    def class_of(self, a: Cocycle) -> int:
-        if a.parent != self.parent:
-            raise ValidationError("cocycle belongs to a different coefficient system")
-        if a.values not in self.class_by_values:
-            raise InvariantViolation("partition does not cover the cocycle set")
-        return self.class_by_values[a.values]
 
 
 @lru_cache(maxsize=None)

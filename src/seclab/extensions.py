@@ -28,7 +28,6 @@ from .groups import (
     _Record,
     compose,
     identity_hom,
-    image,
     partition_by_conjugation,
     quotient,
     subgroup,
@@ -38,7 +37,6 @@ __all__ = [
     "Extension",
     "SectionReport",
     "enumerate_sections",
-    "splits",
     "pushout",
 ]
 
@@ -74,10 +72,6 @@ class Extension(_Record):
         for e in sorted(ker - img):
             raise NotExact(f"kernel element {e} of pi is not hit by iota")
 
-    @property
-    def kernel_subgroup(self) -> Subgroup:
-        return image(self.iota)
-
     def is_section(self, s: GroupHom) -> bool:
         return (
             s.source == self.Gamma
@@ -112,10 +106,6 @@ def enumerate_sections(ext: Extension) -> SectionReport:
     mod_a = partition_by_conjugation(sections, ext.iota.map)
     mod_e = partition_by_conjugation(sections, ext.E.elements)
     return SectionReport(sections, mod_a, mod_e)
-
-
-def splits(ext: Extension) -> bool:
-    return bool(enumerate_sections(ext).sections)
 
 
 def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:

@@ -46,11 +46,8 @@ __all__ = [
     "enumerate_homs",
     "hom_from_generator_images",
     "identity_hom",
-    "trivial_hom",
     "compose",
-    "kernel",
     "image",
-    "is_injective",
     "is_surjective",
     "is_bijective",
     "inverse_hom",
@@ -230,10 +227,6 @@ class FiniteGroup(_Record):
         """g * x * g^-1."""
         t = self.table
         return t[t[g][x]][self.inverse[g]]
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
 
     def __repr__(self) -> str:
         name = self.label or "group"
@@ -432,32 +425,34 @@ def group_from_permutations(
     return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), perms
 
 
-def trivial_group(label: str = "1") -> FiniteGroup:
-    return group_from_table(((0,),), label)
+def trivial_group() -> FiniteGroup:
+    return group_from_table(((0,),), "1")
 
 
-def cyclic_group(n: int, label: Optional[str] = None) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
     _check_int(n, "cyclic group order")
     if n < 1:
         raise ValidationError(f"cyclic group order must be positive, got {_show(n)}")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)
-    return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), label or f"C{n}")
+    return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), f"C{n}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, label: Optional[str] = None) -> FiniteGroup:
-    """Componentwise product on pairs encoded as a*|h| + b."""
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """Componentwise product on pairs encoded as a*|h| + b, trusted without
+    a check: the laws hold componentwise, and the identity is the pair of
+    identities, so each inverse is read off its row."""
     _check_types((g, h), (FiniteGroup, FiniteGroup), ValidationError, "factor {}", (1, 2))
     m = h.order
     size = g.order * m
-    table = [
-        [g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(size)]
+    table = tuple(
+        tuple(g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(size))
         for x in range(size)
-    ]
-    if label is None and g.label and h.label:
-        label = f"{g.label}x{h.label}"
-    return group_from_table(table, label)
+    )
+    e = g.identity * m + h.identity
+    label = f"{g.label}x{h.label}" if g.label and h.label else None
+    return FiniteGroup(table, e, tuple(row.index(e) for row in table), label)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +598,8 @@ def _derivation_failure(
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(group.elements))
-
-
-def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
-    return GroupHom(source, target, (target.identity,) * source.order)
+    """The identity map, a homomorphism by construction, so not checked."""
+    return _trusted(GroupHom, group, group, tuple(group.elements))
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -616,15 +608,6 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     if inner.target != outer.source:
         raise ValidationError("composition mismatch: inner target differs from outer source")
     return _trusted(GroupHom, inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
-
-
-def _propagate(
-    gamma: FiniteGroup, m: FiniteGroup, rows: Sequence[Sequence[int]], images: Sequence[int]
-) -> Optional[Tuple[int, ...]]:
-    """The value tuple with the values ``images`` on ``generating_set(gamma)``
-    when it satisfies the derivation law, else None: the search of
-    :func:`_derivation_search` with one choice per generator."""
-    return next(iter(_derivation_search(gamma, m, rows, [(c,) for c in images])), None)
 
 
 def _derivation_search(
@@ -707,12 +690,13 @@ def hom_from_generator_images(
             f"expected {len(gens)} generator images for generators {gens}, got {len(images)}"
         )
     _check_indices(images, tgt.order, NotAHomomorphism, "generator image")
-    m = _propagate(src, tgt, _identity_rows(src, tgt), images)
-    if m is None:
+    # the hom search, with one choice per generator
+    found = _derivation_search(src, tgt, _identity_rows(src, tgt), [(c,) for c in images])
+    if not found:
         raise NotAHomomorphism(
             f"generator images {images} do not extend to a homomorphism"
         )
-    return _trusted(GroupHom, src, tgt, m)
+    return _trusted(GroupHom, src, tgt, found[0])
 
 
 @lru_cache(maxsize=None)
@@ -737,17 +721,8 @@ def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
     )
 
 
-def kernel(hom: GroupHom) -> "Subgroup":
-    elems = tuple(g for g in hom.source.elements if hom.map[g] == hom.target.identity)
-    return Subgroup(hom.source, elems)
-
-
 def image(hom: GroupHom) -> "Subgroup":
     return Subgroup(hom.target, tuple(sorted(set(hom.map))))
-
-
-def is_injective(hom: GroupHom) -> bool:
-    return len(set(hom.map)) == hom.source.order
 
 
 def is_surjective(hom: GroupHom) -> bool:
@@ -755,7 +730,7 @@ def is_surjective(hom: GroupHom) -> bool:
 
 
 def is_bijective(hom: GroupHom) -> bool:
-    return hom.source.order == hom.target.order and is_injective(hom)
+    return hom.source.order == hom.target.order == len(set(hom.map))
 
 
 def inverse_hom(hom: GroupHom) -> GroupHom:

@@ -309,21 +309,13 @@ def _kernel_quotient_entries(
     return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
 
 
-def _user_entries(extra: Iterable[GammaGroup]) -> Tuple[CorpusEntry, ...]:
-    systems = _as_tuple(extra, ValidationError, "extra coefficient systems")
-    return tuple(CorpusEntry(coeff, USER_SUPPLIED) for coeff in systems)
-
-
-def standard_corpus(
-    ls: LocalSections, extra: Iterable[GammaGroup] = ()
-) -> Tuple[CorpusEntry, ...]:
+def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
     """The proof-sufficient corpus: all constant quotients of the middle
-    group, the kernel quotients with section action when a section exists,
-    and any user-supplied systems."""
-    return (
-        _constant_quotient_entries(ls.ext)
-        + _kernel_quotient_entries(ls.ext, enumerate_sections(ls.ext).sections)
-        + _user_entries(extra)
+    group, and the kernel quotients with section action when a section
+    exists.  A caller's own systems join it as ``USER_SUPPLIED`` entries
+    passed to :func:`decide_a` after it."""
+    return _constant_quotient_entries(ls.ext) + _kernel_quotient_entries(
+        ls.ext, enumerate_sections(ls.ext).sections
     )
 
 
@@ -372,12 +364,6 @@ class _Diagonal:
         return ok
 
 
-def _check_bases(ls: LocalSections, entries: Iterable[CorpusEntry]) -> None:
-    for entry in entries:
-        if entry.coeff.gamma != ls.ext.Gamma:
-            raise ValidationError("corpus entry does not act through the base group")
-
-
 def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
@@ -414,7 +400,9 @@ def decide_a(ls: LocalSections, corpus: Iterable[CorpusEntry]) -> DescentCheck:
     a sequence of :class:`CorpusEntry` such as :func:`standard_corpus` returns."""
     entries = _as_tuple(corpus, ValidationError, "corpus entries")
     _check_types(entries, repeat(CorpusEntry), ValidationError, "entry {}", count())
-    _check_bases(ls, entries)
+    for entry in entries:
+        if entry.coeff.gamma != ls.ext.Gamma:
+            raise ValidationError("corpus entry does not act through the base group")
     return _run_corpus(ls, entries, {})
 
 
@@ -487,17 +475,13 @@ class EquivalenceReport(_Record):
         return all(v for _, v in self.implications)
 
 
-def verify_equivalences(
-    ls: LocalSections, extra: Iterable[GammaGroup] = ()
-) -> EquivalenceReport:
+def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     """Decide everything and check the implication diagram.
 
     The implications asserted: (c) => (a) => (a') and (a) => (a''),
     (b) <=> (a'), split and (a'') together give (c), and density collapses
     (a), (a'), (b), (c) to a single truth value.
     """
-    user_entries = _user_entries(extra)
-    _check_bases(ls, user_entries)
     density = check_density(ls.family)
     sections = enumerate_sections(ls.ext).sections
     split = bool(sections)
@@ -505,15 +489,13 @@ def verify_equivalences(
     constant_entries = _constant_quotient_entries(ls.ext)
     # (a'), (a) and (a'') read overlapping corpora, so each system's
     # diagonal is built once for all three.  The standard corpus is the
-    # constant quotients, which are (a'), then the kernel quotients and the
-    # user's systems.  (a') is decided through the public decider, so a
-    # profile or trace of decide_a_prime sees every (a') decision.
+    # constant quotients, which are (a'), then the kernel quotients.  (a')
+    # is decided through the public decider, so a profile or trace of
+    # decide_a_prime sees every (a') decision.
     diagonals: Dict[GammaGroup, _Diagonal] = {}
     a_prime = decide_a_prime(ls, _shared=(constant_entries, diagonals))
     if a_prime.holds:
-        a = _run_corpus(
-            ls, kernel_entries + user_entries, diagonals, checked=a_prime.classes_checked
-        )
+        a = _run_corpus(ls, kernel_entries, diagonals, checked=a_prime.classes_checked)
     else:
         a = a_prime
     # with no section there are no kernel entries; see decide_a_doubleprime

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from seclab.catalog import (
+    MAX_PRESET_ORDER,
     alternating_group,
     coefficient_catalog,
     dicyclic_group,
@@ -13,28 +14,35 @@ from seclab.catalog import (
     preset_extensions,
     preset_group,
     preset_groups,
-    preset_names,
     seeded_instances,
     seeded_transport_pairs,
     symmetric_group,
 )
-from seclab.cohomology import GammaGroup
+from seclab.cohomology import GammaGroup, conjugation_coefficients
 from seclab.errors import BoundExceeded, UnknownName, ValidationError
 from seclab.groups import (
     all_subgroups,
     automorphism_group,
     cyclic_group,
     element_order,
+    enumerate_homs,
     group_from_table,
+    identity_hom,
+    image,
     is_normal,
 )
 from seclab.localglobal import check_density
 from seclab.manifest import ManifestBuilder, parse_manifest
 
 
+def _abelian(g):
+    """A table is abelian exactly when it equals its transpose."""
+    return g.table == tuple(zip(*g.table))
+
+
 def test_dihedral_group_shape():
     d4 = dihedral_group(4)
-    assert d4.order == 8 and not d4.is_abelian()
+    assert d4.order == 8 and not _abelian(d4)
     with pytest.raises(ValidationError):
         dihedral_group(2)
 
@@ -58,8 +66,8 @@ def test_dicyclic_groups_have_one_involution():
 def test_metacyclic_presets():
     f20 = metacyclic_group(5, 4, 2)
     f21 = metacyclic_group(7, 3, 2)
-    assert f20.order == 20 and not f20.is_abelian()
-    assert f21.order == 21 and not f21.is_abelian()
+    assert f20.order == 20 and not _abelian(f20)
+    assert f21.order == 21 and not _abelian(f21)
     with pytest.raises(ValidationError):
         metacyclic_group(5, 3, 2)  # 2^3 is not 1 mod 5
     # r acts through r mod m, so an exponent too long to print is valid
@@ -76,11 +84,11 @@ def test_alternating_group_a4():
 
 def test_symmetric_group_s4():
     s4 = symmetric_group(4)
-    assert s4.order == 24 and not s4.is_abelian()
+    assert s4.order == 24 and not _abelian(s4)
 
 
 def test_preset_listing_is_sorted_and_bounded():
-    names = preset_names(12)
+    names = tuple(g.label for g in preset_groups(12))
     assert names == (
         "C2", "C3", "C2xC2", "C4", "C5", "C6", "D3", "S3", "C7",
         "C2xC2xC2", "C2xC4", "C8", "D4", "Q8", "C3xC3", "C9", "C10",
@@ -124,6 +132,28 @@ def test_catalog_systems_pass_the_validator_they_skip():
     for gamma in preset_groups(12):
         for c in coefficient_catalog(gamma, 8):
             assert c == GammaGroup(c.gamma, c.M, c.action), (gamma.label, c.M.label)
+
+
+def test_identity_homs_pass_the_validator_they_skip():
+    for g in preset_groups(MAX_PRESET_ORDER):
+        identity_hom(g).__post_init__()
+
+
+def test_conjugation_systems_pass_the_validator_they_skip():
+    """Every system criterion 02 builds: the embedded kernel of a preset
+    extension, acted on through the first lift of each map into the base
+    that has one, which is the first hom into the middle group above it."""
+    built = 0
+    for _, ext in preset_extensions(24):
+        kernel = image(ext.iota)
+        for delta in preset_groups(8):
+            first_lifts = {}
+            for h in enumerate_homs(delta, ext.E):
+                first_lifts.setdefault(tuple(ext.pi.map[x] for x in h.map), h)
+            for lift in first_lifts.values():
+                conjugation_coefficients(kernel, lift).__post_init__()
+            built += len(first_lifts)
+    assert built == 16962
 
 
 def test_automorphism_tables_pass_the_validator_they_skip():

@@ -17,7 +17,7 @@ from oracles import (
     oracle_subgroups,
     oracle_union_of_conjugates,
 )
-from seclab import catalog, groups
+from seclab import groups
 from seclab.catalog import (
     alternating_group,
     coefficient_catalog,
@@ -73,11 +73,10 @@ from seclab.groups import (
     identity_hom,
     image,
     inverse_hom,
+    is_bijective,
     is_class_preserving,
-    is_injective,
     is_normal,
     is_surjective,
-    kernel,
     partition_by_conjugation,
     quotient,
     subgroup,
@@ -170,7 +169,7 @@ def test_closure_bound_exceeded():
 def test_permutation_tables_compose_each_element_with_each_generator_once(monkeypatch):
     """D32 (degree 32, 2 generators, order 64) is tabulated along its
     Cayley graph: at most 2·n·|gens| compositions, not all n² pairs.  No
-    permutation or cyclic preset goes through the table validator."""
+    preset goes through the table validator."""
     composed = []
     compose_perms = groups._compose_perms
 
@@ -190,11 +189,9 @@ def test_permutation_tables_compose_each_element_with_each_generator_once(monkey
         return validate(table, label)
 
     monkeypatch.setattr(groups, "group_from_table", recording_validate)
-    monkeypatch.setattr(catalog, "group_from_table", recording_validate)
     presets = preset_groups.__wrapped__(64)  # past the cache, so every preset is built
     assert [g.label for g in presets] == [g.label for g in preset_groups(64)]
-    assert validated, "the product, dicyclic and metacyclic presets are still validated"
-    assert not [label for label in validated if re.fullmatch(r"[ACDS]\d+", label)]
+    assert validated == []
 
 
 # --- homomorphisms ----------------------------------------------------------
@@ -301,12 +298,12 @@ def test_compose_kernel_image():
     grp = s3()
     sign = enumerate_homs(grp, cyclic_group(2))[1]
     assert is_surjective(sign)
-    assert kernel(sign).elements == (0, 3, 4)
+    assert [g for g, x in enumerate(sign.map) if x == 0] == [0, 3, 4]
     emb = enumerate_homs(cyclic_group(2), grp)[1]
     back = compose(sign, emb)
     assert back.map == (0, 1)
     assert image(emb).order == 2
-    assert is_injective(emb)
+    assert len(set(emb.map)) == emb.source.order
 
 
 def test_generating_set_greedy_is_small():
@@ -546,7 +543,6 @@ def test_subgroup_as_group_roundtrip():
     a3, incl = subgroup_as_group(subgroup_generated(grp, [3]))
     assert a3.order == 3
     assert incl.map == (0, 3, 4)
-    assert is_injective(incl)
 
 
 def test_all_subgroups_match_subset_oracle():
@@ -661,8 +657,8 @@ def _one_record_of_each_class():
         "group C2 table [[0,1],[1,0]]\nhom id C2 C2 [1]\njob jordan C2 gens=1\n"
     )
     records = [
-        ext.E, ls.sections[0], ext.kernel_subgroup,
-        union_of_conjugates(ext.kernel_subgroup), coeff, classes.cocycles[0],
+        ext.E, ls.sections[0], image(ext.iota),
+        union_of_conjugates(image(ext.iota)), coeff, classes.cocycles[0],
         classes, ext, enumerate_sections(ext), ls.family, ls, entry,
         verify_equivalences(ls).a, verify_equivalences(ls),
         tower_limit_sections(*pushout_tower(ext, [full_subgroup(ext.A)]), ls),
@@ -773,7 +769,7 @@ def test_quotient_s3_by_a3():
     quot, proj = quotient(grp, subgroup_generated(grp, [3]))
     assert quot.order == 2
     assert proj.map == (0, 1, 1, 0, 0, 1)
-    assert kernel(proj).elements == (0, 3, 4)
+    assert [g for g, x in enumerate(proj.map) if x == quot.identity] == [0, 3, 4]
 
 
 def test_quotient_rejects_non_normal():
@@ -787,7 +783,7 @@ def test_quotient_by_trivial_is_isomorphic():
     grp = d4()
     quot, proj = quotient(grp, trivial_subgroup(grp))
     assert quot.order == grp.order
-    assert is_injective(proj)
+    assert is_bijective(proj)
 
 
 def test_automorphisms_s3_all_inner():

@@ -1,13 +1,16 @@
-"""Every imported name is used, in the package and in the tests.
+"""Every imported name is used, in the package and in the tests, and
+every exported name is bound.
 
 Deleting a function must take the imports that only it needed along with
-it.  A name counts as used when the code refers to it, when it appears in
-a string annotation, or, in ``__init__.py``, when ``__all__`` lists it.
+it, and its ``__all__`` entry.  A name counts as used when the code refers
+to it, when it appears in a string annotation, or, in ``__init__.py``, when
+``__all__`` lists it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -64,3 +67,13 @@ def test_every_imported_name_is_used():
         for line, name in _unused_imports(path)
     ]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_every_exported_name_is_bound():
+    dangling = []
+    for path in sorted((ROOT / "src" / "seclab").glob("*.py")):
+        name = "seclab" if path.stem == "__init__" else f"seclab.{path.stem}"
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", ())  # cli.py lists none
+        dangling += [f"{name}.{n}" for n in exported if not hasattr(module, n)]
+    assert not dangling, "listed in __all__ but not bound:\n" + "\n".join(dangling)

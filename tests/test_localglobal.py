@@ -25,6 +25,7 @@ from seclab.groups import (
     all_normal_subgroups_between,
     cyclic_group,
     direct_product,
+    enumerate_homs,
     full_subgroup,
     group_from_permutations,
     identity_hom,
@@ -63,7 +64,7 @@ from seclab.localglobal import (
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
 C4 = cyclic_group(4)
-V4 = direct_product(C2, C2, label="C2xC2")
+V4 = direct_product(C2, C2)
 S3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)], label="S3")[0]
 SIGN = GroupHom(S3, C2, (0, 1, 1, 0, 0, 1))
 
@@ -296,9 +297,11 @@ def test_standard_corpus_shape():
     # quotients of S3 by 1, A3, S3 and kernel quotients by 1, A3
     assert tags.count(CONSTANT_QUOTIENT) == 3
     assert tags.count(A_QUOTIENT_SECTION) == 2
-    extra = constant_coefficients(C2, C3)
-    with_extra = standard_corpus(ls, [extra])
-    assert with_extra[-1].provenance == USER_SUPPLIED
+    # a caller's own system is decided after the standard corpus
+    user = CorpusEntry(constant_coefficients(C2, C3), USER_SUPPLIED)
+    standard, with_user = decide_a(ls, corpus), decide_a(ls, corpus + (user,))
+    assert standard.holds and with_user.holds
+    assert with_user.classes_checked == standard.classes_checked + 1
 
 
 def test_descent_checks_on_failing_instance():
@@ -325,24 +328,30 @@ def test_decide_a_rejects_foreign_corpus():
         decide_a(ls, corpus)
 
 
+def _with_user(systems):
+    """The standard corpus followed by ``systems`` as user-supplied entries."""
+    return lambda ls: standard_corpus(ls) + tuple(CorpusEntry(c, USER_SUPPLIED) for c in systems)
+
+
 @pytest.mark.parametrize(
-    "extra, needle",
+    "corpus, needle",
     [
-        (None, "is not a sequence"),
-        ([None], "CorpusEntry.coeff must be a GammaGroup, not None"),
-        (["x"], "CorpusEntry.coeff must be a GammaGroup, not 'x'"),
-        ([constant_coefficients(cyclic_group(5), C2)], "does not act through the base group"),
+        (lambda ls: None, "is not a sequence"),
+        (_with_user([None]), "CorpusEntry.coeff must be a GammaGroup, not None"),
+        (_with_user(["x"]), "CorpusEntry.coeff must be a GammaGroup, not 'x'"),
+        (
+            _with_user([constant_coefficients(cyclic_group(5), C2)]),
+            "does not act through the base group",
+        ),
     ],
     ids=["no-sequence", "none", "string", "foreign-base"],
 )
-def test_corpus_entries_are_checked_before_deciding(acceptance_instances, extra, needle):
+def test_corpus_entries_are_checked_before_deciding(acceptance_instances, corpus, needle):
     holding = next(ls for ls in acceptance_instances if decide_a_prime(ls).holds)
     failing = next(ls for ls in acceptance_instances if not decide_a_prime(ls).holds)
     for ls in (holding, failing):
         with pytest.raises(ValidationError, match=needle):
-            verify_equivalences(ls, extra)
-        with pytest.raises(ValidationError, match=needle):
-            decide_a(ls, standard_corpus(ls, extra))
+            decide_a(ls, corpus(ls))
 
 
 @pytest.mark.parametrize(
@@ -431,12 +440,23 @@ def test_section_from_hom_rejects_non_bijective_composite():
         interpolating_section_from_hom(ls, GroupHom(C2, C4, (0, 2)))
 
 
-def test_section_from_hom_rejects_non_interpolating_hom():
+def test_section_from_hom_on_conjugate_local_sections():
     ls = s3_twisted_instance()
-    # the sign section composed with a fresh local it never matches
+    # every transposition of S3 is conjugate, so a second local section
+    # through another one is coherent with the first
     other = LocalSections(ls.ext, (ls.sections[0], GroupHom(C2, S3, (0, 5))))
     rep = verify_equivalences(other)
-    assert rep.all_implications_hold  # sanity: conjugate sections stay coherent
+    assert rep.all_implications_hold
+    # each hom with bijective projection interpolates both local sections,
+    # up to conjugators in the embedded kernel
+    homs = [u for u in enumerate_homs(C2, S3) if SIGN.map[u.map[1]] == 1]
+    found = []
+    for u in homs:
+        s, conjs = interpolating_section_from_hom(other, u)
+        assert other.ext.is_section(s)
+        assert set(conjs) <= {0, 3, 4}
+        found.append(conjs)
+    assert found == [(0, 4), (4, 3), (3, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +649,10 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
     for k in REFERENCE_SLICE:
         ls = acceptance_instances[k]
         user = _twisted_system(ls.ext.Gamma)
-        extra = () if user is None else (user,)
+        extra = () if user is None else (CorpusEntry(user, USER_SUPPLIED),)
         twisted += bool(extra)
         corpus = standard_corpus(ls)
-        with_extra = standard_corpus(ls, extra)
+        with_extra = corpus + extra
         constant = tuple(e for e in corpus if e.provenance == CONSTANT_QUOTIENT)
         kernel_entries = tuple(e for e in corpus if e.provenance == A_QUOTIENT_SECTION)
         kernel_image = image(ls.ext.iota).elements
@@ -659,10 +679,6 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
             failed[name] += not want[name].holds
         want_extra = _reference_check(ls, with_extra)
         _assert_same_check(decide_a(ls, with_extra), want_extra)
-        report = verify_equivalences(ls, extra)
-        _assert_same_check(report.a, want_extra)
-        _assert_same_check(report.a_prime, want["a'"])
-        _assert_same_check(report.a_doubleprime, want["a''"])
         for entry in with_extra:
             for alpha in h1(entry.coeff).representatives:
                 assert diagonal_fibre(alpha, ls.family) == _reference_fibre(alpha, ls.family)

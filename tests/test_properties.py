@@ -33,7 +33,6 @@ from seclab.catalog import (
     preset_extensions,
     preset_group,
     preset_groups,
-    preset_names,
     seeded_instances,
     seeded_transport_pairs,
 )
@@ -45,7 +44,6 @@ from seclab.cohomology import (
     enumerate_cocycles,
     h1,
     pullback_coefficients,
-    trivial_cocycle,
 )
 from seclab.errors import (
     NoIdentity,
@@ -61,7 +59,7 @@ from seclab.extensions import Extension, enumerate_sections
 from seclab.groups import (
     GroupHom,
     Subgroup,
-    _propagate,
+    _derivation_search,
     _Record,
     all_normal_subgroups,
     all_subgroups,
@@ -94,7 +92,7 @@ def _drawn_from(build):
     return st.deferred(lambda: st.sampled_from(build()))
 
 
-SmallNames = st.sampled_from(preset_names(10))
+SmallNames = st.sampled_from([g.label for g in preset_groups(10)])
 MediumGroups = st.sampled_from(preset_groups(16))
 Extensions = st.sampled_from([ext for _, ext in preset_extensions(12)])
 Seeds = st.integers(min_value=0, max_value=2**16)
@@ -212,7 +210,7 @@ def test_class_representatives_are_canonical(name, data):
     classes = h1(data.draw(st.sampled_from(coeffs)))
     reps = classes.representatives
     for i, rep in enumerate(reps):
-        assert classes.class_of(rep) == i
+        assert classes.class_by_values[rep.values] == i
         for other in reps[i + 1:]:
             assert cohomologous(rep, other) is None
 
@@ -227,7 +225,7 @@ def test_class_numbers_agree_with_twisting(coeff, data):
     classes = h1(coeff)
     a = data.draw(st.sampled_from(classes.cocycles))
     for b in classes.cocycles:
-        same = classes.class_of(a) == classes.class_of(b)
+        same = classes.class_by_values[a.values] == classes.class_by_values[b.values]
         assert same == (cohomologous(a, b) is not None), (a, b)
 
 
@@ -271,7 +269,7 @@ def test_conjugate_unions_respect_the_index_bound(group, data):
     assert cover.covers == (cover.index == 1)
 
 
-@given(st.sampled_from(preset_names(12)))
+@given(st.sampled_from([g.label for g in preset_groups(12)]))
 def test_manifest_group_roundtrip(name):
     """
     A group declared by the builder parses back to the same table.
@@ -394,7 +392,8 @@ def test_closing_edges_accept_exactly_the_oracle_cocycles(coeff):
         for a in oracle_cocycles(gamma.table, m.table, coeff.action)
     }
     for images in itertools.product(m.elements, repeat=len(gens)):
-        assert _propagate(gamma, m, coeff.action, images) == want.get(images)
+        found = _derivation_search(gamma, m, coeff.action, [(c,) for c in images])
+        assert found == ((want[images],) if images in want else ())
 
 
 # --- generator-local validators against all-pairs oracles -------------------
@@ -767,6 +766,19 @@ def test_quotients_equal_validated_groups():
             assert proj == GroupHom(group, quot, proj.map)
 
 
+def test_preset_tables_equal_validated_groups():
+    """
+    Every preset group, and the direct product of each pair of presets up
+    to order 24, built without validation, equals the group validated from
+    its own table.
+    """
+    presets = preset_groups(64)
+    pairs = [(g, h) for g in presets for h in presets if g.order * h.order <= 24]
+    for group in (*presets, *itertools.starmap(direct_product, pairs)):
+        checked = group_from_table(group.table)
+        assert group == checked and hash(group) == hash(checked), group.label
+
+
 def test_subgroups_as_groups_equal_validated_groups():
     """
     Every subgroup of a preset group, re-tabulated without validation,
@@ -899,7 +911,7 @@ def _records_of_each_kind():
     coeff = constant_coefficients(c2, c2)
     ext = Extension(GroupHom(c2, v4, (0, 1)), GroupHom(v4, c2, (0, 0, 1, 1)))
     family = LocalFamily(c2, (identity_hom(c2),))
-    return [c2, v4, identity_hom(c2), coeff, trivial_cocycle(coeff), ext, family]
+    return [c2, v4, identity_hom(c2), coeff, Cocycle(coeff, (0, 0)), ext, family]
 
 
 Junk = st.recursive(
