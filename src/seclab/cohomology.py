@@ -12,13 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .errors import (
-    ActionMismatch,
-    InvariantViolation,
-    NotACocycle,
-    NotAnAction,
-    ValidationError,
-)
+from .errors import InvariantViolation, NotACocycle, NotAnAction, ValidationError
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -68,8 +62,7 @@ class GammaGroup(_Record):
     row a composite of generator rows, and so an automorphism too.
     """
 
-    _fields = ("gamma", "M", "action")
-    _types = (FiniteGroup, FiniteGroup, tuple)
+    _fields = {"gamma": FiniteGroup, "M": FiniteGroup, "action": tuple}
     _error = NotAnAction
 
     def __post_init__(self) -> None:
@@ -115,7 +108,7 @@ def constant_coefficients(gamma: FiniteGroup, m: FiniteGroup) -> GammaGroup:
 def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
     """A subgroup of the target of ``via`` acted on by conjugation through it.
 
-    Raises ActionMismatch when some conjugate escapes the subgroup.  Past
+    Raises NotAnAction when some conjugate escapes the subgroup.  Past
     that check the system is not checked again: conjugation by an element
     that keeps the subgroup acts on it by an automorphism, and through a
     homomorphism those compose as its source does.
@@ -132,7 +125,7 @@ def conjugation_coefficients(sub: Subgroup, via: GroupHom) -> GammaGroup:
         for x in sub.elements:
             moved = ambient.conj(c, x)
             if moved not in back:
-                raise ActionMismatch(
+                raise NotAnAction(
                     f"conjugation by image of {g} moves {x} to {moved}, outside the subgroup"
                 )
             row.append(back[moved])
@@ -156,8 +149,7 @@ class Cocycle(_Record):
     """A 1-cocycle: a tuple of integer values in M indexed by gamma,
     validated on construction."""
 
-    _fields = ("parent", "values")
-    _types = (GammaGroup, tuple)
+    _fields = {"parent": GammaGroup, "values": tuple}
     _error = NotACocycle
 
     def __post_init__(self) -> None:
@@ -227,8 +219,7 @@ class H1Classes(_Record):
     checked again, as the values are output of the cocycle search.
     """
 
-    _fields = ("parent", "values", "classes")
-    _types = (GammaGroup, tuple, tuple)
+    _fields = {"parent": GammaGroup, "values": tuple, "classes": tuple}
 
     @property
     def class_count(self) -> int:

@@ -12,17 +12,12 @@ __all__ = [
     "NoIdentity",
     "NoInverse",
     "NotAPermutation",
-    "ClosureBoundExceeded",
     "NotASubgroup",
     "NotAHomomorphism",
     "NotNormal",
-    "NotInjective",
-    "NotSurjective",
     "NotExact",
-    "NotNormalInE",
     "NotAnAction",
     "NotACocycle",
-    "ActionMismatch",
     "IncompatibleTower",
     "BoundExceeded",
     "ManifestSyntaxError",
@@ -51,10 +46,6 @@ class NotAPermutation(ValidationError):
     """A claimed permutation is not a bijection on its domain."""
 
 
-class ClosureBoundExceeded(ValidationError):
-    """Generator closure grew past the configured element cap."""
-
-
 class NotASubgroup(ValidationError):
     """An element set is not closed, misses the identity, or lacks inverses."""
 
@@ -67,20 +58,9 @@ class NotNormal(ValidationError):
     """A subgroup is not stable under conjugation; names the conjugation."""
 
 
-class NotInjective(ValidationError):
-    """A map required to be injective identifies two elements."""
-
-
-class NotSurjective(ValidationError):
-    """A map required to be surjective misses an element."""
-
-
 class NotExact(ValidationError):
-    """Kernel and image disagree in a would-be short exact sequence."""
-
-
-class NotNormalInE(ValidationError):
-    """A pushout kernel is not normal in the ambient middle group."""
+    """A would-be short exact sequence is not exact: the first map is not
+    injective, the second not surjective, or kernel and image disagree."""
 
 
 class NotAnAction(ValidationError):
@@ -91,16 +71,13 @@ class NotACocycle(ValidationError):
     """A value table violates the twisted multiplicativity rule."""
 
 
-class ActionMismatch(ValidationError):
-    """A coefficient action does not factor the way an operation requires."""
-
-
 class IncompatibleTower(ValidationError):
     """Tower levels or connecting maps do not commute with the structure maps."""
 
 
 class BoundExceeded(ValidationError):
-    """A corpus generation request exceeds the supported order bound."""
+    """A request exceeds a supported bound: a corpus order or the element
+    cap of a permutation closure."""
 
 
 class ManifestSyntaxError(ValidationError):

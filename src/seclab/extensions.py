@@ -11,14 +11,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Tuple
 
-from .errors import (
-    InvariantViolation,
-    NotExact,
-    NotInjective,
-    NotNormalInE,
-    NotSurjective,
-    ValidationError,
-)
+from .errors import InvariantViolation, NotExact, NotNormal, ValidationError
 from .groups import (
     GroupHom,
     Subgroup,
@@ -45,8 +38,7 @@ class Extension(_Record):
     """A short exact sequence ``A --iota--> E --pi--> Gamma``, fixed by its
     two maps: ``A`` and ``E`` are iota's source and target, ``Gamma`` pi's target."""
 
-    _fields = ("iota", "pi")
-    _types = (GroupHom, GroupHom)
+    _fields = {"iota": GroupHom, "pi": GroupHom}
 
     A = property(attrgetter("iota.source"))
     E = property(attrgetter("iota.target"))
@@ -59,12 +51,12 @@ class Extension(_Record):
         for x in self.A.elements:
             y = self.iota.map[x]
             if y in seen:
-                raise NotInjective(f"iota identifies {seen[y]} and {x} (both map to {y})")
+                raise NotExact(f"iota identifies {seen[y]} and {x} (both map to {y})")
             seen[y] = x
         hit = set(self.pi.map)
         for g in self.Gamma.elements:
             if g not in hit:
-                raise NotSurjective(f"pi misses base element {g}")
+                raise NotExact(f"pi misses base element {g}")
         img = set(self.iota.map)
         ker = {e for e in self.E.elements if self.pi.map[e] == self.Gamma.identity}
         for e in sorted(img - ker):
@@ -92,8 +84,7 @@ class SectionReport(_Record):
     ``sections``, so the second always coarsens the first.
     """
 
-    _fields = ("sections", "classes_mod_A", "classes_mod_E")
-    _types = (tuple, tuple, tuple)
+    _fields = {"sections": tuple, "classes_mod_A": tuple, "classes_mod_E": tuple}
 
     @property
     def count(self) -> int:
@@ -120,9 +111,7 @@ def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     embedded = subgroup(ext.E, (ext.iota.map[x] for x in sub.elements))
     bad = _normality_witness(embedded)
     if bad is not None:
-        raise NotNormalInE(
-            f"conjugating {bad[1]} by {bad[0]} escapes the embedded subgroup"
-        )
+        raise NotNormal(f"conjugating {bad[1]} by {bad[0]} escapes the embedded subgroup")
     e_quot, q_e = quotient(ext.E, embedded)
     a_quot, q_a = quotient(ext.A, sub)
     a_reps = _coset_representatives(q_a)

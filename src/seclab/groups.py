@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
-    ClosureBoundExceeded,
+    BoundExceeded,
     InvariantViolation,
     NoIdentity,
     NoInverse,
@@ -75,42 +75,45 @@ DEFAULT_CLOSURE_BOUND = 10080
 
 
 class _Record:
-    """An immutable value: a plain class whose fields are named in ``_fields``.
+    """An immutable value: a plain class whose fields are declared once, in
+    ``_fields``, a mapping from each name, in order, to its type.
 
-    Beside ``_fields`` each record class declares ``_types``, per field a
-    class or a tuple such as ``(str, type(None))``.  The one ``__init__``
-    pads missing trailing values with None, checks the types and raises the
-    class's ``_error`` (``ValidationError`` by default) naming the field and
-    the value; then it sets the fields and calls ``__post_init__``, which
+    A type is a class or a tuple such as ``(str, type(None))``.  From the
+    mapping each record class gets the tuples ``_names`` and ``_types``,
+    which everything else reads.  The one ``__init__`` pads missing
+    trailing values with None, checks the types and raises the class's
+    ``_error`` (``ValidationError`` by default) naming the field and the
+    value; then it sets the fields and calls ``__post_init__``, which
     checks entries, ranges and laws.  :func:`_trusted` skips both checks.
     The base refuses assignment and deletion, prints as
     ``Name(field=value, ...)``, and compares and hashes the tuple of the
-    compared fields: ``_fields``, unless the class sets its own ``_key``.
+    compared fields: all of them, unless the class sets its own ``_key``.
     The hash is computed on first use and kept on the instance as
     ``_hash``, which is not a field.  An object of another class compares
-    as ``NotImplemented``.  Nothing is generated at import, so a record
-    class costs what any class costs.
+    as ``NotImplemented``.
     """
 
-    _fields: Tuple[str, ...] = ()
+    _fields: Dict[str, object] = {}
+    _names: Tuple[str, ...] = ()
     _types: Tuple[object, ...] = ()
     _error: type = ValidationError
     _hash = None  # not a field: set on the instance by __hash__
 
     def __init_subclass__(cls) -> None:
+        cls._names, cls._types = tuple(cls._fields), tuple(cls._fields.values())
         if "_key" not in cls.__dict__:
-            get = attrgetter(*cls._fields)
+            get = attrgetter(*cls._names)
             # one name makes attrgetter return the bare value, not a 1-tuple
-            cls._key = get if len(cls._fields) > 1 else staticmethod(lambda obj: (get(obj),))
+            cls._key = get if len(cls._names) > 1 else staticmethod(lambda obj: (get(obj),))
 
     def __init__(self, *values: object) -> None:
-        fields = self._fields
-        if len(values) != len(fields) or not all(map(isinstance, values, self._types)):
-            if len(values) > len(fields):
-                raise self._error(f"{type(self).__name__} takes at most {len(fields)} values")
-            values += (None,) * (len(fields) - len(values))
-            _check_types(values, self._types, self._error, type(self).__name__ + ".{}", fields)
-        for name, value in zip(fields, values):
+        names = self._names
+        if len(values) != len(names) or not all(map(isinstance, values, self._types)):
+            if len(values) > len(names):
+                raise self._error(f"{type(self).__name__} takes at most {len(names)} values")
+            values += (None,) * (len(names) - len(values))
+            _check_types(values, self._types, self._error, type(self).__name__ + ".{}", names)
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -137,7 +140,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({shown})"
 
 
@@ -187,10 +190,10 @@ def _trusted(cls: type, *values: object):
     Only for values already known to pass them: output a search has verified
     in full, such as that of :func:`_derivation_search`, or an object
     derived from validated ones by a construction that keeps the law, such
-    as a quotient's projection.  The values follow ``cls._fields``.
+    as a quotient's projection.  The values follow ``cls._names``.
     """
     obj = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
+    for name, value in zip(cls._names, values):
         object.__setattr__(obj, name, value)
     return obj
 
@@ -205,8 +208,7 @@ class FiniteGroup(_Record):
     builders keep them by construction.
     """
 
-    _fields = ("table", "identity", "inverse", "label")
-    _types = (tuple, int, tuple, (str, type(None)))
+    _fields = {"table": tuple, "identity": int, "inverse": tuple, "label": (str, type(None))}
     _key = attrgetter("table", "identity", "inverse")
 
     @property
@@ -405,7 +407,7 @@ def group_from_permutations(
                 if q not in reached:
                     reached[q] = (p, k)
                     if len(reached) > DEFAULT_CLOSURE_BOUND:
-                        raise ClosureBoundExceeded(
+                        raise BoundExceeded(
                             f"closure of {len(gens)} generators exceeded "
                             f"{DEFAULT_CLOSURE_BOUND} elements"
                         )
@@ -542,8 +544,7 @@ class GroupHom(_Record):
     generator g of the source (see :func:`_derivation_failure`).
     """
 
-    _fields = ("source", "target", "map")
-    _types = (FiniteGroup, FiniteGroup, tuple)
+    _fields = {"source": FiniteGroup, "target": FiniteGroup, "map": tuple}
     _error = NotAHomomorphism
 
     def __post_init__(self) -> None:
@@ -712,12 +713,14 @@ def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
 
 def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
     """The homs h from theta's source into pi's source with ``pi∘h = theta``,
-    in :func:`enumerate_homs` order."""
-    pm = pi.map
+    in :func:`enumerate_homs` order.  Both sides are homs, fixed by their
+    images of ``generating_set(theta.source)``, so only those are compared."""
+    pm, gens = pi.map, generating_set(theta.source)
+    want = [theta.map[g] for g in gens]
     return tuple(
         h
         for h in enumerate_homs(theta.source, pi.source)
-        if all(pm[v] == t for v, t in zip(h.map, theta.map))
+        if [pm[h.map[g]] for g in gens] == want
     )
 
 
@@ -755,8 +758,7 @@ class Subgroup(_Record):
     inverse too.
     """
 
-    _fields = ("parent", "elements")
-    _types = (FiniteGroup, tuple)
+    _fields = {"parent": FiniteGroup, "elements": tuple}
     _error = NotASubgroup
 
     def __post_init__(self) -> None:
@@ -875,8 +877,7 @@ class JordanCover(_Record):
     whole group exactly when the subgroup already is.
     """
 
-    _fields = ("union", "group_order", "index")
-    _types = (frozenset, int, int)
+    _fields = {"union": frozenset, "group_order": int, "index": int}
 
     @property
     def bound(self) -> int:

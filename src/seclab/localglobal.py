@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .cohomology import (
     Cocycle,
     GammaGroup,
+    conjugation_coefficients,
     constant_coefficients,
     h1,
     pullback_coefficients,
@@ -86,8 +87,7 @@ USER_SUPPLIED = "user-supplied"
 class LocalFamily(_Record):
     """An indexed family of maps from local groups into a common base."""
 
-    _fields = ("gamma", "thetas")
-    _types = (FiniteGroup, tuple)
+    _fields = {"gamma": FiniteGroup, "thetas": tuple}
 
     def __post_init__(self) -> None:
         _check_types(self.thetas, repeat(GroupHom), ValidationError, "local map {}", count())
@@ -102,8 +102,7 @@ class LocalSections(_Record):
     The family is a view, built when first read and kept, and not checked
     again: a composite of homomorphisms is one."""
 
-    _fields = ("ext", "sections")
-    _types = (Extension, tuple)
+    _fields = {"ext": Extension, "sections": tuple}
 
     def __post_init__(self) -> None:
         _check_types(self.sections, repeat(GroupHom), ValidationError, "local section {}", count())
@@ -263,8 +262,7 @@ def decide_c(ls: LocalSections) -> Optional[GroupHom]:
 class CorpusEntry(_Record):
     """One coefficient system together with where it came from."""
 
-    _fields = ("coeff", "provenance")
-    _types = (GammaGroup, str)
+    _fields = {"coeff": GammaGroup, "provenance": str}
 
     def __post_init__(self) -> None:
         if self.provenance not in (CONSTANT_QUOTIENT, A_QUOTIENT_SECTION, USER_SUPPLIED):
@@ -285,24 +283,22 @@ def _kernel_quotient_entries(
     base acting by conjugation through the first section; none without
     one.  Equal systems are kept once, the first seen.
 
-    Conjugation by an element of E keeps the kernel and each V normal in
-    E, so it acts on A/V by automorphisms, and through a section those
-    compose as Gamma does.  So the systems are not checked again.
+    The conjugation action on the kernel is built once; each V normal in
+    E is kept by it, so it acts on A/V by automorphisms, read off the
+    kernel's rows at the coset representatives.  So the systems are not
+    checked again.
     """
     if not sections:
         return ()
-    s0, conj = sections[0], ext.E.conj
     a_sub = image(ext.iota)
-    a_grp, incl = subgroup_as_group(a_sub)
+    action = conjugation_coefficients(a_sub, sections[0])
+    a_grp = action.M
     back = {e: i for i, e in enumerate(a_sub.elements)}
 
     def system(v: Subgroup) -> GammaGroup:
         quot, qmap = quotient(a_grp, subgroup(a_grp, (back[e] for e in v.elements)))
         reps = _coset_representatives(qmap)
-        rows = tuple(
-            tuple(qmap.map[back[conj(s0.map[g], incl.map[r])]] for r in reps)
-            for g in ext.Gamma.elements
-        )
+        rows = tuple(tuple(qmap.map[row[r]] for r in reps) for row in action.action)
         return _trusted(GammaGroup, ext.Gamma, quot, rows)
 
     systems = dict.fromkeys(map(system, all_normal_subgroups_between(a_sub)))
@@ -326,8 +322,10 @@ class DescentCheck(_Record):
     as the witness; ``classes_checked`` counts the classes examined.
     """
 
-    _fields = ("holds", "failing_entry", "failing_class", "classes_checked")
-    _types = (bool, (CorpusEntry, type(None)), (Cocycle, type(None)), int)
+    _fields = {
+        "holds": bool, "failing_entry": (CorpusEntry, type(None)),
+        "failing_class": (Cocycle, type(None)), "classes_checked": int
+    }
 
 
 class _Diagonal:
@@ -454,13 +452,11 @@ class EquivalenceReport(_Record):
     """All five properties, the density flag, witnesses, and the verdicts
     for every implication that is a theorem at this scale."""
 
-    _fields = (
-        "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications"
-    )
-    _types = (
-        bool, bool, DescentCheck, DescentCheck, DescentCheck,
-        (GroupHom, type(None)), (GroupHom, type(None)), tuple,
-    )
+    _fields = {
+        "density": bool, "split": bool, "a": DescentCheck, "a_prime": DescentCheck,
+        "a_doubleprime": DescentCheck, "b": (GroupHom, type(None)), "c": (GroupHom, type(None)),
+        "implications": tuple
+    }
 
     @property
     def holds_b(self) -> bool:
@@ -569,8 +565,7 @@ def interpolating_section_from_hom(
 class TowerResult(_Record):
     """Per-level witness counts and, when possible, a compatible chain."""
 
-    _fields = ("level_sizes", "chain", "empty_levels")
-    _types = (tuple, (tuple, type(None)), tuple)
+    _fields = {"level_sizes": tuple, "chain": (tuple, type(None)), "empty_levels": tuple}
 
 
 def pushout_tower(

@@ -88,8 +88,9 @@ _JOB_OPTIONS = {
 class Job(_Record):
     """One queued command: what to run, against which named object."""
 
-    _fields = ("line", "command", "variant", "target", "options")
-    _types = (int, str, (str, type(None)), str, tuple)
+    _fields = {
+        "line": int, "command": str, "variant": (str, type(None)), "target": str, "options": tuple
+    }
 
     def option(self, key: str) -> Optional[str]:
         for k, v in self.options:

@@ -18,6 +18,33 @@ def oracle_identity(table):
     raise AssertionError("oracle: no identity")
 
 
+def relabel(values, src, tgt):
+    """A map read between renamed copies of its groups.  ``src`` and ``tgt``
+    rename the source and the target: new element i is old element
+    ``src[i]`` or ``tgt[i]``.  Entry i of the result is the new name of
+    ``values[src[i]]``."""
+    back = {old: new for new, old in enumerate(tgt)}
+    return tuple(back[values[old]] for old in src)
+
+
+def relabel_table(table, perm):
+    """A multiplication table with element ``perm[i]`` renamed i."""
+    return tuple(relabel(table[old], perm, perm) for old in perm)
+
+
+def oracle_interpolates(e_table, pi, u, sections, pool):
+    """Does some g in ``pool`` give ``u(pi(t(x))) = g t(x) g^-1`` for every x,
+    for each local section t?  With every element of E as the pool this is
+    (b) for a hom u from the base, and with the kernel's image it is (c)
+    for a section u."""
+    e = oracle_identity(e_table)
+    inv = [row.index(e) for row in e_table]
+    return all(
+        any(all(u[pi[y]] == e_table[e_table[g][y]][inv[g]] for y in t) for g in pool)
+        for t in sections
+    )
+
+
 def oracle_homs(src, tgt):
     """All homomorphism image-tuples, by enumerating every total map."""
     n, m = len(src), len(tgt)

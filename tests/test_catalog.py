@@ -82,6 +82,14 @@ def test_alternating_group_a4():
     assert [len(s.elements) for s in all_subgroups(a4)].count(6) == 0
 
 
+def test_odd_degree_alternating_groups_are_groups():
+    """A3 and A5 take the n-cycle branch; each table passes the validator."""
+    for n, order in ((3, 3), (5, 60)):
+        an = alternating_group(n)
+        assert an.order == order
+        assert an == group_from_table(an.table)
+
+
 def test_symmetric_group_s4():
     s4 = symmetric_group(4)
     assert s4.order == 24 and not _abelian(s4)

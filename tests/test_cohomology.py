@@ -7,12 +7,7 @@ import pytest
 from oracles import oracle_cocycles, oracle_h1_class_count
 from seclab import cohomology
 from seclab.catalog import coefficient_catalog, preset_group
-from seclab.errors import (
-    ActionMismatch,
-    NotACocycle,
-    NotAnAction,
-    ValidationError,
-)
+from seclab.errors import NotACocycle, NotAnAction, ValidationError
 from seclab.cohomology import (
     Cocycle,
     GammaGroup,
@@ -121,7 +116,7 @@ def test_identity_must_act_trivially():
         ),
         (
             lambda: conjugation_coefficients(subgroup_generated(s3(), [1]), identity_hom(s3())),
-            ActionMismatch,
+            NotAnAction,
             "conjugation by image of 2 moves 1 to 5, outside the subgroup",
         ),
         (

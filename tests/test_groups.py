@@ -32,7 +32,7 @@ from seclab.catalog import (
 )
 from seclab.cohomology import Cocycle, GammaGroup, constant_coefficients, h1
 from seclab.errors import (
-    ClosureBoundExceeded,
+    BoundExceeded,
     InvariantViolation,
     ManifestSyntaxError,
     NoIdentity,
@@ -117,6 +117,8 @@ def test_from_table_cyclic():
 def test_no_identity():
     with pytest.raises(NoIdentity):
         group_from_table([[0, 0], [0, 0]])
+    with pytest.raises(NoIdentity, match="empty table has no identity element"):
+        group_from_table([])
 
 
 def test_no_inverse():
@@ -162,7 +164,7 @@ def test_not_a_permutation():
 
 def test_closure_bound_exceeded():
     """S8's two generators close past the bound before any table is built."""
-    with pytest.raises(ClosureBoundExceeded, match="exceeded 10080 elements"):
+    with pytest.raises(BoundExceeded, match="exceeded 10080 elements"):
         group_from_permutations(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 

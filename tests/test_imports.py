@@ -1,10 +1,11 @@
 """Every imported name is used, in the package and in the tests, and
-every exported name is bound.
+every exported name is bound and listed once.
 
 Deleting a function must take the imports that only it needed along with
 it, and its ``__all__`` entry.  A name counts as used when the code refers
-to it, when it appears in a string annotation, or, in ``__init__.py``, when
-``__all__`` lists it.
+to it or when it appears in a string annotation.  A star import counts as
+used only in ``__init__.py``, which republishes each module's ``__all__``
+that way; anywhere else it is reported.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import seclab
+
 ROOT = Path(__file__).parents[1]
-MODULES = sorted((ROOT / "src" / "seclab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ROOT / "src" / "seclab"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotations(tree):
@@ -40,11 +44,7 @@ def _used_names(tree, path):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used |= _names(ast.parse(node.value, mode="eval"))
     if path.name == "__init__.py":
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                used |= set(ast.literal_eval(node.value))
+        used.add("*")
     return used
 
 
@@ -71,9 +71,40 @@ def test_every_imported_name_is_used():
 
 def test_every_exported_name_is_bound():
     dangling = []
-    for path in sorted((ROOT / "src" / "seclab").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         name = "seclab" if path.stem == "__init__" else f"seclab.{path.stem}"
         module = importlib.import_module(name)
         exported = getattr(module, "__all__", ())  # cli.py lists none
         dangling += [f"{name}.{n}" for n in exported if not hasattr(module, n)]
     assert not dangling, "listed in __all__ but not bound:\n" + "\n".join(dangling)
+
+
+def _republished():
+    """The modules ``__init__.py`` star-imports, in import order."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        importlib.import_module(f"seclab.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def test_the_package_lists_each_module_list_in_import_order():
+    """``seclab.__all__`` is every listing module's ``__all__``, in the
+    order ``__init__.py`` imports them, then ``__version__``."""
+    modules = _republished()
+    stems = (p.stem for p in PACKAGE.glob("[!_]*.py"))
+    listing = {importlib.import_module(f"seclab.{s}") for s in stems}
+    assert set(modules) == {m for m in listing if hasattr(m, "__all__")}
+    expected = [name for m in modules for name in m.__all__] + ["__version__"]
+    assert seclab.__all__ == expected
+
+
+def test_no_name_is_exported_by_two_modules():
+    owner, twice = {}, []
+    for module in _republished():
+        for name in module.__all__:
+            if name in owner:
+                twice.append(f"{name}: {owner[name]} and {module.__name__}")
+            owner.setdefault(name, module.__name__)
+    assert not twice, "exported by two modules:\n" + "\n".join(twice)

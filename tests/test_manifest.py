@@ -317,6 +317,7 @@ HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
         (FIBRE_BASE + "job fibre F alpha=0,0\n", 10, "no coeff named ''"),
         ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\nhom g f C2\n", 3, "no group named 'f'"),
         ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\njob density f\n", 3, "no family or sec"),
+        ("group G table []\n", 1, "empty table has no identity element"),
     ],
     ids=[
         "string-entry",
@@ -354,6 +355,7 @@ HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
         "fibre-no-coeff",
         "group-is-hom",
         "density-hom",
+        "empty-table",
     ],
 )
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):

@@ -21,10 +21,20 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_no_record_class_defines_its_own_constructor():
+def _records():
     for stem in MODULES:
         importlib.import_module(f"seclab.{stem}")
-    records = [c for c in _subclasses(_Record) if c.__module__.startswith("seclab.")]
+    return [c for c in _subclasses(_Record) if c.__module__.startswith("seclab.")]
+
+
+def test_no_record_class_defines_its_own_constructor():
+    records = _records()
     assert len(records) > 10, records
     own = sorted(f"{c.__module__}.{c.__qualname__}" for c in records if "__init__" in vars(c))
     assert not own, "record classes with their own __init__: " + ", ".join(own)
+
+
+def test_every_record_class_is_public():
+    """So the junk property over ``seclab.__all__`` reaches each of them."""
+    hidden = [c.__qualname__ for c in _records() if c.__name__ not in seclab.__all__]
+    assert not hidden, "record classes missing from seclab.__all__: " + ", ".join(hidden)
