@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .errors import *
 from .groups import *
-from .extensions import *
 from .cohomology import *
+from .extensions import *
 from .localglobal import *
 from .catalog import *
 from .manifest import *
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     *errors.__all__,
     *groups.__all__,
-    *extensions.__all__,
     *cohomology.__all__,
+    *extensions.__all__,
     *localglobal.__all__,
     *catalog.__all__,
     *manifest.__all__,

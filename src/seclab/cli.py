@@ -67,10 +67,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        if args.command == "gen":
+            out, exit_code = generate_corpus(args.max_order, args.seed), 0
+        else:
+            program = parse_manifest(_read(args.manifest))
+            results, exit_code = run_program(program, timing=not args.no_timing)
+            render = _render_structured if args.format == "structured" else _render_text
+            out = render(results)
+    except (OSError, ValidationError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except InvariantViolation as err:
         print(f"error: internal invariant broken: {err}", file=sys.stderr)
         return 3
+    sys.stdout.write(out)
+    return exit_code
 
 
 def _read(path: str) -> str:
@@ -82,22 +93,6 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         raise ValidationError(f"{path} is not UTF-8 text: {err}") from None
-
-
-def _run(args: argparse.Namespace) -> int:
-    try:
-        if args.command == "gen":
-            out, exit_code = generate_corpus(args.max_order, args.seed), 0
-        else:
-            program = parse_manifest(_read(args.manifest))
-            results, exit_code = run_program(program, timing=not args.no_timing)
-            render = _render_structured if args.format == "structured" else _render_text
-            out = render(results)
-    except (OSError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    sys.stdout.write(out)
-    return exit_code
 
 
 if __name__ == "__main__":

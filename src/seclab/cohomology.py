@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import count, repeat
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import InvariantViolation, NotACocycle, NotAnAction, ValidationError
 from .groups import (
@@ -20,20 +20,14 @@ from .groups import (
     _derivation_failure,
     _derivation_search,
     _identity_rows,
-    _lifts_through,
     _orbit_partition,
     _Record,
     _check_indices,
     _check_types,
     _trusted,
     generating_set,
-    image,
-    partition_by_conjugation,
     subgroup_as_group,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .extensions import Extension
 
 __all__ = [
     "GammaGroup",
@@ -46,7 +40,6 @@ __all__ = [
     "cohomologous",
     "h1",
     "inner_pullback",
-    "lifts_up_to_conjugacy",
 ]
 
 
@@ -303,25 +296,3 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
             f"conjugation pullback by {g} is not the expected coboundary twist"
         )
     return out
-
-
-def lifts_up_to_conjugacy(ext: "Extension", phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:
-    """Lifts of a map into the base through the projection, up to kernel conjugacy.
-
-    Returns the (possibly empty) partition of all lifts; when lifts exist the
-    number of classes is checked against the class count of the conjugation
-    coefficients at the first lift.
-    """
-    if phibar.target != ext.Gamma:
-        raise ValidationError("the map must land in the extension's base group")
-    lifts = _lifts_through(ext.pi, phibar)
-    conjugators = [ext.iota.map[x] for x in ext.A.elements]
-    partition = partition_by_conjugation(lifts, conjugators)
-    classes = tuple(tuple(lifts[j] for j in cls) for cls in partition)
-    if lifts:
-        coeff = conjugation_coefficients(image(ext.iota), lifts[0])
-        if len(classes) != h1(coeff).class_count:
-            raise InvariantViolation(
-                f"{len(classes)} lift classes but {h1(coeff).class_count} cocycle classes"
-            )
-    return classes

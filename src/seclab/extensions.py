@@ -11,16 +11,17 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Tuple
 
-from .errors import InvariantViolation, NotExact, NotNormal, ValidationError
+from .cohomology import conjugation_coefficients, h1
+from .errors import InvariantViolation, NotExact, ValidationError
 from .groups import (
     GroupHom,
     Subgroup,
     _coset_representatives,
     _lifts_through,
-    _normality_witness,
     _Record,
     compose,
     identity_hom,
+    image,
     partition_by_conjugation,
     quotient,
     subgroup,
@@ -30,6 +31,7 @@ __all__ = [
     "Extension",
     "SectionReport",
     "enumerate_sections",
+    "lifts_up_to_conjugacy",
     "pushout",
 ]
 
@@ -99,19 +101,37 @@ def enumerate_sections(ext: Extension) -> SectionReport:
     return SectionReport(sections, mod_a, mod_e)
 
 
+def lifts_up_to_conjugacy(ext: Extension, phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:
+    """Lifts of a map into the base through the projection, up to kernel conjugacy.
+
+    Returns the (possibly empty) partition of all lifts; when lifts exist the
+    number of classes is checked against the class count of the conjugation
+    coefficients at the first lift.
+    """
+    if phibar.target != ext.Gamma:
+        raise ValidationError("the map must land in the extension's base group")
+    lifts = _lifts_through(ext.pi, phibar)
+    partition = partition_by_conjugation(lifts, ext.iota.map)
+    classes = tuple(tuple(lifts[j] for j in cls) for cls in partition)
+    if lifts:
+        coeff = conjugation_coefficients(image(ext.iota), lifts[0])
+        if len(classes) != h1(coeff).class_count:
+            raise InvariantViolation(
+                f"{len(classes)} lift classes but {h1(coeff).class_count} cocycle classes"
+            )
+    return classes
+
+
 def pushout(ext: Extension, sub: Subgroup) -> Tuple[Extension, GroupHom]:
     """Quotient an extension by a subgroup of its kernel group.
 
-    The embedded image must be normal in the middle group; the result is the
-    extension of the same base by ``A/sub`` together with the quotient map on
-    middle groups.
+    The embedded image must be normal in the middle group (quotient checks);
+    the result is the extension of the same base by ``A/sub`` together with
+    the quotient map on middle groups.
     """
     if sub.parent != ext.A:
         raise ValidationError("pushout subgroup must live in the kernel group")
     embedded = subgroup(ext.E, (ext.iota.map[x] for x in sub.elements))
-    bad = _normality_witness(embedded)
-    if bad is not None:
-        raise NotNormal(f"conjugating {bad[1]} by {bad[0]} escapes the embedded subgroup")
     e_quot, q_e = quotient(ext.E, embedded)
     a_quot, q_a = quotient(ext.A, sub)
     a_reps = _coset_representatives(q_a)

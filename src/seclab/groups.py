@@ -102,9 +102,7 @@ class _Record:
     def __init_subclass__(cls) -> None:
         cls._names, cls._types = tuple(cls._fields), tuple(cls._fields.values())
         if "_key" not in cls.__dict__:
-            get = attrgetter(*cls._names)
-            # one name makes attrgetter return the bare value, not a 1-tuple
-            cls._key = get if len(cls._names) > 1 else staticmethod(lambda obj: (get(obj),))
+            cls._key = attrgetter(*cls._names)
 
     def __init__(self, *values: object) -> None:
         names = self._names
@@ -250,13 +248,13 @@ def group_from_table(
     so the test costs O(n²·|S|) with |S| <= log2(n) for a group.
     """
     if not isinstance(table, (list, tuple)):
-        raise ValidationError(f"table must be a list of rows, not {table!r}")
+        raise ValidationError(f"table must be a list of rows, not {_show(table)}")
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table has no identity element")
     for a, row in enumerate(table):
         if not isinstance(row, (list, tuple)):
-            raise ValidationError(f"row {a} must be a list of entries, not {row!r}")
+            raise ValidationError(f"row {a} must be a list of entries, not {_show(row)}")
     rows = tuple(tuple(row) for row in table)
     for a, row in enumerate(rows):
         if len(row) != n:
@@ -1071,15 +1069,16 @@ def partition_by_conjugation(
     """Partition homs with a common target by pointwise conjugation.
 
     ``h ~ h'`` when some listed conjugator c has ``h'(x) = c h(x) c^-1`` for
-    all x.  The conjugators must form a subgroup, so that this is an
-    equivalence and their greedy generators reach every class; a list whose
-    span leaves it raises ValidationError.  Classes are returned as sorted
-    index tuples, ordered by least member.
+    all x.  The conjugators must be elements of the target that form a
+    subgroup, so that this is an equivalence and their greedy generators
+    reach every class; any other list raises ValidationError.  Classes
+    are returned as sorted index tuples, ordered by least member.
     """
     if not homs:
         return ()
     tgt = homs[0].target
-    conjs = tuple(conjugators)
+    conjs = _as_tuple(conjugators, ValidationError, "conjugators")
+    _check_indices(conjs, tgt.order, ValidationError, "conjugator")
     listed = frozenset(conjs)
     gens, span = _greedy_generators(tgt.table, tgt.identity, conjs, within=listed)
     if not span <= listed:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count, repeat
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
@@ -40,7 +40,9 @@ from .groups import (
     _trusted,
     all_normal_subgroups,
     all_normal_subgroups_between,
+    class_index,
     compose,
+    conjugacy_classes,
     enumerate_homs,
     identity_hom,
     image,
@@ -50,7 +52,6 @@ from .groups import (
     quotient,
     subgroup,
     subgroup_as_group,
-    union_of_conjugates,
 )
 
 __all__ = [
@@ -121,11 +122,10 @@ class LocalSections(_Record):
 
 
 def check_density(family: LocalFamily) -> bool:
-    """Do the conjugates of the local images exhaust the base group?"""
-    covered: set = set()
-    for theta in family.thetas:
-        covered |= union_of_conjugates(image(theta)).union
-    return len(covered) == family.gamma.order
+    """Do the local images meet every conjugacy class of the base group?"""
+    ci = class_index(family.gamma)
+    met = {ci[y] for theta in family.thetas for y in theta.map}
+    return len(met) == len(conjugacy_classes(family.gamma))
 
 
 def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
@@ -214,25 +214,22 @@ def _conjugator(
     return None
 
 
-def _interpolates(
-    u: GroupHom,
-    thetas: Sequence[GroupHom],
-    locs: Sequence[GroupHom],
-    ambient: FiniteGroup,
-    pool: Sequence[int],
-) -> bool:
-    return all(
-        _conjugator(u, theta, t, ambient, pool) is not None
-        for theta, t in zip(thetas, locs)
-    )
+def _interpolating(
+    ls: LocalSections, candidates: Iterable[GroupHom], pool: Sequence[int]
+) -> Iterator[GroupHom]:
+    """The candidates, maps from the base into the middle group, matching
+    every local section up to conjugation by an element of ``pool``: all
+    homomorphisms and all of E for (b), sections and the kernel for (c)."""
+    pairs = tuple(zip(ls.family.thetas, ls.sections))
+    for u in candidates:
+        if all(_conjugator(u, theta, t, ls.ext.E, pool) is not None for theta, t in pairs):
+            yield u
 
 
 def interpolating_homs(ls: LocalSections) -> Iterator[GroupHom]:
     """All homomorphisms into the middle group matching every local section
     up to conjugation, in canonical order."""
-    for u in enumerate_homs(ls.ext.Gamma, ls.ext.E):
-        if _interpolates(u, ls.family.thetas, ls.sections, ls.ext.E, ls.ext.E.elements):
-            yield u
+    return _interpolating(ls, enumerate_homs(ls.ext.Gamma, ls.ext.E), ls.ext.E.elements)
 
 
 def decide_b(ls: LocalSections) -> Optional[GroupHom]:
@@ -240,19 +237,9 @@ def decide_b(ls: LocalSections) -> Optional[GroupHom]:
     return next(interpolating_homs(ls), None)
 
 
-def _kernel_interpolating(
-    ls: LocalSections, sections: Sequence[GroupHom]
-) -> Optional[GroupHom]:
-    kernel_elements = ls.ext.iota.map
-    for s in sections:
-        if _interpolates(s, ls.family.thetas, ls.sections, ls.ext.E, kernel_elements):
-            return s
-    return None
-
-
 def decide_c(ls: LocalSections) -> Optional[GroupHom]:
     """The least section interpolating with conjugators from the kernel."""
-    return _kernel_interpolating(ls, enumerate_sections(ls.ext).sections)
+    return next(_interpolating(ls, enumerate_sections(ls.ext).sections, ls.ext.iota.map), None)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +353,16 @@ def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
     diagonals: Dict[GammaGroup, _Diagonal],
-    class_filter: Optional[Callable[[Tuple[int, ...], int], bool]] = None,
+    kernel: Optional[Tuple[int, ...]] = None,
     checked: int = 0,
 ) -> DescentCheck:
     """Check each entry's classes in order, stopping at the first that fails.
 
     ``diagonals`` holds each system's diagonal once built; callers deciding
-    several properties of one instance share it.  ``class_filter`` reads a
-    class's value tuple and the order of its coefficient group.
-    ``checked`` counts classes examined before.  The entries' bases are
-    checked by the caller.
+    several properties of one instance share it.  Given the embedded
+    kernel's elements, as for (a''), only the classes whose values on
+    them fill the coefficient group are checked.  ``checked`` counts
+    classes examined before.  The entries' bases are checked by the caller.
     """
     for entry in entries:
         diagonal = diagonals.get(entry.coeff)
@@ -383,7 +370,7 @@ def _run_corpus(
             diagonal = diagonals[entry.coeff] = _Diagonal(ls, entry.coeff)
         order = entry.coeff.M.order
         for i, values in enumerate(diagonal.classes):
-            if class_filter is not None and not class_filter(values, order):
+            if kernel is not None and len({values[e] for e in kernel}) != order:
                 continue
             checked += 1
             if not diagonal.passes(i):
@@ -420,15 +407,6 @@ def decide_a_prime(
     return _run_corpus(ls, entries, diagonals)
 
 
-def _surjective_on_kernel(ext: Extension) -> Callable[[Tuple[int, ...], int], bool]:
-    kernel_elements = image(ext.iota).elements
-
-    def keep(values: Tuple[int, ...], order: int) -> bool:
-        return len({values[e] for e in kernel_elements}) == order
-
-    return keep
-
-
 def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     """Survival in the kernel quotients, restricted to classes surjective on
     the embedded kernel.
@@ -441,7 +419,7 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     # a section always brings the kernel's quotient by itself, so there are
     # no kernel entries exactly when there is no section
     entries = _kernel_quotient_entries(ls.ext, sections) or _constant_quotient_entries(ls.ext)
-    return _run_corpus(ls, entries, {}, _surjective_on_kernel(ls.ext))
+    return _run_corpus(ls, entries, {}, ls.ext.iota.map)
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +473,9 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     else:
         a = a_prime
     # with no section there are no kernel entries; see decide_a_doubleprime
-    a_double = _run_corpus(
-        ls, kernel_entries or constant_entries, diagonals, _surjective_on_kernel(ls.ext)
-    )
+    a_double = _run_corpus(ls, kernel_entries or constant_entries, diagonals, ls.ext.iota.map)
     b = decide_b(ls)
-    c = _kernel_interpolating(ls, sections)
+    c = next(_interpolating(ls, sections, ls.ext.iota.map), None)
     hb, hc = b is not None, c is not None
     implications = (
         ("c=>a", (not hc) or a.holds),

@@ -100,14 +100,11 @@ class Job(_Record):
 
 
 class ManifestProgram:
-    """Everything a manifest declared, resolved into live objects: ``names``
-    maps each name, global across kinds, to its object; ``auts`` maps each
-    (Aut group, group it acts on) of an ``aut`` line to the automorphisms
-    its elements stand for; ``jobs`` holds the queued jobs in line order."""
+    """Everything a manifest declared: ``names`` maps each name, global across
+    kinds, to its live object; ``jobs`` holds the queued jobs in line order."""
 
     def __init__(self) -> None:
         self.names: Dict[str, object] = {}
-        self.auts: Dict[Tuple[FiniteGroup, FiniteGroup], Tuple[GroupHom, ...]] = {}
         self.jobs: List[Job] = []
 
 
@@ -146,11 +143,11 @@ def _check_name(name: str, program: ManifestProgram) -> str:
     return name
 
 
-def _lookup(program: ManifestProgram, name: str, kind: str):
-    """The object declared as ``name``, which must be of ``kind``."""
+def _lookup(program: ManifestProgram, name: str, *kinds: str):
+    """The object declared as ``name``, which must be of one of ``kinds``."""
     obj = program.names.get(name)
-    if not isinstance(obj, _KINDS[kind]):
-        raise UnknownName(f"no {kind} named {name!r}")
+    if not isinstance(obj, tuple(_KINDS[kind] for kind in kinds)):
+        raise UnknownName(f"no {' or '.join(kinds)} named {name!r}")
     return obj
 
 
@@ -204,10 +201,7 @@ def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
     elif form == "aut":
         if len(tokens) != 4:
             raise ManifestSyntaxError("aut needs exactly one source group")
-        src = _lookup(program, tokens[3], "group")
-        aut, auts = automorphism_group(src)
-        program.names[name] = aut
-        program.auts.setdefault((aut, src), auts)
+        program.names[name] = automorphism_group(_lookup(program, tokens[3], "group"))[0]
     else:
         raise ManifestSyntaxError(f"unknown group form {form!r}")
 
@@ -246,11 +240,9 @@ def _parse_coeff(tokens: List[str], program: ManifestProgram) -> None:
     name = _check_name(tokens[1], program)
     m = _lookup(program, tokens[2], "group")
     act = _lookup(program, tokens[3], "hom")
-    auts = program.auts.get((act.target, m))
-    if auts is None:
-        raise ManifestSyntaxError(
-            f"{tokens[3]} must land in the aut-declared group of {tokens[2]}"
-        )
+    aut, auts = automorphism_group(m)
+    if act.target != aut:
+        raise ManifestSyntaxError(f"{tokens[3]} must land in the aut-declared group of {tokens[2]}")
     # an action read through a validated hom into Aut(M)'s table is an action
     rows = tuple(auts[act.map[g]].map for g in act.source.elements)
     program.names[name] = _trusted(GammaGroup, act.source, m, rows)
@@ -436,11 +428,9 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             result["failing_class"] = list(check.failing_class.values)
         return result
     if job.command == "density":
-        fam = program.names.get(job.target)
+        fam = _lookup(program, job.target, "family", "sections")
         if isinstance(fam, LocalSections):
             fam = fam.family
-        elif not isinstance(fam, LocalFamily):
-            raise UnknownName(f"no family or sections named {job.target!r}")
         return {"dense": check_density(fam)}
     if job.command == "fibre":
         fam = _lookup(program, job.target, "family")

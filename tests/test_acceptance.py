@@ -24,9 +24,8 @@ from seclab.cohomology import (
     enumerate_cocycles,
     h1,
     inner_pullback,
-    lifts_up_to_conjugacy,
 )
-from seclab.extensions import Extension, enumerate_sections
+from seclab.extensions import Extension, enumerate_sections, lifts_up_to_conjugacy
 from seclab.groups import (
     GroupHom,
     all_subgroups,

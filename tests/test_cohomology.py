@@ -17,10 +17,9 @@ from seclab.cohomology import (
     enumerate_cocycles,
     h1,
     inner_pullback,
-    lifts_up_to_conjugacy,
     pullback_coefficients,
 )
-from seclab.extensions import Extension
+from seclab.extensions import Extension, lifts_up_to_conjugacy
 from seclab.groups import (
     GroupHom,
     cyclic_group,

@@ -496,6 +496,8 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: seeded_transport_pairs(None, None), "seed None is not an integer"),
         (lambda: seeded_transport_pairs(1, None), "count None is not an integer"),
         (lambda: direct_product(C2, 3), "factor 2 must be a FiniteGroup, not 3"),
+        (lambda: group_from_table(10**5000), "not <int of 16610 bits>"),
+        (lambda: group_from_table([[0, 1], 10**5000]), "not <int of 16610 bits>"),
         (
             lambda: seeded_transport_pairs(1, 1, 1),
             "no nontrivial preset group of order at most 1",
@@ -510,7 +512,7 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         "perm-degree-huge", "dihedral-huge", "dicyclic-huge", "symmetric-huge",
         "alternating-huge", "metacyclic-huge", "metacyclic-r-huge", "catalog-list",
         "catalog-none", "catalog-gamma", "transport-none", "transport-count-none", "product-int",
-        "transport-empty",
+        "table-huge", "table-row-huge", "transport-empty",
     ],
 )
 def test_group_constructors_reject_bad_orders(build, needle):
@@ -818,3 +820,14 @@ def test_partition_by_conjugation_needs_a_subgroup_of_conjugators():
     assert "do not form a subgroup: 3 is in their span" in str(err.value)
     with pytest.raises(ValidationError):
         partition_by_conjugation(homs, [3, 4])
+    # the raw list is read like any other element list
+    homs = enumerate_homs(cyclic_group(2), C4)
+    for bad, needle in (
+        ([0, 7], "conjugator 7 outside 0..3"),
+        ([10**5000], "conjugator <int of 16610 bits> outside 0..3"),
+        ([0, -1], "conjugator -1 outside 0..3"),
+        (None, "conjugators None is not a sequence"),
+        (["a"], "conjugator 'a' is not an integer"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            partition_by_conjugation(homs, bad)

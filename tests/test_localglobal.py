@@ -6,7 +6,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import oracle_density, oracle_interpolating_homs, oracle_pullback, oracle_restrict
+from oracles import (
+    oracle_density,
+    oracle_interpolates,
+    oracle_interpolating_homs,
+    oracle_pullback,
+    oracle_restrict,
+    oracle_sections,
+)
 from seclab import cohomology, localglobal
 from seclab.catalog import coefficient_catalog, seeded_instances
 from seclab.cohomology import (
@@ -271,6 +278,30 @@ def test_interpolating_homs_match_oracle():
             [s.map for s in ls.sections],
         )
         assert got == want
+
+
+def test_density_b_and_c_match_the_oracles_on_seeded_instances():
+    """Density on every seeded instance; (b) and (c), whose oracles try
+    every map from the base, where |E|^|Gamma| <= 20,000."""
+    small = 0
+    for ls in seeded_instances(20260822, 200, 24):
+        gam, mid, pi = ls.ext.Gamma, ls.ext.E, ls.ext.pi.map
+        images = [sorted(set(t.map)) for t in ls.family.thetas]
+        assert check_density(ls.family) == oracle_density(gam.table, images)
+        if mid.order**gam.order > 20_000:
+            continue
+        small += 1
+        thetas, sections = [t.map for t in ls.family.thetas], [s.map for s in ls.sections]
+        want_b = oracle_interpolating_homs(gam.table, mid.table, thetas, sections)
+        assert [u.map for u in interpolating_homs(ls)] == want_b
+        passing = [
+            f
+            for f in oracle_sections(gam.table, mid.table, pi)
+            if oracle_interpolates(mid.table, pi, f, sections, ls.ext.iota.map)
+        ]
+        c = decide_c(ls)
+        assert (c.map if c else None) == next(iter(passing), None)
+    assert small == 114
 
 
 def test_v4_instance_fails_b_and_c():

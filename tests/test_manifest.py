@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -116,6 +118,18 @@ def test_aut_coeff_h1_roundtrip():
     # the job reads value tuples and builds no Cocycle record
     built = vars(h1(program.names["w"]))
     assert "cocycles" not in built and "representatives" not in built
+
+
+def test_coeff_action_may_land_in_a_table_equal_to_aut():
+    """Aut(C3) declared as a plain table serves a coeff line as an aut line does."""
+    head = "group C2 table [[0,1],[1,0]]\ngroup C3 table [[0,1,2],[1,2,0],[2,0,1]]\n"
+    tail = "hom act C2 T [1]\ncoeff w C3 act\njob h1 w\n"
+    by_aut = parse_manifest(head + "group T aut C3\n" + tail)
+    by_table = parse_manifest(head + "group T table [[0,1],[1,0]]\n" + tail)
+    assert by_table.names["w"] == by_aut.names["w"]
+    report = run_program(by_table, timing=False)
+    assert report == run_program(by_aut, timing=False)
+    assert report[0][0]["classes"] == 1
 
 
 def test_jordan_pushout_fibre_tower_jobs():
@@ -253,6 +267,7 @@ def test_timing_key_presence_follows_flag():
     assert "elapsed" not in without[0]
 
 
+GOLDEN = Path(__file__).parent / "golden"
 FIBRE_BASE = """
 group C2 table [[0,1],[1,0]]
 group A aut C2
@@ -266,98 +281,87 @@ family F C2 {
 HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
 
 
-@pytest.mark.parametrize(
-    "text, line, needle",
-    [
-        ('group G table [["a"]]\n', 1, "not an integer"),
-        ("group G table 5\n", 1, "list of rows"),
-        ('group G table [[0,1],"ab"]\n', 1, "row 1"),
-        ("group G table [[0,1],[1,0]]\njob jordan G gens=7\n", 2, "generator 7"),
-        ("group G table [[0,1],[1,0]]\njob jordan G gens=0,-1\n", 2, "generator -1"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [5]\n", 2, "generator image 5"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [-1]\n", 2, "generator image -1"),
-        (V4_OVER_C2 + "job pushout ext gens=5\n", 17, "generator 5"),
-        (FIBRE_BASE + "job fibre F coeff=M alpha=0,5\n", 10, "cocycle value 5"),
-        (
-            "group G table [[0,1],[1,0]]\njob jordan G gens=0 gens=1\n",
-            2,
-            "option 'gens' given twice",
-        ),
-        ("group G perm -2 ()\n", 1, "degree -2 is negative"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [true]\n", 2, "list of integers"),
-        ("group G perm 3 (0,1)zz (0,1,2)junk\n", 1, "got '(0,1)zz'"),
-        ("group C2 table [[0,1],[1,0]]\nfamily F C2 {\n  local C2 nope\n}\n", 3, "no hom"),
-        (V4_OVER_C2 + "sections t ext {\n  s s1\n  s s2 s1\n}\n", 19, "one hom name"),
-        (V4_OVER_C2 + "sections t ext {\n  s s1\n  local s2\n}\n", 19, "got 'local'"),
-        ("group G perm 3 (0,x)\n", 1, "bad cycle '0,x'"),
-        ("group G\n", 1, "group needs a name and a form"),
-        ("group G perm 3\n", 1, "perm needs a degree and generators"),
-        ("group G perm x ()\n", 1, "bad degree 'x'"),
-        ("group C2 table [[0,1],[1,0]]\ngroup A aut\n", 2, "exactly one source group"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2\n", 2, "hom needs a name"),
-        (V4_OVER_C2 + "extension e2 C2 V4 C2 pi pi\n", 17, "pi does not map C2 into V4"),
-        (V4_OVER_C2 + "extension e2 C2 V4 C2 iota iota\n", 17, "iota does not map V4 onto C2"),
-        (V4_OVER_C2 + "family F C2 {\n  local V4 s1\n}\n", 18, "s1 does not start from V4"),
-        ("group G table [[0,1],[1,0]]\njob jordan G gens=a\n", 2, "bad generator list 'a'"),
-        ("group G table [[0,1],[1,0]]\njob density nope\n", 2, "no family or sections named"),
-        (f"# one entry of 5,001 digits\ngroup G table [[0,1],[1,{HUGE}]]\n", 2, "bad JSON for table"),
-        (f"group C2 table [[0,1],[1,0]]\nhom f C2 C2 [{HUGE}]\n", 2, "bad JSON for generator"),
-        (
-            "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\ncoeff w C2 f\n",
-            3,
-            "f must land in the aut-declared group of C2",
-        ),
-        (
-            "group C2 table [[0,1],[1,0]]\ngroup C3 table [[0,1,2],[1,2,0],[2,0,1]]\n"
-            "group A aut C3\nhom act C2 A [0]\ncoeff w C2 act\n",
-            5,
-            "act must land in the aut-declared group of C2",
-        ),
-        ("group C2 table [[0,1],[1,0]]\nfamily F C2\n", 2, "family needs a name, a base group"),
-        (FIBRE_BASE + "job fibre F alpha=0,0\n", 10, "no coeff named ''"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\nhom g f C2\n", 3, "no group named 'f'"),
-        ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\njob density f\n", 3, "no family or sec"),
-        ("group G table []\n", 1, "empty table has no identity element"),
-    ],
-    ids=[
-        "string-entry",
-        "int-table",
-        "string-row",
-        "jordan",
-        "jordan-negative",
-        "hom-image",
-        "hom-image-negative",
-        "pushout",
-        "fibre",
-        "repeated-option",
-        "perm-negative-degree",
-        "hom-image-bool",
-        "perm-trailing-text",
-        "family-line",
-        "sections-line",
-        "block-keyword",
-        "bad-cycle",
-        "group-short",
-        "perm-short",
-        "perm-bad-degree",
-        "aut-arity",
-        "hom-short",
-        "extension-iota",
-        "extension-pi",
-        "family-source",
-        "jordan-bad-list",
-        "density-unknown",
-        "table-huge-int",
-        "hom-huge-int",
-        "coeff-not-aut",
-        "coeff-other-aut",
-        "family-header",
-        "fibre-no-coeff",
-        "group-is-hom",
-        "density-hom",
-        "empty-table",
-    ],
-)
+#: Malformed manifests by name: the text, the line its error names, and a
+#: needle of the message.  ``tests/golden/malformed-manifests.txt`` holds
+#: the full stderr and exit code of each.
+MALFORMED = {
+    "string-entry": ('group G table [["a"]]\n', 1, "not an integer"),
+    "int-table": ("group G table 5\n", 1, "list of rows"),
+    "string-row": ('group G table [[0,1],"ab"]\n', 1, "row 1"),
+    "jordan": ("group G table [[0,1],[1,0]]\njob jordan G gens=7\n", 2, "generator 7"),
+    "jordan-negative": ("group G table [[0,1],[1,0]]\njob jordan G gens=0,-1\n", 2, "generator -1"),
+    "hom-image": ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [5]\n", 2, "generator image 5"),
+    "hom-image-negative": (
+        "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [-1]\n", 2, "generator image -1"
+    ),
+    "pushout": (V4_OVER_C2 + "job pushout ext gens=5\n", 17, "generator 5"),
+    "fibre": (FIBRE_BASE + "job fibre F coeff=M alpha=0,5\n", 10, "cocycle value 5"),
+    "repeated-option": (
+        "group G table [[0,1],[1,0]]\njob jordan G gens=0 gens=1\n",
+        2,
+        "option 'gens' given twice",
+    ),
+    "perm-negative-degree": ("group G perm -2 ()\n", 1, "degree -2 is negative"),
+    "hom-image-bool": ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [true]\n", 2, "list of integers"),
+    "perm-trailing-text": ("group G perm 3 (0,1)zz (0,1,2)junk\n", 1, "got '(0,1)zz'"),
+    "family-line": (
+        "group C2 table [[0,1],[1,0]]\nfamily F C2 {\n  local C2 nope\n}\n", 3, "no hom"
+    ),
+    "sections-line": (V4_OVER_C2 + "sections t ext {\n  s s1\n  s s2 s1\n}\n", 19, "one hom name"),
+    "block-keyword": (V4_OVER_C2 + "sections t ext {\n  s s1\n  local s2\n}\n", 19, "got 'local'"),
+    "bad-cycle": ("group G perm 3 (0,x)\n", 1, "bad cycle '0,x'"),
+    "group-short": ("group G\n", 1, "group needs a name and a form"),
+    "perm-short": ("group G perm 3\n", 1, "perm needs a degree and generators"),
+    "perm-bad-degree": ("group G perm x ()\n", 1, "bad degree 'x'"),
+    "aut-arity": ("group C2 table [[0,1],[1,0]]\ngroup A aut\n", 2, "exactly one source group"),
+    "hom-short": ("group C2 table [[0,1],[1,0]]\nhom f C2\n", 2, "hom needs a name"),
+    "extension-iota": (
+        V4_OVER_C2 + "extension e2 C2 V4 C2 pi pi\n", 17, "pi does not map C2 into V4"
+    ),
+    "extension-pi": (
+        V4_OVER_C2 + "extension e2 C2 V4 C2 iota iota\n", 17, "iota does not map V4 onto C2"
+    ),
+    "family-source": (
+        V4_OVER_C2 + "family F C2 {\n  local V4 s1\n}\n", 18, "s1 does not start from V4"
+    ),
+    "jordan-bad-list": (
+        "group G table [[0,1],[1,0]]\njob jordan G gens=a\n", 2, "bad generator list 'a'"
+    ),
+    "density-unknown": (
+        "group G table [[0,1],[1,0]]\njob density nope\n", 2, "no family or sections named"
+    ),
+    "table-huge-int": (
+        f"# one entry of 5,001 digits\ngroup G table [[0,1],[1,{HUGE}]]\n", 2, "bad JSON for table"
+    ),
+    "hom-huge-int": (
+        f"group C2 table [[0,1],[1,0]]\nhom f C2 C2 [{HUGE}]\n", 2, "bad JSON for generator"
+    ),
+    "coeff-not-aut": (
+        "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\ncoeff w C2 f\n",
+        3,
+        "f must land in the aut-declared group of C2",
+    ),
+    "coeff-other-aut": (
+        "group C2 table [[0,1],[1,0]]\ngroup C3 table [[0,1,2],[1,2,0],[2,0,1]]\n"
+        "group A aut C3\nhom act C2 A [0]\ncoeff w C2 act\n",
+        5,
+        "act must land in the aut-declared group of C2",
+    ),
+    "family-header": (
+        "group C2 table [[0,1],[1,0]]\nfamily F C2\n", 2, "family needs a name, a base group"
+    ),
+    "fibre-no-coeff": (FIBRE_BASE + "job fibre F alpha=0,0\n", 10, "no coeff named ''"),
+    "group-is-hom": (
+        "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\nhom g f C2\n", 3, "no group named 'f'"
+    ),
+    "density-hom": (
+        "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\njob density f\n", 3, "no family or sec"
+    ),
+    "empty-table": ("group G table []\n", 1, "empty table has no identity element"),
+}
+
+
+@pytest.mark.parametrize("text, line, needle", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
     from seclab.cli import main
 
@@ -369,12 +373,30 @@ def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, te
     assert needle in err
 
 
+def _malformed_report(tmp_path: Path) -> str:
+    """Each MALFORMED manifest run by ``seclab run``: name, exit code, stderr."""
+    from seclab.cli import main
+
+    blocks = []
+    for name, (text, _, _) in MALFORMED.items():
+        path = tmp_path / "bad.man"
+        path.write_text(text)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", str(path)])
+        blocks.append(f"== {name}: exit {code} ==\n{err.getvalue()}")
+    return "".join(blocks)
+
+
+def test_malformed_manifests_print_their_golden_errors(tmp_path):
+    """The full stderr of every malformed manifest, as an earlier build
+    printed it; after a deliberate change, save ``_malformed_report`` there."""
+    assert _malformed_report(tmp_path) == (GOLDEN / "malformed-manifests.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the front door
 
-GOLDEN_MANIFESTS = tuple(
-    p.read_text() for p in sorted((Path(__file__).parent / "golden").glob("*.manifest"))
-)
+GOLDEN_MANIFESTS = tuple(p.read_text() for p in sorted(GOLDEN.glob("*.manifest")))
 _INTEGER = re.compile(r"(?<![\w.:/-])-?\d+")
 _WRONG_JSON = ("5", '"x"', "null", "true", "{}", "[true]", "[1.5]", '[[0,1],"ab"]', "[[]]", "[]")
 _NEW_INTEGERS = (-1, -2, 0, 1, 2, 5, 12, 13, 64, 99)
