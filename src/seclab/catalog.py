@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce, wraps
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .cohomology import GammaGroup
 from .errors import BoundExceeded, InvariantViolation, UnknownName, ValidationError
@@ -21,6 +21,8 @@ from .groups import (
     Subgroup,
     _check_int,
     _check_types,
+    _derivation_search,
+    _identity_rows,
     _lifts_through,
     _show,
     _trusted,
@@ -30,7 +32,6 @@ from .groups import (
     conjugacy_classes,
     cyclic_group,
     direct_product,
-    enumerate_homs,
     group_from_permutations,
     identity_hom,
     quotient,
@@ -236,20 +237,24 @@ def coefficient_catalog(
     """Every action of the base on every preset of order at most ``max_m``.
 
     Each entry is one homomorphism into the automorphism group of some
-    preset; the constant system is the trivial-hom entry.
+    preset; the constant system is the trivial-hom entry.  Presets with
+    equal Aut tables share one hom search, whose output is read directly.
 
-    No entry is checked again.  ``phi`` comes out of the verified hom
+    No entry is checked again.  Each tuple comes out of the verified hom
     search into the table of :func:`automorphism_group`, whose entry i*j
     is ``auts[i]`` after ``auts[j]``.  So the row of x*g is the row of x
     after the row of g, the identity's row is the identity automorphism,
     and every row is an automorphism of m.
     """
     out: List[GammaGroup] = []
+    homs: Dict[FiniteGroup, tuple] = {}
     for m in preset_groups(max_m):
         aut, auts = automorphism_group(m)
-        for phi in enumerate_homs(gamma, aut):
-            rows = tuple(auts[phi.map[g]].map for g in gamma.elements)
-            out.append(_trusted(GammaGroup, gamma, m, rows))
+        if aut not in homs:
+            homs[aut] = _derivation_search(gamma, aut, _identity_rows(gamma, aut))
+        maps = [a.map for a in auts]
+        for phi in homs[aut]:
+            out.append(_trusted(GammaGroup, gamma, m, tuple(map(maps.__getitem__, phi))))
     return tuple(out)
 
 

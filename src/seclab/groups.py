@@ -340,7 +340,7 @@ def _greedy_generators(
 
 def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     """Left-to-right as maps: (p*q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _check_int(value: object, what: str) -> None:
@@ -999,33 +999,35 @@ def all_normal_subgroups_between(sub: Subgroup) -> Tuple[Subgroup, ...]:
 
 @lru_cache(maxsize=None)
 def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
-    return tuple(h for h in enumerate_homs(group, group) if is_bijective(h))
+    """The bijective maps the hom search ``group -> group`` finds, sorted, as trusted homs."""
+    found = _derivation_search(group, group, _identity_rows(group, group))
+    return tuple(_trusted(GroupHom, group, group, m) for m in found if len(set(m)) == group.order)
 
 
 @lru_cache(maxsize=None)
 def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom, ...]]:
-    """The automorphisms assembled into a group under composition.
-
-    Returns the composition table together with the automorphism list it
-    indexes; entry i*j is the index of auts[i] after auts[j].
-
-    The table is not checked again.  Composition is associative, and the
-    list holds every automorphism, so it is closed under composition and
-    inverses.  The list is sorted by image tuple, so index 0 is the
-    identity permutation, the least of all permutations; each inverse is
-    read off its row as the index of that identity.
-
-    An automorphism is fixed by its images of ``generating_set(group)``,
-    so the index is keyed by those: entry i*j reads auts[i] at the |gens|
-    images auts[j] keys, not at all |group| of its values.
+    """Aut(group) as a permutation group on the elements of ``group``: its
+    table and the automorphism list it indexes.  The table is
+    :func:`group_from_permutations` on the automorphisms taken greedily from
+    the list, each one those before it do not generate.  That builder sorts
+    its elements as the list is sorted and multiplies as ``p(q(x))``, so
+    entry i*j is auts[i] after auts[j].  Over :data:`DEFAULT_CLOSURE_BOUND`
+    automorphisms it raises :class:`BoundExceeded` before any closure.
     """
     auts = automorphisms(group)
-    gens = generating_set(group)
-    keys = [tuple(map(a.map.__getitem__, gens)) for a in auts]
-    index = {k: i for i, k in enumerate(keys)}
-    table = tuple(tuple(index[tuple(map(a.map.__getitem__, k))] for k in keys) for a in auts)
+    if len(auts) > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceeded(
+            f"{group!r} has {len(auts)} automorphisms, over the bound of {DEFAULT_CLOSURE_BOUND}"
+        )
     label = f"Aut({group.label})" if group.label else None
-    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), auts
+    gens: list = []
+    aut, span = group_from_permutations(group.order, gens, label)
+    for a in auts:
+        if a.map not in span:
+            gens.append(a.map)
+            aut, perms = group_from_permutations(group.order, gens, label)
+            span = frozenset(perms)
+    return aut, auts
 
 
 def _orbit_partition(

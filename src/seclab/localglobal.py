@@ -293,10 +293,12 @@ def _kernel_quotient_entries(
 
 
 def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
-    """The proof-sufficient corpus: all constant quotients of the middle
-    group, and the kernel quotients with section action when a section
-    exists.  A caller's own systems join it as ``USER_SUPPLIED`` entries
-    passed to :func:`decide_a` after it."""
+    """All constant quotients of the middle group, and the kernel quotients
+    with section action when a section exists: enough for the implication
+    diagram's implications, not for the paper's (a) over every action of
+    the base.  Without a section it has no kernel entries, so on a
+    non-split instance (a) over it is (a').  A caller's own systems join
+    it as ``USER_SUPPLIED`` entries passed to :func:`decide_a` after it."""
     return _constant_quotient_entries(ls.ext) + _kernel_quotient_entries(
         ls.ext, enumerate_sections(ls.ext).sections
     )

@@ -175,6 +175,23 @@ def test_automorphism_tables_pass_the_validator_they_skip():
         ), m.label
 
 
+def test_coefficient_catalog_matches_its_record_based_definition():
+    """Each system is a hom into Aut(M)'s table read through its list:
+    the catalog's direct read of the search gives the same 6,635 actions."""
+    built = 0
+    for gamma in preset_groups(12):
+        want = []
+        for m in preset_groups(8):
+            aut, auts = automorphism_group(m)
+            for phi in enumerate_homs(gamma, aut):
+                want.append((m, tuple(auts[phi.map[g]].map for g in gamma.elements)))
+        got = [(c.M, c.action) for c in coefficient_catalog(gamma, 8)]
+        assert got == want, gamma.label
+        assert all(c.gamma == gamma for c in coefficient_catalog(gamma, 8))
+        built += len(got)
+    assert built == 6635
+
+
 def test_manifest_coefficient_systems_pass_the_validator_they_skip():
     systems = coefficient_catalog(preset_group("D4"), 8)
     b = ManifestBuilder()

@@ -799,12 +799,27 @@ def test_automorphisms_s3_all_inner():
 
 
 def test_automorphism_group_table_composes_its_automorphisms():
-    for grp in preset_groups(8):
+    for grp in preset_groups(24):
         aut, auts = automorphism_group(grp)
+        assert [a.map for a in auts] == [
+            h.map for h in enumerate_homs(grp, grp) if is_bijective(h)
+        ], grp.label
         index = {a.map: i for i, a in enumerate(auts)}
         for i, a in enumerate(auts):
             for j, b in enumerate(auts):
                 assert aut.mul(i, j) == index[compose(a, b).map], (grp.label, i, j)
+
+
+def test_automorphism_group_refuses_an_oversize_aut_up_front(monkeypatch):
+    """C3xC3xC3 has 11,232 automorphisms, over the closure bound: refused
+    before any permutation closure is tried."""
+    c3 = cyclic_group(3)
+    grp = direct_product(direct_product(c3, c3), c3)
+    closures = []
+    monkeypatch.setattr(groups, "group_from_permutations", lambda *a: closures.append(a))
+    with pytest.raises(BoundExceeded, match="has 11232 automorphisms, over the bound of 10080"):
+        automorphism_group(grp)
+    assert closures == []
 
 
 # --- conjugation partitions ---------------------------------------------------

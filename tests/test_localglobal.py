@@ -37,6 +37,7 @@ from seclab.groups import (
     group_from_permutations,
     identity_hom,
     image,
+    is_bijective,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -515,6 +516,22 @@ def test_tower_chain_on_split_instance():
     assert len(res.level_sizes) == 3
     assert res.empty_levels == ()
     assert res.chain is not None and len(res.chain) == 3
+    for q, u, v in zip(maps, res.chain, res.chain[1:]):
+        assert tuple(q.map[x] for x in u.map) == v.map
+
+
+def test_tower_through_two_equal_subgroups():
+    """A chain may repeat a subgroup: the two equal levels are joined by a
+    bijection, and the witness chain passes through it."""
+    ls = s3_twisted_instance()
+    levels, maps = pushout_tower(
+        ls.ext, [trivial_subgroup(C3), trivial_subgroup(C3), full_subgroup(C3)]
+    )
+    assert len(levels) == 4 and len(maps) == 3
+    assert maps[1].source.order == 6 and is_bijective(maps[1])
+    res = tower_limit_sections(levels, maps, ls)
+    assert res.empty_levels == ()
+    assert res.chain is not None and len(res.chain) == 4
     for q, u, v in zip(maps, res.chain, res.chain[1:]):
         assert tuple(q.map[x] for x in u.map) == v.map
 

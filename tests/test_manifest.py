@@ -120,6 +120,20 @@ def test_aut_coeff_h1_roundtrip():
     assert "cocycles" not in built and "representatives" not in built
 
 
+def test_oversize_aut_line_exits_with_a_line(tmp_path, capsys):
+    """Aut(C3xC3xC3) has 11,232 elements, over the closure bound."""
+    from seclab.cli import main
+
+    cube = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    table = [[cube.index(tuple((x + y) % 3 for x, y in zip(p, q))) for q in cube] for p in cube]
+    path = tmp_path / "aut27.man"
+    path.write_text(f"group G table {table}\ngroup A aut G\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "11232 automorphisms, over the bound of 10080" in err
+
+
 def test_coeff_action_may_land_in_a_table_equal_to_aut():
     """Aut(C3) declared as a plain table serves a coeff line as an aut line does."""
     head = "group C2 table [[0,1],[1,0]]\ngroup C3 table [[0,1,2],[1,2,0],[2,0,1]]\n"
