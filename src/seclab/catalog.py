@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from .cohomology import GammaGroup
 from .errors import BoundExceeded, InvariantViolation, UnknownName, ValidationError
-from .extensions import Extension, enumerate_sections
+from .extensions import Extension
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -165,19 +165,19 @@ def _cached_behind(key):
     return decorate
 
 
-def _order_key(max_order: int = 24) -> Tuple[int]:
+def _order_key(max_order: int) -> Tuple[int]:
     _check_int(max_order, "max_order")
     return (max_order,)
 
 
-def _catalog_key(gamma: FiniteGroup, max_m: int = 8) -> Tuple[FiniteGroup, int]:
+def _catalog_key(gamma: FiniteGroup, max_m: int) -> Tuple[FiniteGroup, int]:
     _check_types((gamma,), (FiniteGroup,), ValidationError, "{}", ("gamma",))
     _check_int(max_m, "max_m")
     return gamma, max_m
 
 
 @_cached_behind(_order_key)
-def preset_groups(max_order: int = 24) -> Tuple[FiniteGroup, ...]:
+def preset_groups(max_order: int) -> Tuple[FiniteGroup, ...]:
     """All catalog groups of order at most ``max_order``, sorted by
     (order, name)."""
     if max_order > MAX_PRESET_ORDER:
@@ -215,7 +215,7 @@ def preset_group(name: str) -> FiniteGroup:
 
 
 @_cached_behind(_order_key)
-def preset_extensions(max_order: int = 24) -> Tuple[Tuple[str, Extension], ...]:
+def preset_extensions(max_order: int) -> Tuple[Tuple[str, Extension], ...]:
     """Every preset middle group with every normal subgroup as the kernel.
 
     Names follow ``E/ni`` where i indexes the normal subgroup list; the
@@ -231,9 +231,7 @@ def preset_extensions(max_order: int = 24) -> Tuple[Tuple[str, Extension], ...]:
 
 
 @_cached_behind(_catalog_key)
-def coefficient_catalog(
-    gamma: FiniteGroup, max_m: int = 8
-) -> Tuple[GammaGroup, ...]:
+def coefficient_catalog(gamma: FiniteGroup, max_m: int) -> Tuple[GammaGroup, ...]:
     """Every action of the base on every preset of order at most ``max_m``.
 
     Each entry is one homomorphism into the automorphism group of some
@@ -300,8 +298,8 @@ def seeded_instances(
     while len(out) < count:
         ext = rng.choice(pool)
         gamma, conj = ext.Gamma, ext.E.conj
-        report = enumerate_sections(ext)
-        coherent = bool(report.sections) and rng.random() < 0.5
+        ext_sections = _lifts(identity_hom(gamma), ext)
+        coherent = bool(ext_sections) and rng.random() < 0.5
         sections: List[GroupHom] = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.25:
@@ -310,7 +308,7 @@ def seeded_instances(
                 sub = rng.choice(all_subgroups(gamma))
                 theta = subgroup_as_group(sub)[1]
             if coherent:
-                s0 = report.sections[0]
+                s0 = ext_sections[0]
                 a_i = rng.choice(ext.iota.map)
                 images = tuple(conj(a_i, s0.map[t]) for t in theta.map)
                 lift = _trusted(GroupHom, theta.source, ext.E, images)

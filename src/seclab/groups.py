@@ -999,9 +999,16 @@ def all_normal_subgroups_between(sub: Subgroup) -> Tuple[Subgroup, ...]:
 
 @lru_cache(maxsize=None)
 def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
-    """The bijective maps the hom search ``group -> group`` finds, sorted, as trusted homs."""
+    """The bijective maps the hom search ``group -> group`` finds, sorted, as
+    trusted homs.  Over :data:`DEFAULT_CLOSURE_BOUND` of them it raises
+    :class:`BoundExceeded` before building any, so nothing is cached."""
     found = _derivation_search(group, group, _identity_rows(group, group))
-    return tuple(_trusted(GroupHom, group, group, m) for m in found if len(set(m)) == group.order)
+    maps = [m for m in found if len(set(m)) == group.order]
+    if len(maps) > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceeded(
+            f"{group!r} has {len(maps)} automorphisms, over the bound of {DEFAULT_CLOSURE_BOUND}"
+        )
+    return tuple(_trusted(GroupHom, group, group, m) for m in maps)
 
 
 @lru_cache(maxsize=None)
@@ -1012,13 +1019,10 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
     the list, each one those before it do not generate.  That builder sorts
     its elements as the list is sorted and multiplies as ``p(q(x))``, so
     entry i*j is auts[i] after auts[j].  Over :data:`DEFAULT_CLOSURE_BOUND`
-    automorphisms it raises :class:`BoundExceeded` before any closure.
+    automorphisms :func:`automorphisms` raises :class:`BoundExceeded`, so no
+    closure is tried.
     """
     auts = automorphisms(group)
-    if len(auts) > DEFAULT_CLOSURE_BOUND:
-        raise BoundExceeded(
-            f"{group!r} has {len(auts)} automorphisms, over the bound of {DEFAULT_CLOSURE_BOUND}"
-        )
     label = f"Aut({group.label})" if group.label else None
     gens: list = []
     aut, span = group_from_permutations(group.order, gens, label)

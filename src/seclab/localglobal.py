@@ -317,67 +317,54 @@ class DescentCheck(_Record):
     }
 
 
-class _Diagonal:
-    """One coefficient system's diagonal test for fixed local sections.
+def _diagonal(ls: LocalSections, coeff: GammaGroup) -> Tuple[GammaGroup, tuple, list]:
+    """One coefficient system's diagonal test for fixed local sections: the
+    system over the middle group, its classes' representative values, and
+    each class's verdict, all computed here.
 
     A class over the base is labelled by its classes along the local maps,
     a class over the middle group by its classes along the local sections.
     Since each section projects to its local map, both read into the same
-    local systems, and a class is in the diagonal image exactly when its
-    label is the label of some class over the base.  ``classes`` are the
-    representatives' value tuples over the middle group, whose system is
-    ``over``; whether each is in the image is decided on first use and
-    kept.
+    local systems, and a class passes exactly when its label is the label
+    of some class over the base.
     """
-
-    __slots__ = ("over", "readers", "image_labels", "classes", "_passes")
-
-    def __init__(self, ls: LocalSections, coeff: GammaGroup) -> None:
-        thetas = ls.family.thetas
-        local = [h1(pullback_coefficients(theta, coeff)).class_by_values for theta in thetas]
-        self.readers = [(s.map, classes) for s, classes in zip(ls.sections, local)]
-        base_readers = [(theta.map, classes) for theta, classes in zip(thetas, local)]
-        self.image_labels = {
-            _label(v, base_readers) for v in h1(coeff).representative_values
-        }
-        over_e = h1(pullback_coefficients(ls.ext.pi, coeff))
-        self.over, self.classes = over_e.parent, over_e.representative_values
-        self._passes: list = [None] * len(self.classes)
-
-    def passes(self, i: int) -> bool:
-        ok = self._passes[i]
-        if ok is None:
-            ok = self._passes[i] = _label(self.classes[i], self.readers) in self.image_labels
-        return ok
+    thetas = ls.family.thetas
+    local = [h1(pullback_coefficients(theta, coeff)).class_by_values for theta in thetas]
+    readers = [(s.map, classes) for s, classes in zip(ls.sections, local)]
+    base_readers = [(theta.map, classes) for theta, classes in zip(thetas, local)]
+    image_labels = {_label(v, base_readers) for v in h1(coeff).representative_values}
+    over_e = h1(pullback_coefficients(ls.ext.pi, coeff))
+    classes = over_e.representative_values
+    return over_e.parent, classes, [_label(v, readers) in image_labels for v in classes]
 
 
 def _run_corpus(
     ls: LocalSections,
     entries: Sequence[CorpusEntry],
-    diagonals: Dict[GammaGroup, _Diagonal],
+    diagonals: Dict[GammaGroup, tuple],
     kernel: Optional[Tuple[int, ...]] = None,
-    checked: int = 0,
 ) -> DescentCheck:
     """Check each entry's classes in order, stopping at the first that fails.
 
-    ``diagonals`` holds each system's diagonal once built; callers deciding
-    several properties of one instance share it.  Given the embedded
-    kernel's elements, as for (a''), only the classes whose values on
-    them fill the coefficient group are checked.  ``checked`` counts
-    classes examined before.  The entries' bases are checked by the caller.
+    ``diagonals`` holds each system's :func:`_diagonal` once built; callers
+    deciding several properties of one instance share it.  Given the
+    embedded kernel's elements, as for (a''), only the classes whose values
+    on them fill the coefficient group are checked and counted.  The
+    entries' bases are checked by the caller.
     """
+    checked = 0
     for entry in entries:
-        diagonal = diagonals.get(entry.coeff)
-        if diagonal is None:
-            diagonal = diagonals[entry.coeff] = _Diagonal(ls, entry.coeff)
+        if entry.coeff not in diagonals:
+            diagonals[entry.coeff] = _diagonal(ls, entry.coeff)
+        over, classes, verdicts = diagonals[entry.coeff]
         order = entry.coeff.M.order
-        for i, values in enumerate(diagonal.classes):
+        for values, passes in zip(classes, verdicts):
             if kernel is not None and len({values[e] for e in kernel}) != order:
                 continue
             checked += 1
-            if not diagonal.passes(i):
+            if not passes:
                 # the one record a check builds; its values are search output
-                failing = _trusted(Cocycle, diagonal.over, values)
+                failing = _trusted(Cocycle, over, values)
                 return DescentCheck(False, entry, failing, checked)
     return DescentCheck(True, None, None, checked)
 
@@ -396,7 +383,7 @@ def decide_a(ls: LocalSections, corpus: Iterable[CorpusEntry]) -> DescentCheck:
 def decide_a_prime(
     ls: LocalSections,
     *,
-    _shared: Optional[Tuple[Tuple[CorpusEntry, ...], Dict[GammaGroup, _Diagonal]]] = None,
+    _shared: Optional[Tuple[Tuple[CorpusEntry, ...], Dict[GammaGroup, tuple]]] = None,
 ) -> DescentCheck:
     """Survival in all constant quotients of the middle group.
 
@@ -464,16 +451,13 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     kernel_entries = _kernel_quotient_entries(ls.ext, sections)
     constant_entries = _constant_quotient_entries(ls.ext)
     # (a'), (a) and (a'') read overlapping corpora, so each system's
-    # diagonal is built once for all three.  The standard corpus is the
-    # constant quotients, which are (a'), then the kernel quotients.  (a')
-    # is decided through the public decider, so a profile or trace of
-    # decide_a_prime sees every (a') decision.
-    diagonals: Dict[GammaGroup, _Diagonal] = {}
+    # diagonal is built once for all three.  (a') is decided through the
+    # public decider, so a profile or trace of decide_a_prime sees every
+    # (a') decision; (a) scans the standard corpus, the constant quotients
+    # then the kernel quotients.
+    diagonals: Dict[GammaGroup, tuple] = {}
     a_prime = decide_a_prime(ls, _shared=(constant_entries, diagonals))
-    if a_prime.holds:
-        a = _run_corpus(ls, kernel_entries, diagonals, checked=a_prime.classes_checked)
-    else:
-        a = a_prime
+    a = _run_corpus(ls, constant_entries + kernel_entries, diagonals)
     # with no section there are no kernel entries; see decide_a_doubleprime
     a_double = _run_corpus(ls, kernel_entries or constant_entries, diagonals, ls.ext.iota.map)
     b = decide_b(ls)

@@ -632,7 +632,7 @@ class ManifestBuilder:
         return "\n".join(self._lines) + "\n"
 
 
-def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
+def generate_corpus(max_order: int, seed: int) -> str:
     """Emit a deterministic manifest exercising every job type.
 
     Identical arguments give byte-identical text: all content is drawn from
@@ -645,7 +645,7 @@ def generate_corpus(max_order: int = 12, seed: int = 0) -> str:
 
     b.comment("covering estimates for every preset group")
     for g in preset_groups(max_order):
-        if g.order == 1 or b.has_group(g):
+        if b.has_group(g):
             continue
         name = b.add_group(g)
         b.add_job("jordan", name, gens=str(g.elements[1]))

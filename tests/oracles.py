@@ -174,6 +174,31 @@ def oracle_pullback(section_map, values, action, kernel_image):
     return oracle_restrict(section_map, values)
 
 
+def oracle_in_diagonal_image(gamma_table, m_table, action, locals_, alpha):
+    """Is some cocycle b over gamma, read along each local map theta, a
+    twist of ``alpha`` read along that local's section s?  ``locals_``
+    holds (theta, s) map pairs with theta = pi∘s, and ``alpha`` is a
+    cocycle over the middle group acting through pi.  Every cocycle b and
+    every twist ``c^-1 * a_x * theta(x)(c)`` is tried; no class label is
+    read."""
+    em = oracle_identity(m_table)
+    inv = [row.index(em) for row in m_table]
+    twists = [
+        {
+            tuple(
+                m_table[inv[c]][m_table[alpha[s[x]]][action[theta[x]][c]]]
+                for x in range(len(theta))
+            )
+            for c in range(len(m_table))
+        }
+        for theta, s in locals_
+    ]
+    return any(
+        all(oracle_restrict(theta, b) in twisted for (theta, _), twisted in zip(locals_, twists))
+        for b in oracle_cocycles(gamma_table, m_table, action)
+    )
+
+
 def oracle_h1_class_count(gamma_table, m_table, action):
     """Number of cocycle classes under b_s = c^-1 * a_s * s(c)."""
     n, m = len(gamma_table), len(m_table)

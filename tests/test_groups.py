@@ -477,7 +477,7 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: preset_groups([8]), r"max_order \[8\] is not an integer"),
         (lambda: preset_groups(10**5000), "asked for <int of 16610 bits>"),
         (lambda: preset_extensions([8]), r"max_order \[8\] is not an integer"),
-        (lambda: generate_corpus([8]), r"max_order \[8\] is not an integer"),
+        (lambda: generate_corpus([8], 0), r"max_order \[8\] is not an integer"),
         (lambda: generate_corpus(8, [1]), r"seed \[1\] is not an integer"),
         (lambda: seeded_instances(None, None), "seed None is not an integer"),
         (lambda: seeded_instances(1, None), "count None is not an integer"),
@@ -820,6 +820,19 @@ def test_automorphism_group_refuses_an_oversize_aut_up_front(monkeypatch):
     with pytest.raises(BoundExceeded, match="has 11232 automorphisms, over the bound of 10080"):
         automorphism_group(grp)
     assert closures == []
+
+
+def test_a_refused_aut_leaves_nothing_cached():
+    """The bound is checked on the bijective tuples, before any record is
+    built, so a refused group leaves no entry in the automorphism cache."""
+    c3 = cyclic_group(3)
+    grp = direct_product(direct_product(c3, c3), c3)
+    before = automorphisms.cache_info().currsize
+    with pytest.raises(BoundExceeded, match="has 11232 automorphisms, over the bound of 10080"):
+        automorphism_group(grp)
+    assert automorphisms.cache_info().currsize == before
+    with pytest.raises(BoundExceeded, match="has 11232 automorphisms"):
+        automorphisms(grp)
 
 
 # --- conjugation partitions ---------------------------------------------------

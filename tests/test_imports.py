@@ -5,13 +5,16 @@ Deleting a function must take the imports that only it needed along with
 it, and its ``__all__`` entry.  A name counts as used when the code refers
 to it or when it appears in a string annotation.  A star import counts as
 used only in ``__init__.py``, which republishes each module's ``__all__``
-that way; anywhere else it is reported.
+that way; anywhere else it is reported.  The package itself imports
+from the standard library alone.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import seclab
@@ -108,3 +111,19 @@ def test_no_name_is_exported_by_two_modules():
                 twice.append(f"{name}: {owner[name]} and {module.__name__}")
             owner.setdefault(name, module.__name__)
     assert not twice, "exported by two modules:\n" + "\n".join(twice)
+
+
+def test_the_runtime_needs_only_the_standard_library():
+    """Under ``python -I -S`` neither the environment nor site-packages is
+    on the path, so with ``src`` added the package and its CLI import from
+    the standard library alone."""
+    src = str(ROOT / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import seclab, seclab.cli; "
+        "print(seclab.__file__)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == str(PACKAGE / "__init__.py")

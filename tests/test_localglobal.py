@@ -8,14 +8,16 @@ import pytest
 
 from oracles import (
     oracle_density,
+    oracle_in_diagonal_image,
     oracle_interpolates,
     oracle_interpolating_homs,
+    oracle_is_cocycle,
     oracle_pullback,
     oracle_restrict,
     oracle_sections,
 )
 from seclab import cohomology, localglobal
-from seclab.catalog import coefficient_catalog, seeded_instances
+from seclab.catalog import coefficient_catalog, preset_group, seeded_instances
 from seclab.cohomology import (
     Cocycle,
     GammaGroup,
@@ -353,6 +355,51 @@ def test_descent_checks_on_good_instances():
         assert decide_a_doubleprime(ls).holds
 
 
+def test_d4_instance_fails_a_over_a_twisted_system():
+    """The standard corpus suffices for the diagram, not for (a) over every
+    action of the base.  D4 over its centre, with two locals over the same
+    C2 lifted to two non-conjugate reflections, holds (a) over the standard
+    corpus and over every system on a group of order 2, but fails once the
+    catalog reaches order 4: at C2xC2 with the base swapping two of its
+    involutions.  A brute-force twist search confirms the failing class."""
+    ls = seeded_instances(7, 200, 32)[8]
+    ext = ls.ext
+    assert ext.E == preset_group("D4") and ext.Gamma == preset_group("C2xC2")
+    assert ext.iota.map == (0, 5)
+    assert [t.map for t in ls.family.thetas] == [(0, 1), (0, 1)]
+    assert [s.map for s in ls.sections] == [(0, 1), (0, 4)]
+    report = verify_equivalences(ls)
+    assert not report.split and not report.density
+    assert report.a.holds and report.a_prime.holds and report.a_doubleprime.holds
+    assert report.holds_b and not report.holds_c
+
+    def widened(max_m):
+        extra = (CorpusEntry(c, USER_SUPPLIED) for c in coefficient_catalog(ext.Gamma, max_m))
+        return decide_a(ls, standard_corpus(ls) + tuple(extra))
+
+    assert widened(2).holds
+    assert len(coefficient_catalog(ext.Gamma, 4)) == 19
+    check = widened(4)
+    assert not check.holds and check.classes_checked == 66
+    coeff = check.failing_entry.coeff
+    assert check.failing_entry.provenance == USER_SUPPLIED
+    assert coeff.M == V4
+    assert coeff.action == ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 3, 2))
+    alpha = check.failing_class.values
+    assert alpha == (0, 2, 0, 3, 3, 1, 2, 1)
+    e_action = [coeff.action[y] for y in ext.pi.map]
+    assert oracle_is_cocycle(ext.E.table, coeff.M.table, e_action, alpha)
+    locals_ = [(t.map, s.map) for t, s in zip(ls.family.thetas, ls.sections)]
+    assert not oracle_in_diagonal_image(ext.Gamma.table, coeff.M.table, coeff.action, locals_, alpha)
+    # every class of this system gets the oracle's verdict, and some pass
+    _over, classes, verdicts = localglobal._diagonal(ls, coeff)
+    assert alpha in classes and True in verdicts
+    assert list(verdicts) == [
+        oracle_in_diagonal_image(ext.Gamma.table, coeff.M.table, coeff.action, locals_, v)
+        for v in classes
+    ]
+
+
 def test_decide_a_rejects_foreign_corpus():
     ls = c4_instance()
     corpus = (CorpusEntry(constant_coefficients(C3, C2), USER_SUPPLIED),)
@@ -684,7 +731,7 @@ def _twisted_system(gamma):
     return next(
         (
             coeff
-            for coeff in coefficient_catalog(gamma)
+            for coeff in coefficient_catalog(gamma, 8)
             if any(row != tuple(coeff.M.elements) for row in coeff.action)
         ),
         None,
