@@ -734,13 +734,23 @@ def is_bijective(hom: GroupHom) -> bool:
     return hom.source.order == hom.target.order == len(set(hom.map))
 
 
+def _factor(q: GroupHom, f: GroupHom) -> GroupHom:
+    """The hom h on the target of the surjection q with ``h∘q = f``, read
+    off the least preimage of each element and validated.  Raises
+    InvariantViolation when f is not constant on the fibres of q."""
+    least = {}
+    for x in q.source.elements:
+        least.setdefault(q.map[x], f.map[x])
+    h = tuple(least[y] for y in q.target.elements)
+    if tuple(h[y] for y in q.map) != f.map:
+        raise InvariantViolation("the map does not factor through the quotient")
+    return GroupHom(q.target, f.target, h)
+
+
 def inverse_hom(hom: GroupHom) -> GroupHom:
     if not is_bijective(hom):
         raise ValidationError("only bijective homomorphisms can be inverted")
-    back = [0] * hom.target.order
-    for x, y in enumerate(hom.map):
-        back[y] = x
-    return GroupHom(hom.target, hom.source, tuple(back))
+    return _factor(hom, identity_hom(hom.source))
 
 
 # ---------------------------------------------------------------------------
@@ -946,14 +956,6 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     quot = FiniteGroup(table, coset_of[group.identity], inverse, label)
     proj = _trusted(GroupHom, group, quot, tuple(coset_of))
     return quot, proj
-
-
-def _coset_representatives(proj: GroupHom) -> Tuple[int, ...]:
-    """The least preimage of each target element under a surjection."""
-    reps = {}
-    for x in proj.source.elements:
-        reps.setdefault(proj.map[x], x)
-    return tuple(reps[y] for y in proj.target.elements)
 
 
 @lru_cache(maxsize=None)

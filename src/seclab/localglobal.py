@@ -34,7 +34,7 @@ from .groups import (
     Subgroup,
     _as_tuple,
     _check_types,
-    _coset_representatives,
+    _factor,
     _orbit_partition,
     _Record,
     _trusted,
@@ -266,34 +266,29 @@ def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
 def _kernel_quotient_entries(
     ext: Extension, sections: Sequence[GroupHom]
 ) -> Tuple[CorpusEntry, ...]:
-    """Quotients of the embedded kernel by normal-in-E subgroups, with the
-    base acting by conjugation through the first section; none without
-    one.  Equal systems are kept once, the first seen.
+    """The kernels of the pushouts along each V normal in E inside the
+    embedded kernel: the image of the kernel in E/V, with the base acting
+    by conjugation through the first section pushed to E/V; none without a
+    section.  Equal systems are kept once, the first seen.
 
-    The conjugation action on the kernel is built once; each V normal in
-    E is kept by it, so it acts on A/V by automorphisms, read off the
-    kernel's rows at the coset representatives.  So the systems are not
-    checked again.
+    E/V numbers its cosets by least member, so the cosets inside the
+    kernel keep the order of their least members.  :func:`pushout` is not
+    used: its ``A/V`` is numbered along A.  A/V is normal in E/V, so the
+    conjugation check always passes.
     """
     if not sections:
         return ()
-    a_sub = image(ext.iota)
-    action = conjugation_coefficients(a_sub, sections[0])
-    a_grp = action.M
-    back = {e: i for i, e in enumerate(a_sub.elements)}
 
     def system(v: Subgroup) -> GammaGroup:
-        quot, qmap = quotient(a_grp, subgroup(a_grp, (back[e] for e in v.elements)))
-        reps = _coset_representatives(qmap)
-        rows = tuple(tuple(qmap.map[row[r]] for r in reps) for row in action.action)
-        return _trusted(GammaGroup, ext.Gamma, quot, rows)
+        q = quotient(ext.E, v)[1]
+        return conjugation_coefficients(image(compose(q, ext.iota)), compose(q, sections[0]))
 
-    systems = dict.fromkeys(map(system, all_normal_subgroups_between(a_sub)))
+    systems = dict.fromkeys(map(system, all_normal_subgroups_between(image(ext.iota))))
     return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
 
 
 def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
-    """All constant quotients of the middle group, and the kernel quotients
+    """All constant quotients of the middle group, and the pushout kernels
     with section action when a section exists: enough for the implication
     diagram's implications, not for the paper's (a) over every action of
     the base.  Without a section it has no kernel entries, so on a
@@ -397,12 +392,11 @@ def decide_a_prime(
 
 
 def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
-    """Survival in the kernel quotients, restricted to classes surjective on
-    the embedded kernel.
-
-    Uses the first section for the conjugation action; with no section the
-    check falls back to constant quotients, still restricted to classes
-    surjective on the kernel's image.
+    """Survival in the pushout kernels, restricted to classes surjective on
+    the embedded kernel: the kernel's image in each E/V, acted on through
+    the first section pushed to E/V.  With no section the check falls back
+    to constant quotients, still restricted to classes surjective on the
+    kernel's image.
     """
     sections = enumerate_sections(ls.ext).sections
     # a section always brings the kernel's quotient by itself, so there are
@@ -545,10 +539,7 @@ def pushout_tower(
         smaller, q = pushout(ext, sub)
         levels.append(smaller)
         quots.append(q)
-    maps = quots[:1]
-    for upper, lower in zip(quots, quots[1:]):
-        reps = _coset_representatives(upper)
-        maps.append(GroupHom(upper.target, lower.target, tuple(lower.map[r] for r in reps)))
+    maps = quots[:1] + [_factor(upper, lower) for upper, lower in zip(quots, quots[1:])]
     return tuple(levels), tuple(maps)
 
 

@@ -38,7 +38,11 @@ from seclab.groups import (
     enumerate_homs,
     quotient,
 )
-from seclab.localglobal import verify_equivalences
+from seclab.localglobal import (
+    _constant_quotient_entries,
+    _kernel_quotient_entries,
+    verify_equivalences,
+)
 from seclab.manifest import generate_corpus, parse_manifest, run_program
 
 FILE = Path(__file__).parent / "golden" / "fingerprints.json"
@@ -110,6 +114,15 @@ def sections():
         )
 
 
+def descent_corpus():
+    """Every system of the (a) corpus, failing or not, as built."""
+    for _, ext in preset_extensions(16):
+        sections = enumerate_sections(ext).sections
+        entries = _constant_quotient_entries(ext) + _kernel_quotient_entries(ext, sections)
+        for entry in entries:
+            yield entry.provenance, _table(entry.coeff.M), entry.coeff.action
+
+
 def _descent(check):
     entry = check.failing_entry
     return (
@@ -157,6 +170,7 @@ LAYERS = {
     "subgroups_quotients_classes": subgroups,
     "automorphism_group": automorphisms,
     "enumerate_sections": sections,
+    "descent_corpus": descent_corpus,
     "seeded_verdicts": verdicts,
     "gen_max64": gen,
     "run_max64": reports,

@@ -53,6 +53,7 @@ from seclab.groups import (
     Subgroup,
     _derivation,
     _derivation_search,
+    _factor,
     _identity_rows,
     all_normal_subgroups,
     all_normal_subgroups_between,
@@ -788,6 +789,17 @@ def test_quotient_by_trivial_is_isomorphic():
     quot, proj = quotient(grp, trivial_subgroup(grp))
     assert quot.order == grp.order
     assert is_bijective(proj)
+
+
+def test_a_map_not_constant_on_the_fibres_does_not_factor():
+    v4 = direct_product(C2, C2)
+    _, q = quotient(v4, subgroup(v4, [0, 1]))
+    assert q.map == (0, 0, 1, 1)
+    assert _factor(q, GroupHom(v4, C2, (0, 0, 1, 1))).map == (0, 1)
+    # read off the least preimages 0 and 2, h is the trivial hom: a valid
+    # hom, but h∘q is not f
+    with pytest.raises(InvariantViolation, match="does not factor"):
+        _factor(q, GroupHom(v4, C2, (0, 1, 0, 1)))
 
 
 def test_automorphisms_s3_all_inner():

@@ -372,6 +372,9 @@ MALFORMED = {
         "group C2 table [[0,1],[1,0]]\nhom f C2 C2 [1]\njob density f\n", 3, "no family or sec"
     ),
     "empty-table": ("group G table []\n", 1, "empty table has no identity element"),
+    "coeff-arity": (
+        "group C2 table [[0,1],[1,0]]\ncoeff M C2\n", 2, "coeff needs a name, a module group"
+    ),
 }
 
 
