@@ -49,11 +49,11 @@ def test_generated_corpus_does_not_depend_on_warm_caches(seed):
     assert generate_corpus(12, seed) == manifest.read_text()
 
 
-def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
+def _order_64_corpus_matches_golden(seed, tmp_path, capsys):
     """Tables up to order 64, validated by Light's test.  The 400 KB
     manifest is kept only as its SHA-256; its structured report in full."""
-    stem = GOLDEN / "gen-max64-seed20260823"
-    assert main(["gen", "--max-order", "64", "--seed", "20260823"]) == 0
+    stem = GOLDEN / f"gen-max64-seed{seed}"
+    assert main(["gen", "--max-order", "64", "--seed", str(seed)]) == 0
     text = capsys.readouterr().out
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == stem.with_suffix(".manifest.sha256").read_text().split()[0]
@@ -61,6 +61,16 @@ def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
     manifest.write_text(text)
     assert main(["run", str(manifest), "--no-timing", "--format", "structured"]) == 0
     assert capsys.readouterr().out == stem.with_suffix(".json").read_text()
+
+
+def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
+    _order_64_corpus_matches_golden(20260823, tmp_path, capsys)
+
+
+def test_first_cli_corpus_manifest_and_report_match_golden(tmp_path, capsys):
+    """``gen --max-order 64 --seed 20260822`` is the first manifest of
+    every ``cli-corpus`` benchmark round."""
+    _order_64_corpus_matches_golden(20260822, tmp_path, capsys)
 
 
 def test_layer_fingerprints_match_golden():
