@@ -93,9 +93,16 @@ class SectionReport(_Record):
         return len(self.sections)
 
 
+def _sections(ext: Extension) -> Tuple[GroupHom, ...]:
+    """Every homomorphic section of the projection, in the hom search's
+    order: :func:`enumerate_sections` without the two partitions, which
+    the deciders never read."""
+    return _lifts_through(ext.pi, identity_hom(ext.Gamma))
+
+
 def enumerate_sections(ext: Extension) -> SectionReport:
     """Every homomorphic section of the projection, canonically ordered."""
-    sections = _lifts_through(ext.pi, identity_hom(ext.Gamma))
+    sections = _sections(ext)
     mod_a = partition_by_conjugation(sections, ext.iota.map)
     mod_e = partition_by_conjugation(sections, ext.E.elements)
     return SectionReport(sections, mod_a, mod_e)

@@ -478,16 +478,23 @@ def element_order(group: FiniteGroup, g: int) -> int:
 def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
     """A small generating set, chosen greedily for maximal span growth.
 
-    Ties go to the smallest element index, so the result is deterministic.
+    Each round adds the element whose span with the generators so far is
+    largest; ties go to the smallest element index, so the result is
+    deterministic.  A round skips every element inside a span it has
+    already tried.  Such an x lies in ``⟨gens, g⟩`` for a g tried before
+    it, so ``⟨gens, x⟩ ⊆ ⟨gens, g⟩`` spans no more than g did, and x, the
+    larger index, cannot win a tie against it.
     """
     span = frozenset([group.identity])
     gens: list[int] = []
     while len(span) < group.order:
         best_g, best_span = None, None
+        tried = set(span)
         for g in group.elements:
-            if g in span:
+            if g in tried:
                 continue
             cand = _close_elements(group.table, group.identity, (*gens, g))
+            tried |= cand
             if best_span is None or len(cand) > len(best_span):
                 best_g, best_span = g, cand
         gens.append(best_g)
@@ -498,11 +505,13 @@ def generating_set(group: FiniteGroup) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _derivation(
     group: FiniteGroup,
-) -> Tuple[Tuple[int, tuple, tuple], ...]:
+) -> Tuple[Tuple[int, int, tuple, tuple], ...]:
     """The Cayley graph on ``generating_set(group)``, cut into one layer per
     generator along the subgroup chain ⟨g₁⟩ ⊂ ⟨g₁,g₂⟩ ⊂ … ⊂ group.
 
-    Layer j is ``(gⱼ, tree, closing)``.  Its tree is a tuple of
+    Layer j is ``(gⱼ, k, tree, closing)``, with k the order of gⱼ, read
+    once here by :func:`element_order`, so a table that is not a group
+    breaks its invariant here.  Its tree is a tuple of
     ``(y, x, g)``, in BFS order, writing y as ``x * g`` for a generator g
     among g₁..gⱼ; its y are the elements of ⟨g₁..gⱼ⟩ not in ⟨g₁..gⱼ₋₁⟩,
     except gⱼ itself, reached by the implicit edge ``(gⱼ, e, gⱼ)``.  Its
@@ -529,7 +538,7 @@ def _derivation(
                     seen.add(y)
                     order.append(y)
                     tree.append((y, x, t))
-        layers.append((g, tuple(tree[1:]), tuple(closing)))
+        layers.append((g, element_order(group, g), tuple(tree[1:]), tuple(closing)))
     return tuple(layers)
 
 
@@ -620,9 +629,10 @@ def _derivation_search(
     automorphisms; a homomorphism is the case of identity rows.  Without
     ``choices``, a generator g of order k may take the value c only when the
     twisted norm ``c * g(c) * ... * g^(k-1)(c)`` is the identity, which
-    for identity rows says that the order of c divides k.  The norms of
-    every c are built together, one power of g at a time, by reading
-    ``m.table`` rows.
+    for identity rows says that the order of c divides k.  The order k is
+    the one :func:`_derivation` keeps in g's layer.  The norms of every c
+    are built together, one power of g at a time, by reading ``m.table``
+    rows.
 
     The search walks the layers of :func:`_derivation` depth-first,
     writing into one list in place.  For each choice c of gⱼ it sets
@@ -640,17 +650,17 @@ def _derivation_search(
     no soundness, only the pruning.
     """
     gt, mt = gamma.table, m.table
+    layers = _derivation(gamma)
     if choices is None:
         choices = []
-        for g in generating_set(gamma):
+        for g, k, _, _ in layers:
             # norms[c] is c * g(c) * ... * p(c), for p the power of g last read
             norms, p = rows[gamma.identity], gamma.identity
-            for _ in range(element_order(gamma, g) - 1):
+            for _ in range(k - 1):
                 p = gt[p][g]
                 row = rows[p]
                 norms = [mt[n][row[c]] for c, n in enumerate(norms)]
             choices.append([c for c, n in enumerate(norms) if n == m.identity])
-    layers = _derivation(gamma)
     v = [m.identity] * gamma.order
     found = []
 
@@ -658,7 +668,7 @@ def _derivation_search(
         if j == len(layers):
             found.append(tuple(v))
             return
-        g, tree, closing = layers[j]
+        g, _, tree, closing = layers[j]
         for c in choices[j]:
             v[g] = c
             for y, x, t in tree:
@@ -833,22 +843,19 @@ def _normality_witness(sub: Subgroup) -> Optional[Tuple[int, int]]:
     """The first ``(g, h)``, g in the parent and h in ``sub`` in element
     order, with ``g*h*g^-1`` outside ``sub``; None when ``sub`` is normal.
 
-    Normality is decided on generators: conjugation by g maps the span of
-    sub's greedy generators onto the span of their conjugates, and the g
-    that fix ``sub`` are closed under products.  The scan over all pairs
-    runs only to name the witness.
+    A subgroup is normal exactly when it is a union of conjugacy classes
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005).
+    The classes that ``sub`` meets, read off the cached :func:`class_index`,
+    cover it, so they are ``sub`` itself exactly when they hold |sub|
+    elements in all.  The scan over all pairs runs only to name the witness.
     """
-    parent, eset = sub.parent, frozenset(sub.elements)
-    table, inverse = parent.table, parent.inverse
-    sub_gens, _ = _greedy_generators(table, parent.identity, sub.elements)
-    if all(
-        table[table[g][h]][inverse[g]] in eset
-        for g in generating_set(parent)
-        for h in sub_gens
-    ):
+    parent, elems = sub.parent, sub.elements
+    ci, classes = class_index(parent), conjugacy_classes(parent)
+    if sum(len(classes[i]) for i in {ci[h] for h in elems}) == len(elems):
         return None
+    eset = frozenset(elems)
     return next(
-        (g, h) for g in parent.elements for h in sub.elements if parent.conj(g, h) not in eset
+        (g, h) for g in parent.elements for h in elems if parent.conj(g, h) not in eset
     )
 
 

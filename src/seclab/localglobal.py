@@ -27,7 +27,7 @@ from .cohomology import (
     pullback_coefficients,
 )
 from .errors import IncompatibleTower, InvariantViolation, ValidationError
-from .extensions import Extension, enumerate_sections, pushout
+from .extensions import Extension, _sections, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -39,7 +39,6 @@ from .groups import (
     _Record,
     _trusted,
     all_normal_subgroups,
-    all_normal_subgroups_between,
     class_index,
     compose,
     conjugacy_classes,
@@ -239,7 +238,7 @@ def decide_b(ls: LocalSections) -> Optional[GroupHom]:
 
 def decide_c(ls: LocalSections) -> Optional[GroupHom]:
     """The least section interpolating with conjugators from the kernel."""
-    return next(_interpolating(ls, enumerate_sections(ls.ext).sections, ls.ext.iota.map), None)
+    return next(_interpolating(ls, _sections(ls.ext), ls.ext.iota.map), None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,34 +255,45 @@ class CorpusEntry(_Record):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
 
-def _constant_quotient_entries(ext: Extension) -> Tuple[CorpusEntry, ...]:
+#: Each normal subgroup of E with its projection onto the quotient.
+_Quotients = Tuple[Tuple[Subgroup, GroupHom], ...]
+
+
+def _quotients(ext: Extension) -> _Quotients:
+    """Each normal N of E, in :func:`all_normal_subgroups` order, with the
+    projection E -> E/N, built once for both kinds of corpus entry."""
+    return tuple((n, quotient(ext.E, n)[1]) for n in all_normal_subgroups(ext.E))
+
+
+def _constant_quotient_entries(ext: Extension, quotients: _Quotients) -> Tuple[CorpusEntry, ...]:
     """The base acting trivially on each quotient of E, each system once."""
-    quotients = (quotient(ext.E, n)[0] for n in all_normal_subgroups(ext.E))
-    systems = dict.fromkeys(constant_coefficients(ext.Gamma, q) for q in quotients)
+    systems = dict.fromkeys(constant_coefficients(ext.Gamma, q.target) for _, q in quotients)
     return tuple(CorpusEntry(coeff, CONSTANT_QUOTIENT) for coeff in systems)
 
 
 def _kernel_quotient_entries(
-    ext: Extension, sections: Sequence[GroupHom]
+    ext: Extension, sections: Sequence[GroupHom], quotients: _Quotients
 ) -> Tuple[CorpusEntry, ...]:
     """The kernels of the pushouts along each V normal in E inside the
     embedded kernel: the image of the kernel in E/V, with the base acting
     by conjugation through the first section pushed to E/V; none without a
     section.  Equal systems are kept once, the first seen.
 
-    E/V numbers its cosets by least member, so the cosets inside the
-    kernel keep the order of their least members.  :func:`pushout` is not
-    used: its ``A/V`` is numbered along A.  A/V is normal in E/V, so the
-    conjugation check always passes.
+    The projections onto E/V are those of ``quotients``, the ones the
+    constant entries read, so no E/V is built twice.  E/V numbers its
+    cosets by least member, so the cosets inside the kernel keep the order
+    of their least members.  :func:`pushout` is not used: its ``A/V`` is
+    numbered along A.  A/V is normal in E/V, so the conjugation check
+    always passes.
     """
     if not sections:
         return ()
-
-    def system(v: Subgroup) -> GammaGroup:
-        q = quotient(ext.E, v)[1]
-        return conjugation_coefficients(image(compose(q, ext.iota)), compose(q, sections[0]))
-
-    systems = dict.fromkeys(map(system, all_normal_subgroups_between(image(ext.iota))))
+    kernel = frozenset(ext.iota.map)
+    systems = dict.fromkeys(
+        conjugation_coefficients(image(compose(q, ext.iota)), compose(q, sections[0]))
+        for v, q in quotients
+        if kernel.issuperset(v.elements)
+    )
     return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
 
 
@@ -294,8 +304,9 @@ def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
     the base.  Without a section it has no kernel entries, so on a
     non-split instance (a) over it is (a').  A caller's own systems join
     it as ``USER_SUPPLIED`` entries passed to :func:`decide_a` after it."""
-    return _constant_quotient_entries(ls.ext) + _kernel_quotient_entries(
-        ls.ext, enumerate_sections(ls.ext).sections
+    quotients = _quotients(ls.ext)
+    return _constant_quotient_entries(ls.ext, quotients) + _kernel_quotient_entries(
+        ls.ext, _sections(ls.ext), quotients
     )
 
 
@@ -387,7 +398,7 @@ def decide_a_prime(
     :func:`verify_equivalences`: the constant quotients it built and the
     diagonals it shares with (a) and (a'').
     """
-    entries, diagonals = _shared or (_constant_quotient_entries(ls.ext), {})
+    entries, diagonals = _shared or (_constant_quotient_entries(ls.ext, _quotients(ls.ext)), {})
     return _run_corpus(ls, entries, diagonals)
 
 
@@ -398,10 +409,12 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     to constant quotients, still restricted to classes surjective on the
     kernel's image.
     """
-    sections = enumerate_sections(ls.ext).sections
+    quotients = _quotients(ls.ext)
     # a section always brings the kernel's quotient by itself, so there are
     # no kernel entries exactly when there is no section
-    entries = _kernel_quotient_entries(ls.ext, sections) or _constant_quotient_entries(ls.ext)
+    entries = _kernel_quotient_entries(
+        ls.ext, _sections(ls.ext), quotients
+    ) or _constant_quotient_entries(ls.ext, quotients)
     return _run_corpus(ls, entries, {}, ls.ext.iota.map)
 
 
@@ -438,12 +451,17 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     The implications asserted: (c) => (a) => (a') and (a) => (a''),
     (b) <=> (a'), split and (a'') together give (c), and density collapses
     (a), (a'), (b), (c) to a single truth value.
+
+    Each quotient E/N is built once and feeds both the constant and the
+    kernel entries, and the sections are read without the two conjugacy
+    partitions that :func:`enumerate_sections` adds.
     """
     density = check_density(ls.family)
-    sections = enumerate_sections(ls.ext).sections
+    sections = _sections(ls.ext)
     split = bool(sections)
-    kernel_entries = _kernel_quotient_entries(ls.ext, sections)
-    constant_entries = _constant_quotient_entries(ls.ext)
+    quotients = _quotients(ls.ext)
+    kernel_entries = _kernel_quotient_entries(ls.ext, sections, quotients)
+    constant_entries = _constant_quotient_entries(ls.ext, quotients)
     # (a'), (a) and (a'') read overlapping corpora, so each system's
     # diagonal is built once for all three.  (a') is decided through the
     # public decider, so a profile or trace of decide_a_prime sees every

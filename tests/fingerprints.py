@@ -41,6 +41,7 @@ from seclab.groups import (
 from seclab.localglobal import (
     _constant_quotient_entries,
     _kernel_quotient_entries,
+    _quotients,
     verify_equivalences,
 )
 from seclab.manifest import generate_corpus, parse_manifest, run_program
@@ -118,7 +119,10 @@ def descent_corpus():
     """Every system of the (a) corpus, failing or not, as built."""
     for _, ext in preset_extensions(16):
         sections = enumerate_sections(ext).sections
-        entries = _constant_quotient_entries(ext) + _kernel_quotient_entries(ext, sections)
+        quotients = _quotients(ext)
+        entries = _constant_quotient_entries(ext, quotients) + _kernel_quotient_entries(
+            ext, sections, quotients
+        )
         for entry in entries:
             yield entry.provenance, _table(entry.coeff.M), entry.coeff.action
 

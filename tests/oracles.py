@@ -119,6 +119,29 @@ def oracle_subgroups(table):
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def oracle_generating_set(table):
+    """Greedy generators: each round adds the element outside the span so
+    far whose span with the generators before it is largest, ties going to
+    the least index.  Every such element is tried, with no pruning."""
+    n = len(table)
+    e = oracle_identity(table)
+
+    def span(gens):
+        elems = {e}
+        while True:
+            grown = elems | {table[a][g] for a in elems for g in gens}
+            if grown == elems:
+                return elems
+            elems = grown
+
+    gens, current = [], {e}
+    while len(current) < n:
+        sizes = {g: len(span(gens + [g])) for g in range(n) if g not in current}
+        gens.append(max(sizes, key=lambda g: (sizes[g], -g)))
+        current = span(gens)
+    return tuple(gens)
+
+
 def oracle_normality_witness(table, sub_elements):
     """The first (g, h), g over the group and h over the subgroup in
     increasing order, whose conjugate g*h*g^-1 leaves the subgroup; None

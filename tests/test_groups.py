@@ -11,6 +11,7 @@ import pytest
 
 from oracles import (
     oracle_conjugacy_classes,
+    oracle_generating_set,
     oracle_homs,
     oracle_normality_witness,
     oracle_perm_closure,
@@ -230,14 +231,16 @@ def test_homs_match_bruteforce_oracle(src, tgt):
 def test_derivation_tree_and_closing_edges_cover_every_edge_once():
     """The layers' trees write each non-identity element once as x*g, or as
     the layer's generator itself; the closing edges are exactly the
-    |G|·(|gens| - 1) + 1 edges left; and each layer's edges lie inside the
-    subgroup its generators span and are new there."""
+    |G|·(|gens| - 1) + 1 edges left; each layer's edges lie inside the
+    subgroup its generators span and are new there; and each layer carries
+    its generator's order."""
     for grp in preset_groups(24):
         gens = generating_set(grp)
         layers = _derivation(grp)
-        assert [g for g, _, _ in layers] == list(gens)
-        tree = [edge for _, t, _ in layers for edge in t]
-        closing = [edge for _, _, c in layers for edge in c]
+        assert [g for g, _, _, _ in layers] == list(gens)
+        assert [k for _, k, _, _ in layers] == [element_order(grp, g) for g in gens]
+        tree = [edge for _, _, t, _ in layers for edge in t]
+        closing = [edge for _, _, _, c in layers for edge in c]
         written = [y for y, _, _ in tree] + list(gens)
         assert sorted(written) == [g for g in grp.elements if g != grp.identity]
         assert all(grp.mul(x, g) == y for y, x, g in tree)
@@ -251,7 +254,7 @@ def test_derivation_tree_and_closing_edges_cover_every_edge_once():
         assert len(edges) == len(gens) + len(tree) + len(closing)
         assert edges == {(s, g) for s in grp.elements for g in gens}
         below = frozenset([grp.identity])
-        for j, (g, layer_tree, layer_closing) in enumerate(layers):
+        for j, (g, _, layer_tree, layer_closing) in enumerate(layers):
             span = subgroup_generated(grp, gens[: j + 1]).elements
             layer = [(grp.identity, g)] + [(x, t) for _, x, t in layer_tree]
             layer += [(s, t) for s, t, _ in layer_closing]
@@ -274,7 +277,8 @@ def test_search_rejects_a_failed_prefix_before_trying_its_completions():
             return tuple.__getitem__(self, x)
 
     rows = CountingRows(_identity_rows(gamma, m))
-    (_, tree, closing), _ = _derivation(gamma)
+    (g, k, tree, closing), _ = _derivation(gamma)
+    assert k == element_order(gamma, g)
     # 1 has order 4 in C4, so g₁ ↦ 1 breaks g₁² = e
     assert _derivation_search(gamma, m, rows, [(1,), m.elements]) == ()
     assert 0 < len(reads) <= len(tree) + len(closing)
@@ -314,6 +318,22 @@ def test_generating_set_greedy_is_small():
     assert len(generating_set(s3())) == 2
     assert len(generating_set(direct_product(cyclic_group(2), cyclic_group(2)))) == 2
     assert generating_set(cyclic_group(1)) == ()
+
+
+def _quotients_of_preset_extensions(max_order):
+    """The coset-numbered quotients E/N of the middle groups of the preset
+    extensions, each distinct table once."""
+    return tuple(dict.fromkeys(
+        quotient(ext.E, n)[0]
+        for _, ext in preset_extensions(max_order)
+        for n in all_normal_subgroups(ext.E)
+    ))
+
+
+def test_generating_set_matches_the_unpruned_greedy_oracle():
+    """Skipping the elements inside a span already tried changes no choice."""
+    for grp in preset_groups(64) + _quotients_of_preset_extensions(16):
+        assert generating_set(grp) == oracle_generating_set([list(r) for r in grp.table]), grp
 
 
 def test_element_order():
@@ -584,9 +604,11 @@ def test_normal_subgroups_between():
 
 
 def test_normality_on_generators_matches_the_all_pairs_scan():
-    """is_normal agrees with the scan over every pair, and quotient names the
-    scan's first failing pair."""
-    for grp in preset_groups(24):
+    """is_normal, which asks whether the conjugacy classes a subgroup meets
+    hold no more elements than it has, agrees with the scan over every
+    pair, and quotient names the scan's first failing pair; on the presets
+    and on the coset-numbered quotients of the preset extensions."""
+    for grp in preset_groups(24) + _quotients_of_preset_extensions(16):
         table = [list(r) for r in grp.table]
         for sub in all_subgroups(grp):
             witness = oracle_normality_witness(table, sub.elements)

@@ -27,11 +27,10 @@ from seclab.cohomology import (
     pullback_coefficients,
 )
 from seclab.errors import IncompatibleTower, ValidationError
-from seclab.extensions import Extension, enumerate_sections
+from seclab.extensions import Extension, _sections, enumerate_sections
 from seclab.groups import (
     GroupHom,
     all_normal_subgroups,
-    all_normal_subgroups_between,
     cyclic_group,
     direct_product,
     enumerate_homs,
@@ -799,17 +798,23 @@ def test_descent_builds_each_pulled_system_once_per_entry(acceptance_instances, 
 
 
 def test_verify_enumerates_sections_once(acceptance_instances, monkeypatch):
-    calls = []
+    """verify_equivalences reads the sections once, through the private
+    helper, and builds neither of enumerate_sections' partitions."""
+    calls, partitions = [], []
 
     def counting(ext):
         calls.append(ext)
-        return enumerate_sections(ext)
+        return _sections(ext)
 
-    monkeypatch.setattr("seclab.localglobal.enumerate_sections", counting)
+    monkeypatch.setattr("seclab.localglobal._sections", counting)
+    monkeypatch.setattr(
+        "seclab.extensions.partition_by_conjugation", lambda *args: partitions.append(args)
+    )
     for ls in acceptance_instances[:20]:
         calls.clear()
         verify_equivalences(ls)
         assert calls == [ls.ext]
+    assert partitions == []
 
 
 def test_verify_decides_a_prime_through_the_public_decider(acceptance_instances, monkeypatch):
@@ -831,9 +836,10 @@ def test_verify_decides_a_prime_through_the_public_decider(acceptance_instances,
 
 
 def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, monkeypatch):
-    """One quotient per normal subgroup of E and per kernel quotient, and at
-    most one pullback per local map and one along the projection for each
-    distinct coefficient system, over split and non-split instances."""
+    """Exactly one quotient per normal subgroup of E, which the constant and
+    the kernel quotients share, and at most one pullback per local map and
+    one along the projection for each distinct coefficient system, over
+    split and non-split instances."""
     quotients, pullbacks = [], []
 
     def counting_quotient(group, sub):
@@ -853,8 +859,7 @@ def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, mon
         verify_equivalences(ls)
         split = bool(enumerate_sections(ls.ext).sections)
         kinds.add(split)
-        kernel = all_normal_subgroups_between(image(ls.ext.iota)) if split else ()
-        assert len(quotients) == len(all_normal_subgroups(ls.ext.E)) + len(kernel)
+        assert quotients == list(all_normal_subgroups(ls.ext.E))
         per_system = Counter(pullbacks)
         assert max(per_system.values()) <= len(ls.family.thetas) + 1
     assert kinds == {True, False}

@@ -85,6 +85,7 @@ from seclab.localglobal import (
     LocalFamily,
     LocalSections,
     _kernel_quotient_entries,
+    _quotients,
     verify_equivalences,
 )
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest
@@ -939,7 +940,8 @@ def test_kernel_quotient_systems_equal_validated_systems():
     """
     built = 0
     for _, ext in preset_extensions(16):
-        for entry in _kernel_quotient_entries(ext, enumerate_sections(ext).sections):
+        sections = enumerate_sections(ext).sections
+        for entry in _kernel_quotient_entries(ext, sections, _quotients(ext)):
             coeff = entry.coeff
             checked = GammaGroup(coeff.gamma, coeff.M, coeff.action)
             assert coeff == checked and hash(coeff) == hash(checked)
