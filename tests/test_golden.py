@@ -64,7 +64,10 @@ def _order_64_corpus_matches_golden(seed, tmp_path, capsys):
 
 
 def test_order_64_corpus_and_report_match_golden(tmp_path, capsys):
-    _order_64_corpus_matches_golden(20260823, tmp_path, capsys)
+    """Seeds 20260824 and 20260825 run ``decide a'`` and ``verify`` jobs,
+    so their reports read the descent labels of ``_diagonal``."""
+    for seed in (20260823, 20260824, 20260825):
+        _order_64_corpus_matches_golden(seed, tmp_path, capsys)
 
 
 def test_first_cli_corpus_manifest_and_report_match_golden(tmp_path, capsys):
