@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import count, repeat
-from typing import Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NotACocycle, NotAnAction, ValidationError
 from .groups import (
@@ -199,6 +200,14 @@ def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
     return None
 
 
+def _values_at(points: Sequence[int]) -> Callable[[Tuple[int, ...]], object]:
+    """The key convention of :attr:`H1Classes.class_by_key`: a value tuple's
+    values at ``points``, as one :func:`operator.itemgetter` returns them,
+    so one point gives a bare value and none, as for the trivial group,
+    gives ``()``."""
+    return itemgetter(*points) if points else lambda values: ()
+
+
 class H1Classes(_Record):
     """The class partition of all cocycles of one coefficient system.
 
@@ -206,10 +215,15 @@ class H1Classes(_Record):
     and ``classes`` holds sorted index tuples into it; each class is
     represented by its lexicographically least member.  The records
     (``cocycles``, ``representatives``), ``representative_values`` and
-    ``class_by_values``, which maps each value tuple to its class number,
-    are views: each is built when first read and kept, and none is a field,
-    so none takes part in equality or the repr.  The records are not
-    checked again, as the values are output of the cocycle search.
+    ``class_by_key`` are views: each is built when first read and kept, and
+    none is a field, so none takes part in equality or the repr.  The
+    records are not checked again, as the values are output of the cocycle
+    search.
+
+    ``class_by_key`` maps each cocycle's key, its values on
+    ``generating_set(gamma)`` read by :func:`_values_at`, to its class
+    number.  A cocycle is fixed by its values on a generating set, so no
+    two cocycles share a key; only a cocycle's own key may be looked up.
     """
 
     _fields = {"parent": GammaGroup, "values": tuple, "classes": tuple}
@@ -232,9 +246,9 @@ class H1Classes(_Record):
         return tuple(_trusted(Cocycle, self.parent, v) for v in self.representative_values)
 
     @cached_property
-    def class_by_values(self) -> Dict[Tuple[int, ...], int]:
-        values = self.values
-        return {values[j]: i for i, cls in enumerate(self.classes) for j in cls}
+    def class_by_key(self) -> Dict[object, int]:
+        key, values = _values_at(generating_set(self.parent.gamma)), self.values
+        return {key(values[j]): i for i, cls in enumerate(self.classes) for j in cls}
 
 
 @lru_cache(maxsize=None)

@@ -430,10 +430,17 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
+    """Z/n: row a is ``range(n)`` rotated by a, trusted without a check.
+
+    An order over :data:`DEFAULT_CLOSURE_BOUND` raises :class:`BoundExceeded`
+    before any table is built."""
     _check_int(n, "cyclic group order")
     if n < 1:
         raise ValidationError(f"cyclic group order must be positive, got {_show(n)}")
+    if n > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceeded(
+            f"cyclic group order {_show(n)} is over the bound of {DEFAULT_CLOSURE_BOUND}"
+        )
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)
     return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), f"C{n}")
@@ -809,9 +816,12 @@ def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 
 def subgroup_generated(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """The span of ``gens``, trusted without a check: once the generators
+    are checked, their closure is a subgroup by construction."""
     gens = _as_tuple(gens, NotASubgroup, "generator list")
     _check_indices(gens, parent.order, NotASubgroup, "element")
-    return Subgroup(parent, tuple(sorted(_close_elements(parent.table, parent.identity, gens))))
+    elements = tuple(sorted(_close_elements(parent.table, parent.identity, gens)))
+    return _trusted(Subgroup, parent, elements)
 
 
 def trivial_subgroup(parent: FiniteGroup) -> Subgroup:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count, repeat
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
     GammaGroup,
+    _values_at,
     conjugation_coefficients,
     constant_coefficients,
     h1,
@@ -43,6 +44,7 @@ from .groups import (
     compose,
     conjugacy_classes,
     enumerate_homs,
+    generating_set,
     identity_hom,
     image,
     inverse_hom,
@@ -160,39 +162,56 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     return out
 
 
-#: A local reader: a map's element tuple, and the value-to-class map of
-#: the local H^1 that values read along it land in.
-_Reader = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+#: A local reader: the getter of a value tuple's values at the images of
+#: the local group's generators under a map, and the ``class_by_key`` of
+#: the local H^1 that values read along the map land in.
+_Reader = Tuple[Callable[[Tuple[int, ...]], object], Dict[object, int]]
 
 
-def _label(values: Tuple[int, ...], readers: Sequence[_Reader]) -> Tuple[int, ...]:
-    """The class, in each local H^1, of a cocycle's values read along each map.
+def _reader(f: GroupHom, classes: Dict[object, int]) -> _Reader:
+    """Read along f: a cocycle's values at the images of the generators of
+    f's source are the key, by :func:`_values_at`, of its pullback along f."""
+    return _values_at(tuple(map(f.map.__getitem__, generating_set(f.source)))), classes
 
-    Each map must pull the cocycle's coefficients back to its reader's
+
+def _labels(
+    values: Sequence[Tuple[int, ...]], readers: Sequence[_Reader]
+) -> Iterator[Tuple[int, ...]]:
+    """Each cocycle's label: its class, in each local H^1, read along each map.
+
+    Each map must pull the cocycles' coefficients back to its reader's
     local system, so the values read along it form one of its cocycles.
+    Each local is read as one column, a getter call and a lookup per
+    cocycle, both mapped at C level; no restricted value tuple is built.
+    Only genuine cocycles may be labelled: the key of anything else may
+    name some other cocycle's class.  With no locals every label is ``()``.
     """
-    return tuple(classes[tuple(map(values.__getitem__, f))] for f, classes in readers)
+    if not readers:
+        return repeat((), len(values))
+    return zip(*(map(classes.__getitem__, map(key, values)) for key, classes in readers))
 
 
 def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     """All classes over the base whose local restrictions match alpha's.
 
     Returns representatives; always contains the class of alpha itself, so
-    the fibre is finite and nonempty by construction.
+    the fibre is finite and nonempty by construction.  Labels are read as
+    in :func:`_diagonal`, along a :func:`_reader` per local map.
     """
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
     readers = [
-        (theta.map, h1(pullback_coefficients(theta, coeff)).class_by_values)
+        _reader(theta, h1(pullback_coefficients(theta, coeff)).class_by_key)
         for theta in family.thetas
     ]
-    want = _label(alpha.values, readers)
+    (want,) = _labels((alpha.values,), readers)
     over = h1(coeff)
+    classes = over.representative_values
     return tuple(
         _trusted(Cocycle, over.parent, v)
-        for v in over.representative_values
-        if _label(v, readers) == want
+        for v, label in zip(classes, _labels(classes, readers))
+        if label == want
     )
 
 
@@ -332,16 +351,17 @@ def _diagonal(ls: LocalSections, coeff: GammaGroup) -> Tuple[GammaGroup, tuple, 
     a class over the middle group by its classes along the local sections.
     Since each section projects to its local map, both read into the same
     local systems, and a class passes exactly when its label is the label
-    of some class over the base.
+    of some class over the base.  Both are read by :func:`_labels`, along
+    a :func:`_reader` per local map and per section.
     """
     thetas = ls.family.thetas
-    local = [h1(pullback_coefficients(theta, coeff)).class_by_values for theta in thetas]
-    readers = [(s.map, classes) for s, classes in zip(ls.sections, local)]
-    base_readers = [(theta.map, classes) for theta, classes in zip(thetas, local)]
-    image_labels = {_label(v, base_readers) for v in h1(coeff).representative_values}
+    local = [h1(pullback_coefficients(theta, coeff)).class_by_key for theta in thetas]
+    readers = list(map(_reader, ls.sections, local))
+    base_readers = list(map(_reader, thetas, local))
+    image_labels = set(_labels(h1(coeff).representative_values, base_readers))
     over_e = h1(pullback_coefficients(ls.ext.pi, coeff))
     classes = over_e.representative_values
-    return over_e.parent, classes, [_label(v, readers) in image_labels for v in classes]
+    return over_e.parent, classes, list(map(image_labels.__contains__, _labels(classes, readers)))
 
 
 def _run_corpus(

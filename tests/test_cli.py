@@ -57,6 +57,29 @@ def test_a_fresh_run_imports_no_dataclasses(small_manifest):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_gen_and_run_do_not_depend_on_the_hash_seed():
+    """``gen --max-order 24 --seed 5`` piped into a structured run gives the
+    same bytes under two hash seeds, each step in a fresh interpreter: no
+    manifest name, class number or report order may follow set or dict
+    hashing."""
+    reports = []
+    for hash_seed in ("0", "12345"):
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(seclab.__file__).parents[1]), PYTHONHASHSEED=hash_seed
+        )
+        cli = [sys.executable, "-m", "seclab.cli"]
+        gen = subprocess.run(
+            cli + ["gen", "--max-order", "24", "--seed", "5"],
+            env=env, capture_output=True, check=True,
+        )
+        run = subprocess.run(
+            cli + ["run", "--format", "structured", "--no-timing", "-"],
+            input=gen.stdout, env=env, capture_output=True, check=True,
+        )
+        reports.append(run.stdout)
+    assert reports[0] == reports[1] and b'"job": "verify"' in reports[0]
+
+
 def test_run_with_timing_mentions_elapsed(small_manifest, capsys):
     assert main(["run", small_manifest]) == 0
     assert "elapsed: " in capsys.readouterr().out

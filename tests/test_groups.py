@@ -13,6 +13,7 @@ from oracles import (
     oracle_conjugacy_classes,
     oracle_generating_set,
     oracle_homs,
+    oracle_is_subgroup,
     oracle_normality_witness,
     oracle_perm_closure,
     oracle_subgroups,
@@ -504,6 +505,7 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: seeded_instances(1, None), "count None is not an integer"),
         (lambda: parse_manifest(None), "manifest text must be a str, not None"),
         (lambda: cyclic_group(-(10**5000)), "must be positive, got <int of 16610 bits>"),
+        (lambda: cyclic_group(10**30), f"order {10**30} is over the bound of 10080"),
         (lambda: group_from_permutations(-(10**5000), []), "degree <int of 16610 bits> is neg"),
         (lambda: dihedral_group(-(10**5000)), "n >= 3, got <int of 16610 bits>"),
         (lambda: dicyclic_group(-(10**5000)), "n >= 2, got <int of 16610 bits>"),
@@ -530,6 +532,7 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         "metacyclic-zero", "presets-float", "presets-str", "presets-list", "presets-huge",
         "extensions-list", "corpus-list", "corpus-seed-list",
         "instances-none", "instances-count-none", "manifest-none", "cyclic-huge",
+        "cyclic-over-bound",
         "perm-degree-huge", "dihedral-huge", "dicyclic-huge", "symmetric-huge",
         "alternating-huge", "metacyclic-huge", "metacyclic-r-huge", "catalog-list",
         "catalog-none", "catalog-gamma", "transport-none", "transport-count-none", "product-int",
@@ -561,6 +564,15 @@ def test_subgroup_generated():
     for bad in (-1, 6):
         with pytest.raises(NotASubgroup, match=f"element {bad} outside"):
             subgroup_generated(grp, [bad])
+
+
+def test_subgroup_generated_passes_the_check_it_skips():
+    """``subgroup_generated`` trusts its closure; each cyclic subgroup of
+    every preset group up to order 16 is a subgroup by the oracle."""
+    for grp in preset_groups(16):
+        for g in grp.elements:
+            sub = subgroup_generated(grp, [g])
+            assert oracle_is_subgroup(grp.table, sub.elements), (grp.label, g)
 
 
 def test_subgroup_as_group_roundtrip():

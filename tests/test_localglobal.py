@@ -250,6 +250,19 @@ def test_diagonal_fibre_rotation_only_family():
     assert len(diagonal_fibre(alpha, fam)) == 2
 
 
+def test_with_no_locals_every_class_shares_one_label():
+    """No locals give every class the empty label: the fibre is every
+    class, and (a) passes after checking every class of the corpus."""
+    coeff = constant_coefficients(S3, C2)
+    fib = diagonal_fibre(Cocycle(coeff, SIGN.map), LocalFamily(S3, ()))
+    assert [c.values for c in fib] == list(h1(coeff).representative_values)
+    ls = LocalSections(s3_twisted_instance().ext, ())
+    corpus = standard_corpus(ls)
+    total = sum(h1(pullback_coefficients(ls.ext.pi, e.coeff)).class_count for e in corpus)
+    check = decide_a(ls, corpus)
+    assert check.holds and check.classes_checked == total > 0
+
+
 def test_diagonal_fibre_rejects_wrong_base():
     fam = s3_family()
     alpha = Cocycle(constant_coefficients(C2, C2), (0, 0))

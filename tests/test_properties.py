@@ -208,6 +208,13 @@ def test_twisting_is_symmetric(name, data):
     assert (forward is None) == (backward is None)
 
 
+def _key(coeff, values):
+    """A cocycle's key in ``h1(coeff).class_by_key``: its values on the
+    generators of gamma, bare for one generator and ``()`` for none."""
+    key = tuple(values[g] for g in generating_set(coeff.gamma))
+    return key[0] if len(key) == 1 else key
+
+
 @given(SmallNames, st.data())
 @settings(deadline=None)
 def test_class_representatives_are_canonical(name, data):
@@ -219,7 +226,7 @@ def test_class_representatives_are_canonical(name, data):
     classes = h1(data.draw(st.sampled_from(coeffs)))
     reps = classes.representatives
     for i, rep in enumerate(reps):
-        assert classes.class_by_values[rep.values] == i
+        assert classes.class_by_key[_key(rep.parent, rep.values)] == i
         for other in reps[i + 1:]:
             assert cohomologous(rep, other) is None
 
@@ -234,7 +241,8 @@ def test_class_numbers_agree_with_twisting(coeff, data):
     classes = h1(coeff)
     a = data.draw(st.sampled_from(classes.cocycles))
     for b in classes.cocycles:
-        same = classes.class_by_values[a.values] == classes.class_by_values[b.values]
+        index = classes.class_by_key
+        same = index[_key(coeff, a.values)] == index[_key(coeff, b.values)]
         assert same == (cohomologous(a, b) is not None), (a, b)
 
 
@@ -363,17 +371,19 @@ def test_corpus_generation_is_reproducible(seed):
 @settings(deadline=None)
 def test_h1_value_table_and_its_views(coeff):
     """
-    h1 keeps the oracle's cocycle value tuples; its class map sends exactly
-    those tuples to the class that holds each, and its representative
+    h1 keeps the oracle's cocycle value tuples; its class map holds exactly
+    one key per oracle cocycle, its values on the generators of gamma, and
+    sends it to the class that holds that cocycle; its representative
     records equal cocycles built through the validator.
     """
     classes = h1(coeff)
     tables = (coeff.gamma.table, coeff.M.table, coeff.action)
-    assert list(classes.values) == oracle_cocycles(*tables)
-    index = classes.class_by_values
-    assert set(index) == set(classes.values) and len(index) == len(classes.values)
-    for j, v in enumerate(classes.values):
-        assert j in classes.classes[index[v]]
+    oracle = oracle_cocycles(*tables)
+    assert list(classes.values) == oracle
+    index = classes.class_by_key
+    assert set(index) == {_key(coeff, v) for v in oracle} and len(index) == len(oracle)
+    for j, v in enumerate(oracle):
+        assert j in classes.classes[index[_key(coeff, v)]]
     reps = classes.representatives
     assert len(reps) == len(classes.representative_values) == classes.class_count
     for rep, v in zip(reps, classes.representative_values):
