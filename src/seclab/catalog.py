@@ -20,6 +20,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _check_int,
+    _check_order,
     _check_types,
     _derivation_search,
     _identity_rows,
@@ -64,6 +65,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     _check_int(n, "dihedral group n")
     if n < 3:
         raise ValidationError(f"dihedral group needs n >= 3, got {_show(n)}")
+    _check_order(2 * n, "dihedral group order")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     return group_from_permutations(n, [rot, ref], label=f"D{n}")[0]
@@ -76,6 +78,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
         raise ValidationError(f"dicyclic group needs n >= 2, got {_show(n)}")
     m = 2 * n
     size = 4 * n
+    _check_order(size, "dicyclic group order")
 
     def mul(i: int, j: int) -> int:
         k, l = i % m, i // m
@@ -103,6 +106,7 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
         raise ValidationError(f"metacyclic group needs m, n >= 1, got m={_show(m)}, n={_show(n)}")
     if pow(r, n, m) != 1 % m:
         raise ValidationError(f"r^n must be 1 mod m; got {_show(r)}^{_show(n)} mod {_show(m)}")
+    _check_order(m * n, "metacyclic group order")
 
     def mul(i: int, j: int) -> int:
         k, l = i % m, i // m

@@ -76,8 +76,8 @@ class IncompatibleTower(ValidationError):
 
 
 class BoundExceeded(ValidationError):
-    """A request exceeds a supported bound: a corpus order or the element
-    cap of a permutation closure."""
+    """A request exceeds a supported bound: a corpus order, or the element
+    cap of a permutation closure or of a table builder's group order."""
 
 
 class ManifestSyntaxError(ValidationError):

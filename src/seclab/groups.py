@@ -429,18 +429,20 @@ def trivial_group() -> FiniteGroup:
     return group_from_table(((0,),), "1")
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    """Z/n: row a is ``range(n)`` rotated by a, trusted without a check.
+def _check_order(order: int, what: str) -> None:
+    """Raise :class:`BoundExceeded` naming ``what`` for an order over
+    :data:`DEFAULT_CLOSURE_BOUND`; the table builders call it before they
+    allocate anything."""
+    if order > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceeded(f"{what} {_show(order)} is over the bound of {DEFAULT_CLOSURE_BOUND}")
 
-    An order over :data:`DEFAULT_CLOSURE_BOUND` raises :class:`BoundExceeded`
-    before any table is built."""
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
     _check_int(n, "cyclic group order")
     if n < 1:
         raise ValidationError(f"cyclic group order must be positive, got {_show(n)}")
-    if n > DEFAULT_CLOSURE_BOUND:
-        raise BoundExceeded(
-            f"cyclic group order {_show(n)} is over the bound of {DEFAULT_CLOSURE_BOUND}"
-        )
+    _check_order(n, "cyclic group order")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)
     return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), f"C{n}")
@@ -453,6 +455,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     _check_types((g, h), (FiniteGroup, FiniteGroup), ValidationError, "factor {}", (1, 2))
     m = h.order
     size = g.order * m
+    _check_order(size, "direct product order")
     table = tuple(
         tuple(g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(size))
         for x in range(size)
@@ -740,7 +743,9 @@ def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
 
 
 def image(hom: GroupHom) -> "Subgroup":
-    return Subgroup(hom.target, tuple(sorted(set(hom.map))))
+    """The image of hom, trusted without a check: the image of a
+    homomorphism is a subgroup by construction."""
+    return _trusted(Subgroup, hom.target, tuple(sorted(set(hom.map))))
 
 
 def is_surjective(hom: GroupHom) -> bool:

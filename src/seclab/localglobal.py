@@ -274,46 +274,37 @@ class CorpusEntry(_Record):
             raise ValidationError(f"unknown provenance tag {self.provenance!r}")
 
 
-#: Each normal subgroup of E with its projection onto the quotient.
-_Quotients = Tuple[Tuple[Subgroup, GroupHom], ...]
+def _corpora(ext: Extension, sections: Sequence[GroupHom]) -> Tuple[Tuple[CorpusEntry, ...], ...]:
+    """The corpora of (a'), (a) and (a''), read off one pass over the
+    normal subgroups V of E, in :func:`all_normal_subgroups` order, with
+    each projection E -> E/V built once.
 
-
-def _quotients(ext: Extension) -> _Quotients:
-    """Each normal N of E, in :func:`all_normal_subgroups` order, with the
-    projection E -> E/N, built once for both kinds of corpus entry."""
-    return tuple((n, quotient(ext.E, n)[1]) for n in all_normal_subgroups(ext.E))
-
-
-def _constant_quotient_entries(ext: Extension, quotients: _Quotients) -> Tuple[CorpusEntry, ...]:
-    """The base acting trivially on each quotient of E, each system once."""
-    systems = dict.fromkeys(constant_coefficients(ext.Gamma, q.target) for _, q in quotients)
-    return tuple(CorpusEntry(coeff, CONSTANT_QUOTIENT) for coeff in systems)
-
-
-def _kernel_quotient_entries(
-    ext: Extension, sections: Sequence[GroupHom], quotients: _Quotients
-) -> Tuple[CorpusEntry, ...]:
-    """The kernels of the pushouts along each V normal in E inside the
+    The constant entries are the base acting trivially on each E/V.  The
+    kernel entries are the kernels of the pushouts along each V inside the
     embedded kernel: the image of the kernel in E/V, with the base acting
     by conjugation through the first section pushed to E/V; none without a
-    section.  Equal systems are kept once, the first seen.
+    section.  Each kind keeps equal systems once, the first seen.  (a')
+    reads the constant entries, (a) the constant then the kernel entries,
+    and (a'') the kernel entries, or the constant ones with no section: a
+    section always brings the kernel's quotient by itself, so there are no
+    kernel entries exactly when there is no section.
 
-    The projections onto E/V are those of ``quotients``, the ones the
-    constant entries read, so no E/V is built twice.  E/V numbers its
-    cosets by least member, so the cosets inside the kernel keep the order
-    of their least members.  :func:`pushout` is not used: its ``A/V`` is
-    numbered along A.  A/V is normal in E/V, so the conjugation check
-    always passes.
+    E/V numbers its cosets by least member, so the cosets inside the
+    kernel keep the order of their least members.  :func:`pushout` is not
+    used: its ``A/V`` is numbered along A.  A/V is normal in E/V, so the
+    conjugation check always passes.
     """
-    if not sections:
-        return ()
     kernel = frozenset(ext.iota.map)
-    systems = dict.fromkeys(
-        conjugation_coefficients(image(compose(q, ext.iota)), compose(q, sections[0]))
-        for v, q in quotients
-        if kernel.issuperset(v.elements)
-    )
-    return tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in systems)
+    constant, pushed = {}, {}
+    for v in all_normal_subgroups(ext.E):
+        q = quotient(ext.E, v)[1]
+        constant[constant_coefficients(ext.Gamma, q.target)] = None
+        if sections and kernel.issuperset(v.elements):
+            act = compose(q, sections[0])
+            pushed[conjugation_coefficients(image(compose(q, ext.iota)), act)] = None
+    constant = tuple(CorpusEntry(coeff, CONSTANT_QUOTIENT) for coeff in constant)
+    pushed = tuple(CorpusEntry(coeff, A_QUOTIENT_SECTION) for coeff in pushed)
+    return constant, constant + pushed, pushed or constant
 
 
 def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
@@ -323,10 +314,7 @@ def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
     the base.  Without a section it has no kernel entries, so on a
     non-split instance (a) over it is (a').  A caller's own systems join
     it as ``USER_SUPPLIED`` entries passed to :func:`decide_a` after it."""
-    quotients = _quotients(ls.ext)
-    return _constant_quotient_entries(ls.ext, quotients) + _kernel_quotient_entries(
-        ls.ext, _sections(ls.ext), quotients
-    )
+    return _corpora(ls.ext, _sections(ls.ext))[1]
 
 
 class DescentCheck(_Record):
@@ -414,11 +402,12 @@ def decide_a_prime(
     """Survival in all constant quotients of the middle group.
 
     Every quotient counts, E itself included: that is what makes this
-    property match (b) exactly.  ``_shared`` is only for
+    property match (b) exactly.  The corpus is built with no sections, so
+    this decider never searches for one.  ``_shared`` is only for
     :func:`verify_equivalences`: the constant quotients it built and the
     diagonals it shares with (a) and (a'').
     """
-    entries, diagonals = _shared or (_constant_quotient_entries(ls.ext, _quotients(ls.ext)), {})
+    entries, diagonals = _shared or (_corpora(ls.ext, ())[0], {})
     return _run_corpus(ls, entries, diagonals)
 
 
@@ -427,15 +416,9 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     the embedded kernel: the kernel's image in each E/V, acted on through
     the first section pushed to E/V.  With no section the check falls back
     to constant quotients, still restricted to classes surjective on the
-    kernel's image.
+    kernel's image; :func:`_corpora` makes that choice.
     """
-    quotients = _quotients(ls.ext)
-    # a section always brings the kernel's quotient by itself, so there are
-    # no kernel entries exactly when there is no section
-    entries = _kernel_quotient_entries(
-        ls.ext, _sections(ls.ext), quotients
-    ) or _constant_quotient_entries(ls.ext, quotients)
-    return _run_corpus(ls, entries, {}, ls.ext.iota.map)
+    return _run_corpus(ls, _corpora(ls.ext, _sections(ls.ext))[2], {}, ls.ext.iota.map)
 
 
 # ---------------------------------------------------------------------------
@@ -472,26 +455,22 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     (b) <=> (a'), split and (a'') together give (c), and density collapses
     (a), (a'), (b), (c) to a single truth value.
 
-    Each quotient E/N is built once and feeds both the constant and the
-    kernel entries, and the sections are read without the two conjugacy
-    partitions that :func:`enumerate_sections` adds.
+    The three corpora come from one :func:`_corpora` pass, and the
+    sections are read once, without the two conjugacy partitions that
+    :func:`enumerate_sections` adds.
     """
     density = check_density(ls.family)
     sections = _sections(ls.ext)
     split = bool(sections)
-    quotients = _quotients(ls.ext)
-    kernel_entries = _kernel_quotient_entries(ls.ext, sections, quotients)
-    constant_entries = _constant_quotient_entries(ls.ext, quotients)
+    corpus_a_prime, corpus_a, corpus_a_double = _corpora(ls.ext, sections)
     # (a'), (a) and (a'') read overlapping corpora, so each system's
     # diagonal is built once for all three.  (a') is decided through the
     # public decider, so a profile or trace of decide_a_prime sees every
-    # (a') decision; (a) scans the standard corpus, the constant quotients
-    # then the kernel quotients.
+    # (a') decision.
     diagonals: Dict[GammaGroup, tuple] = {}
-    a_prime = decide_a_prime(ls, _shared=(constant_entries, diagonals))
-    a = _run_corpus(ls, constant_entries + kernel_entries, diagonals)
-    # with no section there are no kernel entries; see decide_a_doubleprime
-    a_double = _run_corpus(ls, kernel_entries or constant_entries, diagonals, ls.ext.iota.map)
+    a_prime = decide_a_prime(ls, _shared=(corpus_a_prime, diagonals))
+    a = _run_corpus(ls, corpus_a, diagonals)
+    a_double = _run_corpus(ls, corpus_a_double, diagonals, ls.ext.iota.map)
     b = decide_b(ls)
     c = next(_interpolating(ls, sections, ls.ext.iota.map), None)
     hb, hc = b is not None, c is not None

@@ -38,12 +38,7 @@ from seclab.groups import (
     enumerate_homs,
     quotient,
 )
-from seclab.localglobal import (
-    _constant_quotient_entries,
-    _kernel_quotient_entries,
-    _quotients,
-    verify_equivalences,
-)
+from seclab.localglobal import _corpora, verify_equivalences
 from seclab.manifest import generate_corpus, parse_manifest, run_program
 
 FILE = Path(__file__).parent / "golden" / "fingerprints.json"
@@ -118,12 +113,7 @@ def sections():
 def descent_corpus():
     """Every system of the (a) corpus, failing or not, as built."""
     for _, ext in preset_extensions(16):
-        sections = enumerate_sections(ext).sections
-        quotients = _quotients(ext)
-        entries = _constant_quotient_entries(ext, quotients) + _kernel_quotient_entries(
-            ext, sections, quotients
-        )
-        for entry in entries:
+        for entry in _corpora(ext, enumerate_sections(ext).sections)[1]:
             yield entry.provenance, _table(entry.coeff.M), entry.coeff.action
 
 

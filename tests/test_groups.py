@@ -525,6 +525,16 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
             lambda: seeded_transport_pairs(1, 1, 1),
             "no nontrivial preset group of order at most 1",
         ),
+        (
+            lambda: direct_product(cyclic_group(101), cyclic_group(101)),
+            "direct product order 10201 is over the bound of 10080",
+        ),
+        (lambda: dihedral_group(5041), "dihedral group order 10082 is over the bound of 10080"),
+        (lambda: dicyclic_group(2521), "dicyclic group order 10084 is over the bound of 10080"),
+        (
+            lambda: metacyclic_group(10081, 1, 1),
+            "metacyclic group order 10081 is over the bound of 10080",
+        ),
     ],
     ids=[
         "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
@@ -536,7 +546,8 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         "perm-degree-huge", "dihedral-huge", "dicyclic-huge", "symmetric-huge",
         "alternating-huge", "metacyclic-huge", "metacyclic-r-huge", "catalog-list",
         "catalog-none", "catalog-gamma", "transport-none", "transport-count-none", "product-int",
-        "table-huge", "table-row-huge", "transport-empty",
+        "table-huge", "table-row-huge", "transport-empty", "product-over-bound",
+        "dihedral-over-bound", "dicyclic-over-bound", "metacyclic-over-bound",
     ],
 )
 def test_group_constructors_reject_bad_orders(build, needle):
@@ -573,6 +584,16 @@ def test_subgroup_generated_passes_the_check_it_skips():
         for g in grp.elements:
             sub = subgroup_generated(grp, [g])
             assert oracle_is_subgroup(grp.table, sub.elements), (grp.label, g)
+
+
+def test_image_passes_the_check_it_skips():
+    """``image`` trusts its output; the image of every hom between preset
+    groups up to order 8 is a subgroup by the oracle."""
+    groups_8 = preset_groups(8)
+    for src in groups_8:
+        for dst in groups_8:
+            for hom in enumerate_homs(src, dst):
+                assert oracle_is_subgroup(dst.table, image(hom).elements), (src.label, hom.map)
 
 
 def test_subgroup_as_group_roundtrip():

@@ -848,6 +848,20 @@ def test_verify_decides_a_prime_through_the_public_decider(acceptance_instances,
         assert report.a_prime == decide_a_prime(ls)
 
 
+def test_decide_a_prime_reads_no_sections(acceptance_instances, monkeypatch):
+    """(a') is read off the constant quotients alone, so the standalone
+    decider never searches for a section, and it agrees with verify."""
+
+    def refusing(ext):
+        raise AssertionError("decide_a_prime searched for sections")
+
+    for ls in acceptance_instances[:20]:
+        want = verify_equivalences(ls).a_prime
+        with monkeypatch.context() as patch:
+            patch.setattr("seclab.localglobal._sections", refusing)
+            assert decide_a_prime(ls) == want
+
+
 def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, monkeypatch):
     """Exactly one quotient per normal subgroup of E, which the constant and
     the kernel quotients share, and at most one pullback per local map and

@@ -82,10 +82,10 @@ from seclab.groups import (
     union_of_conjugates,
 )
 from seclab.localglobal import (
+    A_QUOTIENT_SECTION,
     LocalFamily,
     LocalSections,
-    _kernel_quotient_entries,
-    _quotients,
+    _corpora,
     verify_equivalences,
 )
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest
@@ -950,8 +950,9 @@ def test_kernel_quotient_systems_equal_validated_systems():
     """
     built = 0
     for _, ext in preset_extensions(16):
-        sections = enumerate_sections(ext).sections
-        for entry in _kernel_quotient_entries(ext, sections, _quotients(ext)):
+        for entry in _corpora(ext, enumerate_sections(ext).sections)[1]:
+            if entry.provenance != A_QUOTIENT_SECTION:
+                continue
             coeff = entry.coeff
             checked = GammaGroup(coeff.gamma, coeff.M, coeff.action)
             assert coeff == checked and hash(coeff) == hash(checked)
