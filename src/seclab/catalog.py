@@ -23,6 +23,7 @@ from .groups import (
     _check_order,
     _check_types,
     _derivation_search,
+    _extension_group,
     _identity_rows,
     _lifts_through,
     _show,
@@ -76,23 +77,12 @@ def dicyclic_group(n: int) -> FiniteGroup:
     _check_int(n, "dicyclic group n")
     if n < 2:
         raise ValidationError(f"dicyclic group needs n >= 2, got {_show(n)}")
-    m = 2 * n
-    size = 4 * n
-    _check_order(size, "dicyclic group order")
-
-    def mul(i: int, j: int) -> int:
-        k, l = i % m, i // m
-        kp, lp = j % m, j // m
-        if l == 0:
-            return (k + kp) % m + m * lp
-        if lp == 0:
-            return (k - kp) % m + m
-        return (k - kp + n) % m
-
+    _check_order(4 * n, "dicyclic group order")
     label = "Q8" if n == 2 else ("Q16" if n == 4 else f"Dic{n}")
-    # a group law with identity 0, so not checked; inverses are read off the rows
-    table = tuple(tuple(mul(i, j) for j in range(size)) for i in range(size))
-    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label)
+    # the non-split extension of C2 by C_2n: 1 acts by inversion, and f(1, 1) = n
+    c2n = cyclic_group(2 * n)
+    rows = (tuple(c2n.elements), c2n.inverse)
+    return _extension_group(c2n, cyclic_group(2), rows, ((0, 0), (0, n)), label)
 
 
 def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
@@ -107,15 +97,9 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
     if pow(r, n, m) != 1 % m:
         raise ValidationError(f"r^n must be 1 mod m; got {_show(r)}^{_show(n)} mod {_show(m)}")
     _check_order(m * n, "metacyclic group order")
-
-    def mul(i: int, j: int) -> int:
-        k, l = i % m, i // m
-        kp, lp = j % m, j // m
-        return (k + pow(r, l, m) * kp) % m + m * ((l + lp) % n)
-
-    # a group law with identity 0, so not checked; inverses are read off the rows
-    table = tuple(tuple(mul(i, j) for j in range(m * n)) for i in range(m * n))
-    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), f"C{m}:C{n}r{_show(r)}")
+    rows = tuple(tuple(pow(r, l, m) * k % m for k in range(m)) for l in range(n))
+    label = f"C{m}:C{n}r{_show(r)}"
+    return _extension_group(cyclic_group(m), cyclic_group(n), rows, ((0,) * n,) * n, label)
 
 
 def symmetric_group(n: int) -> FiniteGroup:

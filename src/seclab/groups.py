@@ -448,21 +448,35 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), f"C{n}")
 
 
+def _extension_group(
+    m: FiniteGroup, gamma: FiniteGroup, rows: Sequence, factors: Sequence, label: Optional[str]
+) -> FiniteGroup:
+    """Pairs (x, g) numbered x + |m|·g under Schreier's law (x, g)(y, h) =
+    (x·g(y)·f(g, h), gh), with g(y) = ``rows[g][y]`` and f(g, h) =
+    ``factors[g][h]`` (Brown, *Cohomology of Groups*, ch. IV).  Trusted: the
+    callers pass an action and a normalised factor set, so the identity is
+    the pair of identities and each inverse is read off its row."""
+    mt, size = m.table, m.order
+    table = []
+    for g, grow in enumerate(gamma.table):
+        act, fac = rows[g], factors[g]
+        for x in m.elements:
+            xg = tuple(map(mt[x].__getitem__, act))  # x·g(y) for every y
+            table.append(tuple(
+                mt[xy][fac[h]] + size * gh for h, gh in enumerate(grow) for xy in xg
+            ))
+    e = m.identity + size * gamma.identity
+    return FiniteGroup(tuple(table), e, tuple(row.index(e) for row in table), label)
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs encoded as a*|h| + b, trusted without
-    a check: the laws hold componentwise, and the identity is the pair of
-    identities, so each inverse is read off its row."""
+    """G × H on pairs encoded as a*|h| + b: the extension of g by h with
+    the trivial action and the trivial factor set."""
     _check_types((g, h), (FiniteGroup, FiniteGroup), ValidationError, "factor {}", (1, 2))
-    m = h.order
-    size = g.order * m
-    _check_order(size, "direct product order")
-    table = tuple(
-        tuple(g.mul(x // m, y // m) * m + h.mul(x % m, y % m) for y in range(size))
-        for x in range(size)
-    )
-    e = g.identity * m + h.identity
+    _check_order(g.order * h.order, "direct product order")
+    trivial = ((h.identity,) * g.order,) * g.order
     label = f"{g.label}x{h.label}" if g.label and h.label else None
-    return FiniteGroup(table, e, tuple(row.index(e) for row in table), label)
+    return _extension_group(h, g, _identity_rows(g, h), trivial, label)
 
 
 # ---------------------------------------------------------------------------

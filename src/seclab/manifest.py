@@ -22,7 +22,7 @@ from .catalog import (
 )
 from .cohomology import Cocycle, GammaGroup, constant_coefficients, h1
 from .errors import ManifestSyntaxError, UnknownName, ValidationError
-from .extensions import Extension, enumerate_sections, pushout
+from .extensions import Extension, _sections, enumerate_sections, pushout
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -400,7 +400,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "kernel_order": smaller.A.order,
             "middle_order": smaller.E.order,
             "base_order": smaller.Gamma.order,
-            "splits": bool(enumerate_sections(smaller).sections),
+            "splits": bool(_sections(smaller)),
         }
     if job.command == "decide":
         ls = _lookup(program, job.target, "sections")
@@ -465,8 +465,8 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
         }
     # tower, the last command _parse_job admits
     ls = _lookup(program, job.target, "sections")
-    ext_names = (job.option("exts") or "").split(",") if job.option("exts") else []
-    map_names = (job.option("maps") or "").split(",") if job.option("maps") else []
+    ext_names = job.option("exts").split(",") if job.option("exts") else []
+    map_names = job.option("maps").split(",") if job.option("maps") else []
     levels = [_lookup(program, n, "extension") for n in ext_names]
     maps = [_lookup(program, n, "hom") for n in map_names]
     res = tower_limit_sections(levels, maps, ls)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,17 @@ def test_stdin_manifest(monkeypatch, capsys):
 
     monkeypatch.setattr("sys.stdin", io.StringIO(SMALL))
     assert main(["run", "-", "--no-timing"]) == 0
+    assert "sections: 2" in capsys.readouterr().out
+
+
+def test_python_m_runs_main_and_exits_with_its_code(small_manifest, monkeypatch, capsys):
+    """``python -m seclab.cli`` hands its arguments to ``main`` and exits
+    with its code; here in-process, on a fresh copy of the module."""
+    monkeypatch.setattr("sys.argv", ["seclab", "run", small_manifest, "--no-timing"])
+    monkeypatch.delitem(sys.modules, "seclab.cli")
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("seclab.cli", run_name="__main__")
+    assert done.value.code == 0
     assert "sections: 2" in capsys.readouterr().out
 
 

@@ -116,14 +116,15 @@ def test_no_name_is_exported_by_two_modules():
 def test_the_runtime_needs_only_the_standard_library():
     """Under ``python -I -S`` neither the environment nor site-packages is
     on the path, so with ``src`` added the package and its CLI import from
-    the standard library alone."""
+    the standard library alone.  ``-I`` drops ``PYTHONDONTWRITEBYTECODE``,
+    so ``-B`` keeps the import from writing ``__pycache__`` into ``src``."""
     src = str(ROOT / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import seclab, seclab.cli; "
         "print(seclab.__file__)"
     )
     run = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == str(PACKAGE / "__init__.py")

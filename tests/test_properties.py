@@ -63,6 +63,7 @@ from seclab.groups import (
     GroupHom,
     Subgroup,
     _derivation_search,
+    _extension_group,
     _Record,
     all_normal_subgroups,
     all_subgroups,
@@ -854,6 +855,39 @@ def test_preset_tables_equal_validated_groups():
     for group in (*presets, *itertools.starmap(direct_product, pairs)):
         checked = group_from_table(group.table)
         assert group == checked and hash(group) == hash(checked), group.label
+
+
+def _pairs_as_extension(group, m, gamma):
+    """``group`` on pairs x + |m|·g read as an extension of gamma by m:
+    iota(x) = x + |m|·e and pi(x) = x // |m|."""
+    size = m.order
+    iota = GroupHom(m, group, tuple(x + size * gamma.identity for x in m.elements))
+    return Extension(iota, GroupHom(group, gamma, tuple(x // size for x in group.elements)))
+
+
+def test_extension_law_sections_number_h1_classes():
+    """
+    The split group the extension law builds from each coefficient system
+    over a preset of order at most 6 equals the group validated from its
+    own table, and its sections up to conjugation by M are as many as the
+    classes of H^1, M abelian or not (Serre, *Galois Cohomology*, I §5).
+    Each dicyclic preset, read through the same maps over C2, has no
+    section: its factor set is not a coboundary.
+    """
+    for gamma in preset_groups(6):
+        for coeff in coefficient_catalog(gamma, 6):
+            m = coeff.M
+            trivial = ((m.identity,) * gamma.order,) * gamma.order
+            split = _extension_group(m, gamma, coeff.action, trivial, None)
+            checked = group_from_table(split.table)
+            assert split == checked and hash(split) == hash(checked)
+            ext = _pairs_as_extension(split, m, gamma)
+            assert len(enumerate_sections(ext).classes_mod_A) == h1(coeff).class_count
+    for n in (2, 3, 4, 6):
+        dic = catalog.dicyclic_group(n)
+        assert dic in preset_groups(64)
+        ext = _pairs_as_extension(dic, cyclic_group(2 * n), cyclic_group(2))
+        assert not enumerate_sections(ext).sections, dic.label
 
 
 def test_subgroups_as_groups_equal_validated_groups():
