@@ -94,9 +94,9 @@ class SectionReport(_Record):
 
 
 def _sections(ext: Extension) -> Tuple[GroupHom, ...]:
-    """Every homomorphic section of the projection, in the hom search's
-    order: :func:`enumerate_sections` without the two partitions, which
-    the deciders never read."""
+    """Every homomorphic section of the projection, found by the hom search
+    over the projection's fibres, sorted: :func:`enumerate_sections`
+    without the two partitions, which the deciders never read."""
     return _lifts_through(ext.pi, identity_hom(ext.Gamma))
 
 
@@ -111,9 +111,9 @@ def enumerate_sections(ext: Extension) -> SectionReport:
 def lifts_up_to_conjugacy(ext: Extension, phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:
     """Lifts of a map into the base through the projection, up to kernel conjugacy.
 
-    Returns the (possibly empty) partition of all lifts; when lifts exist the
-    number of classes is checked against the class count of the conjugation
-    coefficients at the first lift.
+    Returns the partition, possibly empty, of the lifts that the hom search
+    over the projection's fibres finds; with lifts, the class count is checked
+    against that of the conjugation coefficients at the first lift.
     """
     if phibar.target != ext.Gamma:
         raise ValidationError("the map must land in the extension's base group")

@@ -724,36 +724,35 @@ def hom_from_generator_images(
         )
     _check_indices(images, tgt.order, NotAHomomorphism, "generator image")
     # the hom search, with one choice per generator
-    found = _derivation_search(src, tgt, _identity_rows(src, tgt), [(c,) for c in images])
+    found = _homs(src, tgt, [(c,) for c in images])
     if not found:
         raise NotAHomomorphism(
             f"generator images {images} do not extend to a homomorphism"
         )
-    return _trusted(GroupHom, src, tgt, found[0])
+    return found[0]
+
+
+def _homs(src: FiniteGroup, tgt: FiniteGroup, choices=None) -> Tuple[GroupHom, ...]:
+    """The homs src -> tgt, sorted by image tuple, with each generator's image
+    drawn from ``choices``: :func:`_derivation_search` with identity rows."""
+    found = _derivation_search(src, tgt, _identity_rows(src, tgt), choices)
+    return tuple(_trusted(GroupHom, src, tgt, m) for m in found)
 
 
 @lru_cache(maxsize=None)
 def enumerate_homs(src: FiniteGroup, tgt: FiniteGroup) -> Tuple[GroupHom, ...]:
-    """Every homomorphism src -> tgt, sorted lexicographically by image tuple.
-
-    A homomorphism is a derivation for the trivial action, so this is the
-    cocycle search with identity rows.
-    """
-    found = _derivation_search(src, tgt, _identity_rows(src, tgt))
-    return tuple(_trusted(GroupHom, src, tgt, m) for m in found)
+    """Every homomorphism src -> tgt, sorted lexicographically by image tuple."""
+    return _homs(src, tgt)
 
 
 def _lifts_through(pi: GroupHom, theta: GroupHom) -> Tuple[GroupHom, ...]:
     """The homs h from theta's source into pi's source with ``pi∘h = theta``,
-    in :func:`enumerate_homs` order.  Both sides are homs, fixed by their
-    images of ``generating_set(theta.source)``, so only those are compared."""
-    pm, gens = pi.map, generating_set(theta.source)
-    want = [theta.map[g] for g in gens]
-    return tuple(
-        h
-        for h in enumerate_homs(theta.source, pi.source)
-        if [pm[h.map[g]] for g in gens] == want
-    )
+    in :func:`enumerate_homs` order.  A hom is fixed by its generators'
+    images, so the search draws each generator g's image from pi's fibre
+    over ``theta(g)`` and lists no other hom."""
+    want = [theta.map[g] for g in generating_set(theta.source)]
+    fibres = [[x for x, y in enumerate(pi.map) if y == w] for w in want]
+    return _homs(theta.source, pi.source, fibres)
 
 
 def image(hom: GroupHom) -> "Subgroup":

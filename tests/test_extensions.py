@@ -5,14 +5,18 @@ from __future__ import annotations
 import pytest
 
 from oracles import oracle_sections
+from seclab.catalog import preset_extensions, preset_groups
 from seclab.errors import NotExact, NotNormal, ValidationError
 from seclab.extensions import (
     Extension,
     enumerate_sections,
+    lifts_up_to_conjugacy,
     pushout,
 )
 from seclab.groups import (
     GroupHom,
+    _lifts_through,
+    compose,
     cyclic_group,
     direct_product,
     enumerate_homs,
@@ -141,6 +145,43 @@ def test_section_report_from_trivial_base():
     ext = Extension(identity_hom(grp), GroupHom(grp, triv, (0,) * 6))
     rep = enumerate_sections(ext)
     assert rep.count == 1  # only the trivial map sections 1 -> S3
+
+
+def _base_maps():
+    """Every base map from a preset of order at most 4 into the base of
+    each preset extension of order at most 12."""
+    return [
+        (ext, phibar)
+        for _, ext in preset_extensions(12)
+        for delta in preset_groups(4)
+        for phibar in enumerate_homs(delta, ext.Gamma)
+    ]
+
+
+def test_lifts_are_the_filtered_homs_in_order():
+    """The fibre search finds the homs over each base map in the order of
+    the reference: list every hom into E, keep those over the base map."""
+    lifts = 0
+    for ext, phibar in _base_maps():
+        want = tuple(
+            h
+            for h in enumerate_homs(phibar.source, ext.E)
+            if compose(ext.pi, h).map == phibar.map
+        )
+        assert _lifts_through(ext.pi, phibar) == want
+        lifts += len(want)
+    assert (len(_base_maps()), lifts) == (1401, 3460)
+
+
+def test_sections_and_lifts_list_no_homs():
+    """Sections and lifts come from the fibre search alone: with the hom
+    cache emptied, neither reader lists the homs into E."""
+    cases = _base_maps()
+    enumerate_homs.cache_clear()
+    for ext, phibar in cases:
+        enumerate_sections(ext)
+        lifts_up_to_conjugacy(ext, phibar)
+    assert enumerate_homs.cache_info().misses == 0
 
 
 # --- pushout -----------------------------------------------------------------

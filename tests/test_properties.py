@@ -58,7 +58,7 @@ from seclab.errors import (
     NotAssociative,
     ValidationError,
 )
-from seclab.extensions import Extension, enumerate_sections
+from seclab.extensions import Extension, enumerate_sections, lifts_up_to_conjugacy
 from seclab.groups import (
     GroupHom,
     Subgroup,
@@ -301,11 +301,11 @@ def _class_counts(ext):
 def test_descent_verdicts_do_not_depend_on_the_numbering(i, data):
     """
     A seeded instance with E, the base, A and every local source renamed
-    by drawn permutations has the same verdicts, implication tuple and
-    section class counts, and its old (b) and (c) witnesses, renamed, are
-    witnesses of the new instance by the definitions.  ``classes_checked``
-    is left out: the corpus dedupes systems by table, which the numbering
-    moves.
+    by drawn permutations has the same verdicts, implication tuple,
+    section class counts and number of lift classes of each local map, and
+    its old (b) and (c) witnesses, renamed, are witnesses of the new
+    instance by the definitions.  ``classes_checked`` is left out: the
+    corpus dedupes systems by table, which the numbering moves.
     """
     ls = _descent_instances()[i]
     ext = ls.ext
@@ -323,6 +323,10 @@ def test_descent_verdicts_do_not_depend_on_the_numbering(i, data):
     before, after = verify_equivalences(ls), verify_equivalences(moved)
     assert _verdicts(after) == _verdicts(before)
     assert _class_counts(moved_ext) == _class_counts(ext)
+    for theta, moved_theta in zip(ls.family.thetas, moved.family.thetas):
+        assert len(lifts_up_to_conjugacy(moved_ext, moved_theta)) == len(
+            lifts_up_to_conjugacy(ext, theta)
+        )
     pi, locs = moved_ext.pi.map, [t.map for t in sections]
     if before.b is not None:
         u = relabel(before.b.map, p_gamma, p_e)
@@ -871,18 +875,24 @@ def test_extension_law_sections_number_h1_classes():
     over a preset of order at most 6 equals the group validated from its
     own table, and its sections up to conjugation by M are as many as the
     classes of H^1, M abelian or not (Serre, *Galois Cohomology*, I §5).
+    So do C2³ acting trivially on C2³ and on C2⁴, with 512 and 4,096
+    classes in split groups of order 64 and 128.  The sweep stays at 6:
+    at 8 it takes about 10 s and 140 MB, too slow for tier-1.
     Each dicyclic preset, read through the same maps over C2, has no
     section: its factor set is not a coboundary.
     """
-    for gamma in preset_groups(6):
-        for coeff in coefficient_catalog(gamma, 6):
-            m = coeff.M
-            trivial = ((m.identity,) * gamma.order,) * gamma.order
-            split = _extension_group(m, gamma, coeff.action, trivial, None)
-            checked = group_from_table(split.table)
-            assert split == checked and hash(split) == hash(checked)
-            ext = _pairs_as_extension(split, m, gamma)
-            assert len(enumerate_sections(ext).classes_mod_A) == h1(coeff).class_count
+    c2_3 = preset_group("C2xC2xC2")
+    systems = [coeff for gamma in preset_groups(6) for coeff in coefficient_catalog(gamma, 6)]
+    systems += [constant_coefficients(c2_3, m) for m in (c2_3, direct_product(c2_3, cyclic_group(2)))]
+    for coeff in systems:
+        gamma, m = coeff.gamma, coeff.M
+        trivial = ((m.identity,) * gamma.order,) * gamma.order
+        split = _extension_group(m, gamma, coeff.action, trivial, None)
+        checked = group_from_table(split.table)
+        assert split == checked and hash(split) == hash(checked)
+        ext = _pairs_as_extension(split, m, gamma)
+        assert len(enumerate_sections(ext).classes_mod_A) == h1(coeff).class_count
+    assert [h1(coeff).class_count for coeff in systems[-2:]] == [512, 4096]
     for n in (2, 3, 4, 6):
         dic = catalog.dicyclic_group(n)
         assert dic in preset_groups(64)
