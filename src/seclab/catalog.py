@@ -13,7 +13,7 @@ from functools import lru_cache, reduce, wraps
 from typing import Dict, List, Tuple
 
 from .cohomology import GammaGroup
-from .errors import BoundExceeded, InvariantViolation, UnknownName, ValidationError
+from .errors import InvariantViolation, UnknownName, ValidationError
 from .extensions import Extension
 from .groups import (
     FiniteGroup,
@@ -106,6 +106,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     _check_int(n, "symmetric group degree")
     if n < 2:
         raise ValidationError(f"symmetric group needs n >= 2, got {_show(n)}")
+    # 7! = 5,040 <= 10,080 < 8! and |A8| = 20,160: n > 7 closes past the bound
+    _check_order(n, "symmetric group degree", 7)
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple((i + 1) % n for i in range(n))
     return group_from_permutations(n, [swap, cycle], label=f"S{n}")[0]
@@ -115,6 +117,7 @@ def alternating_group(n: int) -> FiniteGroup:
     _check_int(n, "alternating group degree")
     if n < 3:
         raise ValidationError(f"alternating group needs n >= 3, got {_show(n)}")
+    _check_order(n, "alternating group degree", 7)  # as in symmetric_group
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2 == 1:
         cycle = tuple((i + 1) % n for i in range(n))
@@ -168,10 +171,7 @@ def _catalog_key(gamma: FiniteGroup, max_m: int) -> Tuple[FiniteGroup, int]:
 def preset_groups(max_order: int) -> Tuple[FiniteGroup, ...]:
     """All catalog groups of order at most ``max_order``, sorted by
     (order, name)."""
-    if max_order > MAX_PRESET_ORDER:
-        raise BoundExceeded(
-            f"preset catalog stops at order {MAX_PRESET_ORDER}, asked for {_show(max_order)}"
-        )
+    _check_order(max_order, "preset catalog order", MAX_PRESET_ORDER)
     out: List[FiniteGroup] = []
     for n in range(2, max_order + 1):
         out.append(cyclic_group(n))

@@ -76,8 +76,8 @@ class IncompatibleTower(ValidationError):
 
 
 class BoundExceeded(ValidationError):
-    """A request exceeds a supported bound: a corpus order, or the element
-    cap of a permutation closure or of a table builder's group order."""
+    """A size over its bound, raised by the one size check ``groups._check_order``:
+    a corpus order, a closure, a permutation, Sn or An degree, a group or Aut order."""
 
 
 class ManifestSyntaxError(ValidationError):

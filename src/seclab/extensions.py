@@ -83,7 +83,9 @@ class SectionReport(_Record):
 
     ``classes_mod_A`` conjugates only by the embedded kernel and
     ``classes_mod_E`` by everything; both are index partitions into
-    ``sections``, so the second always coarsens the first.
+    ``sections``, and they are equal: if e·s·e⁻¹ is a section, π(e) is
+    central in Γ (π(e·s(g)·e⁻¹) = g), so e = a·s(π(e)) with a in the kernel
+    and s(π(e)) commuting with the image of s, and e·s·e⁻¹ = a·s·a⁻¹.
     """
 
     _fields = {"sections": tuple, "classes_mod_A": tuple, "classes_mod_E": tuple}
@@ -103,9 +105,8 @@ def _sections(ext: Extension) -> Tuple[GroupHom, ...]:
 def enumerate_sections(ext: Extension) -> SectionReport:
     """Every homomorphic section of the projection, canonically ordered."""
     sections = _sections(ext)
-    mod_a = partition_by_conjugation(sections, ext.iota.map)
-    mod_e = partition_by_conjugation(sections, ext.E.elements)
-    return SectionReport(sections, mod_a, mod_e)
+    classes = partition_by_conjugation(sections, ext.iota.map)
+    return SectionReport(sections, classes, classes)  # equal, see SectionReport
 
 
 def lifts_up_to_conjugacy(ext: Extension, phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:

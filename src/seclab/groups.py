@@ -70,7 +70,7 @@ __all__ = [
     "partition_by_conjugation",
 ]
 
-#: Default cap on permutation-closure size; generous for the supported corpus.
+#: Default bound of :func:`_check_order`; generous for the supported corpus.
 DEFAULT_CLOSURE_BOUND = 10080
 
 
@@ -388,6 +388,7 @@ def group_from_permutations(
     _check_int(degree, "degree")
     if degree < 0:
         raise ValidationError(f"degree {_show(degree)} is negative")
+    _check_order(degree, "permutation degree")
     idp = tuple(range(degree))
     gens = [
         _check_permutation(p, degree)
@@ -404,11 +405,7 @@ def group_from_permutations(
                 q = _compose_perms(p, g)
                 if q not in reached:
                     reached[q] = (p, k)
-                    if len(reached) > DEFAULT_CLOSURE_BOUND:
-                        raise BoundExceeded(
-                            f"closure of {len(gens)} generators exceeded "
-                            f"{DEFAULT_CLOSURE_BOUND} elements"
-                        )
+                    _check_order(len(reached), "permutation closure size")
                     nxt.append(q)
                 row.append(q)
         frontier = nxt
@@ -429,12 +426,10 @@ def trivial_group() -> FiniteGroup:
     return group_from_table(((0,),), "1")
 
 
-def _check_order(order: int, what: str) -> None:
-    """Raise :class:`BoundExceeded` naming ``what`` for an order over
-    :data:`DEFAULT_CLOSURE_BOUND`; the table builders call it before they
-    allocate anything."""
-    if order > DEFAULT_CLOSURE_BOUND:
-        raise BoundExceeded(f"{what} {_show(order)} is over the bound of {DEFAULT_CLOSURE_BOUND}")
+def _check_order(order: int, what: str, bound: int = DEFAULT_CLOSURE_BOUND) -> None:
+    """The one size check: :class:`BoundExceeded` for ``what`` over ``bound``."""
+    if order > bound:
+        raise BoundExceeded(f"{what} {_show(order)} is over the bound of {bound}")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -1041,10 +1036,7 @@ def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
     :class:`BoundExceeded` before building any, so nothing is cached."""
     found = _derivation_search(group, group, _identity_rows(group, group))
     maps = [m for m in found if len(set(m)) == group.order]
-    if len(maps) > DEFAULT_CLOSURE_BOUND:
-        raise BoundExceeded(
-            f"{group!r} has {len(maps)} automorphisms, over the bound of {DEFAULT_CLOSURE_BOUND}"
-        )
+    _check_order(len(maps), "automorphism group order")
     return tuple(_trusted(GroupHom, group, group, m) for m in maps)
 
 
@@ -1055,10 +1047,8 @@ def automorphism_group(group: FiniteGroup) -> Tuple[FiniteGroup, Tuple[GroupHom,
     :func:`group_from_permutations` on the automorphisms taken greedily from
     the list, each one those before it do not generate.  That builder sorts
     its elements as the list is sorted and multiplies as ``p(q(x))``, so
-    entry i*j is auts[i] after auts[j].  Over :data:`DEFAULT_CLOSURE_BOUND`
-    automorphisms :func:`automorphisms` raises :class:`BoundExceeded`, so no
-    closure is tried.
-    """
+    entry i*j is auts[i] after auts[j].  :func:`automorphisms` refuses an
+    oversize Aut(group) first, so no closure is tried."""
     auts = automorphisms(group)
     label = f"Aut({group.label})" if group.label else None
     gens: list = []

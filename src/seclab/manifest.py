@@ -29,6 +29,7 @@ from .groups import (
     _Record,
     _check_indices,
     _check_int,
+    _check_order,
     _check_types,
     _trusted,
     automorphism_group,
@@ -196,6 +197,7 @@ def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
             degree = int(tokens[3])
         except ValueError:
             raise ManifestSyntaxError(f"bad degree {tokens[3]!r}") from None
+        _check_order(degree, "permutation degree")
         gens = [_parse_perm_token(t, degree) for t in tokens[4:]]
         program.names[name] = group_from_permutations(degree, gens, label=name)[0]
     elif form == "aut":

@@ -162,7 +162,7 @@ def test_broken_invariant_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "max_order, names",
-    [("0", "at most 0"), ("3", "at most 3"), ("65", "stops at order 64")],
+    [("0", "at most 0"), ("3", "at most 3"), ("65", "order 65 is over the bound of 64")],
 )
 def test_gen_outside_the_catalog_bounds_is_a_clean_error(max_order, names, capsys):
     assert main(["gen", "--max-order", max_order]) == 1

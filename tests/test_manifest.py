@@ -131,7 +131,7 @@ def test_oversize_aut_line_exits_with_a_line(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
-    assert "11232 automorphisms, over the bound of 10080" in err
+    assert "automorphism group order 11232 is over the bound of 10080" in err
 
 
 def test_coeff_action_may_land_in_a_table_equal_to_aut():
@@ -374,6 +374,9 @@ MALFORMED = {
     "empty-table": ("group G table []\n", 1, "empty table has no identity element"),
     "coeff-arity": (
         "group C2 table [[0,1],[1,0]]\ncoeff M C2\n", 2, "coeff needs a name, a module group"
+    ),
+    "perm-huge-degree": (
+        "group G perm 400000000 (0,1)\n", 1, "degree 400000000 is over the bound of 10080"
     ),
 }
 

@@ -790,10 +790,12 @@ def test_h1_classes_match_the_all_twists_oracle(coeff):
 
 def test_section_partitions_match_the_all_conjugators_oracle():
     """
-    Both section partitions, found from generators of the conjugators,
-    equal the partitions that try every conjugator.
+    Both section partitions, found from generators of the kernel, equal
+    the partitions that try every conjugator in the kernel and in E.  The
+    second is the theorem in ``SectionReport``'s docstring: conjugating by
+    E gives no class that conjugating by the kernel does not.
     """
-    for _, ext in preset_extensions(12):
+    for _, ext in preset_extensions(24):
         report = enumerate_sections(ext)
         maps = [s.map for s in report.sections]
         table = ext.E.table
