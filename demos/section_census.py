@@ -26,7 +26,6 @@ def census(max_middle: int) -> None:
         if report.count == 0:
             sectionless += 1
         shapes[(report.count, len(report.classes_mod_A))] += 1
-        assert len(report.classes_mod_A) == len(report.classes_mod_E)
         if report.count > len(report.classes_mod_A) > 1:
             collapsing.append((name, report.count, len(report.classes_mod_A)))
     print(f"{rows} preset extensions with middle order <= {max_middle}")

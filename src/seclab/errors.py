@@ -77,7 +77,8 @@ class IncompatibleTower(ValidationError):
 
 class BoundExceeded(ValidationError):
     """A size over its bound, raised by the one size check ``groups._check_order``:
-    a corpus order, a closure, a permutation, Sn or An degree, a group or Aut order."""
+    a corpus order, a closure, a permutation, Sn or An degree, a group or Aut
+    order, or the candidate count of one search."""
 
 
 class ManifestSyntaxError(ValidationError):

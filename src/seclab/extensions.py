@@ -79,16 +79,16 @@ class Extension(_Record):
 
 
 class SectionReport(_Record):
-    """All sections of one extension plus their two conjugacy partitions.
+    """All sections of one extension plus their conjugacy partition.
 
-    ``classes_mod_A`` conjugates only by the embedded kernel and
-    ``classes_mod_E`` by everything; both are index partitions into
-    ``sections``, and they are equal: if e·s·e⁻¹ is a section, π(e) is
-    central in Γ (π(e·s(g)·e⁻¹) = g), so e = a·s(π(e)) with a in the kernel
-    and s(π(e)) commuting with the image of s, and e·s·e⁻¹ = a·s·a⁻¹.
+    ``classes_mod_A`` is an index partition into ``sections`` by conjugation
+    with the embedded kernel.  Conjugating by all of E gives the same
+    partition: if e·s·e⁻¹ is a section, π(e) is central in Γ
+    (π(e·s(g)·e⁻¹) = g), so e = a·s(π(e)) with a in the kernel and s(π(e))
+    commuting with the image of s, and e·s·e⁻¹ = a·s·a⁻¹.
     """
 
-    _fields = {"sections": tuple, "classes_mod_A": tuple, "classes_mod_E": tuple}
+    _fields = {"sections": tuple, "classes_mod_A": tuple}
 
     @property
     def count(self) -> int:
@@ -98,15 +98,14 @@ class SectionReport(_Record):
 def _sections(ext: Extension) -> Tuple[GroupHom, ...]:
     """Every homomorphic section of the projection, found by the hom search
     over the projection's fibres, sorted: :func:`enumerate_sections`
-    without the two partitions, which the deciders never read."""
+    without the partition, which the deciders never read."""
     return _lifts_through(ext.pi, identity_hom(ext.Gamma))
 
 
 def enumerate_sections(ext: Extension) -> SectionReport:
     """Every homomorphic section of the projection, canonically ordered."""
     sections = _sections(ext)
-    classes = partition_by_conjugation(sections, ext.iota.map)
-    return SectionReport(sections, classes, classes)  # equal, see SectionReport
+    return SectionReport(sections, partition_by_conjugation(sections, ext.iota.map))
 
 
 def lifts_up_to_conjugacy(ext: Extension, phibar: GroupHom) -> Tuple[Tuple[GroupHom, ...], ...]:

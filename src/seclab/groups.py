@@ -15,6 +15,7 @@ not checked a second time.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -72,6 +73,8 @@ __all__ = [
 
 #: Default bound of :func:`_check_order`; generous for the supported corpus.
 DEFAULT_CLOSURE_BOUND = 10080
+#: Bound on the candidate tuples of one :func:`_derivation_search` call.
+DEFAULT_CANDIDATE_BOUND = 2**20
 
 
 class _Record:
@@ -651,7 +654,8 @@ def _derivation_search(
     for identity rows says that the order of c divides k.  The order k is
     the one :func:`_derivation` keeps in g's layer.  The norms of every c
     are built together, one power of g at a time, by reading ``m.table``
-    rows.
+    rows.  Over :data:`DEFAULT_CANDIDATE_BOUND` candidate tuples, the
+    product of the choice counts, it raises :class:`BoundExceeded` first.
 
     The search walks the layers of :func:`_derivation` depth-first,
     writing into one list in place.  For each choice c of gⱼ it sets
@@ -680,6 +684,8 @@ def _derivation_search(
                 row = rows[p]
                 norms = [mt[n][row[c]] for c, n in enumerate(norms)]
             choices.append([c for c, n in enumerate(norms) if n == m.identity])
+    count = prod(map(len, choices))
+    _check_order(count, f"search {gamma!r} -> {m!r}: candidate count", DEFAULT_CANDIDATE_BOUND)
     v = [m.identity] * gamma.order
     found = []
 
@@ -1032,8 +1038,8 @@ def all_normal_subgroups_between(sub: Subgroup) -> Tuple[Subgroup, ...]:
 @lru_cache(maxsize=None)
 def automorphisms(group: FiniteGroup) -> Tuple[GroupHom, ...]:
     """The bijective maps the hom search ``group -> group`` finds, sorted, as
-    trusted homs.  Over :data:`DEFAULT_CLOSURE_BOUND` of them it raises
-    :class:`BoundExceeded` before building any, so nothing is cached."""
+    trusted homs.  Over its candidate budget, or :data:`DEFAULT_CLOSURE_BOUND`
+    automorphisms, it raises :class:`BoundExceeded` before building any."""
     found = _derivation_search(group, group, _identity_rows(group, group))
     maps = [m for m in found if len(set(m)) == group.order]
     _check_order(len(maps), "automorphism group order")

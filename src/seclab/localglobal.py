@@ -456,7 +456,7 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     (a), (a'), (b), (c) to a single truth value.
 
     The three corpora come from one :func:`_corpora` pass, and the
-    sections are read once, without the two conjugacy partitions that
+    sections are read once, without the conjugacy partition that
     :func:`enumerate_sections` adds.
     """
     density = check_density(ls.family)

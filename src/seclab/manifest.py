@@ -383,7 +383,6 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
         return {
             "sections": report.count,
             "classes_mod_kernel": [list(c) for c in report.classes_mod_A],
-            "classes_mod_middle": [list(c) for c in report.classes_mod_E],
         }
     if job.command == "h1":
         coeff = _lookup(program, job.target, "coeff")
@@ -419,11 +418,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
                 "holds": witness is not None,
                 "witness": list(witness.map) if witness else None,
             }
-        result: Dict[str, object] = {
-            "variant": job.variant,
-            "holds": check.holds,
-            "classes_checked": check.classes_checked,
-        }
+        result: Dict[str, object] = {"variant": job.variant, "holds": check.holds}
         if not check.holds:
             result["failing_provenance"] = check.failing_entry.provenance
             result["failing_module_order"] = check.failing_entry.coeff.M.order

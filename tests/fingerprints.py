@@ -106,7 +106,6 @@ def sections():
             ext.pi.map,
             [s.map for s in report.sections],
             report.classes_mod_A,
-            report.classes_mod_E,
         )
 
 

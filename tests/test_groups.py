@@ -706,7 +706,7 @@ RECORD_FIELDS = {
     "Cocycle": ("parent", "values"),
     "H1Classes": ("parent", "values", "classes"),
     "Extension": ("iota", "pi"),
-    "SectionReport": ("sections", "classes_mod_A", "classes_mod_E"),
+    "SectionReport": ("sections", "classes_mod_A"),
     "LocalFamily": ("gamma", "thetas"),
     "LocalSections": ("ext", "sections"),
     "CorpusEntry": ("coeff", "provenance"),

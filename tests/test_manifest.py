@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seclab.manifest as manifest_mod
+from seclab.catalog import preset_group
+from seclab.cli import main
 from seclab.cohomology import constant_coefficients, h1
 from seclab.errors import (
     IncompatibleTower,
@@ -21,7 +24,14 @@ from seclab.errors import (
     ValidationError,
 )
 from seclab.extensions import Extension
-from seclab.groups import FiniteGroup, GroupHom, cyclic_group, group_from_permutations
+from seclab.groups import (
+    FiniteGroup,
+    GroupHom,
+    cyclic_group,
+    direct_product,
+    generating_set,
+    group_from_permutations,
+)
 from seclab.localglobal import (
     LocalSections,
     decide_a,
@@ -83,7 +93,6 @@ def test_decide_a_and_a_doubleprime_jobs_report_their_check(variant):
         "line": 17,
         "variant": variant,
         "holds": False,
-        "classes_checked": check.classes_checked,
         "failing_provenance": check.failing_entry.provenance,
         "failing_module_order": check.failing_entry.coeff.M.order,
         "failing_class": list(check.failing_class.values),
@@ -122,8 +131,6 @@ def test_aut_coeff_h1_roundtrip():
 
 def test_oversize_aut_line_exits_with_a_line(tmp_path, capsys):
     """Aut(C3xC3xC3) has 11,232 elements, over the closure bound."""
-    from seclab.cli import main
-
     cube = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     table = [[cube.index(tuple((x + y) % 3 for x, y in zip(p, q))) for q in cube] for p in cube]
     path = tmp_path / "aut27.man"
@@ -132,6 +139,51 @@ def test_oversize_aut_line_exits_with_a_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
     assert "automorphism group order 11232 is over the bound of 10080" in err
+
+
+def _split_over_v4(a: FiniteGroup) -> str:
+    """``decide a'`` on the split extension V4 × A -> V4, with the two
+    cyclic locals at V4's generators lifted by the product's section."""
+    gamma = preset_group("C2xC2")
+    e = direct_product(gamma, a)  # (g, x) is g*|A| + x
+    pi = GroupHom(e, gamma, tuple(x // a.order for x in e.elements))
+    ext = Extension(GroupHom(a, e, tuple(a.elements)), pi)
+    c2 = cyclic_group(2)
+    local = tuple(GroupHom(c2, e, (0, g * a.order)) for g in generating_set(gamma))
+    b = ManifestBuilder()
+    b.add_job("decide", b.add_sections(LocalSections(ext, local)), "a'")
+    return b.text()
+
+
+def _refused_fast(path: Path, capsys) -> str:
+    """``seclab run path`` exits 1 within a second; its stderr."""
+    started = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - started < 1
+    return capsys.readouterr().err
+
+
+def test_oversize_descent_search_exits_with_a_line(tmp_path, capsys):
+    """On V4 × C2³ the constant quotient E/1 asks h1 for Hom(C2⁵, C2⁵):
+    2²⁵ candidates, refused before the search; V4 × V4, with 2¹⁶, answers."""
+    path = tmp_path / "split32.man"
+    path.write_text(_split_over_v4(preset_group("C2xC2xC2")))
+    err = _refused_fast(path, capsys)
+    assert err.startswith("error: line 14: ")
+    assert "candidate count 33554432 is over the bound of 1048576" in err
+    results, code = run_program(parse_manifest(_split_over_v4(preset_group("C2xC2"))), False)
+    assert (code, results[0]["holds"]) == (0, True)
+
+
+def test_oversize_end_g_is_refused_before_it_is_listed(tmp_path, capsys):
+    """Aut(C2⁵) would filter 2²⁵ endomorphisms; the search refuses first."""
+    b = ManifestBuilder()
+    b.add_aut_group(direct_product(preset_group("C2xC2xC2"), preset_group("C2xC2")))
+    path = tmp_path / "aut32.man"
+    path.write_text(b.text())
+    err = _refused_fast(path, capsys)
+    assert err.startswith("error: line 2: ")
+    assert "candidate count 33554432 is over the bound of 1048576" in err
 
 
 def test_coeff_action_may_land_in_a_table_equal_to_aut():
@@ -383,8 +435,6 @@ MALFORMED = {
 
 @pytest.mark.parametrize("text, line, needle", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
-    from seclab.cli import main
-
     path = tmp_path / "bad.man"
     path.write_text(text)
     assert main(["run", str(path)]) == 1
@@ -395,8 +445,6 @@ def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, te
 
 def _malformed_report(tmp_path: Path) -> str:
     """Each MALFORMED manifest run by ``seclab run``: name, exit code, stderr."""
-    from seclab.cli import main
-
     blocks = []
     for name, (text, _, _) in MALFORMED.items():
         path = tmp_path / "bad.man"
