@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 
@@ -17,7 +18,12 @@ from oracles import (
     oracle_sections,
 )
 from seclab import cohomology, localglobal
-from seclab.catalog import coefficient_catalog, preset_group, seeded_instances
+from seclab.catalog import (
+    coefficient_catalog,
+    preset_extensions,
+    preset_group,
+    seeded_instances,
+)
 from seclab.cohomology import (
     Cocycle,
     GammaGroup,
@@ -30,7 +36,9 @@ from seclab.errors import IncompatibleTower, ValidationError
 from seclab.extensions import Extension, _sections, enumerate_sections
 from seclab.groups import (
     GroupHom,
+    _lifts_through,
     all_normal_subgroups,
+    all_subgroups,
     cyclic_group,
     direct_product,
     enumerate_homs,
@@ -923,3 +931,59 @@ def test_verify_builds_no_cocycle_record_per_class(acceptance_instances, monkeyp
         assert len(built) <= fails, (len(built), fails)
         failing += fails
     assert failing > 0
+
+
+# ---------------------------------------------------------------------------
+# the verdict census
+
+
+def _census_instances():
+    """Every instance of the census space, in a fixed order.
+
+    The extensions are those of ``preset_extensions(16)`` with a
+    nontrivial kernel and base, each equal ``(iota, pi)`` once.  The
+    locals are one or two inclusions of nontrivial subgroups of the base
+    that have a lift, drawn with repetition and without order, and each
+    combination of their lifts is one instance.
+    """
+    exts = dict.fromkeys(
+        ext for _, ext in preset_extensions(16) if ext.A.order > 1 and ext.Gamma.order > 1
+    )
+    for ext in exts:
+        inclusions = (
+            subgroup_as_group(sub)[1] for sub in all_subgroups(ext.Gamma) if len(sub.elements) > 1
+        )
+        lifted = [lifts for lifts in (_lifts_through(ext.pi, t) for t in inclusions) if lifts]
+        for locals_ in chain(*(combinations_with_replacement(lifted, k) for k in (1, 2))):
+            for sections in product(*locals_):
+                yield LocalSections(ext, sections)
+
+
+def test_verdict_census_over_inclusion_locals():
+    """
+    Every instance of the census space satisfies the implication diagram,
+    and the space shows exactly these verdict patterns, each the tuple
+    (dense, split, a, a', a'', b, c), with these instance counts.
+
+    The group space is the presets up to order 16.  They hold every group
+    up to order 15 but only 5 of the 14 groups of order 16, so the pattern
+    set is complete for middle groups up to order 15 only.
+    """
+    patterns = Counter()
+    for ls in _census_instances():
+        report = verify_equivalences(ls)
+        assert report.all_implications_hold, ls
+        verdicts = (
+            report.density, report.split, report.a.holds, report.a_prime.holds,
+            report.a_doubleprime.holds, report.holds_b, report.holds_c,
+        )
+        patterns["".join("FT"[v] for v in verdicts)] += 1
+    assert dict(patterns) == {
+        "FFFFFFF": 6,
+        "FFFFTFF": 86,
+        "FFTTTTF": 146,
+        "FTFFFFF": 102,
+        "FTTTTTT": 304,
+        "TTFFFFF": 502,
+        "TTTTTTT": 752,
+    }

@@ -91,6 +91,7 @@ from seclab.localglobal import (
     LocalFamily,
     LocalSections,
     _corpora,
+    diagonal_fibre,
     verify_equivalences,
 )
 from seclab.manifest import ManifestBuilder, generate_corpus, parse_manifest, run_program
@@ -339,6 +340,41 @@ def test_descent_verdicts_do_not_depend_on_the_numbering(i, data):
         assert oracle_is_hom(gamma.table, e.table, u)
         assert all(pi[u[x]] == x for x in gamma.elements)
         assert oracle_interpolates(e.table, pi, u, locs, moved_ext.iota.map)
+
+
+@given(st.sampled_from(preset_groups(8)), st.sampled_from(preset_groups(8)), st.data())
+@settings(deadline=None, max_examples=100)
+def test_counts_and_fibres_do_not_depend_on_the_numbering(gamma, m, data):
+    """
+    Renaming the elements of the base, of a target group, of a system's
+    coefficient group and of each local source by drawn permutations keeps
+    the number of homomorphisms, the number of H^1 classes, and the size of
+    a drawn class's diagonal fibre over a drawn family of inclusions.
+    """
+    perm = lambda group: data.draw(st.permutations(group.elements))
+    p_gamma, p_m = perm(gamma), perm(m)
+    moved_gamma = _moved(gamma, p_gamma)
+    assert len(enumerate_homs(moved_gamma, _moved(m, p_m))) == len(enumerate_homs(gamma, m))
+    coeff = data.draw(st.sampled_from(coefficient_catalog(gamma, 4)))
+    p_c = perm(coeff.M)
+    rows = tuple(relabel(coeff.action[old], p_c, p_c) for old in p_gamma)
+    moved_coeff = GammaGroup(moved_gamma, _moved(coeff.M, p_c), rows)
+    over, moved_over = h1(coeff), h1(moved_coeff)
+    assert moved_over.class_count == over.class_count
+    subs = data.draw(st.lists(st.sampled_from(all_subgroups(gamma)), max_size=3))
+    thetas, moved_thetas = [], []
+    for sub in subs:
+        theta = subgroup_as_group(sub)[1]
+        p_s = perm(theta.source)
+        thetas.append(theta)
+        moved_thetas.append(
+            GroupHom(_moved(theta.source, p_s), moved_gamma, relabel(theta.map, p_s, p_gamma))
+        )
+    alpha = data.draw(st.sampled_from(over.representatives))
+    moved_alpha = Cocycle(moved_coeff, relabel(alpha.values, p_gamma, p_c))
+    fibre = diagonal_fibre(alpha, LocalFamily(gamma, tuple(thetas)))
+    moved_family = LocalFamily(moved_gamma, tuple(moved_thetas))
+    assert len(diagonal_fibre(moved_alpha, moved_family)) == len(fibre)
 
 
 class _Renamed:
