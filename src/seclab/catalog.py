@@ -212,7 +212,7 @@ def preset_extensions(max_order: int) -> Tuple[Tuple[str, Extension], ...]:
     out: List[Tuple[str, Extension]] = []
     for g in preset_groups(max_order):
         for i, n_sub in enumerate(all_normal_subgroups(g)):
-            a_grp, iota = subgroup_as_group(n_sub)
+            a_grp, iota = subgroup_as_group(_trusted(Subgroup, g, n_sub.elements))
             _, pi = quotient(g, n_sub)
             out.append((f"{g.label}/n{i}", Extension(iota, pi)))
     return tuple(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import count, repeat
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
     Cocycle,
@@ -162,33 +162,34 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     return out
 
 
-#: A local reader: the getter of a value tuple's values at the images of
-#: the local group's generators under a map, and the ``class_by_key`` of
-#: the local H^1 that values read along the map land in.
-_Reader = Tuple[Callable[[Tuple[int, ...]], object], Dict[object, int]]
-
-
-def _reader(f: GroupHom, classes: Dict[object, int]) -> _Reader:
-    """Read along f: a cocycle's values at the images of the generators of
-    f's source are the key, by :func:`_values_at`, of its pullback along f."""
-    return _values_at(tuple(map(f.map.__getitem__, generating_set(f.source)))), classes
-
-
 def _labels(
-    values: Sequence[Tuple[int, ...]], readers: Sequence[_Reader]
+    values: Sequence[Tuple[int, ...]], maps: Sequence[GroupHom], local: Sequence[Dict[object, int]]
 ) -> Iterator[Tuple[int, ...]]:
     """Each cocycle's label: its class, in each local H^1, read along each map.
 
-    Each map must pull the cocycles' coefficients back to its reader's
-    local system, so the values read along it form one of its cocycles.
-    Each local is read as one column, a getter call and a lookup per
-    cocycle, both mapped at C level; no restricted value tuple is built.
-    Only genuine cocycles may be labelled: the key of anything else may
-    name some other cocycle's class.  With no locals every label is ``()``.
+    A cocycle's values at the images of the generators of a map's source
+    are the key, by :func:`_values_at`, of its pullback along the map, and
+    ``local[i]`` is the ``class_by_key`` of the local H^1 along ``maps[i]``.
+    Each map must pull the cocycles' coefficients back to its local system,
+    so the values read along it form one of its cocycles.  Each local is
+    read as one column, a getter call and a lookup per cocycle, both mapped
+    at C level; no restricted value tuple is built.  Only genuine cocycles
+    may be labelled: the key of anything else may name some other
+    cocycle's class.  With no locals every label is ``()``.
     """
-    if not readers:
+    if not maps:
         return repeat((), len(values))
-    return zip(*(map(classes.__getitem__, map(key, values)) for key, classes in readers))
+    keys = (_values_at(tuple(map(f.map.__getitem__, generating_set(f.source)))) for f in maps)
+    return zip(*(map(classes.__getitem__, map(key, values)) for key, classes in zip(keys, local)))
+
+
+def _base_labels(family: LocalFamily, coeff: GammaGroup) -> Tuple[list, tuple, Iterator]:
+    """One system's pass over the base: the ``class_by_key`` of the local
+    H^1 along each local map, the representative values of the classes
+    over the base, and their labels."""
+    local = [h1(pullback_coefficients(theta, coeff)).class_by_key for theta in family.thetas]
+    classes = h1(coeff).representative_values
+    return local, classes, _labels(classes, family.thetas, local)
 
 
 def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
@@ -196,23 +197,14 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
 
     Returns representatives; always contains the class of alpha itself, so
     the fibre is finite and nonempty by construction.  Labels are read as
-    in :func:`_diagonal`, along a :func:`_reader` per local map.
+    in :func:`_diagonal`, by :func:`_base_labels`.
     """
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
-    readers = [
-        _reader(theta, h1(pullback_coefficients(theta, coeff)).class_by_key)
-        for theta in family.thetas
-    ]
-    (want,) = _labels((alpha.values,), readers)
-    over = h1(coeff)
-    classes = over.representative_values
-    return tuple(
-        _trusted(Cocycle, over.parent, v)
-        for v, label in zip(classes, _labels(classes, readers))
-        if label == want
-    )
+    local, classes, labels = _base_labels(family, coeff)
+    (want,) = _labels((alpha.values,), family.thetas, local)
+    return tuple(_trusted(Cocycle, coeff, v) for v, label in zip(classes, labels) if label == want)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +331,16 @@ def _diagonal(ls: LocalSections, coeff: GammaGroup) -> Tuple[GammaGroup, tuple, 
     a class over the middle group by its classes along the local sections.
     Since each section projects to its local map, both read into the same
     local systems, and a class passes exactly when its label is the label
-    of some class over the base.  Both are read by :func:`_labels`, along
-    a :func:`_reader` per local map and per section.
+    of some class over the base.  The base's labels come from
+    :func:`_base_labels`, and the sections are read into its local class
+    maps by :func:`_labels`.
     """
-    thetas = ls.family.thetas
-    local = [h1(pullback_coefficients(theta, coeff)).class_by_key for theta in thetas]
-    readers = list(map(_reader, ls.sections, local))
-    base_readers = list(map(_reader, thetas, local))
-    image_labels = set(_labels(h1(coeff).representative_values, base_readers))
+    local, _, base = _base_labels(ls.family, coeff)
+    image_labels = set(base)
     over_e = h1(pullback_coefficients(ls.ext.pi, coeff))
     classes = over_e.representative_values
-    return over_e.parent, classes, list(map(image_labels.__contains__, _labels(classes, readers)))
+    labels = _labels(classes, ls.sections, local)
+    return over_e.parent, classes, list(map(image_labels.__contains__, labels))
 
 
 def _run_corpus(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from seclab import catalog, groups
 from seclab.catalog import (
     MAX_PRESET_ORDER,
     alternating_group,
@@ -21,6 +22,7 @@ from seclab.catalog import (
 from seclab.cohomology import GammaGroup, conjugation_coefficients
 from seclab.errors import BoundExceeded, UnknownName, ValidationError
 from seclab.groups import (
+    all_normal_subgroups,
     all_subgroups,
     automorphism_group,
     cyclic_group,
@@ -123,6 +125,33 @@ def test_preset_extensions_cover_every_normal_subgroup():
         (e.A.order, e.Gamma.order) for n, e in exts if n.startswith("S3/")
     }
     assert s3_shapes == {(1, 6), (3, 2), (6, 1)}
+
+
+def _empty_caches():
+    for module in (groups, catalog):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_preset_extensions_name_their_own_preset():
+    """
+    S3 is D3's table under another name, so a cached subgroup search on
+    D3 hands its subgroups to S3.  Each extension is still named after its
+    own preset: its kernel, middle group and base labels begin with it,
+    whichever group was searched first.
+    """
+    _empty_caches()
+    try:
+        all_normal_subgroups(dihedral_group(3))
+        exts = preset_extensions(6)
+        assert any(name.startswith("S3/") for name, _ in exts)
+        for name, ext in exts:
+            preset = name.rsplit("/n", 1)[0]
+            for group in (ext.A, ext.E, ext.Gamma):
+                assert group.label.startswith(preset), (name, ext)
+    finally:
+        _empty_caches()
 
 
 def test_coefficient_catalog_counts():

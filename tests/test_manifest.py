@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seclab
 import seclab.manifest as manifest_mod
 from seclab.catalog import preset_group
 from seclab.cli import main
@@ -175,15 +180,71 @@ def test_oversize_descent_search_exits_with_a_line(tmp_path, capsys):
     assert (code, results[0]["holds"]) == (0, True)
 
 
-def test_oversize_end_g_is_refused_before_it_is_listed(tmp_path, capsys):
-    """Aut(C2⁵) would filter 2²⁵ endomorphisms; the search refuses first."""
+def _aut_of_c2_5() -> str:
     b = ManifestBuilder()
     b.add_aut_group(direct_product(preset_group("C2xC2xC2"), preset_group("C2xC2")))
+    return b.text()
+
+
+def test_oversize_end_g_is_refused_before_it_is_listed(tmp_path, capsys):
+    """Aut(C2⁵) would filter 2²⁵ endomorphisms; the search refuses first."""
     path = tmp_path / "aut32.man"
-    path.write_text(b.text())
+    path.write_text(_aut_of_c2_5())
     err = _refused_fast(path, capsys)
     assert err.startswith("error: line 2: ")
     assert "candidate count 33554432 is over the bound of 1048576" in err
+
+
+def _sections_of_c2_4_over_c2_3() -> str:
+    """``sections`` on the split extension C2³ × C2⁴ -> C2³, of order 128."""
+    g = preset_group("C2xC2xC2")
+    m = direct_product(g, cyclic_group(2))
+    e = direct_product(g, m)  # (g, x) is g*16 + x
+    pi = GroupHom(e, g, tuple(x // 16 for x in e.elements))
+    ext = Extension(GroupHom(m, e, tuple(m.elements)), pi)
+    b = ManifestBuilder()
+    b.add_job("sections", b.add_extension(ext))
+    return b.text()
+
+
+#: The address-space cap of the capped runs, in KiB.
+CAP_KIB = 300_000
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_KIB * 1024, CAP_KIB * 1024))
+
+
+@pytest.mark.parametrize(
+    "build, answers",
+    [
+        (_sections_of_c2_4_over_c2_3, True),
+        (lambda: _split_over_v4(preset_group("C2xC2xC2")), False),
+        (_aut_of_c2_5, False),
+    ],
+    ids=["sections-128", "decide-a-prime-32", "aut-32"],
+)
+def test_large_jobs_answer_or_refuse_under_a_300_mb_cap(tmp_path, build, answers):
+    """
+    ``python -m seclab.cli run`` in a child process whose address space is
+    capped at 300,000 KiB: the 4,096 sections of C2⁴ × C2³ are found, and
+    the V4 × C2³ ``decide a'`` and the C2⁵ ``aut`` searches are refused
+    with a line, not ended by a ``MemoryError``.
+    """
+    path = tmp_path / "job.man"
+    path.write_text(build())
+    env = dict(os.environ, PYTHONPATH=str(Path(seclab.__file__).parents[1]))
+    command = [sys.executable, "-m", "seclab.cli", "run", str(path)]
+    done = subprocess.run(
+        command + ["--format", "structured", "--no-timing"],
+        env=env, capture_output=True, text=True, preexec_fn=_capped,
+    )
+    if answers:
+        assert done.returncode == 0, done.stderr
+        assert '"sections": 4096' in done.stdout
+    else:
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: line "), done.stderr
 
 
 def test_coeff_action_may_land_in_a_table_equal_to_aut():
