@@ -265,25 +265,33 @@ def h1(coeff: GammaGroup) -> H1Classes:
     A cocycle is fixed by its values on the generators of gamma, so only
     those are twisted, by ``b_g = c^-1 * a_g * g(c)``.  Twisting by c and
     then by d is twisting by cd, a right action of M, so an orbit is the
-    closure under M's generators.  A generator c of M whose twist is the
-    identity for every generator of gamma fixes every key, so it is
-    dropped.  The partition costs |classes|·|orbit|·|gens M left|·|gens
-    gamma| table reads.  With none left, as for constant coefficients in
-    an abelian M, every class is a singleton, and h1 costs one pass over
-    the value tuples.
+    closure under M's generators.  A generator c of M moves no key, and is
+    dropped, exactly when every generator of gamma fixes c and c is
+    central in M; with gamma trivial the key is empty and no c moves it.
+    When every generator of gamma acts by the identity and M is abelian,
+    no c moves a key and M's generators are not read.  The twist table is
+    built for the generators left, in their order; the partition costs
+    |classes|·|orbit|·|gens M left|·|gens gamma| table reads.  With none
+    left every class is a singleton, and h1 costs one pass over the value
+    tuples.
     """
     values = _derivation_search(coeff.gamma, coeff.M, coeff.action)
     m, mt = coeff.M, coeff.M.table
     gens = generating_set(coeff.gamma)
-    ident = tuple(m.elements)
-    # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M
-    twists = [
-        [tuple(mt[m.inverse[c]][mt[a][coeff.action[g][c]]] for a in m.elements) for g in gens]
-        for c in generating_set(m)
-    ]
-    twists = [tw for tw in twists if any(row != ident for row in tw)]
-    if not twists:
+    rows = [coeff.action[g] for g in gens]
+    ident, cols = tuple(m.elements), tuple(zip(*mt))
+    moving = []
+    if gens and not (all(row == ident for row in rows) and mt == cols):
+        moving = [
+            c for c in generating_set(m) if mt[c] != cols[c] or any(row[c] != c for row in rows)
+        ]
+    if not moving:
         return H1Classes(coeff, values, tuple((i,) for i in range(len(values))))
+    # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M left
+    twists = [
+        [tuple(mt[m.inverse[c]][mt[a][row[c]]] for a in m.elements) for row in rows]
+        for c in moving
+    ]
     classes = _orbit_partition(
         [tuple(map(v.__getitem__, gens)) for v in values],
         lambda key: [tuple(map(tuple.__getitem__, tw, key)) for tw in twists],
@@ -299,6 +307,7 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
     """
     coeff = a.parent
     gam, m = coeff.gamma, coeff.M
+    _check_indices((g,), gam.order, ValidationError, "element")
     gi = gam.inv(g)
     values = tuple(
         coeff.action[gi][a.values[gam.mul(gam.mul(g, s), gi)]] for s in gam.elements

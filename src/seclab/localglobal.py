@@ -35,6 +35,7 @@ from .groups import (
     Subgroup,
     _as_tuple,
     _check_types,
+    _cosets,
     _factor,
     _orbit_partition,
     _Record,
@@ -50,7 +51,6 @@ from .groups import (
     inverse_hom,
     is_bijective,
     is_surjective,
-    quotient,
     subgroup,
     subgroup_as_group,
 )
@@ -214,12 +214,17 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
 def _conjugator(
     u: GroupHom, theta: GroupHom, t: GroupHom, ambient: FiniteGroup, pool: Iterable[int]
 ) -> Optional[int]:
-    """The first e in ``pool`` with ``u(theta(x)) = e t(x) e^-1`` for all x."""
+    """The first e in ``pool`` with ``u(theta(x)) = e t(x) e^-1`` for all x.
+
+    Both sides are homomorphisms in x, so they are compared only on
+    ``generating_set(theta.source)``, reading ``ambient``'s table rows.
+    """
+    # (t(x), u(theta(x))) for each generator x
+    pairs = [(t.map[x], u.map[theta.map[x]]) for x in generating_set(theta.source)]
+    table, inverse = ambient.table, ambient.inverse
     for e in pool:
-        if all(
-            u.map[theta.map[x]] == ambient.conj(e, t.map[x])
-            for x in theta.source.elements
-        ):
+        row, e_inv = table[e], inverse[e]
+        if all(table[row[y]][e_inv] == w for y, w in pairs):
             return e
     return None
 
@@ -283,13 +288,15 @@ def _corpora(ext: Extension, sections: Sequence[GroupHom]) -> Tuple[Tuple[Corpus
 
     E/V numbers its cosets by least member, so the cosets inside the
     kernel keep the order of their least members.  :func:`pushout` is not
-    used: its ``A/V`` is numbered along A.  A/V is normal in E/V, so the
-    conjugation check always passes.
+    used: its ``A/V`` is numbered along A.  Each V comes from
+    :func:`all_normal_subgroups`, so E/V is built by
+    :func:`seclab.groups._cosets`, without a second normality test.  A/V is
+    normal in E/V, so the conjugation check always passes.
     """
     kernel = frozenset(ext.iota.map)
     constant, pushed = {}, {}
     for v in all_normal_subgroups(ext.E):
-        q = quotient(ext.E, v)[1]
+        q = _cosets(ext.E, v)[1]
         constant[constant_coefficients(ext.Gamma, q.target)] = None
         if sections and kernel.issuperset(v.elements):
             act = compose(q, sections[0])
@@ -537,6 +544,9 @@ def pushout_tower(
 ) -> Tuple[Tuple[Extension, ...], Tuple[GroupHom, ...]]:
     """The tower obtained by pushing out along an ascending chain of kernel
     subgroups, with its connecting surjections."""
+    _check_types((ext,), (Extension,), ValidationError, "{}", ("tower top",))
+    subs = _as_tuple(subs, ValidationError, "tower subgroups")
+    _check_types(subs, repeat(Subgroup), ValidationError, "tower subgroup {}", count())
     levels = [ext]
     quots = []
     for i, sub in enumerate(subs):
@@ -562,6 +572,11 @@ def tower_limit_sections(
     finite-limit compactness argument; otherwise the empty levels are
     reported.
     """
+    levels = _as_tuple(levels, ValidationError, "tower levels")
+    maps = _as_tuple(maps, ValidationError, "connecting maps")
+    _check_types(levels, repeat(Extension), ValidationError, "tower level {}", count())
+    _check_types(maps, repeat(GroupHom), ValidationError, "connecting map {}", count())
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     if len(maps) != len(levels) - 1:
         raise IncompatibleTower(
             f"{len(maps)} connecting maps for {len(levels)} levels"

@@ -53,6 +53,8 @@ def c4_over_c2():
 
 
 INVERSION_ON_C3 = GammaGroup(C2, C3, ((0, 1, 2), (0, 2, 1)))
+#: The cocycle, a hom, sending the generator of C4 to that of C2.
+C2_OVER_C4 = Cocycle(constant_coefficients(C4, C2), (0, 1, 0, 1))
 
 
 # --- coefficient systems ----------------------------------------------------
@@ -133,11 +135,14 @@ def test_identity_must_act_trivially():
             ValidationError,
             "the map must land in the extension's base group",
         ),
+        (lambda: inner_pullback(C2_OVER_C4, 9), ValidationError, r"element 9 outside 0\.\.3"),
+        (lambda: inner_pullback(C2_OVER_C4, "x"), ValidationError, "element 'x' is not an integer"),
+        (lambda: inner_pullback(C2_OVER_C4, -1), ValidationError, r"element -1 outside 0\.\.3"),
     ],
     ids=[
         "row-count", "entry-bool", "entry-float", "action-list", "row-list", "entry-huge",
         "row-repeat", "conjugation-via", "conjugation-escapes", "pullback-target",
-        "cocycle-length", "lifts-target",
+        "cocycle-length", "lifts-target", "pullback-range", "pullback-str", "pullback-negative",
     ],
 )
 def test_coefficient_system_rejects_bad_shape(build, error, needle):

@@ -36,6 +36,7 @@ from seclab.errors import IncompatibleTower, ValidationError
 from seclab.extensions import Extension, _sections, enumerate_sections
 from seclab.groups import (
     GroupHom,
+    _cosets,
     _lifts_through,
     all_normal_subgroups,
     all_subgroups,
@@ -43,11 +44,11 @@ from seclab.groups import (
     direct_product,
     enumerate_homs,
     full_subgroup,
+    generating_set,
     group_from_permutations,
     identity_hom,
     image,
     is_bijective,
-    quotient,
     subgroup,
     subgroup_as_group,
     subgroup_generated,
@@ -325,6 +326,36 @@ def test_density_b_and_c_match_the_oracles_on_seeded_instances():
         c = decide_c(ls)
         assert (c.map if c else None) == next(iter(passing), None)
     assert small == 114
+
+
+def test_conjugators_match_an_all_elements_scan(acceptance_instances):
+    """_conjugator compares ``u∘theta`` with ``e·t·e⁻¹`` on the generators of
+    theta's source only.  For every (b) candidate with all of E as the pool
+    and every (c) candidate with the embedded kernel, and each local, it
+    finds the e that comparing on every element finds, or None with it."""
+    results = Counter()
+    for ls in acceptance_instances:
+        ext = ls.ext
+        searches = (
+            (enumerate_homs(ext.Gamma, ext.E), ext.E.elements),
+            (_sections(ext), ext.iota.map),
+        )
+        for candidates, pool in searches:
+            for u, (theta, t) in product(candidates, zip(ls.family.thetas, ls.sections)):
+                want = next(
+                    (
+                        e
+                        for e in pool
+                        if all(
+                            u.map[theta.map[x]] == ext.E.conj(e, t.map[x])
+                            for x in theta.source.elements
+                        )
+                    ),
+                    None,
+                )
+                assert localglobal._conjugator(u, theta, t, ext.E, pool) == want
+                results[len(generating_set(theta.source)), want is None] += 1
+    assert {(2, True), (2, False)} <= set(results), results
 
 
 def test_v4_instance_fails_b_and_c():
@@ -641,6 +672,14 @@ def _bad_input(case):
             (top, bottom), (GroupHom(V4, bottom.E, (0, 1, 0, 1)),), ls
         ),
         "tower-kernel": lambda: pushout_tower(ls.ext, [full_subgroup(V4)]),
+        "tower-top-none": lambda: pushout_tower(None, ()),
+        "tower-subs-none": lambda: pushout_tower(ls.ext, None),
+        "tower-subs-int": lambda: pushout_tower(ls.ext, 5),
+        "tower-subs-str": lambda: pushout_tower(ls.ext, "ab"),
+        "tower-sub-none": lambda: pushout_tower(ls.ext, [None]),
+        "tower-maps-none": lambda: tower_limit_sections((top, bottom), None, ls),
+        "tower-levels-none": lambda: tower_limit_sections(None, (), ls),
+        "tower-ls-none": lambda: tower_limit_sections((top,), (), None),
         "section-maps": lambda: interpolating_section_from_hom(ls, th),
         # V4 is abelian, so only s_0 = (0, 2) is conjugate to u on its local
         "section-local": lambda: interpolating_section_from_hom(ls, GroupHom(C2, V4, (0, 2))),
@@ -659,6 +698,14 @@ def _bad_input(case):
         ("tower-surjective", IncompatibleTower, "connecting map 0 is not surjective"),
         ("tower-commute", IncompatibleTower, "connecting map 0 does not commute"),
         ("tower-kernel", ValidationError, "tower subgroup 0 does not live in the kernel group"),
+        ("tower-top-none", ValidationError, "tower top must be an Extension, not None"),
+        ("tower-subs-none", ValidationError, "tower subgroups None is not a sequence"),
+        ("tower-subs-int", ValidationError, "tower subgroups 5 is not a sequence"),
+        ("tower-subs-str", ValidationError, "tower subgroup 0 must be a Subgroup, not 'a'"),
+        ("tower-sub-none", ValidationError, "tower subgroup 0 must be a Subgroup, not None"),
+        ("tower-maps-none", ValidationError, "connecting maps None is not a sequence"),
+        ("tower-levels-none", ValidationError, "tower levels None is not a sequence"),
+        ("tower-ls-none", ValidationError, "local sections must be a LocalSections, not None"),
         ("section-maps", ValidationError, "must map the base into the middle group"),
         ("section-local", ValidationError, "does not interpolate a local section"),
     ],
@@ -877,15 +924,15 @@ def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, mon
     split and non-split instances."""
     quotients, pullbacks = [], []
 
-    def counting_quotient(group, sub):
+    def counting_cosets(group, sub):
         quotients.append(sub)
-        return quotient(group, sub)
+        return _cosets(group, sub)
 
     def counting_pullback(along, coeff):
         pullbacks.append(coeff)
         return pullback_coefficients(along, coeff)
 
-    monkeypatch.setattr("seclab.localglobal.quotient", counting_quotient)
+    monkeypatch.setattr("seclab.localglobal._cosets", counting_cosets)
     monkeypatch.setattr("seclab.localglobal.pullback_coefficients", counting_pullback)
     kinds = set()
     for ls in acceptance_instances:

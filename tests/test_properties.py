@@ -84,6 +84,7 @@ from seclab.groups import (
     identity_hom,
     quotient,
     subgroup_as_group,
+    trivial_group,
     union_of_conjugates,
 )
 from seclab.localglobal import (
@@ -932,6 +933,60 @@ def test_h1_classes_match_the_all_twists_oracle(coeff):
     """
     tables = (coeff.gamma.table, coeff.M.table, coeff.action)
     assert list(h1(coeff).classes) == oracle_h1_classes(*tables)
+
+
+def _every_generator_classes(coeff):
+    """The classes of h1's cocycles, found by twisting each cocycle's key,
+    its values on the generators of gamma, by every generator of M, none
+    dropped, and closing under those twists."""
+    m, mt, gens = coeff.M, coeff.M.table, generating_set(coeff.gamma)
+    keys = [tuple(v[g] for g in gens) for v in h1(coeff).values]
+    index = {key: i for i, key in enumerate(keys)}
+    # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M
+    twists = [
+        [[mt[m.inverse[c]][mt[a][coeff.action[g][c]]] for a in m.elements] for g in gens]
+        for c in generating_set(m)
+    ]
+    classes, classed = [], set()
+    for key in keys:
+        if index[key] in classed:
+            continue
+        orbit, frontier = {key}, [key]
+        while frontier:
+            nxt = []
+            for k in frontier:
+                for tw in twists:
+                    moved = tuple(row[a] for row, a in zip(tw, k))
+                    if moved not in orbit:
+                        orbit.add(moved)
+                        nxt.append(moved)
+            frontier = nxt
+        members = sorted(index[k] for k in orbit)
+        classed.update(members)
+        classes.append(tuple(members))
+    return tuple(classes)
+
+
+def test_h1_classes_match_the_every_generator_partition():
+    """
+    h1 builds twist rows only for the generators of M that move some key:
+    none over the trivial base or for a trivial action on an abelian M.
+    Its classes must be those that twisting by every generator of M gives,
+    over every catalog system with |M| <= 8 on the trivial base and on each
+    preset base up to order 8: trivial and nontrivial bases, abelian and
+    nonabelian M, trivial and nontrivial actions.
+    """
+    kinds = set()
+    for gamma in (trivial_group(), *preset_groups(8)):
+        for coeff in coefficient_catalog(gamma, 8):
+            assert h1(coeff).classes == _every_generator_classes(coeff), coeff
+            mt, ident = coeff.M.table, tuple(coeff.M.elements)
+            trivial_action = all(row == ident for row in coeff.action)
+            kinds.add((gamma.order > 1, mt == tuple(zip(*mt)), trivial_action))
+    assert kinds == {
+        (False, True, True), (False, False, True),
+        (True, True, True), (True, True, False), (True, False, True), (True, False, False),
+    }
 
 
 def test_section_partitions_match_the_all_conjugators_oracle():
