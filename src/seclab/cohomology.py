@@ -279,12 +279,15 @@ def h1(coeff: GammaGroup) -> H1Classes:
     m, mt = coeff.M, coeff.M.table
     gens = generating_set(coeff.gamma)
     rows = [coeff.action[g] for g in gens]
-    ident, cols = tuple(m.elements), tuple(zip(*mt))
     moving = []
-    if gens and not (all(row == ident for row in rows) and mt == cols):
-        moving = [
-            c for c in generating_set(m) if mt[c] != cols[c] or any(row[c] != c for row in rows)
-        ]
+    if gens:
+        ident, cols = tuple(m.elements), tuple(zip(*mt))
+        # Tested first, as it spares generating_set(M): its greedy closures
+        # cost more than this test whenever M's cache entry is cold.
+        if mt != cols or any(row != ident for row in rows):
+            moving = [
+                c for c in generating_set(m) if mt[c] != cols[c] or any(row[c] != c for row in rows)
+            ]
     if not moving:
         return H1Classes(coeff, values, tuple((i,) for i in range(len(values))))
     # twists[k][i][a] is c^-1 * a * g_i(c), for c the k-th generator of M left

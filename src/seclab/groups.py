@@ -685,10 +685,7 @@ def _derivation_search(
                 norms = [mt[n][row[c]] for c, n in enumerate(norms)]
             choices.append([c for c, n in enumerate(norms) if n == m.identity])
     count = prod(map(len, choices))
-    if count > DEFAULT_CANDIDATE_BOUND:  # the message is formatted only to be raised
-        _check_order(
-            count, f"search {gamma!r} -> {m!r}: candidate count", DEFAULT_CANDIDATE_BOUND
-        )
+    _check_order(count, f"search {gamma!r} -> {m!r}: candidate count", DEFAULT_CANDIDATE_BOUND)
     v = [m.identity] * gamma.order
     found = []
 
@@ -964,20 +961,7 @@ def is_class_preserving(hom: GroupHom) -> bool:
 
 
 def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
-    """The quotient by a normal subgroup plus the projection hom, built by
-    :func:`_cosets` once ``sub`` is checked to be normal in ``group``."""
-    if sub.parent != group:
-        raise NotASubgroup("subgroup belongs to a different parent group")
-    witness = _normality_witness(sub)
-    if witness is not None:
-        g, h = witness
-        raise NotNormal(f"conjugate {g}*{h}*{g}^-1 = {group.conj(g, h)} escapes the subgroup")
-    return _cosets(group, sub)
-
-
-def _cosets(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
-    """G/N and its projection for a ``sub`` already known to be normal in
-    ``group``, such as one of :func:`all_normal_subgroups`; not checked.
+    """The quotient by a normal subgroup plus the projection hom.
 
     Cosets are indexed by their least member, in increasing order.  The
     elements are read in increasing order, so each one not yet placed is
@@ -985,6 +969,12 @@ def _cosets(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     ``group`` names the quotient: a cached subgroup's parent may be an
     equal group under another label.
     """
+    if sub.parent != group:
+        raise NotASubgroup("subgroup belongs to a different parent group")
+    witness = _normality_witness(sub)
+    if witness is not None:
+        g, h = witness
+        raise NotNormal(f"conjugate {g}*{h}*{g}^-1 = {group.conj(g, h)} escapes the subgroup")
     gt = group.table
     coset_of = [-1] * group.order
     reps = []

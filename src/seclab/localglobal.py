@@ -35,7 +35,6 @@ from .groups import (
     Subgroup,
     _as_tuple,
     _check_types,
-    _cosets,
     _factor,
     _orbit_partition,
     _Record,
@@ -51,6 +50,7 @@ from .groups import (
     inverse_hom,
     is_bijective,
     is_surjective,
+    quotient,
     subgroup,
     subgroup_as_group,
 )
@@ -288,15 +288,13 @@ def _corpora(ext: Extension, sections: Sequence[GroupHom]) -> Tuple[Tuple[Corpus
 
     E/V numbers its cosets by least member, so the cosets inside the
     kernel keep the order of their least members.  :func:`pushout` is not
-    used: its ``A/V`` is numbered along A.  Each V comes from
-    :func:`all_normal_subgroups`, so E/V is built by
-    :func:`seclab.groups._cosets`, without a second normality test.  A/V is
-    normal in E/V, so the conjugation check always passes.
+    used: its ``A/V`` is numbered along A.  A/V is normal in E/V, so the
+    conjugation check always passes.
     """
     kernel = frozenset(ext.iota.map)
     constant, pushed = {}, {}
     for v in all_normal_subgroups(ext.E):
-        q = _cosets(ext.E, v)[1]
+        q = quotient(ext.E, v)[1]
         constant[constant_coefficients(ext.Gamma, q.target)] = None
         if sections and kernel.issuperset(v.elements):
             act = compose(q, sections[0])

@@ -36,7 +36,6 @@ from seclab.errors import IncompatibleTower, ValidationError
 from seclab.extensions import Extension, _sections, enumerate_sections
 from seclab.groups import (
     GroupHom,
-    _cosets,
     _lifts_through,
     all_normal_subgroups,
     all_subgroups,
@@ -49,6 +48,7 @@ from seclab.groups import (
     identity_hom,
     image,
     is_bijective,
+    quotient,
     subgroup,
     subgroup_as_group,
     subgroup_generated,
@@ -924,15 +924,15 @@ def test_verify_builds_each_quotient_and_diagonal_once(acceptance_instances, mon
     split and non-split instances."""
     quotients, pullbacks = [], []
 
-    def counting_cosets(group, sub):
+    def counting_quotient(group, sub):
         quotients.append(sub)
-        return _cosets(group, sub)
+        return quotient(group, sub)
 
     def counting_pullback(along, coeff):
         pullbacks.append(coeff)
         return pullback_coefficients(along, coeff)
 
-    monkeypatch.setattr("seclab.localglobal._cosets", counting_cosets)
+    monkeypatch.setattr("seclab.localglobal.quotient", counting_quotient)
     monkeypatch.setattr("seclab.localglobal.pullback_coefficients", counting_pullback)
     kinds = set()
     for ls in acceptance_instances:
