@@ -63,9 +63,7 @@ MAX_PRESET_ORDER = 64
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon as permutations of its vertices."""
-    _check_int(n, "dihedral group n")
-    if n < 3:
-        raise ValidationError(f"dihedral group needs n >= 3, got {_show(n)}")
+    _check_int(n, "dihedral group n", 3)
     _check_order(2 * n, "dihedral group order")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
@@ -74,9 +72,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def dicyclic_group(n: int) -> FiniteGroup:
     """The dicyclic group of order 4n; n = 2 gives the quaternions."""
-    _check_int(n, "dicyclic group n")
-    if n < 2:
-        raise ValidationError(f"dicyclic group needs n >= 2, got {_show(n)}")
+    _check_int(n, "dicyclic group n", 2)
     _check_order(4 * n, "dicyclic group order")
     label = "Q8" if n == 2 else ("Q16" if n == 4 else f"Dic{n}")
     # the non-split extension of C2 by C_2n: 1 acts by inversion, and f(1, 1) = n
@@ -90,10 +86,8 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
 
     Requires r^n = 1 mod m so the action is well defined.
     """
-    for name, value in (("m", m), ("n", n), ("r", r)):
-        _check_int(value, f"metacyclic group {name}")
-    if m < 1 or n < 1:
-        raise ValidationError(f"metacyclic group needs m, n >= 1, got m={_show(m)}, n={_show(n)}")
+    for name, value, least in (("m", m, 1), ("n", n, 1), ("r", r, None)):
+        _check_int(value, f"metacyclic group {name}", least)
     if pow(r, n, m) != 1 % m:
         raise ValidationError(f"r^n must be 1 mod m; got {_show(r)}^{_show(n)} mod {_show(m)}")
     _check_order(m * n, "metacyclic group order")
@@ -103,9 +97,7 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    _check_int(n, "symmetric group degree")
-    if n < 2:
-        raise ValidationError(f"symmetric group needs n >= 2, got {_show(n)}")
+    _check_int(n, "symmetric group degree", 2)
     # 7! = 5,040 <= 10,080 < 8! and |A8| = 20,160: n > 7 closes past the bound
     _check_order(n, "symmetric group degree", 7)
     swap = (1, 0) + tuple(range(2, n))
@@ -114,9 +106,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
-    _check_int(n, "alternating group degree")
-    if n < 3:
-        raise ValidationError(f"alternating group needs n >= 3, got {_show(n)}")
+    _check_int(n, "alternating group degree", 3)
     _check_order(n, "alternating group degree", 7)  # as in symmetric_group
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2 == 1:
@@ -275,6 +265,7 @@ def seeded_instances(
     """
     _check_int(seed, "seed")
     _check_int(count, "count")
+    _check_int(max_middle, "max_middle")
     rng = random.Random(seed)
     pool = _instance_pool(max_middle)
     if not pool:

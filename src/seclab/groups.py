@@ -250,14 +250,11 @@ def group_from_table(
     element once they include S.  S comes from :func:`_greedy_generators`,
     so the test costs O(n²·|S|) with |S| <= log2(n) for a group.
     """
-    if not isinstance(table, (list, tuple)):
-        raise ValidationError(f"table must be a list of rows, not {_show(table)}")
+    _check_types((table,), ((list, tuple),), ValidationError, "{}", ("table",))
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table has no identity element")
-    for a, row in enumerate(table):
-        if not isinstance(row, (list, tuple)):
-            raise ValidationError(f"row {a} must be a list of entries, not {_show(row)}")
+    _check_types(table, ((list, tuple),) * n, ValidationError, "row {}", range(n))
     rows = tuple(tuple(row) for row in table)
     for a, row in enumerate(rows):
         if len(row) != n:
@@ -346,9 +343,12 @@ def _compose_perms(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(map(p.__getitem__, q))
 
 
-def _check_int(value: object, what: str) -> None:
+def _check_int(value: object, what: str, least: Optional[int] = None) -> None:
+    """The one int check: ``value`` is an int, and not below ``least``."""
     if type(value) is not int:
         raise ValidationError(f"{what} {_show(value)} is not an integer")
+    if least is not None and value < least:
+        raise ValidationError(f"{what} {_show(value)} is below {least}")
 
 
 def _as_tuple(values: object, error: type, what: str) -> tuple:
@@ -388,9 +388,7 @@ def group_from_permutations(
     table is not checked again: composition of permutations is associative,
     and the closure holds every product and inverse.
     """
-    _check_int(degree, "degree")
-    if degree < 0:
-        raise ValidationError(f"degree {_show(degree)} is negative")
+    _check_int(degree, "degree", 0)
     _check_order(degree, "permutation degree")
     idp = tuple(range(degree))
     gens = [
@@ -437,9 +435,7 @@ def _check_order(order: int, what: str, bound: int = DEFAULT_CLOSURE_BOUND) -> N
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/n: row a is ``range(n)`` rotated by a, trusted without a check."""
-    _check_int(n, "cyclic group order")
-    if n < 1:
-        raise ValidationError(f"cyclic group order must be positive, got {_show(n)}")
+    _check_int(n, "cyclic group order", 1)
     _check_order(n, "cyclic group order")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)

@@ -71,6 +71,8 @@ __all__ = [
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.:/-]*$")
 _CYCLES = re.compile(r"\(([^()]*)\)")
 _CYCLE_TOKEN = re.compile(r"(?:\([^()]*\))+")
+_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 _DECIDE_VARIANTS = ("a", "a'", "a''", "b", "c")
 _JOB_OPTIONS = {
@@ -152,6 +154,17 @@ def _lookup(program: ManifestProgram, name: str, *kinds: str):
     return obj
 
 
+def _read_ints(text: str, what: str, pattern: re.Pattern = _INTEGERS) -> List[int]:
+    """The ASCII integers of ``text``, comma-separated unless ``pattern`` is
+    :data:`_INTEGER`; ``int`` alone would take ``+``, ``_`` and other digits."""
+    try:
+        if pattern.fullmatch(text):
+            return [int(v) for v in text.split(",")]
+    except ValueError:  # an int past the str conversion limit
+        pass
+    raise ManifestSyntaxError(f"bad {what} {text!r}")
+
+
 def _parse_perm_token(token: str, degree: int) -> Tuple[int, ...]:
     if not _CYCLE_TOKEN.fullmatch(token):
         raise ManifestSyntaxError(f"expected cycle notation, got {token!r}")
@@ -160,10 +173,7 @@ def _parse_perm_token(token: str, degree: int) -> Tuple[int, ...]:
     for body in _CYCLES.findall(token):
         if not body.strip():
             continue
-        try:
-            points = [int(p) for p in body.split(",")]
-        except ValueError:
-            raise ManifestSyntaxError(f"bad cycle {body!r}") from None
+        points = _read_ints(body, "cycle")
         _check_indices(points, degree, ManifestSyntaxError, "cycle point")
         for p in points:
             if p in touched:
@@ -193,10 +203,8 @@ def _parse_group(tokens: List[str], program: ManifestProgram) -> None:
     elif form == "perm":
         if len(tokens) < 5:
             raise ManifestSyntaxError("perm needs a degree and generators")
-        try:
-            degree = int(tokens[3])
-        except ValueError:
-            raise ManifestSyntaxError(f"bad degree {tokens[3]!r}") from None
+        (degree,) = _read_ints(tokens[3], "degree", _INTEGER)
+        _check_int(degree, "degree", 0)  # both before a cycle is read against it
         _check_order(degree, "permutation degree")
         gens = [_parse_perm_token(t, degree) for t in tokens[4:]]
         program.names[name] = group_from_permutations(degree, gens, label=name)[0]
@@ -276,7 +284,7 @@ def parse_manifest(text: str) -> ManifestProgram:
     _check_types((text,), (str,), ManifestSyntaxError, "manifest {}", ("text",))
     program = ManifestProgram()
     lines: List[Tuple[int, List[str]]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):  # as files count lines
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((i, stripped.split()))
@@ -366,12 +374,7 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
 
 def _element_list(value: Optional[str], what: str, group: FiniteGroup) -> List[int]:
     """A comma-separated list of elements of ``group``, range-checked."""
-    if not value:
-        return []
-    try:
-        elements = [int(v) for v in value.split(",")]
-    except ValueError:
-        raise ManifestSyntaxError(f"bad {what} list {value!r}") from None
+    elements = _read_ints(value, f"{what} list") if value else []
     _check_indices(elements, group.order, ManifestSyntaxError, what)
     return elements
 

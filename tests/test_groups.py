@@ -489,13 +489,13 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: cyclic_group(True), "cyclic group order True is not an integer"),
         (lambda: cyclic_group(2.5), "cyclic group order 2.5 is not an integer"),
         (lambda: cyclic_group("3"), "cyclic group order '3' is not an integer"),
-        (lambda: cyclic_group(0), "must be positive, got 0"),
+        (lambda: cyclic_group(0), "cyclic group order 0 is below 1"),
         (lambda: dihedral_group(3.0), "dihedral group n 3.0 is not an integer"),
         (lambda: dicyclic_group(2.0), "dicyclic group n 2.0 is not an integer"),
         (lambda: symmetric_group("4"), "symmetric group degree '4' is not an integer"),
         (lambda: alternating_group(4.0), "alternating group degree 4.0 is not an integer"),
         (lambda: metacyclic_group(5, 4.0, 2), "metacyclic group n 4.0 is not an integer"),
-        (lambda: metacyclic_group(0, 1, 1), "needs m, n >= 1, got m=0, n=1"),
+        (lambda: metacyclic_group(0, 1, 1), "metacyclic group m 0 is below 1"),
         (lambda: preset_groups(10.5), "max_order 10.5 is not an integer"),
         (lambda: preset_groups("8"), "max_order '8' is not an integer"),
         (lambda: preset_groups([8]), r"max_order \[8\] is not an integer"),
@@ -509,14 +509,14 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         (lambda: seeded_instances(None, None), "seed None is not an integer"),
         (lambda: seeded_instances(1, None), "count None is not an integer"),
         (lambda: parse_manifest(None), "manifest text must be a str, not None"),
-        (lambda: cyclic_group(-(10**5000)), "must be positive, got <int of 16610 bits>"),
+        (lambda: cyclic_group(-(10**5000)), "order <int of 16610 bits> is below 1"),
         (lambda: cyclic_group(10**30), f"order {10**30} is over the bound of 10080"),
-        (lambda: group_from_permutations(-(10**5000), []), "degree <int of 16610 bits> is neg"),
-        (lambda: dihedral_group(-(10**5000)), "n >= 3, got <int of 16610 bits>"),
-        (lambda: dicyclic_group(-(10**5000)), "n >= 2, got <int of 16610 bits>"),
-        (lambda: symmetric_group(-(10**5000)), "n >= 2, got <int of 16610 bits>"),
-        (lambda: alternating_group(-(10**5000)), "n >= 3, got <int of 16610 bits>"),
-        (lambda: metacyclic_group(-(10**5000), 1, 1), "got m=<int of 16610 bits>, n=1"),
+        (lambda: group_from_permutations(-(10**5000), []), "degree <int of 16610 bits> is below 0"),
+        (lambda: dihedral_group(-(10**5000)), "n <int of 16610 bits> is below 3"),
+        (lambda: dicyclic_group(-(10**5000)), "n <int of 16610 bits> is below 2"),
+        (lambda: symmetric_group(-(10**5000)), "degree <int of 16610 bits> is below 2"),
+        (lambda: alternating_group(-(10**5000)), "degree <int of 16610 bits> is below 3"),
+        (lambda: metacyclic_group(-(10**5000), 1, 1), "m <int of 16610 bits> is below 1"),
         (lambda: metacyclic_group(7, 2, 10**5000), r"got <int of 16610 bits>\^2 mod 7"),
         (lambda: coefficient_catalog(C2, []), r"max_m \[\] is not an integer"),
         (lambda: coefficient_catalog(C2, None), "max_m None is not an integer"),
@@ -549,6 +549,13 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
             lambda: alternating_group(10**5000),
             "alternating group degree <int of 16610 bits> is over the bound of 7",
         ),
+        (lambda: seeded_instances(1, 2, "x"), "max_middle 'x' is not an integer"),
+        (lambda: dihedral_group(2), "dihedral group n 2 is below 3"),
+        (lambda: dicyclic_group(1), "dicyclic group n 1 is below 2"),
+        (lambda: symmetric_group(1), "symmetric group degree 1 is below 2"),
+        (lambda: alternating_group(2), "alternating group degree 2 is below 3"),
+        (lambda: metacyclic_group(1, 0, 1), "metacyclic group n 0 is below 1"),
+        (lambda: group_from_permutations(-1, []), "degree -1 is below 0"),
     ],
     ids=[
         "cyclic-bool", "cyclic-float", "cyclic-str", "cyclic-zero", "dihedral-float",
@@ -563,11 +570,32 @@ def test_hom_and_subgroup_constructors_reject_bad_input(build, error, needle):
         "table-huge", "table-row-huge", "transport-empty", "product-over-bound",
         "dihedral-over-bound", "dicyclic-over-bound", "metacyclic-over-bound",
         "perm-over-bound", "symmetric-over-bound", "alternating-over-bound",
+        "instances-middle-str", "dihedral-below", "dicyclic-below", "symmetric-below",
+        "alternating-below", "metacyclic-below", "perm-degree-below",
     ],
 )
 def test_group_constructors_reject_bad_orders(build, needle):
     with pytest.raises(ValidationError, match=needle):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda: cyclic_group(1), 1),
+        (lambda: dihedral_group(3), 6),
+        (lambda: dicyclic_group(2), 8),
+        (lambda: symmetric_group(2), 2),
+        (lambda: alternating_group(3), 3),
+        (lambda: metacyclic_group(1, 1, 1), 1),
+        (lambda: group_from_permutations(0, [])[0], 1),
+    ],
+    ids=["cyclic", "dihedral", "dicyclic", "symmetric", "alternating", "metacyclic", "perm"],
+)
+def test_group_constructors_build_at_their_least_size(build, order):
+    """Each floor of ``_check_int`` admits its least value; the rows ending
+    in ``-below`` above reject the value one under it."""
+    assert build().order == order
 
 
 # --- subgroups --------------------------------------------------------------

@@ -108,9 +108,11 @@ def test_perm_and_cycle_notation():
     program = parse_manifest(
         "group K4 perm 4 (0,1)(2,3) (0,2)(1,3)\n"
         "group C3 perm 3 (0,1,2)\n"
+        "group T perm 2 ()\n"
     )
     assert program.names["K4"].order == 4
     assert program.names["C3"].order == 3
+    assert program.names["T"].order == 1
 
 
 def test_aut_coeff_h1_roundtrip():
@@ -413,7 +415,7 @@ HUGE = "1" + "0" * 5000  # past the int-to-str digit limit that json.loads keeps
 #: the full stderr and exit code of each.
 MALFORMED = {
     "string-entry": ('group G table [["a"]]\n', 1, "not an integer"),
-    "int-table": ("group G table 5\n", 1, "list of rows"),
+    "int-table": ("group G table 5\n", 1, "table must be a list or tuple, not 5"),
     "string-row": ('group G table [[0,1],"ab"]\n', 1, "row 1"),
     "jordan": ("group G table [[0,1],[1,0]]\njob jordan G gens=7\n", 2, "generator 7"),
     "jordan-negative": ("group G table [[0,1],[1,0]]\njob jordan G gens=0,-1\n", 2, "generator -1"),
@@ -428,7 +430,7 @@ MALFORMED = {
         2,
         "option 'gens' given twice",
     ),
-    "perm-negative-degree": ("group G perm -2 ()\n", 1, "degree -2 is negative"),
+    "perm-negative-degree": ("group G perm -2 ()\n", 1, "degree -2 is below 0"),
     "hom-image-bool": ("group C2 table [[0,1],[1,0]]\nhom f C2 C2 [true]\n", 2, "list of integers"),
     "perm-trailing-text": ("group G perm 3 (0,1)zz (0,1,2)junk\n", 1, "got '(0,1)zz'"),
     "family-line": (
@@ -491,13 +493,21 @@ MALFORMED = {
     "perm-huge-degree": (
         "group G perm 400000000 (0,1)\n", 1, "degree 400000000 is over the bound of 10080"
     ),
+    "form-feed-comment": ("# page one\f\ngroup G table 5\n", 2, "list or tuple, not 5"),
+    "separator-in-comment": ("# a\u2028b\ngroup G table 5\n", 2, "list or tuple, not 5"),
+    "jordan-arabic-digit": (
+        "group G table [[0,1],[1,0]]\njob jordan G gens=\u0661\n", 2, "bad generator list"
+    ),
+    "perm-plus-degree": ("group G perm +3 (0,1)\n", 1, "bad degree '+3'"),
+    "perm-underscore-point": ("group G perm 11 (0,1_0)\n", 1, "bad cycle '0,1_0'"),
+    "perm-negative-degree-cycle": ("group G perm -2 (0,1)\n", 1, "degree -2 is below 0"),
 }
 
 
 @pytest.mark.parametrize("text, line, needle", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_tables_and_job_elements_exit_with_a_line(tmp_path, capsys, text, line, needle):
     path = tmp_path / "bad.man"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ")
@@ -509,7 +519,7 @@ def _malformed_report(tmp_path: Path) -> str:
     blocks = []
     for name, (text, _, _) in MALFORMED.items():
         path = tmp_path / "bad.man"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["run", str(path)])
         blocks.append(f"== {name}: exit {code} ==\n{err.getvalue()}")
@@ -519,7 +529,7 @@ def _malformed_report(tmp_path: Path) -> str:
 def test_malformed_manifests_print_their_golden_errors(tmp_path):
     """The full stderr of every malformed manifest, as an earlier build
     printed it; after a deliberate change, save ``_malformed_report`` there."""
-    assert _malformed_report(tmp_path) == (GOLDEN / "malformed-manifests.txt").read_text()
+    assert _malformed_report(tmp_path) == (GOLDEN / "malformed-manifests.txt").read_text("utf-8")
 
 
 # ---------------------------------------------------------------------------
