@@ -1101,17 +1101,28 @@ def _orbit_partition(
 def partition_by_conjugation(
     homs: Sequence[GroupHom], conjugators: Iterable[int]
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Partition homs with a common target by pointwise conjugation.
+    """Partition homs with distinct maps and a common target by pointwise
+    conjugation.
 
     ``h ~ h'`` when some listed conjugator c has ``h'(x) = c h(x) c^-1`` for
     all x.  The conjugators must be elements of the target that form a
     subgroup, so that this is an equivalence and their greedy generators
-    reach every class; any other list raises ValidationError.  Classes
-    are returned as sorted index tuples, ordered by least member.
+    reach every class; any other list, and a hom list with a repeated map
+    or a second target, raises ValidationError.  Classes are returned as
+    sorted index tuples, ordered by least member.
     """
+    homs = _as_tuple(homs, ValidationError, "homs")
+    _check_types(homs, (GroupHom,) * len(homs), ValidationError, "hom {}", range(len(homs)))
     if not homs:
         return ()
     tgt = homs[0].target
+    first: Dict[Tuple[int, ...], int] = {}
+    for i, h in enumerate(homs):
+        if h.target != tgt:
+            raise ValidationError(f"hom {i}'s target {h.target!r} differs from hom 0's {tgt!r}")
+        j = first.setdefault(h.map, i)
+        if j != i:
+            raise ValidationError(f"hom {i} repeats hom {j}'s map {h.map}")
     conjs = _as_tuple(conjugators, ValidationError, "conjugators")
     _check_indices(conjs, tgt.order, ValidationError, "conjugator")
     listed = frozenset(conjs)

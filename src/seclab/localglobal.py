@@ -15,7 +15,7 @@ enumeration-least.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count, product, repeat
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
@@ -421,6 +421,18 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
 # the equivalence report
 
 
+# The implication diagram's names in report order, and for each of the 2**7
+# verdict patterns its (name, verdict) pairs: reports with equal verdicts
+# share one tuple.
+_IMPLICATION_NAMES = (
+    "c=>a", "a=>a'", "a=>a''", "b=>a'", "a'=>b", "split&a''=>c", "density=>abc-agree"
+)
+_IMPLICATIONS = {
+    verdicts: tuple(zip(_IMPLICATION_NAMES, verdicts))
+    for verdicts in product((False, True), repeat=len(_IMPLICATION_NAMES))
+}
+
+
 class EquivalenceReport(_Record):
     """All five properties, the density flag, witnesses, and the verdicts
     for every implication that is a theorem at this scale."""
@@ -470,15 +482,15 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     b = decide_b(ls)
     c = next(_interpolating(ls, sections, ls.ext.iota.map), None)
     hb, hc = b is not None, c is not None
-    implications = (
-        ("c=>a", (not hc) or a.holds),
-        ("a=>a'", (not a.holds) or a_prime.holds),
-        ("a=>a''", (not a.holds) or a_double.holds),
-        ("b=>a'", (not hb) or a_prime.holds),
-        ("a'=>b", (not a_prime.holds) or hb),
-        ("split&a''=>c", (not (split and a_double.holds)) or hc),
-        ("density=>abc-agree", (not density) or (a.holds == a_prime.holds == hb == hc)),
-    )
+    implications = _IMPLICATIONS[
+        (not hc) or a.holds,
+        (not a.holds) or a_prime.holds,
+        (not a.holds) or a_double.holds,
+        (not hb) or a_prime.holds,
+        (not a_prime.holds) or hb,
+        (not (split and a_double.holds)) or hc,
+        (not density) or (a.holds == a_prime.holds == hb == hc),
+    ]
     return EquivalenceReport(density, split, a, a_prime, a_double, b, c, implications)
 
 

@@ -962,14 +962,21 @@ def test_partition_by_conjugation_needs_a_subgroup_of_conjugators():
     assert "do not form a subgroup: 3 is in their span" in str(err.value)
     with pytest.raises(ValidationError):
         partition_by_conjugation(homs, [3, 4])
-    # the raw list is read like any other element list
+    # the raw lists are read like any other element list; the homs must
+    # have distinct maps and one target, or some index is in no class
+    into_s3 = homs[1]
     homs = enumerate_homs(cyclic_group(2), C4)
-    for bad, needle in (
-        ([0, 7], "conjugator 7 outside 0..3"),
-        ([10**5000], "conjugator <int of 16610 bits> outside 0..3"),
-        ([0, -1], "conjugator -1 outside 0..3"),
-        (None, "conjugators None is not a sequence"),
-        (["a"], "conjugator 'a' is not an integer"),
+    for hom_list, bad, needle in (
+        (homs, [0, 7], "conjugator 7 outside 0..3"),
+        (homs, [10**5000], "conjugator <int of 16610 bits> outside 0..3"),
+        (homs, [0, -1], "conjugator -1 outside 0..3"),
+        (homs, None, "conjugators None is not a sequence"),
+        (homs, ["a"], "conjugator 'a' is not an integer"),
+        ([homs[1], homs[1], homs[0]], C4.elements, "hom 1 repeats hom 0's map (0, 2)"),
+        ([into_s3, homs[1]], [0], f"hom 1's target {homs[1].target!r} differs from hom 0's"),
+        (None, None, "homs None is not a sequence"),
+        ([homs[0], None], [0], "hom 1 must be a GroupHom, not None"),
     ):
         with pytest.raises(ValidationError, match=re.escape(needle)):
-            partition_by_conjugation(homs, bad)
+            partition_by_conjugation(hom_list, bad)
+    assert partition_by_conjugation([], None) == ()

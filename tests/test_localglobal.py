@@ -551,6 +551,23 @@ def test_implication_labels_are_stable():
     ]
 
 
+def test_reports_with_equal_verdicts_share_one_implication_tuple():
+    names = [name for name, _ in verify_equivalences(c4_instance()).implications]
+    table = localglobal._IMPLICATIONS
+    assert sorted(table) == list(product((False, True), repeat=7))
+    for verdicts, pairs in table.items():
+        assert pairs == tuple(zip(names, verdicts))
+    # reports carry the table's tuple itself, so equal verdicts share one object
+    patterns = []
+    for ls in seeded_instances(20260822, 8, 24):
+        rep = verify_equivalences(ls)
+        verdicts = tuple(v for _, v in rep.implications)
+        assert rep.implications is table[verdicts]
+        assert rep.all_implications_hold is all(verdicts)
+        patterns.append(verdicts)
+    assert len(set(patterns)) < len(patterns)  # two reports shared a tuple
+
+
 # ---------------------------------------------------------------------------
 # the constructive section
 
