@@ -827,6 +827,8 @@ class Subgroup(_Record):
 
 
 def subgroup(parent: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    elements = _as_tuple(elements, NotASubgroup, "element list")
+    _check_indices(elements, parent.order, NotASubgroup, "element")
     return Subgroup(parent, tuple(sorted(set(elements))))
 
 

@@ -15,7 +15,7 @@ enumeration-least.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, product, repeat
+from itertools import count, repeat
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .cohomology import (
@@ -322,9 +322,13 @@ class DescentCheck(_Record):
     """
 
     _fields = {
-        "holds": bool, "failing_entry": (CorpusEntry, type(None)),
+        "failing_entry": (CorpusEntry, type(None)),
         "failing_class": (Cocycle, type(None)), "classes_checked": int
     }
+
+    @property
+    def holds(self) -> bool:
+        return self.failing_entry is None
 
 
 def _diagonal(ls: LocalSections, coeff: GammaGroup) -> Tuple[GammaGroup, tuple, list]:
@@ -375,8 +379,8 @@ def _run_corpus(
             if not passes:
                 # the one record a check builds; its values are search output
                 failing = _trusted(Cocycle, over, values)
-                return DescentCheck(False, entry, failing, checked)
-    return DescentCheck(True, None, None, checked)
+                return DescentCheck(entry, failing, checked)
+    return DescentCheck(None, None, checked)
 
 
 def decide_a(ls: LocalSections, corpus: Iterable[CorpusEntry]) -> DescentCheck:
@@ -421,26 +425,19 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
 # the equivalence report
 
 
-# The implication diagram's names in report order, and for each of the 2**7
-# verdict patterns its (name, verdict) pairs: reports with equal verdicts
-# share one tuple.
+# The implication diagram's names, in report order.
 _IMPLICATION_NAMES = (
     "c=>a", "a=>a'", "a=>a''", "b=>a'", "a'=>b", "split&a''=>c", "density=>abc-agree"
 )
-_IMPLICATIONS = {
-    verdicts: tuple(zip(_IMPLICATION_NAMES, verdicts))
-    for verdicts in product((False, True), repeat=len(_IMPLICATION_NAMES))
-}
 
 
 class EquivalenceReport(_Record):
-    """All five properties, the density flag, witnesses, and the verdicts
-    for every implication that is a theorem at this scale."""
+    """All five properties, the density flag and witnesses; the verdict of
+    every implication that is a theorem at this scale is read off them."""
 
     _fields = {
         "density": bool, "split": bool, "a": DescentCheck, "a_prime": DescentCheck,
         "a_doubleprime": DescentCheck, "b": (GroupHom, type(None)), "c": (GroupHom, type(None)),
-        "implications": tuple
     }
 
     @property
@@ -452,12 +449,20 @@ class EquivalenceReport(_Record):
         return self.c is not None
 
     @property
+    def implications(self) -> Tuple[Tuple[str, bool], ...]:
+        a, a1, a2 = self.a.holds, self.a_prime.holds, self.a_doubleprime.holds
+        b, c = self.holds_b, self.holds_c
+        verdicts = ((not c) or a, (not a) or a1, (not a) or a2, (not b) or a1, (not a1) or b,
+                    (not (self.split and a2)) or c, (not self.density) or (a == a1 == b == c))
+        return tuple(zip(_IMPLICATION_NAMES, verdicts))
+
+    @property
     def all_implications_hold(self) -> bool:
         return all(v for _, v in self.implications)
 
 
 def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
-    """Decide everything and check the implication diagram.
+    """Decide everything; the report checks the implication diagram.
 
     The implications asserted: (c) => (a) => (a') and (a) => (a''),
     (b) <=> (a'), split and (a'') together give (c), and density collapses
@@ -469,7 +474,6 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     """
     density = check_density(ls.family)
     sections = _sections(ls.ext)
-    split = bool(sections)
     corpus_a_prime, corpus_a, corpus_a_double = _corpora(ls.ext, sections)
     # (a'), (a) and (a'') read overlapping corpora, so each system's
     # diagonal is built once for all three.  (a') is decided through the
@@ -481,17 +485,7 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     a_double = _run_corpus(ls, corpus_a_double, diagonals, ls.ext.iota.map)
     b = decide_b(ls)
     c = next(_interpolating(ls, sections, ls.ext.iota.map), None)
-    hb, hc = b is not None, c is not None
-    implications = _IMPLICATIONS[
-        (not hc) or a.holds,
-        (not a.holds) or a_prime.holds,
-        (not a.holds) or a_double.holds,
-        (not hb) or a_prime.holds,
-        (not a_prime.holds) or hb,
-        (not (split and a_double.holds)) or hc,
-        (not density) or (a.holds == a_prime.holds == hb == hc),
-    ]
-    return EquivalenceReport(density, split, a, a_prime, a_double, b, c, implications)
+    return EquivalenceReport(density, bool(sections), a, a_prime, a_double, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +538,13 @@ def interpolating_section_from_hom(
 
 
 class TowerResult(_Record):
-    """Per-level witness counts and, when possible, a compatible chain."""
+    """Per-level witness counts and, when no level is empty, a compatible chain."""
 
-    _fields = {"level_sizes": tuple, "chain": (tuple, type(None)), "empty_levels": tuple}
+    _fields = {"level_sizes": tuple, "chain": (tuple, type(None))}
+
+    @property
+    def empty_levels(self) -> Tuple[int, ...]:
+        return tuple(j for j, size in enumerate(self.level_sizes) if not size)
 
 
 def pushout_tower(
@@ -613,9 +611,8 @@ def tower_limit_sections(
         if j < len(maps):
             proj = compose(maps[j], proj)
     sizes = tuple(len(w) for w in witness_sets)
-    empty = tuple(j for j, w in enumerate(witness_sets) if not w)
-    if empty:
-        return TowerResult(sizes, None, empty)
+    if not all(sizes):
+        return TowerResult(sizes, None)
     chain = [witness_sets[0][0]]
     for j, q in enumerate(maps):
         nxt = compose(q, chain[-1])
@@ -624,4 +621,4 @@ def tower_limit_sections(
                 f"pushed witness fell outside level {j + 1}'s witness set"
             )
         chain.append(nxt)
-    return TowerResult(sizes, tuple(chain), ())
+    return TowerResult(sizes, tuple(chain))

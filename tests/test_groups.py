@@ -450,6 +450,10 @@ ENTRY_CASES = {
             "generator list 7 is not a sequence",
         ),
         (lambda: subgroup_generated(C2, 5), NotASubgroup, "generator list 5 is not a sequence"),
+        (lambda: subgroup(C4, None), NotASubgroup, "element list None is not a sequence"),
+        (lambda: subgroup(C4, 5), NotASubgroup, "element list 5 is not a sequence"),
+        (lambda: subgroup(C4, [[0]]), NotASubgroup, r"element \[0\] is not an integer"),
+        (lambda: subgroup(C4, [0, "a"]), NotASubgroup, "element 'a' is not an integer"),
         (
             lambda: hom_from_generator_images(C2, C2, None),
             NotAHomomorphism,
@@ -474,7 +478,8 @@ ENTRY_CASES = {
         "generated-bool", "generated-float", "perm-bool", "perm-float",
         "perm-degree-str", "order-range", "order-float", "order-bool",
         "perm-int", "perm-generators-int",
-        "generated-int", "images-none", "class-preserving-endo", "quotient-parent",
+        "generated-int", "subgroup-none", "subgroup-int", "subgroup-nested",
+        "subgroup-mixed", "images-none", "class-preserving-endo", "quotient-parent",
         *ENTRY_CASES,
     ],
 )
@@ -738,11 +743,9 @@ RECORD_FIELDS = {
     "LocalFamily": ("gamma", "thetas"),
     "LocalSections": ("ext", "sections"),
     "CorpusEntry": ("coeff", "provenance"),
-    "DescentCheck": ("holds", "failing_entry", "failing_class", "classes_checked"),
-    "EquivalenceReport": (
-        "density", "split", "a", "a_prime", "a_doubleprime", "b", "c", "implications",
-    ),
-    "TowerResult": ("level_sizes", "chain", "empty_levels"),
+    "DescentCheck": ("failing_entry", "failing_class", "classes_checked"),
+    "EquivalenceReport": ("density", "split", "a", "a_prime", "a_doubleprime", "b", "c"),
+    "TowerResult": ("level_sizes", "chain"),
     "Job": ("line", "command", "variant", "target", "options"),
 }
 

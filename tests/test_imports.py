@@ -117,14 +117,19 @@ def test_the_runtime_needs_only_the_standard_library():
     """Under ``python -I -S`` neither the environment nor site-packages is
     on the path, so with ``src`` added the package and its CLI import from
     the standard library alone.  ``-I`` drops ``PYTHONDONTWRITEBYTECODE``,
-    so ``-B`` keeps the import from writing ``__pycache__`` into ``src``."""
+    so ``-B`` keeps the import from writing ``__pycache__`` into ``src``.
+    The child then runs a generated manifest fed through stdin, and the run
+    imports neither ``dataclasses`` nor ``inspect``."""
     src = str(ROOT / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import seclab, seclab.cli; "
-        "print(seclab.__file__)"
+        "code = seclab.cli.main(['run', '-', '--no-timing', '--format', 'structured']); "
+        "print(code, seclab.__file__, *sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     run = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True
+        [sys.executable, "-I", "-S", "-B", "-c", code],
+        input=seclab.generate_corpus(12, 7), capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == str(PACKAGE / "__init__.py")
+    report = (ROOT / "tests" / "golden" / "gen-max12-seed7.json").read_text()
+    assert run.stdout == f"{report}0 {PACKAGE / '__init__.py'}\n"

@@ -61,8 +61,10 @@ from seclab.localglobal import (
     USER_SUPPLIED,
     CorpusEntry,
     DescentCheck,
+    EquivalenceReport,
     LocalFamily,
     LocalSections,
+    TowerResult,
     check_density,
     decide_a,
     decide_a_doubleprime,
@@ -551,21 +553,54 @@ def test_implication_labels_are_stable():
     ]
 
 
-def test_reports_with_equal_verdicts_share_one_implication_tuple():
-    names = [name for name, _ in verify_equivalences(c4_instance()).implications]
-    table = localglobal._IMPLICATIONS
-    assert sorted(table) == list(product((False, True), repeat=7))
-    for verdicts, pairs in table.items():
-        assert pairs == tuple(zip(names, verdicts))
-    # reports carry the table's tuple itself, so equal verdicts share one object
-    patterns = []
-    for ls in seeded_instances(20260822, 8, 24):
-        rep = verify_equivalences(ls)
-        verdicts = tuple(v for _, v in rep.implications)
-        assert rep.implications is table[verdicts]
-        assert rep.all_implications_hold is all(verdicts)
-        patterns.append(verdicts)
-    assert len(set(patterns)) < len(patterns)  # two reports shared a tuple
+def test_implications_follow_the_verdicts_in_every_pattern():
+    """All 2**7 patterns of (density, split, a, a', a'', b, c), the ones no
+    instance produces included: a report built from holding and failing
+    checks and from a hom or None reads the diagram off its verdicts."""
+    ls = c4_instance()
+    entry = standard_corpus(ls)[0]
+    failing = DescentCheck(entry, h1(entry.coeff).cocycles[0], 1)
+    check = {True: DescentCheck(None, None, 0), False: failing}
+    hom = {True: ls.sections[0], False: None}
+    for density, split, a, a1, a2, b, c in product((False, True), repeat=7):
+        rep = EquivalenceReport(density, split, check[a], check[a1], check[a2], hom[b], hom[c])
+        assert (rep.a.holds, rep.a_prime.holds, rep.a_doubleprime.holds) == (a, a1, a2)
+        diagram = (
+            ("c=>a", not c or a),
+            ("a=>a'", not a or a1),
+            ("a=>a''", not a or a2),
+            ("b=>a'", not b or a1),
+            ("a'=>b", not a1 or b),
+            ("split&a''=>c", not (split and a2) or c),
+            ("density=>abc-agree", not density or a == a1 == b == c),
+        )
+        assert rep.implications == diagram
+        assert rep.all_implications_hold is all(v for _, v in diagram)
+
+
+def test_records_read_derived_values_and_refuse_to_store_them():
+    """``holds``, ``implications`` and ``empty_levels`` are read off the
+    other fields: they cannot be assigned, and a value passed for one is an
+    extra value."""
+    ls = c4_instance()
+    entry = standard_corpus(ls)[0]
+    failing_class = h1(entry.coeff).cocycles[0]
+    rep = verify_equivalences(ls)
+    fields = (rep.density, rep.split, rep.a, rep.a_prime, rep.a_doubleprime, rep.b, rep.c)
+    tower = TowerResult((0, 1), None)
+    assert tower.empty_levels == (0,)
+    for obj, name in ((rep.a, "holds"), (rep, "implications"), (tower, "empty_levels")):
+        assert isinstance(getattr(type(obj), name), property)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    contradictions = [
+        (lambda: DescentCheck(True, entry, failing_class, 5), "DescentCheck", 3),
+        (lambda: EquivalenceReport(*fields, (("c=>a", False),)), "EquivalenceReport", 7),
+        (lambda: TowerResult((0, 1), None, ()), "TowerResult", 2),
+    ]
+    for build, name, n in contradictions:
+        with pytest.raises(ValidationError, match=f"^{name} takes at most {n} values$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +810,8 @@ def _reference_check(ls, entries, class_filter=None):
         bad, checked = _reference_failure(ls, entry.coeff, class_filter)
         total += checked
         if bad is not None:
-            return DescentCheck(False, entry, bad, total)
-    return DescentCheck(True, None, None, total)
+            return DescentCheck(entry, bad, total)
+    return DescentCheck(None, None, total)
 
 
 def _reference_fibre(alpha, family):

@@ -38,6 +38,7 @@ from seclab.groups import (
     group_from_permutations,
 )
 from seclab.localglobal import (
+    EquivalenceReport,
     LocalSections,
     decide_a,
     decide_a_doubleprime,
@@ -369,22 +370,21 @@ def test_generate_corpus_is_deterministic_and_runs():
 
 
 def test_verify_failure_sets_exit_code(monkeypatch):
+    """A report whose (c) holds beside a failing (a) breaks c=>a, and the
+    run exits 2."""
     program = parse_manifest(V4_OVER_C2 + "job verify ls\n")
+    real = manifest_mod.verify_equivalences
 
-    class Broken:
-        a = type("X", (), {"holds": True})()
-        a_prime = type("X", (), {"holds": True})()
-        a_doubleprime = type("X", (), {"holds": True})()
-        holds_b = True
-        holds_c = True
-        density = False
-        split = True
-        implications = (("c=>a", False),)
-        all_implications_hold = False
+    def broken(ls):
+        rep = real(ls)
+        fields = (rep.density, rep.split, rep.a, rep.a_prime, rep.a_doubleprime, rep.b)
+        return EquivalenceReport(*fields, ls.sections[0])
 
-    monkeypatch.setattr(manifest_mod, "verify_equivalences", lambda ls: Broken())
+    monkeypatch.setattr(manifest_mod, "verify_equivalences", broken)
     results, code = run_program(program, timing=False)
     assert code == 2
+    assert (results[-1]["a"], results[-1]["c"]) == (False, True)
+    assert results[-1]["implications"][0] == ["c=>a", False]
     assert results[-1]["all_implications_hold"] is False
 
 
