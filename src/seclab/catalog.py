@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce, wraps
+from math import prod
 from typing import Dict, List, Tuple
 
 from .cohomology import GammaGroup
@@ -116,21 +117,8 @@ def alternating_group(n: int) -> FiniteGroup:
     return group_from_permutations(n, [three, cycle], label=f"A{n}")[0]
 
 
-def _product(label: str) -> FiniteGroup:
-    return reduce(direct_product, (cyclic_group(int(p[1:])) for p in label.split("x")))
-
-
-_PRODUCT_LABELS = (
-    "C2xC2",
-    "C2xC4",
-    "C2xC2xC2",
-    "C3xC3",
-    "C2xC6",
-    "C2xC8",
-    "C4xC4",
-    "C3xC6",
-    "C2xC12",
-)
+#: The preset direct products of cyclic groups, by the orders of their factors.
+_PRODUCTS = ((2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (3, 6), (2, 12))
 
 
 def _cached_behind(key):
@@ -165,10 +153,9 @@ def preset_groups(max_order: int) -> Tuple[FiniteGroup, ...]:
     out: List[FiniteGroup] = []
     for n in range(2, max_order + 1):
         out.append(cyclic_group(n))
-    for label in _PRODUCT_LABELS:
-        g = _product(label)
-        if g.order <= max_order:
-            out.append(g)
+    for orders in _PRODUCTS:
+        if prod(orders) <= max_order:
+            out.append(reduce(direct_product, map(cyclic_group, orders)))
     for n in range(3, max_order // 2 + 1):
         out.append(dihedral_group(n))
     for n in (2, 3, 4, 6):

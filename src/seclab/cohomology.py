@@ -171,10 +171,10 @@ class Cocycle(_Record):
         return f"<cocycle {self.values}>"
 
 
-def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int) -> Tuple[int, ...]:
-    """b_s = c^-1 * a_s * s(c)."""
+def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int, ci: int) -> Tuple[int, ...]:
+    """b_s = c^-1 * a_s * s(c), with ``ci`` = c^-1."""
     mt = coeff.M.table
-    left = mt[coeff.M.inverse[c]]
+    left = mt[ci]
     return tuple(left[mt[v][row[c]]] for v, row in zip(values, coeff.action))
 
 
@@ -194,8 +194,8 @@ def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
     if a.parent != b.parent:
         raise ValidationError("cocycles live over different coefficient systems")
     coeff = a.parent
-    for c in coeff.M.elements:
-        if _twist_values(coeff, a.values, c) == b.values:
+    for c, c_inv in enumerate(coeff.M.inverse):
+        if _twist_values(coeff, a.values, c, c_inv) == b.values:
             return c
     return None
 
@@ -308,16 +308,14 @@ def inner_pullback(a: Cocycle, g: int) -> Cocycle:
     The twisting element is the inverse of ``g^-1(a_g)``; the identity is
     checked rather than trusted.
     """
-    coeff = a.parent
-    gam, m = coeff.gamma, coeff.M
+    coeff, gam = a.parent, a.parent.gamma
     _check_indices((g,), gam.order, ValidationError, "element")
-    gi = gam.inv(g)
-    values = tuple(
-        coeff.action[gi][a.values[gam.mul(gam.mul(g, s), gi)]] for s in gam.elements
-    )
+    gt, gi = gam.table, gam.inverse[g]
+    act, av = coeff.action[gi], a.values
+    values = tuple(act[av[gt[gs][gi]]] for gs in gt[g])
     out = Cocycle(coeff, values)
-    c = m.inv(coeff.action[gi][a.values[g]])
-    if _twist_values(coeff, a.values, c) != values:
+    c_inv = act[av[g]]
+    if _twist_values(coeff, av, coeff.M.inverse[c_inv], c_inv) != values:
         raise InvariantViolation(
             f"conjugation pullback by {g} is not the expected coboundary twist"
         )

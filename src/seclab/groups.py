@@ -14,7 +14,7 @@ not checked a second time.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
@@ -200,17 +200,27 @@ def _trusted(cls: type, *values: object):
 
 
 class FiniteGroup(_Record):
-    """A finite group: its full multiplication table plus derived data.
+    """A finite group: its full multiplication table, and a label.
 
     ``table[a][b]`` is the index of the product ``a*b``.  ``label`` is
     cosmetic and ignored by equality so that structurally equal groups
-    compare (and hash) equal.  The constructor checks the field types
-    only: :func:`group_from_table` checks the group laws, and the other
-    builders keep them by construction.
+    compare (and hash) equal.  ``identity`` and ``inverse`` are read off
+    the table when first used: in a group only e has 0*e = 0, and only
+    g^-1 has g*g^-1 = e.  The constructor checks the field types only:
+    :func:`group_from_table` checks the group laws, and the other builders
+    keep them by construction.
     """
 
-    _fields = {"table": tuple, "identity": int, "inverse": tuple, "label": (str, type(None))}
-    _key = attrgetter("table", "identity", "inverse")
+    _fields = {"table": tuple, "label": (str, type(None))}
+    _key = staticmethod(lambda group: (group.table,))
+
+    @cached_property
+    def identity(self) -> int:
+        return self.table[0].index(0)
+
+    @cached_property
+    def inverse(self) -> Tuple[int, ...]:
+        return tuple(row.index(self.identity) for row in self.table)
 
     @property
     def order(self) -> int:
@@ -260,11 +270,8 @@ def group_from_table(
         if len(row) != n:
             raise ValidationError(f"row {a} has length {len(row)}, expected {n}")
         _check_indices(row, n, ValidationError, f"row {a} entry")
-    identity = None
-    for e in range(n):
-        if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
-            identity = e
-            break
+    ident = tuple(range(n))
+    identity = next((e for e in ident if rows[e] == ident == tuple(r[e] for r in rows)), None)
     if identity is None:
         raise NoIdentity(f"no two-sided identity among {n} elements")
     gens, _ = _greedy_generators(rows, identity, range(n))
@@ -279,14 +286,11 @@ def group_from_table(
                 raise NotAssociative(
                     f"({a}*{b})*{c} = {left[c]} but {a}*({b}*{c}) = {ra[rb[c]]}"
                 )
-    inverse = []
-    for g in range(n):
+    for g, row in enumerate(rows):
         # in a finite monoid a one-sided inverse is two-sided and unique
-        inv = rows[g].index(identity) if identity in rows[g] else None
-        if inv is None or rows[inv][g] != identity:
+        if identity not in row or rows[row.index(identity)][g] != identity:
             raise NoInverse(f"element {g} has no two-sided inverse")
-        inverse.append(inv)
-    return FiniteGroup(rows, identity, tuple(inverse), label)
+    return FiniteGroup(rows, label)
 
 
 def _close_elements(
@@ -420,7 +424,7 @@ def group_from_permutations(
             p, k = via
             columns[q] = tuple(map(right[k].__getitem__, columns[p]))
     table = tuple(zip(*map(columns.__getitem__, perms)))
-    return FiniteGroup(table, 0, tuple(row.index(0) for row in table), label), perms
+    return FiniteGroup(table, label), perms
 
 
 def trivial_group() -> FiniteGroup:
@@ -439,7 +443,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     _check_order(n, "cyclic group order")
     elems = tuple(range(n))
     table = tuple(elems[a:] + elems[:a] for a in elems)
-    return FiniteGroup(table, 0, tuple((n - a) % n for a in elems), f"C{n}")
+    return FiniteGroup(table, f"C{n}")
 
 
 def _extension_group(
@@ -448,8 +452,7 @@ def _extension_group(
     """Pairs (x, g) numbered x + |m|·g under Schreier's law (x, g)(y, h) =
     (x·g(y)·f(g, h), gh), with g(y) = ``rows[g][y]`` and f(g, h) =
     ``factors[g][h]`` (Brown, *Cohomology of Groups*, ch. IV).  Trusted: the
-    callers pass an action and a normalised factor set, so the identity is
-    the pair of identities and each inverse is read off its row."""
+    callers pass an action and a normalised factor set."""
     mt, size = m.table, m.order
     table = []
     for g, grow in enumerate(gamma.table):
@@ -459,8 +462,7 @@ def _extension_group(
             table.append(tuple(
                 mt[xy][fac[h]] + size * gh for h, gh in enumerate(grow) for xy in xg
             ))
-    e = m.identity + size * gamma.identity
-    return FiniteGroup(tuple(table), e, tuple(row.index(e) for row in table), label)
+    return FiniteGroup(tuple(table), label)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -671,7 +673,7 @@ def _derivation_search(
     gt, mt = gamma.table, m.table
     layers = _derivation(gamma)
     if choices is None:
-        choices = []
+        choices, e = [], m.identity
         for g, k, _, _ in layers:
             # norms[c] is c * g(c) * ... * p(c), for p the power of g last read
             norms, p = rows[gamma.identity], gamma.identity
@@ -679,7 +681,7 @@ def _derivation_search(
                 p = gt[p][g]
                 row = rows[p]
                 norms = [mt[n][row[c]] for c, n in enumerate(norms)]
-            choices.append([c for c, n in enumerate(norms) if n == m.identity])
+            choices.append([c for c, n in enumerate(norms) if n == e])
     count = prod(map(len, choices))
     _check_order(count, f"search {gamma!r} -> {m!r}: candidate count", DEFAULT_CANDIDATE_BOUND)
     v = [m.identity] * gamma.order
@@ -853,16 +855,14 @@ def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     """Re-tabulate a subgroup as a standalone group plus its inclusion hom.
 
     The group laws pass from the validated parent to the subgroup, so
-    neither the group nor the inclusion is checked again: the identity is
-    the parent's, and inverses are the parent's.
+    neither the group nor the inclusion is checked again.
     """
     parent, elems = sub.parent, sub.elements
     index = {g: i for i, g in enumerate(elems)}
     ptable = parent.table
     table = tuple(tuple(index[ptable[a][b]] for b in elems) for a in elems)
-    inverse = tuple(index[parent.inverse[g]] for g in elems)
     label = f"{parent.label}[{len(elems)}]" if parent.label else None
-    grp = FiniteGroup(table, index[parent.identity], inverse, label)
+    grp = FiniteGroup(table, label)
     return grp, _trusted(GroupHom, grp, parent, elems)
 
 
@@ -984,10 +984,7 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
             reps.append(g)
     table = tuple(tuple(coset_of[row[b]] for b in reps) for row in map(gt.__getitem__, reps))
     label = f"{group.label}/{sub.order}" if group.label else None
-    # the group laws pass from G to G/N: the identity is N's own coset and
-    # the inverse of a coset holds its representative's inverse
-    inverse = tuple(coset_of[group.inverse[r]] for r in reps)
-    quot = FiniteGroup(table, coset_of[group.identity], inverse, label)
+    quot = FiniteGroup(table, label)
     proj = _trusted(GroupHom, group, quot, tuple(coset_of))
     return quot, proj
 

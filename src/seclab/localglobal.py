@@ -317,14 +317,19 @@ def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
 class DescentCheck(_Record):
     """Outcome of a survival check over a coefficient corpus.
 
-    When it fails, the first failing coefficient system and class are kept
-    as the witness; ``classes_checked`` counts the classes examined.
+    When it fails, the first failing coefficient system and class are both
+    kept as the witness; when it holds, neither is.  ``classes_checked``
+    counts the classes examined.
     """
 
     _fields = {
         "failing_entry": (CorpusEntry, type(None)),
         "failing_class": (Cocycle, type(None)), "classes_checked": int
     }
+
+    def __post_init__(self) -> None:
+        if (self.failing_entry is None) != (self.failing_class is None):
+            raise ValidationError("DescentCheck needs both a failing entry and class, or neither")
 
     @property
     def holds(self) -> bool:
@@ -538,9 +543,19 @@ def interpolating_section_from_hom(
 
 
 class TowerResult(_Record):
-    """Per-level witness counts and, when no level is empty, a compatible chain."""
+    """Per-level witness counts and, exactly when none is 0, one chain map per level."""
 
     _fields = {"level_sizes": tuple, "chain": (tuple, type(None))}
+
+    def __post_init__(self) -> None:
+        sizes, chain = self.level_sizes, self.chain
+        _check_types(sizes, repeat(int), ValidationError, "TowerResult level size {}", count())
+        _check_types(chain or (), repeat(GroupHom), ValidationError, "TowerResult chain map {}",
+                     count())
+        want, got = (None if 0 in sizes else len(sizes)), (None if chain is None else len(chain))
+        if any(type(s) is bool or s < 0 for s in sizes) or want != got:
+            raise ValidationError(f"TowerResult level sizes {sizes} must be counts, with one"
+                                  " chain map per level exactly when none is 0")
 
     @property
     def empty_levels(self) -> Tuple[int, ...]:

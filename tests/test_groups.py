@@ -13,6 +13,7 @@ from oracles import (
     oracle_conjugacy_classes,
     oracle_generating_set,
     oracle_homs,
+    oracle_identity,
     oracle_is_subgroup,
     oracle_normality_witness,
     oracle_perm_closure,
@@ -339,6 +340,33 @@ def test_generating_set_matches_the_unpruned_greedy_oracle():
         assert generating_set(grp) == oracle_generating_set([list(r) for r in grp.table]), grp
 
 
+def test_identity_and_inverse_match_the_all_pairs_oracle():
+    """Every builder's group reads its identity and inverses off its table,
+    and they agree with a scan of all pairs: each preset, quotient, subgroup
+    table and automorphism table, and each preset of order at most 12
+    renamed by x -> n-1-x, which moves its identity from 0 to n-1."""
+    def renamed(grp):
+        top = grp.order - 1
+        return group_from_table([[top - grp.table[top - a][top - b] for b in grp.elements]
+                                 for a in grp.elements])
+
+    groups = (
+        preset_groups(24)
+        + _quotients_of_preset_extensions(16)
+        + tuple(subgroup_as_group(sub)[0] for g in preset_groups(12) for sub in all_subgroups(g))
+        + tuple(automorphism_group(m)[0] for m in preset_groups(8))
+        + tuple(map(renamed, preset_groups(12)))
+    )
+    for grp in groups:
+        table = grp.table
+        e = oracle_identity(table)
+        assert grp.identity == e, grp
+        elems = grp.elements
+        pairs = {(g, x) for g in elems for x in elems if table[g][x] == e == table[x][g]}
+        assert set(enumerate(grp.inverse)) == pairs, grp
+    assert renamed(cyclic_group(5)).identity == 4
+
+
 def test_element_order():
     assert element_order(cyclic_group(12), 1) == 12
     assert element_order(s3(), 3) == 3
@@ -347,7 +375,7 @@ def test_element_order():
 
 def test_a_table_that_is_not_a_group_breaks_an_invariant_instead_of_hanging():
     # element 1 squares to itself, so no power of it is the identity
-    bad = FiniteGroup(((0, 1), (1, 1)), 0, (0, 1))
+    bad = FiniteGroup(((0, 1), (1, 1)))
     with pytest.raises(InvariantViolation, match="element 1 "):
         element_order(bad, 1)
     with pytest.raises(InvariantViolation, match="element 1 "):
@@ -731,7 +759,7 @@ def test_hashes_agree_for_equal_groups_and_systems():
 
 #: The compared fields of every record class, in declaration order.
 RECORD_FIELDS = {
-    "FiniteGroup": ("table", "identity", "inverse"),
+    "FiniteGroup": ("table",),
     "GroupHom": ("source", "target", "map"),
     "Subgroup": ("parent", "elements"),
     "JordanCover": ("union", "group_order", "index"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
 
 import pytest
@@ -35,6 +36,7 @@ from seclab.cohomology import (
 from seclab.errors import IncompatibleTower, ValidationError
 from seclab.extensions import Extension, _sections, enumerate_sections
 from seclab.groups import (
+    FiniteGroup,
     GroupHom,
     _lifts_through,
     all_normal_subgroups,
@@ -579,9 +581,10 @@ def test_implications_follow_the_verdicts_in_every_pattern():
 
 
 def test_records_read_derived_values_and_refuse_to_store_them():
-    """``holds``, ``implications`` and ``empty_levels`` are read off the
-    other fields: they cannot be assigned, and a value passed for one is an
-    extra value."""
+    """``holds``, ``implications``, ``empty_levels`` and a group's
+    ``identity`` and ``inverse`` are read off the other fields: they cannot
+    be assigned, and a value passed for one is an extra value.  The fields
+    that remain cannot contradict each other either."""
     ls = c4_instance()
     entry = standard_corpus(ls)[0]
     failing_class = h1(entry.coeff).cocycles[0]
@@ -589,17 +592,48 @@ def test_records_read_derived_values_and_refuse_to_store_them():
     fields = (rep.density, rep.split, rep.a, rep.a_prime, rep.a_doubleprime, rep.b, rep.c)
     tower = TowerResult((0, 1), None)
     assert tower.empty_levels == (0,)
-    for obj, name in ((rep.a, "holds"), (rep, "implications"), (tower, "empty_levels")):
-        assert isinstance(getattr(type(obj), name), property)
+    derived = (
+        (rep.a, "holds"), (rep, "implications"), (tower, "empty_levels"),
+        (C3, "identity"), (C3, "inverse"),
+    )
+    for obj, name in derived:
+        assert isinstance(getattr(type(obj), name), (property, cached_property))
+        assert name not in type(obj)._fields
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
+    hom = ls.sections[0]
+    both_or_neither = "^DescentCheck needs both a failing entry and class, or neither$"
+    per_level = (
+        r"^TowerResult level sizes \({}\) must be counts, with one chain map per level"
+        " exactly when none is 0$"
+    )
     contradictions = [
-        (lambda: DescentCheck(True, entry, failing_class, 5), "DescentCheck", 3),
-        (lambda: EquivalenceReport(*fields, (("c=>a", False),)), "EquivalenceReport", 7),
-        (lambda: TowerResult((0, 1), None, ()), "TowerResult", 2),
+        (
+            lambda: DescentCheck(True, entry, failing_class, 5),
+            "^DescentCheck takes at most 3 values$",
+        ),
+        (
+            lambda: EquivalenceReport(*fields, (("c=>a", False),)),
+            "^EquivalenceReport takes at most 7 values$",
+        ),
+        (lambda: TowerResult((0, 1), None, ()), "^TowerResult takes at most 2 values$"),
+        (lambda: FiniteGroup(C3.table, 0, (0, 1, 2)), "^FiniteGroup takes at most 2 values$"),
+        (lambda: FiniteGroup(C3.table, 5, C3.inverse), "^FiniteGroup takes at most 2 values$"),
+        (lambda: DescentCheck(None, failing_class, 5), both_or_neither),
+        (lambda: DescentCheck(entry, None, 5), both_or_neither),
+        (lambda: TowerResult((0, 1), (hom,)), per_level.format("0, 1")),
+        (lambda: TowerResult((1, 1), (hom,)), per_level.format("1, 1")),
+        (lambda: TowerResult((1,), None), per_level.format("1,")),
+        (lambda: TowerResult((-1,), (hom,)), per_level.format("-1,")),
+        (lambda: TowerResult((True,), (hom,)), per_level.format("True,")),
+        (lambda: TowerResult(("x",), None), "^TowerResult level size 0 must be an int, not 'x'$"),
+        (
+            lambda: TowerResult((1,), ("x",)),
+            "^TowerResult chain map 0 must be a GroupHom, not 'x'$",
+        ),
     ]
-    for build, name, n in contradictions:
-        with pytest.raises(ValidationError, match=f"^{name} takes at most {n} values$"):
+    for build, message in contradictions:
+        with pytest.raises(ValidationError, match=message):
             build()
 
 
