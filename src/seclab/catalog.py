@@ -230,14 +230,6 @@ def _lifts(theta: GroupHom, ext: Extension) -> Tuple[GroupHom, ...]:
     return _lifts_through(ext.pi, theta)
 
 
-def _instance_pool(max_middle: int) -> Tuple[Extension, ...]:
-    return tuple(
-        ext
-        for _, ext in preset_extensions(max_middle)
-        if ext.Gamma.order > 1 and ext.A.order > 1
-    )
-
-
 def seeded_instances(
     seed: int, count: int, max_middle: int = 16
 ) -> Tuple[LocalSections, ...]:
@@ -254,7 +246,8 @@ def seeded_instances(
     _check_int(count, "count")
     _check_int(max_middle, "max_middle")
     rng = random.Random(seed)
-    pool = _instance_pool(max_middle)
+    pool = [ext for _, ext in preset_extensions(max_middle)
+            if ext.Gamma.order > 1 and ext.A.order > 1]
     if not pool:
         raise ValidationError(
             f"no preset extension of middle order at most {_show(max_middle)} "

@@ -51,7 +51,6 @@ from .groups import (
     is_bijective,
     is_surjective,
     quotient,
-    subgroup,
     subgroup_as_group,
 )
 
@@ -124,6 +123,7 @@ class LocalSections(_Record):
 
 def check_density(family: LocalFamily) -> bool:
     """Do the local images meet every conjugacy class of the base group?"""
+    _check_types((family,), (LocalFamily,), ValidationError, "{}", ("family",))
     ci = class_index(family.gamma)
     met = {ci[y] for theta in family.thetas for y in theta.map}
     return len(met) == len(conjugacy_classes(family.gamma))
@@ -136,10 +136,12 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     the preimage of the conjugated subgroup, mapped in by conjugated
     inclusion.  Density is preserved and asserted when the input has it.
     """
+    _check_types((family, sub), (LocalFamily, Subgroup), ValidationError, "{}",
+                 ("family", "transport target"))
     g = family.gamma
     if sub.parent != g:
         raise ValidationError("transport target must be a subgroup of the base")
-    gprime, _incl = subgroup_as_group(sub)
+    gprime = subgroup_as_group(sub)[0]
     back = {e: i for i, e in enumerate(sub.elements)}
     # the cosets H·x are the orbits of left multiplication by H
     cosets = _orbit_partition(g.elements, lambda x: [g.mul(h, x) for h in sub.elements])
@@ -147,15 +149,12 @@ def transport_family(family: LocalFamily, sub: Subgroup) -> LocalFamily:
     thetas = []
     for theta in family.thetas:
         for r in reps:
-            fibre = [
-                x for x in theta.source.elements if g.conj(r, theta.map[x]) in back
-            ]
-            local_sub = subgroup(theta.source, fibre)
-            gi, gi_incl = subgroup_as_group(local_sub)
-            new_map = tuple(
-                back[g.conj(r, theta.map[gi_incl.map[x]])] for x in gi.elements
-            )
-            thetas.append(GroupHom(gi, gprime, new_map))
+            moved = [back.get(g.conj(r, y)) for y in theta.map]
+            fibre = tuple(x for x, i in enumerate(moved) if i is not None)
+            # a preimage of a subgroup is one, conjugation after theta is a hom on
+            # it, and gi's inclusion maps onto the fibre in element order
+            gi = subgroup_as_group(_trusted(Subgroup, theta.source, fibre))[0]
+            thetas.append(_trusted(GroupHom, gi, gprime, tuple(moved[x] for x in fibre)))
     out = LocalFamily(gprime, tuple(thetas))
     if check_density(family) and not check_density(out):
         raise InvariantViolation("transport lost density; the covering argument is broken")
@@ -199,6 +198,8 @@ def diagonal_fibre(alpha: Cocycle, family: LocalFamily) -> Tuple[Cocycle, ...]:
     the fibre is finite and nonempty by construction.  Labels are read as
     in :func:`_diagonal`, by :func:`_base_labels`.
     """
+    _check_types((alpha, family), (Cocycle, LocalFamily), ValidationError, "{}",
+                 ("cocycle", "family"))
     coeff = alpha.parent
     if coeff.gamma != family.gamma:
         raise ValidationError("cocycle does not live over the family's base group")
@@ -244,16 +245,19 @@ def _interpolating(
 def interpolating_homs(ls: LocalSections) -> Iterator[GroupHom]:
     """All homomorphisms into the middle group matching every local section
     up to conjugation, in canonical order."""
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     return _interpolating(ls, enumerate_homs(ls.ext.Gamma, ls.ext.E), ls.ext.E.elements)
 
 
 def decide_b(ls: LocalSections) -> Optional[GroupHom]:
     """The least interpolating homomorphism, or None."""
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     return next(interpolating_homs(ls), None)
 
 
 def decide_c(ls: LocalSections) -> Optional[GroupHom]:
     """The least section interpolating with conjugators from the kernel."""
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     return next(_interpolating(ls, _sections(ls.ext), ls.ext.iota.map), None)
 
 
@@ -311,6 +315,7 @@ def standard_corpus(ls: LocalSections) -> Tuple[CorpusEntry, ...]:
     the base.  Without a section it has no kernel entries, so on a
     non-split instance (a) over it is (a').  A caller's own systems join
     it as ``USER_SUPPLIED`` entries passed to :func:`decide_a` after it."""
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     return _corpora(ls.ext, _sections(ls.ext))[1]
 
 
@@ -391,6 +396,7 @@ def _run_corpus(
 def decide_a(ls: LocalSections, corpus: Iterable[CorpusEntry]) -> DescentCheck:
     """Survival of the local data in every coefficient system of the corpus,
     a sequence of :class:`CorpusEntry` such as :func:`standard_corpus` returns."""
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     entries = _as_tuple(corpus, ValidationError, "corpus entries")
     _check_types(entries, repeat(CorpusEntry), ValidationError, "entry {}", count())
     for entry in entries:
@@ -412,6 +418,7 @@ def decide_a_prime(
     :func:`verify_equivalences`: the constant quotients it built and the
     diagonals it shares with (a) and (a'').
     """
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     entries, diagonals = _shared or (_corpora(ls.ext, ())[0], {})
     return _run_corpus(ls, entries, diagonals)
 
@@ -423,6 +430,7 @@ def decide_a_doubleprime(ls: LocalSections) -> DescentCheck:
     to constant quotients, still restricted to classes surjective on the
     kernel's image; :func:`_corpora` makes that choice.
     """
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     return _run_corpus(ls, _corpora(ls.ext, _sections(ls.ext))[2], {}, ls.ext.iota.map)
 
 
@@ -477,6 +485,7 @@ def verify_equivalences(ls: LocalSections) -> EquivalenceReport:
     sections are read once, without the conjugacy partition that
     :func:`enumerate_sections` adds.
     """
+    _check_types((ls,), (LocalSections,), ValidationError, "{}", ("local sections",))
     density = check_density(ls.family)
     sections = _sections(ls.ext)
     corpus_a_prime, corpus_a, corpus_a_double = _corpora(ls.ext, sections)
@@ -508,6 +517,8 @@ def interpolating_section_from_hom(
     conjugator is re-validated to lie in the kernel's image and to move the
     local section onto the new section's restriction.
     """
+    _check_types((ls, u), (LocalSections, GroupHom), ValidationError, "{}",
+                 ("local sections", "homomorphism"))
     ext = ls.ext
     if u.source != ext.Gamma or u.target != ext.E:
         raise ValidationError("the homomorphism must map the base into the middle group")

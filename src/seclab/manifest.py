@@ -75,16 +75,17 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 _DECIDE_VARIANTS = ("a", "a'", "a''", "b", "c")
-_JOB_OPTIONS = {
-    "sections": (),
-    "h1": (),
-    "pushout": ("gens",),
-    "decide": (),
-    "density": (),
-    "fibre": ("coeff", "alpha"),
-    "jordan": ("gens",),
-    "verify": (),
-    "tower": ("exts", "maps"),
+#: Each job command's target kinds and the options it takes.
+_JOBS = {
+    "sections": (("extension",), ()),
+    "h1": (("coeff",), ()),
+    "pushout": (("extension",), ("gens",)),
+    "decide": (("sections",), ()),
+    "density": (("family", "sections"), ()),
+    "fibre": (("family",), ("coeff", "alpha")),
+    "jordan": (("group",), ("gens",)),
+    "verify": (("sections",), ()),
+    "tower": (("sections",), ("exts", "maps")),
 }
 
 
@@ -343,7 +344,7 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
     if len(tokens) < 3:
         raise ManifestSyntaxError("job needs a command and a target")
     command = tokens[1]
-    if command not in _JOB_OPTIONS:
+    if command not in _JOBS:
         raise ManifestSyntaxError(f"unknown job command {command!r}")
     variant = None
     rest = tokens[2:]
@@ -360,7 +361,7 @@ def _parse_job(tokens: List[str], line_no: int) -> Job:
         if "=" not in tok:
             raise ManifestSyntaxError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
-        if key not in _JOB_OPTIONS[command]:
+        if key not in _JOBS[command][1]:
             raise ManifestSyntaxError(f"job {command!r} takes no option {key!r}")
         if any(k == key for k, _ in options):
             raise ManifestSyntaxError(f"option {key!r} given twice")
@@ -380,26 +381,23 @@ def _element_list(value: Optional[str], what: str, group: FiniteGroup) -> List[i
 
 
 def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
+    target = _lookup(program, job.target, *_JOBS[job.command][0])
     if job.command == "sections":
-        ext = _lookup(program, job.target, "extension")
-        report = enumerate_sections(ext)
+        report = enumerate_sections(target)
         return {
             "sections": report.count,
             "classes_mod_kernel": [list(c) for c in report.classes_mod_A],
         }
     if job.command == "h1":
-        coeff = _lookup(program, job.target, "coeff")
-        classes = h1(coeff)
+        classes = h1(target)
         return {
             "cocycles": len(classes.values),
             "classes": classes.class_count,
             "representatives": [list(v) for v in classes.representative_values],
         }
     if job.command == "pushout":
-        ext = _lookup(program, job.target, "extension")
-        gens = _element_list(job.option("gens"), "generator", ext.A)
-        sub = subgroup_generated(ext.A, gens)
-        smaller, _ = pushout(ext, sub)
+        gens = _element_list(job.option("gens"), "generator", target.A)
+        smaller, _ = pushout(target, subgroup_generated(target.A, gens))
         return {
             "kernel_order": smaller.A.order,
             "middle_order": smaller.E.order,
@@ -407,15 +405,14 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "splits": bool(_sections(smaller)),
         }
     if job.command == "decide":
-        ls = _lookup(program, job.target, "sections")
         if job.variant == "a":
-            check = decide_a(ls, standard_corpus(ls))
+            check = decide_a(target, standard_corpus(target))
         elif job.variant == "a'":
-            check = decide_a_prime(ls)
+            check = decide_a_prime(target)
         elif job.variant == "a''":
-            check = decide_a_doubleprime(ls)
+            check = decide_a_doubleprime(target)
         else:
-            witness = decide_b(ls) if job.variant == "b" else decide_c(ls)
+            witness = decide_b(target) if job.variant == "b" else decide_c(target)
             return {
                 "variant": job.variant,
                 "holds": witness is not None,
@@ -428,20 +425,16 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             result["failing_class"] = list(check.failing_class.values)
         return result
     if job.command == "density":
-        fam = _lookup(program, job.target, "family", "sections")
-        if isinstance(fam, LocalSections):
-            fam = fam.family
-        return {"dense": check_density(fam)}
+        if isinstance(target, LocalSections):
+            target = target.family
+        return {"dense": check_density(target)}
     if job.command == "fibre":
-        fam = _lookup(program, job.target, "family")
         coeff = _lookup(program, job.option("coeff") or "", "coeff")
         values = _element_list(job.option("alpha"), "cocycle value", coeff.M)
-        alpha = Cocycle(coeff, tuple(values))
-        fib = diagonal_fibre(alpha, fam)
+        fib = diagonal_fibre(Cocycle(coeff, tuple(values)), target)
         return {"size": len(fib), "classes": [list(b.values) for b in fib]}
     if job.command == "jordan":
-        grp = _lookup(program, job.target, "group")
-        sub = subgroup_generated(grp, _element_list(job.option("gens"), "generator", grp))
+        sub = subgroup_generated(target, _element_list(job.option("gens"), "generator", target))
         cover = union_of_conjugates(sub)
         return {
             "subgroup_order": len(sub.elements),
@@ -450,8 +443,7 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "covers": cover.covers,
         }
     if job.command == "verify":
-        ls = _lookup(program, job.target, "sections")
-        rep = verify_equivalences(ls)
+        rep = verify_equivalences(target)
         return {
             "a": rep.a.holds,
             "a_prime": rep.a_prime.holds,
@@ -464,12 +456,11 @@ def _run_job(job: Job, program: ManifestProgram) -> Dict[str, object]:
             "all_implications_hold": rep.all_implications_hold,
         }
     # tower, the last command _parse_job admits
-    ls = _lookup(program, job.target, "sections")
     ext_names = job.option("exts").split(",") if job.option("exts") else []
     map_names = job.option("maps").split(",") if job.option("maps") else []
     levels = [_lookup(program, n, "extension") for n in ext_names]
     maps = [_lookup(program, n, "hom") for n in map_names]
-    res = tower_limit_sections(levels, maps, ls)
+    res = tower_limit_sections(levels, maps, target)
     return {
         "level_sizes": list(res.level_sizes),
         "empty_levels": list(res.empty_levels),
@@ -526,9 +517,6 @@ class ManifestBuilder:
 
     def comment(self, text: str) -> None:
         self._lines.append(f"# {text}")
-
-    def has_group(self, g: FiniteGroup) -> bool:
-        return ("group", g) in self._names
 
     def _declare(
         self,
@@ -644,9 +632,7 @@ def generate_corpus(max_order: int, seed: int) -> str:
     b.comment(f"generated corpus: max order {max_order}, seed {seed}")
 
     b.comment("covering estimates for every preset group")
-    for g in preset_groups(max_order):
-        if b.has_group(g):
-            continue
+    for g in dict.fromkeys(preset_groups(max_order)):  # equal groups once, the first seen
         name = b.add_group(g)
         b.add_job("jordan", name, gens=str(g.elements[1]))
 

@@ -32,6 +32,7 @@ from seclab.groups import (
     cyclic_group,
     enumerate_homs,
     full_subgroup,
+    group_from_table,
     image,
     is_bijective,
     is_class_preserving,
@@ -40,6 +41,7 @@ from seclab.groups import (
     union_of_conjugates,
 )
 from seclab.localglobal import (
+    LocalFamily,
     LocalSections,
     check_density,
     decide_a,
@@ -266,6 +268,11 @@ def test_criterion_10_transport_preserves_density():
             assert check_density(fam), f"pair {i} input not dense"
             moved = transport_family(fam, sub)
             assert check_density(moved), f"pair {i} lost density"
+            # the checks transport_family skips: its locals, their maps and the family
+            for t in moved.thetas:
+                assert group_from_table(t.source.table) == t.source, f"pair {i} local group"
+                assert GroupHom(t.source, t.target, t.map) == t, f"pair {i} local map"
+            assert LocalFamily(moved.gamma, moved.thetas) == moved, f"pair {i} family"
     except AssertionError as err:
         _report(10, False, str(err))
         raise

@@ -76,6 +76,25 @@ def test_first_cli_corpus_manifest_and_report_match_golden(tmp_path, capsys):
     _order_64_corpus_matches_golden(20260822, tmp_path, capsys)
 
 
+def test_census_pattern_reports_match_golden_and_spell_their_names(capsys):
+    """The least instance of each verdict pattern of the census (pinned by
+    ``test_verdict_census_over_inclusion_locals``), each with a ``verify``
+    job and every ``decide`` job.  Each ``verify`` block's (density,
+    split, a, a', a'', b, c) spells the name of its section."""
+    stem = GOLDEN / "census-patterns"
+    assert main(["run", str(stem.with_suffix(".manifest")), "--no-timing"]) == 0
+    text = capsys.readouterr().out
+    assert text == stem.with_suffix(".text").read_text()
+    keys = ("density", "split", "a", "a_prime", "a_doubleprime", "b", "c")
+    names = []
+    for head, *body in (block.splitlines() for block in text.split("\n\n")):
+        if head.startswith("== verify "):
+            fields = dict(line.split(": ", 1) for line in body)
+            names.append(head.split()[2])
+            assert names[-1] == "p" + "".join({"yes": "T", "no": "F"}[fields[k]] for k in keys)
+    assert len(set(names)) == 7
+
+
 def test_layer_fingerprints_match_golden():
     """One SHA-256 per layer (see ``tests/fingerprints.py``); after a
     deliberate change, ``PYTHONPATH=src python tests/fingerprints.py --write``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,9 @@ from seclab.localglobal import (
     transport_family,
     verify_equivalences,
 )
+from seclab.manifest import ManifestBuilder
 
+GOLDEN = Path(__file__).parent / "golden"
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
 C4 = cyclic_group(4)
@@ -1092,17 +1095,35 @@ def _census_instances():
                 yield LocalSections(ext, sections)
 
 
+def _pattern_manifest(least):
+    """The manifest of ``tests/golden/census-patterns.manifest``: each
+    pattern's instance, in pattern order, as ``sections p<PATTERN>`` with
+    one ``verify`` job and every ``decide`` job."""
+    b = ManifestBuilder()
+    b.comment("the least census instance of each verdict pattern (dense, split, a, a', a'', b, c)")
+    for pattern, ls in sorted(least.items()):
+        name = b.add_sections(ls, f"p{pattern}")
+        b.add_job("verify", name)
+        for variant in ("a", "a'", "a''", "b", "c"):
+            b.add_job("decide", name, variant)
+    return b.text()
+
+
 def test_verdict_census_over_inclusion_locals():
     """
     Every instance of the census space satisfies the implication diagram,
     and the space shows exactly these verdict patterns, each the tuple
-    (dense, split, a, a', a'', b, c), with these instance counts.
+    (dense, split, a, a', a'', b, c), with these instance counts.  The
+    instance of each pattern with the least middle group, the first in
+    census order among ties, is pinned in
+    ``tests/golden/census-patterns.manifest`` by :func:`_pattern_manifest`.
 
     The group space is the presets up to order 16.  They hold every group
     up to order 15 but only 5 of the 14 groups of order 16, so the pattern
     set is complete for middle groups up to order 15 only.
     """
     patterns = Counter()
+    least = {}
     for ls in _census_instances():
         report = verify_equivalences(ls)
         assert report.all_implications_hold, ls
@@ -1110,7 +1131,10 @@ def test_verdict_census_over_inclusion_locals():
             report.density, report.split, report.a.holds, report.a_prime.holds,
             report.a_doubleprime.holds, report.holds_b, report.holds_c,
         )
-        patterns["".join("FT"[v] for v in verdicts)] += 1
+        pattern = "".join("FT"[v] for v in verdicts)
+        patterns[pattern] += 1
+        if pattern not in least or ls.ext.E.order < least[pattern].ext.E.order:
+            least[pattern] = ls
     assert dict(patterns) == {
         "FFFFFFF": 6,
         "FFFFTFF": 86,
@@ -1120,3 +1144,4 @@ def test_verdict_census_over_inclusion_locals():
         "TTFFFFF": 502,
         "TTTTTTT": 752,
     }
+    assert _pattern_manifest(least) == (GOLDEN / "census-patterns.manifest").read_text()

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from oracles import (
     relabel_table,
 )
 import seclab
-from seclab import catalog
+from seclab import catalog, localglobal
 from seclab.catalog import (
     coefficient_catalog,
     preset_extensions,
@@ -77,6 +78,7 @@ from seclab.groups import (
     direct_product,
     element_order,
     enumerate_homs,
+    full_subgroup,
     generating_set,
     group_from_permutations,
     group_from_table,
@@ -1252,6 +1254,50 @@ Junk = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple),
     max_leaves=8,
 )
+
+
+ENTRY_POINTS = [
+    obj
+    for obj in map(vars(localglobal).get, localglobal.__all__)
+    if callable(obj) and not isinstance(obj, type)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_arguments():
+    """Valid arguments for every entry point of ``localglobal``, by parameter name."""
+    ls = seeded_instances(20260822, 1, 16)[0]
+    gamma = ls.ext.Gamma
+    levels, maps = localglobal.pushout_tower(ls.ext, [full_subgroup(ls.ext.A)])
+    alpha = h1(constant_coefficients(gamma, cyclic_group(2))).representatives[0]
+    return {
+        "family": ls.family, "sub": full_subgroup(gamma), "alpha": alpha, "ls": ls,
+        "u": ls.ext.iota, "corpus": (), "ext": ls.ext, "subs": (), "levels": levels,
+        "maps": maps,
+    }
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda entry: entry.__name__)
+@given(st.integers())
+@settings(deadline=None, max_examples=10)
+def test_localglobal_entry_points_end_junk_records_in_a_validation_error(entry, number):
+    """
+    Every function of ``localglobal.__all__``, called with valid arguments
+    but one record argument (a parameter annotated with a record class),
+    which is None, an int or a record of another kind, raises the
+    ValidationError that names the record class.  No function is exempt.
+    """
+    valid = _entry_arguments()
+    hints = typing.get_type_hints(entry)
+    params = [p.name for p in inspect.signature(entry).parameters.values() if p.default is p.empty]
+    records = [n for n in params if isinstance(hints[n], type) and issubclass(hints[n], _Record)]
+    assert records, entry
+    for name in records:
+        other = next(r for r in (valid["ls"], valid["family"]) if not isinstance(r, hints[name]))
+        for junk in (None, number, other):
+            args = {n: junk if n == name else valid[n] for n in params}
+            with pytest.raises(ValidationError, match=f" must be an? {hints[name].__name__}, "):
+                entry(**args)
 
 
 #: Builders that take raw values: a size, a seed, a name, a base group or manifest text.
