@@ -8,7 +8,7 @@ is enumerated exhaustively and kept in canonical lexicographic order.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count, repeat
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -182,11 +182,12 @@ def _twist_values(coeff: GammaGroup, values: Tuple[int, ...], c: int, ci: int) -
 def enumerate_cocycles(coeff: GammaGroup) -> Tuple[Cocycle, ...]:
     """Every cocycle, sorted lexicographically by value tuple.
 
-    The records are ``h1(coeff).cocycles``: the value tuples come from the
-    search in :func:`h1`, so a system is searched once whichever of the
-    two is called first.
+    The value tuples are ``h1(coeff).values``, so a system is searched once
+    whichever of the two is called first.  This cache is the one holder of
+    a system's records; they are not checked again, as the values are
+    output of the cocycle search.
     """
-    return h1(coeff).cocycles
+    return tuple(_trusted(Cocycle, coeff, v) for v in h1(coeff).values)
 
 
 def cohomologous(a: Cocycle, b: Cocycle) -> Optional[int]:
@@ -213,12 +214,10 @@ class H1Classes(_Record):
 
     ``values`` holds every cocycle's value tuple, sorted lexicographically,
     and ``classes`` holds sorted index tuples into it; each class is
-    represented by its lexicographically least member.  The records
-    (``cocycles``, ``representatives``), ``representative_values`` and
-    ``class_by_key`` are views: each is built when first read and kept, and
-    none is a field, so none takes part in equality or the repr.  The
-    records are not checked again, as the values are output of the cocycle
-    search.
+    represented by its lexicographically least member.  The table holds
+    value tuples only and memoises nothing: ``representative_values`` and
+    ``class_by_key`` are read off the fields on each access, and the
+    records are built by :func:`enumerate_cocycles`.
 
     ``class_by_key`` maps each cocycle's key, its values on
     ``generating_set(gamma)`` read by :func:`_values_at`, to its class
@@ -232,20 +231,12 @@ class H1Classes(_Record):
     def class_count(self) -> int:
         return len(self.classes)
 
-    @cached_property
-    def cocycles(self) -> Tuple[Cocycle, ...]:
-        return tuple(_trusted(Cocycle, self.parent, v) for v in self.values)
-
-    @cached_property
+    @property
     def representative_values(self) -> Tuple[Tuple[int, ...], ...]:
         values = self.values
         return tuple(values[cls[0]] for cls in self.classes)
 
-    @cached_property
-    def representatives(self) -> Tuple[Cocycle, ...]:
-        return tuple(_trusted(Cocycle, self.parent, v) for v in self.representative_values)
-
-    @cached_property
+    @property
     def class_by_key(self) -> Dict[object, int]:
         key, values = _values_at(generating_set(self.parent.gamma)), self.values
         return {key(values[j]): i for i, cls in enumerate(self.classes) for j in cls}

@@ -659,11 +659,11 @@ def generate_corpus(max_order: int, seed: int) -> str:
         for coeff in (coeff2, coeff3):
             b.add_job("h1", b.add_coeff(coeff))
         fam = b.add_family(_class_representative_family(s3))
-        alpha = h1(coeff2).representatives[-1]
+        alpha = h1(coeff2).representative_values[-1]
         b.add_job(
             "fibre",
             fam,
-            alpha=",".join(str(v) for v in alpha.values),
+            alpha=",".join(map(str, alpha)),
             coeff=b.add_coeff(coeff2),
         )
 

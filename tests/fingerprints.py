@@ -71,9 +71,9 @@ def coefficients():
                 gamma.label,
                 coeff.M.label,
                 coeff.action,
-                [a.values for a in classes.cocycles],
+                list(classes.values),
                 classes.classes,
-                [a.values for a in classes.representatives],
+                list(classes.representative_values),
             )
 
 

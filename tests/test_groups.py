@@ -33,7 +33,7 @@ from seclab.catalog import (
     seeded_transport_pairs,
     symmetric_group,
 )
-from seclab.cohomology import Cocycle, GammaGroup, constant_coefficients, h1
+from seclab.cohomology import Cocycle, GammaGroup, constant_coefficients, enumerate_cocycles, h1
 from seclab.errors import (
     BoundExceeded,
     InvariantViolation,
@@ -792,7 +792,7 @@ def _one_record_of_each_class():
     )
     records = [
         ext.E, ls.sections[0], image(ext.iota),
-        union_of_conjugates(image(ext.iota)), coeff, classes.cocycles[0],
+        union_of_conjugates(image(ext.iota)), coeff, enumerate_cocycles(coeff)[0],
         classes, ext, enumerate_sections(ext), ls.family, ls, entry,
         verify_equivalences(ls).a, verify_equivalences(ls),
         tower_limit_sections(*pushout_tower(ext, [full_subgroup(ext.A)]), ls),

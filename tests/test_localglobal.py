@@ -31,6 +31,7 @@ from seclab.cohomology import (
     GammaGroup,
     cohomologous,
     constant_coefficients,
+    enumerate_cocycles,
     h1,
     pullback_coefficients,
 )
@@ -564,7 +565,7 @@ def test_implications_follow_the_verdicts_in_every_pattern():
     checks and from a hom or None reads the diagram off its verdicts."""
     ls = c4_instance()
     entry = standard_corpus(ls)[0]
-    failing = DescentCheck(entry, h1(entry.coeff).cocycles[0], 1)
+    failing = DescentCheck(entry, enumerate_cocycles(entry.coeff)[0], 1)
     check = {True: DescentCheck(None, None, 0), False: failing}
     hom = {True: ls.sections[0], False: None}
     for density, split, a, a1, a2, b, c in product((False, True), repeat=7):
@@ -590,7 +591,7 @@ def test_records_read_derived_values_and_refuse_to_store_them():
     that remain cannot contradict each other either."""
     ls = c4_instance()
     entry = standard_corpus(ls)[0]
-    failing_class = h1(entry.coeff).cocycles[0]
+    failing_class = enumerate_cocycles(entry.coeff)[0]
     rep = verify_equivalences(ls)
     fields = (rep.density, rep.split, rep.a, rep.a_prime, rep.a_doubleprime, rep.b, rep.c)
     tower = TowerResult((0, 1), None)
@@ -815,11 +816,16 @@ def _restrict(theta, a):
     return Cocycle(pullback_coefficients(theta, a.parent), oracle_restrict(theta.map, a.values))
 
 
+def _representatives(coeff):
+    """Each H^1 class's least cocycle, built through the validator."""
+    return [Cocycle(coeff, v) for v in h1(coeff).representative_values]
+
+
 def _reference_failure(ls, coeff, class_filter=None):
     """The diagonal test as first written: every pullback rebuilt per pair."""
     coeff_e = pullback_coefficients(ls.ext.pi, coeff)
     checked = 0
-    for alpha in h1(coeff_e).representatives:
+    for alpha in _representatives(coeff_e):
         if class_filter is not None and not class_filter(alpha):
             continue
         checked += 1
@@ -835,7 +841,7 @@ def _reference_failure(ls, coeff, class_filter=None):
                 cohomologous(_restrict(theta, beta), pulls[i]) is not None
                 for i, theta in enumerate(ls.family.thetas)
             )
-            for beta in h1(coeff).representatives
+            for beta in _representatives(coeff)
         ):
             return alpha, checked
     return None, checked
@@ -855,7 +861,7 @@ def _reference_fibre(alpha, family):
     target = [_restrict(theta, alpha) for theta in family.thetas]
     return tuple(
         beta
-        for beta in h1(alpha.parent).representatives
+        for beta in _representatives(alpha.parent)
         if all(
             cohomologous(_restrict(theta, beta), target[i]) is not None
             for i, theta in enumerate(family.thetas)
@@ -931,7 +937,7 @@ def test_deciders_agree_with_the_per_pair_reference(acceptance_instances):
         want_extra = _reference_check(ls, with_extra)
         _assert_same_check(decide_a(ls, with_extra), want_extra)
         for entry in with_extra:
-            for alpha in h1(entry.coeff).representatives:
+            for alpha in _representatives(entry.coeff):
                 assert diagonal_fibre(alpha, ls.family) == _reference_fibre(alpha, ls.family)
     assert all(failed.values()), failed
     assert twisted >= len(REFERENCE_SLICE) // 2, twisted

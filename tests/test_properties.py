@@ -46,6 +46,7 @@ from seclab.catalog import (
 from seclab.cohomology import (
     Cocycle,
     GammaGroup,
+    H1Classes,
     cohomologous,
     constant_coefficients,
     enumerate_cocycles,
@@ -232,10 +233,11 @@ def test_class_representatives_are_canonical(name, data):
     """
     coeffs = coefficient_catalog(preset_group(name), 4)
     assume(coeffs)
-    classes = h1(data.draw(st.sampled_from(coeffs)))
-    reps = classes.representatives
+    coeff = data.draw(st.sampled_from(coeffs))
+    classes = h1(coeff)
+    reps, index = [Cocycle(coeff, v) for v in classes.representative_values], classes.class_by_key
     for i, rep in enumerate(reps):
-        assert classes.class_by_key[_key(rep.parent, rep.values)] == i
+        assert index[_key(rep.parent, rep.values)] == i
         for other in reps[i + 1:]:
             assert cohomologous(rep, other) is None
 
@@ -247,10 +249,9 @@ def test_class_numbers_agree_with_twisting(coeff, data):
     Two cocycles get the same class number exactly when one twists into the
     other.
     """
-    classes = h1(coeff)
-    a = data.draw(st.sampled_from(classes.cocycles))
-    for b in classes.cocycles:
-        index = classes.class_by_key
+    cocycles, index = enumerate_cocycles(coeff), h1(coeff).class_by_key
+    a = data.draw(st.sampled_from(cocycles))
+    for b in cocycles:
         same = index[_key(coeff, a.values)] == index[_key(coeff, b.values)]
         assert same == (cohomologous(a, b) is not None), (a, b)
 
@@ -373,7 +374,7 @@ def test_counts_and_fibres_do_not_depend_on_the_numbering(gamma, m, data):
         moved_thetas.append(
             GroupHom(_moved(theta.source, p_s), moved_gamma, relabel(theta.map, p_s, p_gamma))
         )
-    alpha = data.draw(st.sampled_from(over.representatives))
+    alpha = Cocycle(coeff, data.draw(st.sampled_from(over.representative_values)))
     moved_alpha = Cocycle(moved_coeff, relabel(alpha.values, p_gamma, p_c))
     fibre = diagonal_fibre(alpha, LocalFamily(gamma, tuple(thetas)))
     moved_family = LocalFamily(moved_gamma, tuple(moved_thetas))
@@ -527,8 +528,12 @@ def test_h1_value_table_and_its_views(coeff):
     """
     h1 keeps the oracle's cocycle value tuples; its class map holds exactly
     one key per oracle cocycle, its values on the generators of gamma, and
-    sends it to the class that holds that cocycle; its representative
-    records equal cocycles built through the validator.
+    sends it to the class that holds that cocycle; each representative is
+    the least cocycle of its class.  Reading the views stores nothing on
+    the table: its instance holds its three fields, beside the record hash
+    that ``_Record.__hash__`` keeps once any caller has hashed it.  The
+    records of ``enumerate_cocycles`` equal cocycles built through the
+    validator from the table's values.
     """
     classes = h1(coeff)
     tables = (coeff.gamma.table, coeff.M.table, coeff.action)
@@ -538,11 +543,13 @@ def test_h1_value_table_and_its_views(coeff):
     assert set(index) == {_key(coeff, v) for v in oracle} and len(index) == len(oracle)
     for j, v in enumerate(oracle):
         assert j in classes.classes[index[_key(coeff, v)]]
-    reps = classes.representatives
-    assert len(reps) == len(classes.representative_values) == classes.class_count
-    for rep, v in zip(reps, classes.representative_values):
-        checked = Cocycle(coeff, v)
-        assert rep == checked and hash(rep) == hash(checked)
+    reps = classes.representative_values
+    assert len(reps) == classes.class_count
+    assert list(reps) == [min(oracle[j] for j in cls) for cls in classes.classes]
+    assert set(vars(classes)) - {"_hash"} == set(H1Classes._fields)
+    records = enumerate_cocycles(coeff)
+    checked = tuple(Cocycle(coeff, v) for v in classes.values)
+    assert records == checked and list(map(hash, records)) == list(map(hash, checked))
 
 
 @given(st.sampled_from(HOM_PAIRS))
@@ -1269,7 +1276,7 @@ def _entry_arguments():
     ls = seeded_instances(20260822, 1, 16)[0]
     gamma = ls.ext.Gamma
     levels, maps = localglobal.pushout_tower(ls.ext, [full_subgroup(ls.ext.A)])
-    alpha = h1(constant_coefficients(gamma, cyclic_group(2))).representatives[0]
+    alpha = enumerate_cocycles(constant_coefficients(gamma, cyclic_group(2)))[0]
     return {
         "family": ls.family, "sub": full_subgroup(gamma), "alpha": alpha, "ls": ls,
         "u": ls.ext.iota, "corpus": (), "ext": ls.ext, "subs": (), "levels": levels,

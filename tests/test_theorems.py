@@ -162,3 +162,43 @@ def test_schur_zassenhaus_coprime_extensions_split_with_conjugate_sections():
         assert len(report.classes_mod_A) == 1, name
         checked += 1
     assert checked == 128
+
+
+def test_twisting_by_a_cocycle_is_a_bijection_on_h1():
+    """For a cocycle a of Γ in M, let ₐM be M with s acting as
+    m ↦ a_s·s(m)·a_s⁻¹.  Then b ↦ (s ↦ b_s·a_s) is a bijection
+    Z¹(Γ, ₐM) → Z¹(Γ, M) that induces a bijection H¹(Γ, ₐM) → H¹(Γ, M)
+    sending the neutral class to the class of a (Serre, *Galois
+    Cohomology*, ch. I §5.3).  The existing twisting properties test only
+    ``cohomologous``; this relates two ``h1`` partitions over different
+    actions, and is the first check here for nonabelian M.  Checked for
+    each Γ of ``preset_groups(6)``, each system of
+    ``coefficient_catalog(Γ, 8)`` with nonabelian M, and each class
+    representative a; ₐM is built through the validating constructor.
+    """
+    systems = twists = 0
+    for gamma in dict.fromkeys(preset_groups(6)):
+        for coeff in coefficient_catalog(gamma, 8):
+            m = coeff.M
+            if _is_abelian(m):
+                continue
+            classes = h1(coeff)
+            class_of = {classes.values[j]: i for i, cls in enumerate(classes.classes) for j in cls}
+            for i, a in enumerate(classes.representative_values):
+                rows = tuple(
+                    tuple(m.mul(m.mul(a_s, row[x]), m.inverse[a_s]) for x in m.elements)
+                    for a_s, row in zip(a, coeff.action)
+                )
+                twisted = h1(GammaGroup(gamma, m, rows))
+                shift = [tuple(map(m.mul, b, a)) for b in twisted.values]
+                assert len(set(shift)) == len(shift) and set(shift) == set(class_of), (coeff, a)
+                assert twisted.class_count == classes.class_count, (coeff, a)
+                images = [{class_of[shift[j]] for j in cls} for cls in twisted.classes]
+                assert all(len(image) == 1 for image in images), (coeff, a)
+                assert len(set().union(*images)) == classes.class_count, (coeff, a)
+                neutral = twisted.values.index((m.identity,) * gamma.order)
+                k = next(k for k, cls in enumerate(twisted.classes) if neutral in cls)
+                assert images[k] == {i}, (coeff, a)
+                twists += 1
+            systems += 1
+    assert (systems, twists) == (272, 778)
